@@ -121,24 +121,7 @@ def build_app_prompt(
             "sensors": render_sensors(sensors),
             "memory": memory_text,
         },
-        image_attachment=obs.image_attachment,
     )
-
-
-def decide(
-    request: UserRequest,
-    global_plan: GlobalPlan,
-    obs: Observation,
-    sensors: SensorData,
-    memory: MemoryLog,
-    backend_cfg: BackendConfig,
-    backend=None,
-    template: Optional[AgentTemplate] = None,
-) -> AppDecision:
-    decision, _raw, _digest = decide_with_raw(
-        request, global_plan, obs, sensors, memory, backend_cfg, backend=backend, template=template
-    )
-    return decision
 
 
 def decide_with_raw(

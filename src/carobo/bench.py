@@ -419,8 +419,13 @@ def fixed_pair(host_cfg: BackendConfig, app_cfg: Optional[BackendConfig] = None)
     return pick
 
 
-def _open_robot(world: sim.WorldState, transport: str):
-    """Build a robot handle plus (world getter, cleanup) for one episode."""
+def open_robot(world: sim.WorldState, transport: str):
+    """Host `world` on `transport`; returns (robot handle, world getter, cleanup).
+
+    `transport` is direct, local: or tcp: (a TCP server in this process). A
+    robot served by another process cannot be judged, since its world is out
+    of reach; `carobo run` connects to one itself.
+    """
     if transport == "direct":
         handle = sim.SimRobot(world)
         return handle, (lambda: handle.world), handle.close
@@ -438,9 +443,7 @@ def _open_robot(world: sim.WorldState, transport: str):
             server.stop()
 
         return handle, (lambda: server.service.world), cleanup
-    raise CaroboError(
-        f"benchmark transport must be direct, local: or tcp: (judging needs the world), got {transport!r}"
-    )
+    raise CaroboError(f"transport must be direct, local: or tcp: to host a world here, got {transport!r}")
 
 
 def run_scenario(
@@ -451,7 +454,7 @@ def run_scenario(
 ) -> Tuple[Row, EpisodeResult]:
     host_cfg, app_cfg = backends(spec)
     world = spec.load_world()
-    handle, get_world, cleanup = _open_robot(world, transport)
+    handle, get_world, cleanup = open_robot(world, transport)
     try:
         result = run_episode(
             UserRequest(text=spec.request_text, id=spec.id),

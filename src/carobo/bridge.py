@@ -270,13 +270,13 @@ def tcp_connect(host: str, port: int, timeout_s: float = 10.0) -> TcpConnection:
     return TcpConnection(sock)
 
 
-# module-level op aliases matching the rest of the codebase's free functions
-def publish(conn, envelope_topic: str, payload) -> Envelope:
-    return conn.publish(envelope_topic, payload)
-
-
-def next_message(conn, topic: str, timeout_ms: Optional[float] = None) -> Envelope:
-    return conn.next_message(topic, timeout_ms)
+def parse_endpoint(endpoint: str) -> Tuple[str, int]:
+    """Split "HOST:PORT" or "tcp:HOST:PORT" into (host, port); an empty host is 127.0.0.1."""
+    address = endpoint[len("tcp:"):] if endpoint.startswith("tcp:") else endpoint
+    host, sep, port_s = address.rpartition(":")
+    if not sep or not port_s.isdigit() or int(port_s) > 65535:
+        raise CaroboError(f"endpoint {endpoint!r} needs the form tcp:HOST:PORT or HOST:PORT")
+    return host or "127.0.0.1", int(port_s)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +368,11 @@ class TcpRobotServer:
 
     def stop(self):
         self._stop.set()
+        try:
+            # wakes a pending accept() at once instead of at its next timeout
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         if self._thread is not None:
             self._thread.join(timeout=5)
         try:
@@ -385,15 +390,8 @@ def serve_robot(world: sim.WorldState, endpoint: str):
     The in-process transport has no standalone server; use start_local_robot
     to get both ends in one process.
     """
-    if endpoint.startswith("tcp:"):
-        endpoint = endpoint[len("tcp:"):]
-    if endpoint == "local:" or ":" not in endpoint:
-        raise CaroboError("serve_robot needs a HOST:PORT endpoint; see start_local_robot")
-    host, port_s = endpoint.rsplit(":", 1)
-    if not port_s.isdigit():
-        raise CaroboError("serve_robot needs a HOST:PORT endpoint; see start_local_robot")
-    server = TcpRobotServer(world, host=host or "127.0.0.1", port=int(port_s))
-    server.serve_forever()
+    host, port = parse_endpoint(endpoint)
+    TcpRobotServer(world, host=host, port=port).serve_forever()
 
 
 # ---------------------------------------------------------------------------

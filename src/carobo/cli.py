@@ -13,11 +13,12 @@ from .bench import (
     default_suite_path,
     fixed_pair,
     load_benchmark,
+    open_robot,
     replay_pair,
     run_suite,
     scripted_pair,
 )
-from .bridge import BridgeRobot, TcpRobotServer, serve_robot, start_local_robot, tcp_connect
+from .bridge import BridgeRobot, parse_endpoint, serve_robot, tcp_connect
 from .llm import BackendConfig, HttpChatConfig, ReplayConfig, ScriptedConfig
 from .model import CaroboError, UserRequest, render_memory
 
@@ -37,50 +38,23 @@ def _backend_cfg(args) -> BackendConfig:
         if not args.endpoint or not args.model:
             raise CaroboError("--backend http needs --endpoint and --model")
         return BackendConfig(
-            kind=HttpChatConfig(
-                endpoint=args.endpoint, model_name=args.model, supports_vision=args.vision
-            ),
+            kind=HttpChatConfig(endpoint=args.endpoint, model_name=args.model),
             max_retries=args.max_retries,
         )
     raise CaroboError(f"unknown backend {args.backend!r}")
 
 
-def _open_run_robot(args):
-    """Robot handle for `run`: owns a world unless pointed at a remote server."""
-    transport = args.transport
-    if transport.startswith("tcp:") and len(transport) > len("tcp:"):
-        host, sep, port_s = transport[len("tcp:"):].rpartition(":")
-        if not sep or not port_s.isdigit():
-            raise CaroboError(f"transport {transport!r} needs the form tcp:HOST:PORT")
-        conn = tcp_connect(host or "127.0.0.1", int(port_s))
-        handle = BridgeRobot(conn)
-        return handle, handle.close
-    if not args.world:
-        raise CaroboError(f"transport {transport!r} needs --world FILE")
-    world = _load_world_file(args.world)
-    if transport == "direct":
-        handle = sim.SimRobot(world)
-        return handle, handle.close
-    if transport in ("local", "local:"):
-        client, service, shutdown = start_local_robot(world)
-        return BridgeRobot(client, world_getter=lambda: service.world), shutdown
-    if transport in ("tcp", "tcp:"):
-        server = TcpRobotServer(world).start()
-        conn = tcp_connect(server.host, server.port)
-        handle = BridgeRobot(conn, world_getter=lambda: server.service.world)
-
-        def cleanup():
-            handle.close()
-            server.stop()
-
-        return handle, cleanup
-    raise CaroboError(f"unknown transport {transport!r}")
-
-
 def cmd_run(args) -> int:
     cfg = _backend_cfg(args)
     limits = EpisodeLimits(max_steps=args.max_steps, max_rounds=args.max_rounds)
-    handle, cleanup = _open_run_robot(args)
+    if args.transport.startswith("tcp:") and args.transport != "tcp:":
+        # a robot served by another process, which owns the world
+        handle = BridgeRobot(tcp_connect(*parse_endpoint(args.transport)))
+        cleanup = handle.close
+    elif not args.world:
+        raise CaroboError(f"transport {args.transport!r} needs --world FILE")
+    else:
+        handle, _get_world, cleanup = open_robot(_load_world_file(args.world), args.transport)
     try:
         result = run_episode(
             UserRequest(text=args.request, id=args.request_id),
@@ -185,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--replay-trace", help="completion JSONL for the replay backend")
     run.add_argument("--endpoint", help="chat completions URL for the http backend")
     run.add_argument("--model", help="model name for the http backend")
-    run.add_argument("--vision", action="store_true", help="send camera frames to the http backend")
     run.add_argument("--max-retries", type=int, default=3)
     run.add_argument(
         "--transport",
@@ -207,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--endpoint")
     bench.add_argument("--model")
-    bench.add_argument("--vision", action="store_true")
     bench.add_argument("--max-retries", type=int, default=3)
     bench.add_argument("--transport", default="direct", help="direct | local: | tcp:")
     bench.add_argument("--traces-dir", help="write per-scenario episode traces here")

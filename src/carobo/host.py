@@ -45,7 +45,6 @@ def build_host_prompt(
             "sensors": render_sensors(sensors),
             "memory": memory_text,
         },
-        image_attachment=obs.image_attachment,
     )
 
 

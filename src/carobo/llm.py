@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Tuple, Union
@@ -56,7 +57,6 @@ REQUIRED_BLOCKS = ("request", "observation", "sensors", "memory")
 class Block:
     kind: str
     text: str
-    image_attachment: Optional[bytes] = None
 
 
 @dataclass(frozen=True)
@@ -155,20 +155,14 @@ def load_agent_template(role: str, template_dir: Optional[Path] = None) -> Agent
     return parse_template(path.read_text(encoding="utf-8"))
 
 
-def assemble_prompt(
-    template: AgentTemplate,
-    pieces: dict,
-    image_attachment: Optional[bytes] = None,
-) -> Prompt:
+def assemble_prompt(template: AgentTemplate, pieces: dict) -> Prompt:
     """Fill the template's block formats with content, in canonical block order."""
     blocks = []
     for kind in BLOCK_ORDER:
         if kind not in pieces:
             continue
         fmt = template.block_formats.get(kind, kind.capitalize() + ":\n{" + kind + "}")
-        text = fmt.format(**{kind: pieces[kind]})
-        attachment = image_attachment if kind == "observation" else None
-        blocks.append(Block(kind=kind, text=text, image_attachment=attachment))
+        blocks.append(Block(kind=kind, text=fmt.format(**{kind: pieces[kind]})))
     return Prompt(system=template.system, few_shot=template.examples, user_blocks=tuple(blocks))
 
 
@@ -181,7 +175,6 @@ class HttpChatConfig:
     model_name: str
     timeout_s: float = 30.0
     api_key_env: str = "CAROBO_API_KEY"
-    supports_vision: bool = False
 
 
 @dataclass(frozen=True)
@@ -213,17 +206,7 @@ class HttpChatBackend:
         for user, assistant in prompt.few_shot:
             messages.append({"role": "user", "content": user})
             messages.append({"role": "assistant", "content": assistant})
-        attachments = [b.image_attachment for b in prompt.user_blocks if b.image_attachment]
-        if self.cfg.supports_vision and attachments:
-            import base64
-
-            content = [{"type": "text", "text": prompt.user_text()}]
-            for blob in attachments:
-                uri = "data:image/png;base64," + base64.b64encode(blob).decode("ascii")
-                content.append({"type": "image_url", "image_url": {"url": uri}})
-            messages.append({"role": "user", "content": content})
-        else:
-            messages.append({"role": "user", "content": prompt.user_text()})
+        messages.append({"role": "user", "content": prompt.user_text()})
         return messages
 
     def complete(self, prompt: Prompt) -> str:
@@ -315,11 +298,6 @@ def make_backend(cfg: BackendConfig):
     raise CaroboError(f"unknown backend kind: {cfg.kind!r}")
 
 
-def complete(prompt: Prompt, backend) -> str:
-    """Run one completion; `backend` is anything with a complete(prompt) method."""
-    return backend.complete(prompt)
-
-
 # ---------------------------------------------------------------------------
 # Decision parsing
 
@@ -343,19 +321,23 @@ class AppDecision:
             raise MalformedDecision("a continuing decision must carry a command")
 
 
+_DECODER = json.JSONDecoder()
+# where a decision can start: a brace and its first key; skipping other braces
+# keeps a completion full of them from costing a failed parse at each one
+_OBJECT_START = re.compile(r'\{[ \t\n\r]*"')
+
+
 def _extract_json_object(raw: str) -> dict:
-    """Parse the outermost {...} in the completion; anything around it is prose."""
-    start = raw.find("{")
-    end = raw.rfind("}")
-    if start < 0 or end <= start:
-        raise MalformedDecision("completion contains no JSON object")
-    try:
-        doc = json.loads(raw[start : end + 1])
-    except json.JSONDecodeError as exc:
-        raise MalformedDecision(f"completion JSON does not parse: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedDecision("completion JSON is not an object")
-    return doc
+    """Parse the first JSON object in the completion that parses; anything around it is prose."""
+    error = None
+    for start in _OBJECT_START.finditer(raw):
+        try:
+            return _DECODER.raw_decode(raw, start.start())[0]
+        except json.JSONDecodeError as exc:
+            error = error or f"completion JSON does not parse: {exc}"
+        except RecursionError:
+            error = error or "completion JSON is nested too deeply"
+    raise MalformedDecision(error or "completion contains no JSON object")
 
 
 def _require_str(doc: dict, key: str) -> str:

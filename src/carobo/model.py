@@ -267,35 +267,20 @@ def render_items(items: tuple) -> str:
 class Observation:
     items: tuple = ()
     free_text: str = ""
-    image_attachment: Optional[bytes] = None
 
     @classmethod
-    def from_items(cls, items, image_attachment: Optional[bytes] = None) -> "Observation":
+    def from_items(cls, items) -> "Observation":
         items = tuple(items)
-        return cls(items=items, free_text=render_items(items), image_attachment=image_attachment)
+        return cls(items=items, free_text=render_items(items))
 
     def to_dict(self) -> dict:
-        import base64
-
-        return {
-            "items": [it.to_dict() for it in self.items],
-            "free_text": self.free_text,
-            "image_attachment": (
-                base64.b64encode(self.image_attachment).decode("ascii")
-                if self.image_attachment is not None
-                else None
-            ),
-        }
+        return {"items": [it.to_dict() for it in self.items], "free_text": self.free_text}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Observation":
-        import base64
-
-        raw = data.get("image_attachment")
         return cls(
             items=tuple(VisibleObject.from_dict(d) for d in data.get("items", [])),
             free_text=data.get("free_text", ""),
-            image_attachment=base64.b64decode(raw) if raw is not None else None,
         )
 
 

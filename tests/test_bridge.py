@@ -1,4 +1,6 @@
 """Message bridge: wire format, sequencing, transports, the robot service."""
+import time
+
 import pytest
 
 from carobo.bridge import (
@@ -16,6 +18,7 @@ from carobo.bridge import (
     decode_line,
     encode_line,
     local_pair,
+    parse_endpoint,
     serve_robot,
     start_local_robot,
     tcp_connect,
@@ -257,7 +260,38 @@ def test_tcp_connect_refused():
         tcp_connect(host, port, timeout_s=1.0)
 
 
-@pytest.mark.parametrize("endpoint", ["local:", "justahost", "127.0.0.1:", "tcp:host:nope"])
+def test_tcp_stop_is_prompt_after_the_client_left():
+    # the client's close lets the accept loop wait in accept() again before stop()
+    for _ in range(30):
+        server = TcpRobotServer(load_world(world_doc())).start()
+        robot = BridgeRobot(tcp_connect(server.host, server.port))
+        robot.connect()
+        robot.close()
+        time.sleep(0.02)
+        began = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - began < 0.1
+        assert not server._thread.is_alive()
+
+
+@pytest.mark.parametrize("endpoint, address", [
+    ("127.0.0.1:7450", ("127.0.0.1", 7450)),
+    ("tcp:robot.lan:80", ("robot.lan", 80)),
+    ("tcp::7450", ("127.0.0.1", 7450)),
+    (":0", ("127.0.0.1", 0)),
+])
+def test_parse_endpoint(endpoint, address):
+    assert parse_endpoint(endpoint) == address
+
+
+@pytest.mark.parametrize("endpoint", ["local:", "justahost", "127.0.0.1:", "tcp:host:nope", "tcp:", "tcp:7450",
+                                      "127.0.0.1:65536", "127.0.0.1:-1"])
+def test_parse_endpoint_rejects(endpoint):
+    with pytest.raises(CaroboError, match="HOST:PORT"):
+        parse_endpoint(endpoint)
+
+
+@pytest.mark.parametrize("endpoint", ["local:", "justahost", "127.0.0.1:", "tcp:host:nope", "127.0.0.1:99999"])
 def test_serve_robot_rejects_bad_endpoints(endpoint):
     world = load_world(world_doc())
     with pytest.raises(CaroboError):

@@ -1,5 +1,8 @@
 """Prompt assembly, decision parsing, retry behavior, backends."""
 import json
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import given
@@ -168,6 +171,20 @@ def test_parse_app_decision_extracts_json_from_prose():
     assert parse_app_decision(raw).status is Status.FINISH
 
 
+@pytest.mark.parametrize("raw", [
+    '{"observation": "o", "comment": "done", "status": "FINISH"}\nThe plan {step 2} is done.}',
+    'Weighing {left, right} first.\n{"observation": "o", "comment": "done", "status": "FINISH"}',
+    '{"observation": "o", "comment": "done", "status": "FINISH"} {"extra": "object"}',
+])
+def test_parse_app_decision_ignores_braces_in_prose(raw):
+    assert parse_app_decision(raw).status is Status.FINISH
+
+
+def test_parse_app_decision_rejects_deep_nesting():
+    with pytest.raises(MalformedDecision):
+        parse_app_decision('{"a": ' * 5000 + "1" + "}" * 5000)
+
+
 def test_continue_without_command_always_rejected():
     raw = json.dumps({"observation": "o", "comment": "c", "status": "CONTINUE"})
     with pytest.raises(MalformedDecision):
@@ -311,3 +328,105 @@ def test_scripted_backend_unknown_policy():
     prompt = Prompt(system="s", few_shot=(), user_blocks=blocks())
     with pytest.raises(PolicyUnknown):
         backend.complete(prompt)
+
+
+# ---------------------------------------------------------------------------
+# The http backend against a chat-completions endpoint on loopback
+
+class FakeEndpoint:
+    """Answers every POST with `status` and `body`, and keeps the parsed requests."""
+
+    def __init__(self):
+        self.status, self.body = 200, b""
+        self.requests = []
+        fake = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                length = int(self.headers["Content-Length"])
+                fake.requests.append((dict(self.headers), json.loads(self.rfile.read(length))))
+                self.send_response(fake.status)
+                self.send_header("Content-Length", str(len(fake.body)))
+                self.end_headers()
+                self.wfile.write(fake.body)
+
+            def log_message(self, format, *args):
+                pass
+
+        self._server = HTTPServer(("127.0.0.1", 0), Handler)
+        self.url = "http://127.0.0.1:%d/v1/chat/completions" % self._server.server_address[1]
+        self._thread = threading.Thread(target=self._server.serve_forever, kwargs={"poll_interval": 0.05})
+        self._thread.start()
+
+    def reply(self, status, doc):
+        self.status = status
+        self.body = doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8")
+
+    def close(self):
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+@pytest.fixture
+def no_proxy(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+
+
+@pytest.fixture
+def endpoint(no_proxy):
+    fake = FakeEndpoint()
+    try:
+        yield fake
+    finally:
+        fake.close()
+
+
+def http_backend(url):
+    return make_backend(BackendConfig(kind=HttpChatConfig(endpoint=url, model_name="m", timeout_s=5.0)))
+
+
+def app_prompt():
+    return assemble_prompt(
+        load_agent_template("app"),
+        {"request": "do it", "observation": "box ahead", "sensors": "clear", "memory": "(empty)"},
+    )
+
+
+def test_http_backend_sends_text_messages_only(endpoint, monkeypatch):
+    monkeypatch.setenv("CAROBO_API_KEY", "k1")
+    endpoint.reply(200, {"choices": [{"message": {"role": "assistant", "content": "the completion"}}]})
+    prompt = app_prompt()
+    assert prompt.few_shot
+    assert http_backend(endpoint.url).complete(prompt) == "the completion"
+    [(headers, body)] = endpoint.requests
+    assert headers["Authorization"] == "Bearer k1"
+    assert (body["model"], body["temperature"]) == ("m", 0.0)
+    expected = [{"role": "system", "content": prompt.system}]
+    for user, assistant in prompt.few_shot:
+        expected += [{"role": "user", "content": user}, {"role": "assistant", "content": assistant}]
+    expected.append({"role": "user", "content": prompt.user_text()})
+    assert body["messages"] == expected
+
+
+@pytest.mark.parametrize("status, doc, message", [
+    (500, {"error": "overloaded"}, "HTTP 500"),
+    (200, {"choices": []}, "unexpected payload"),
+    (200, {"choices": [{"text": "legacy shape"}]}, "unexpected payload"),
+    (200, b"<html>not json</html>", "unexpected payload"),
+])
+def test_http_backend_failures_are_transport_errors(endpoint, status, doc, message):
+    endpoint.reply(status, doc)
+    with pytest.raises(TransportError, match=message):
+        http_backend(endpoint.url).complete(app_prompt())
+    assert len(endpoint.requests) == 1
+
+
+def test_http_backend_unreachable_port(no_proxy):
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    with pytest.raises(TransportError, match="unreachable"):
+        http_backend(f"http://127.0.0.1:{port}/v1/chat/completions").complete(app_prompt())
