@@ -32,11 +32,13 @@ from .model import (
     MemoryLog,
     Observation,
     Round,
+    SchemaError,
     SensorData,
     Status,
     UserRequest,
     append_round,
     canonical_json,
+    codec,
     render_memory,
 )
 
@@ -54,6 +56,7 @@ class FailureReason(Enum):
     BACKEND_ERROR = "BackendError"
 
 
+@codec(strict=True)
 @dataclass(frozen=True)
 class EpisodeLimits:
     max_steps: int = 20
@@ -67,15 +70,28 @@ class EpisodeLimits:
         if self.max_rounds < self.max_steps:
             raise CaroboError("max_rounds must be >= max_steps")
 
-    def to_dict(self) -> dict:
-        return {"max_steps": self.max_steps, "max_rounds": self.max_rounds}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EpisodeLimits":
-        return cls(
-            max_steps=int(data.get("max_steps", 20)),
-            max_rounds=int(data["max_rounds"]) if data.get("max_rounds") is not None else None,
-        )
+@codec(tag={"type": "episode"})
+@dataclass(frozen=True)
+class EpisodeHeader:
+    """The first record of an episode trace: what `carobo replay` re-runs."""
+
+    request_id: str
+    request_text: str
+    world: Optional[dict]  # None when the robot is served by another process
+    limits: EpisodeLimits
+
+
+@codec(tag={"type": "result"})
+@dataclass(frozen=True)
+class EpisodeFooter:
+    """The last record of an episode trace: what `carobo replay` checks."""
+
+    verdict: Verdict
+    failure_reason: Optional[FailureReason]
+    steps: int
+    rounds: int
+    final_world_digest: Optional[str]
 
 
 @dataclass(frozen=True)
@@ -157,8 +173,15 @@ def write_trace(records: list, path) -> None:
 
 
 def read_trace(path) -> list:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [json.loads(line) for line in lines if line.strip()]
+    """The records of an episode trace; each line must hold a JSON object."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines if line.strip()]
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"cannot read trace {path}: {exc}") from exc
+    if not all(type(rec) is dict for rec in records):
+        raise SchemaError(f"{path}: every trace record must be a JSON object")
+    return records
 
 
 def run_episode(
@@ -192,15 +215,7 @@ def run_episode(
         # a shared replay trace interleaves host and app calls on one cursor
         app_backend = host_backend if backend_cfg_app == backend_cfg_host else make_backend(backend_cfg_app)
 
-    records = [
-        {
-            "type": "episode",
-            "request_id": request.id,
-            "request_text": request.text,
-            "world": world_handle.world_doc(),
-            "limits": limits.to_dict(),
-        }
-    ]
+    records = [EpisodeHeader(request.id, request.text, world_handle.world_doc(), limits).to_dict()]
 
     def finish(verdict, reason, steps, rounds, memory):
         result = EpisodeResult(
@@ -212,16 +227,7 @@ def run_episode(
             trace=memory,
             final_world_digest=world_handle.world_digest(),
         )
-        records.append(
-            {
-                "type": "result",
-                "verdict": verdict.value,
-                "failure_reason": reason.value if reason else None,
-                "steps": steps,
-                "rounds": rounds,
-                "final_world_digest": result.final_world_digest,
-            }
-        )
+        records.append(EpisodeFooter(verdict, reason, steps, rounds, result.final_world_digest).to_dict())
         if trace_path is not None:
             write_trace(records, trace_path)
         return result

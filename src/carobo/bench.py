@@ -23,7 +23,7 @@ from .app import (
 )
 from .bridge import BridgeRobot, TcpRobotServer, start_local_robot, tcp_connect
 from .llm import BackendConfig, ReplayConfig, ScriptedConfig
-from .model import CaroboError, UserRequest
+from .model import CaroboError, SchemaError, UserRequest, codec
 from .suite_data import DOMAINS
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -55,10 +55,32 @@ class GoalPredicate:
     def evaluate(self, ctx: JudgeContext) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def to_dict(self) -> dict:  # pragma: no cover - interface
-        raise NotImplementedError
+    @classmethod
+    def from_dict(cls, doc: dict) -> "GoalPredicate":
+        """Decode a goal document with the predicate class its op names."""
+        op = doc.get("op") if type(doc) is dict else None
+        if type(op) is not str or op not in GOAL_OPS:
+            raise SchemaError(f"goal must be an object whose 'op' is one of {sorted(GOAL_OPS)}: {doc!r}")
+        return GOAL_OPS[op].from_dict(doc)
 
 
+GOAL_OPS: Dict[str, type] = {}
+
+
+def goal_op(op: str):
+    """Register a predicate dataclass under `op`; its documents carry {"op": op}."""
+
+    def register(cls):
+        GOAL_OPS[op] = cls
+        return codec(cls, tag={"op": op})
+
+    return register
+
+
+parse_goal = GoalPredicate.from_dict
+
+
+@goal_op("near")
 @dataclass(frozen=True)
 class Near(GoalPredicate):
     """Robot center within `within` meters of the object's boundary."""
@@ -70,9 +92,6 @@ class Near(GoalPredicate):
         obj = ctx.world.object_by_id(self.object_id)
         return obj.shape.distance_from(ctx.world.robot.position) <= self.within
 
-    def to_dict(self) -> dict:
-        return {"op": "near", "object_id": self.object_id, "within": self.within}
-
 
 _CMP = {
     ">=": lambda a, b: a >= b,
@@ -83,6 +102,7 @@ _CMP = {
 }
 
 
+@goal_op("buzzer_count")
 @dataclass(frozen=True)
 class BuzzerCount(GoalPredicate):
     cmp: str
@@ -90,15 +110,13 @@ class BuzzerCount(GoalPredicate):
 
     def __post_init__(self):
         if self.cmp not in _CMP:
-            raise sim.SchemaError(f"unknown comparison: {self.cmp!r}")
+            raise SchemaError(f"unknown comparison: {self.cmp!r}")
 
     def evaluate(self, ctx: JudgeContext) -> bool:
         return _CMP[self.cmp](len(ctx.world.buzzer_events), self.count)
 
-    def to_dict(self) -> dict:
-        return {"op": "buzzer_count", "cmp": self.cmp, "count": self.count}
 
-
+@goal_op("pose_within")
 @dataclass(frozen=True)
 class PoseWithin(GoalPredicate):
     x: float
@@ -109,10 +127,8 @@ class PoseWithin(GoalPredicate):
         rx, ry = ctx.world.robot.position
         return ((rx - self.x) ** 2 + (ry - self.y) ** 2) ** 0.5 <= self.tol
 
-    def to_dict(self) -> dict:
-        return {"op": "pose_within", "x": self.x, "y": self.y, "tol": self.tol}
 
-
+@goal_op("heading_within")
 @dataclass(frozen=True)
 class HeadingWithin(GoalPredicate):
     deg: float
@@ -122,24 +138,26 @@ class HeadingWithin(GoalPredicate):
         diff = abs((ctx.world.robot.heading - self.deg + 180.0) % 360.0 - 180.0)
         return diff <= self.tol
 
-    def to_dict(self) -> dict:
-        return {"op": "heading_within", "deg": self.deg, "tol": self.tol}
 
-
+@goal_op("comment_matches")
 @dataclass(frozen=True)
 class CommentMatches(GoalPredicate):
     """Some round comment matches the regular expression."""
 
     pattern: str
 
+    def __post_init__(self):
+        try:
+            re.compile(self.pattern)
+        except re.error as exc:
+            raise SchemaError(f"bad comment pattern {self.pattern!r}: {exc}") from None
+
     def evaluate(self, ctx: JudgeContext) -> bool:
         rx = re.compile(self.pattern)
         return any(rx.search(c) for c in ctx.comments)
 
-    def to_dict(self) -> dict:
-        return {"op": "comment_matches", "pattern": self.pattern}
 
-
+@goal_op("path_length_at_least")
 @dataclass(frozen=True)
 class PathLengthAtLeast(GoalPredicate):
     meters: float
@@ -147,10 +165,8 @@ class PathLengthAtLeast(GoalPredicate):
     def evaluate(self, ctx: JudgeContext) -> bool:
         return ctx.path_length >= self.meters
 
-    def to_dict(self) -> dict:
-        return {"op": "path_length_at_least", "meters": self.meters}
 
-
+@goal_op("camera_pitch_at_least")
 @dataclass(frozen=True)
 class CameraPitchAtLeast(GoalPredicate):
     deg: float
@@ -158,10 +174,8 @@ class CameraPitchAtLeast(GoalPredicate):
     def evaluate(self, ctx: JudgeContext) -> bool:
         return ctx.world.robot.camera_pitch >= self.deg
 
-    def to_dict(self) -> dict:
-        return {"op": "camera_pitch_at_least", "deg": self.deg}
 
-
+@goal_op("and")
 @dataclass(frozen=True)
 class And(GoalPredicate):
     clauses: Tuple[GoalPredicate, ...]
@@ -169,10 +183,8 @@ class And(GoalPredicate):
     def evaluate(self, ctx: JudgeContext) -> bool:
         return all(c.evaluate(ctx) for c in self.clauses)
 
-    def to_dict(self) -> dict:
-        return {"op": "and", "clauses": [c.to_dict() for c in self.clauses]}
 
-
+@goal_op("or")
 @dataclass(frozen=True)
 class Or(GoalPredicate):
     clauses: Tuple[GoalPredicate, ...]
@@ -180,49 +192,14 @@ class Or(GoalPredicate):
     def evaluate(self, ctx: JudgeContext) -> bool:
         return any(c.evaluate(ctx) for c in self.clauses)
 
-    def to_dict(self) -> dict:
-        return {"op": "or", "clauses": [c.to_dict() for c in self.clauses]}
 
-
+@goal_op("not")
 @dataclass(frozen=True)
 class Not(GoalPredicate):
     clause: GoalPredicate
 
     def evaluate(self, ctx: JudgeContext) -> bool:
         return not self.clause.evaluate(ctx)
-
-    def to_dict(self) -> dict:
-        return {"op": "not", "clause": self.clause.to_dict()}
-
-
-def parse_goal(doc: dict) -> GoalPredicate:
-    if not isinstance(doc, dict) or "op" not in doc:
-        raise sim.SchemaError("goal must be an object with an 'op' field")
-    op = doc["op"]
-    try:
-        if op == "and":
-            return And(tuple(parse_goal(c) for c in doc["clauses"]))
-        if op == "or":
-            return Or(tuple(parse_goal(c) for c in doc["clauses"]))
-        if op == "not":
-            return Not(parse_goal(doc["clause"]))
-        if op == "near":
-            return Near(str(doc["object_id"]), float(doc["within"]))
-        if op == "buzzer_count":
-            return BuzzerCount(str(doc["cmp"]), int(doc["count"]))
-        if op == "pose_within":
-            return PoseWithin(float(doc["x"]), float(doc["y"]), float(doc["tol"]))
-        if op == "heading_within":
-            return HeadingWithin(float(doc["deg"]), float(doc["tol"]))
-        if op == "comment_matches":
-            return CommentMatches(str(doc["pattern"]))
-        if op == "path_length_at_least":
-            return PathLengthAtLeast(float(doc["meters"]))
-        if op == "camera_pitch_at_least":
-            return CameraPitchAtLeast(float(doc["deg"]))
-    except KeyError as exc:
-        raise sim.SchemaError(f"goal op {op!r} is missing field {exc}") from None
-    raise sim.SchemaError(f"unknown goal op: {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +218,19 @@ class ScenarioSpec:
         return sim.load_world(json.loads(self.world_file.read_text(encoding="utf-8")))
 
 
+@codec
+@dataclass(frozen=True)
+class ScenarioEntry:
+    """One entry of a suite's "scenarios" list; world_file is relative to the suite."""
+
+    id: str
+    domain: str
+    request_text: str
+    world_file: str
+    goal: GoalPredicate
+    limits: EpisodeLimits = EpisodeLimits()
+
+
 def default_suite_path() -> Path:
     return DATA_DIR / "suite.json"
 
@@ -254,34 +244,22 @@ def load_benchmark(path) -> Tuple[ScenarioSpec, ...]:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise sim.SchemaError(f"cannot read suite {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"cannot read suite {path}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):
-        raise sim.SchemaError("suite must be an object with a 'scenarios' list")
+        raise SchemaError("suite must be an object with a 'scenarios' list")
     specs = []
     seen = set()
-    for entry in doc["scenarios"]:
-        try:
-            sid = str(entry["id"])
-            domain = str(entry["domain"])
-            spec = ScenarioSpec(
-                id=sid,
-                domain=domain,
-                request_text=str(entry["request_text"]),
-                world_file=(path.parent / entry["world_file"]).resolve(),
-                goal=parse_goal(entry["goal"]),
-                limits=EpisodeLimits(**entry.get("limits", {})),
-            )
-        except (KeyError, TypeError) as exc:
-            raise sim.SchemaError(f"bad scenario entry: {exc}") from exc
-        if domain not in DOMAINS:
-            raise sim.SchemaError(f"unknown domain {domain!r} in scenario {sid!r}")
-        if sid in seen:
-            raise sim.SchemaError(f"duplicate scenario id {sid!r}")
-        seen.add(sid)
-        if not spec.world_file.exists():
-            raise sim.SchemaError(f"world file missing for {sid!r}: {spec.world_file}")
-        specs.append(spec)
+    for entry in map(ScenarioEntry.from_dict, doc["scenarios"]):
+        if entry.domain not in DOMAINS:
+            raise SchemaError(f"unknown domain {entry.domain!r} in scenario {entry.id!r}")
+        if entry.id in seen:
+            raise SchemaError(f"duplicate scenario id {entry.id!r}")
+        seen.add(entry.id)
+        world_file = (path.parent / entry.world_file).resolve()
+        if not world_file.exists():
+            raise SchemaError(f"world file missing for {entry.id!r}: {world_file}")
+        specs.append(ScenarioSpec(entry.id, entry.domain, entry.request_text, world_file, entry.goal, entry.limits))
     counts = {d: sum(1 for s in specs if s.domain == d) for d in DOMAINS}
     if any(c != 5 for c in counts.values()) or len(specs) != 20:
         raise CountError(f"suite must hold 5 scenarios per domain, got {counts}")
@@ -316,6 +294,7 @@ def judge(result: EpisodeResult, world: sim.WorldState, goal: GoalPredicate) -> 
 # ---------------------------------------------------------------------------
 # Suite runs and reports
 
+@codec
 @dataclass(frozen=True)
 class Row:
     scenario_id: str
@@ -325,17 +304,8 @@ class Row:
     steps: int
     rounds: int
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "domain": self.domain,
-            "verdict": self.verdict,
-            "failure_reason": self.failure_reason,
-            "steps": self.steps,
-            "rounds": self.rounds,
-        }
 
-
+@codec
 @dataclass(frozen=True)
 class Report:
     rows: Tuple[Row, ...]
@@ -347,13 +317,6 @@ class Report:
             if r.scenario_id == scenario_id:
                 return r
         raise KeyError(scenario_id)
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "domain_rates": dict(self.domain_rates),
-            "overall_rate": self.overall_rate,
-        }
 
     def to_text(self) -> str:
         lines = [f"{'scenario':<10} {'domain':<22} {'verdict':<8} {'reason':<16} {'steps':>5} {'rounds':>6}"]

@@ -341,9 +341,13 @@ class TcpRobotServer:
     def __init__(self, world: sim.WorldState, host: str = "127.0.0.1", port: int = 0):
         self.service = RobotService(world)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(1)
+        try:
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind((host, port))
+            self._listener.listen(1)
+        except OSError as exc:
+            self._listener.close()
+            raise CaroboError(f"cannot listen on {host}:{port}: {exc}") from exc
         self.host, self.port = self._listener.getsockname()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -387,11 +391,13 @@ class TcpRobotServer:
 def serve_robot(world: sim.WorldState, endpoint: str):
     """Serve a world at `endpoint` ("HOST:PORT" or "tcp:HOST:PORT"); blocks forever.
 
-    The in-process transport has no standalone server; use start_local_robot
-    to get both ends in one process.
+    Prints the bound address once listening, so a port of 0 shows the port
+    chosen. The in-process transport has no standalone server; use
+    start_local_robot to get both ends in one process.
     """
-    host, port = parse_endpoint(endpoint)
-    TcpRobotServer(world, host=host, port=port).serve_forever()
+    server = TcpRobotServer(world, *parse_endpoint(endpoint))
+    print(f"serving robot world on {server.host}:{server.port}", flush=True)
+    server.serve_forever()
 
 
 # ---------------------------------------------------------------------------

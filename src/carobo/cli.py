@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from . import sim
-from .app import EpisodeLimits, read_trace, run_episode
+from .app import EpisodeFooter, EpisodeHeader, EpisodeLimits, read_trace, run_episode
 from .bench import (
     bundled_trace_dir,
     default_suite_path,
@@ -20,11 +20,15 @@ from .bench import (
 )
 from .bridge import BridgeRobot, parse_endpoint, serve_robot, tcp_connect
 from .llm import BackendConfig, HttpChatConfig, ReplayConfig, ScriptedConfig
-from .model import CaroboError, UserRequest, render_memory
+from .model import CaroboError, SchemaError, UserRequest, render_memory
 
 
 def _load_world_file(path) -> sim.WorldState:
-    return sim.load_world(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"cannot read world {path}: {exc}") from exc
+    return sim.load_world(document)
 
 
 def _backend_cfg(args) -> BackendConfig:
@@ -107,26 +111,25 @@ def cmd_replay(args) -> int:
     records = read_trace(args.trace)
     if not records or records[0].get("type") != "episode":
         raise CaroboError(f"{args.trace} is not an episode trace")
-    header = records[0]
-    recorded = records[-1]
-    if recorded.get("type") != "result":
+    if records[-1].get("type") != "result":
         raise CaroboError(f"{args.trace} has no result record; episode was cut short")
-    world = sim.load_world(header["world"])
+    header = EpisodeHeader.from_dict(records[0])
+    recorded = EpisodeFooter.from_dict(records[-1])
     cfg = BackendConfig(kind=ReplayConfig(trace_path=args.trace))
     result = run_episode(
-        UserRequest(text=header["request_text"], id=header["request_id"]),
-        sim.SimRobot(world),
+        UserRequest(text=header.request_text, id=header.request_id),
+        sim.SimRobot(sim.load_world(header.world)),
         cfg,
         cfg,
-        limits=EpisodeLimits(**header["limits"]),
+        limits=header.limits,
         trace_path=args.out,
     )
     print(result.summary())
     checks = (
-        ("verdict", recorded["verdict"], result.verdict.value),
-        ("steps", recorded["steps"], result.steps),
-        ("rounds", recorded["rounds"], result.rounds),
-        ("final world digest", recorded["final_world_digest"], result.final_world_digest),
+        ("verdict", recorded.verdict.value, result.verdict.value),
+        ("steps", recorded.steps, result.steps),
+        ("rounds", recorded.rounds, result.rounds),
+        ("final world digest", recorded.final_world_digest, result.final_world_digest),
     )
     ok = True
     for name, want, got in checks:
@@ -137,9 +140,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    world = _load_world_file(args.world)
-    print(f"serving robot world {args.world} on {args.listen}", flush=True)
-    serve_robot(world, args.listen)
+    serve_robot(_load_world_file(args.world), args.listen)
     return 0
 
 

@@ -1,17 +1,22 @@
 """Core value types shared by the agents, the simulator, the bridge and the harness.
 
-Everything here is an immutable dataclass with a dict round-trip
-(`to_dict` / `from_dict`) so the same objects can travel over the wire,
-into trace files and through prompts without a second serialization layer.
-Angles are decimal degrees, distances decimal meters.
+Everything here is an immutable dataclass. The `codec` decorator gives a
+dataclass its dict round-trip (`to_dict` / `from_dict`), so the same objects
+travel over the wire, into trace, world and suite files and through prompts
+without a second serialization layer. Angles are decimal degrees, distances
+decimal meters.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+import reprlib
+import typing
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Tuple, Union
 
 
 class CaroboError(Exception):
@@ -42,9 +47,183 @@ class ArgOutOfRange(InvalidCommand):
     """Command argument is outside its legal range."""
 
 
+class SchemaError(CaroboError):
+    """A document does not match the type it is decoded into."""
+
+
 def canonical_json(data) -> str:
     """Stable single-line JSON used for digests, traces and the wire format."""
     return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+# ---------------------------------------------------------------------------
+# The dict codec
+
+def _mismatch(expected: str, value) -> SchemaError:
+    return SchemaError(f"expected {expected}, got {reprlib.repr(value)}")
+
+
+def _float(value) -> float:
+    if type(value) is int and -1e308 < value < 1e308:  # int-float comparison is exact
+        value = float(value)
+    if type(value) is float and math.isfinite(value):
+        return value
+    raise _mismatch("a finite number", value)
+
+
+def _exactly(tp, expected: str):
+    def check(value):
+        if type(value) is not tp:
+            raise _mismatch(expected, value)
+        return value
+
+    return check
+
+
+_SCALARS = {float: _float, int: _exactly(int, "an integer"), str: _exactly(str, "a string"),
+            bool: _exactly(bool, "true or false")}
+
+
+def _list(value, size=None):
+    if (type(value) is not list and type(value) is not tuple) or size not in (None, len(value)):
+        raise _mismatch("a list" if size is None else f"a list of {size}", value)
+    return value
+
+
+def _nullable(fn):
+    return lambda value: None if value is None else fn(value)
+
+
+def _optional_arg(tp):
+    """X for Optional[X], else None."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is Union and len(args) == 2 and type(None) in args:
+        return args[0] if args[1] is type(None) else args[1]
+    return None
+
+
+def field_codec(tp):
+    """(encode, decode) for values of type `tp`; encode is None for plain JSON values.
+
+    `tp` is float, int, str, bool, Optional[X], Tuple[X, ...], a fixed tuple
+    of scalars, dict or Dict[str, scalar], an Enum (coded by its value) or a
+    class with `to_dict`/`from_dict`. `decode` checks one JSON value: a wrong
+    JSON type, a non-finite float or an unknown enum value raises SchemaError.
+    """
+    if tp in _SCALARS:
+        return None, _SCALARS[tp]
+    inner = _optional_arg(tp)
+    if inner is not None:
+        encode, decode = field_codec(inner)
+        return None if encode is None else _nullable(encode), _nullable(decode)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple and args[-1] is Ellipsis:
+        encode, item = field_codec(args[0])
+        encode_all = list if encode is None else (lambda value: [encode(v) for v in value])
+        return encode_all, lambda value: tuple([item(v) for v in _list(value)])
+    if origin is tuple:
+        items = [field_codec(a)[1] for a in args]
+        return list, lambda value: tuple([d(v) for d, v in zip(items, _list(value, len(items)))])
+    if tp is dict or origin is dict:
+        entry = field_codec(args[1])[1] if args else (lambda v: v)
+
+        def mapping(value):
+            if type(value) is not dict:
+                raise _mismatch("an object", value)
+            return {k: entry(v) for k, v in value.items()}
+
+        return dict, mapping
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        def member(value):
+            try:
+                return tp(value)
+            except (ValueError, TypeError):
+                raise _mismatch(f"one of {[m.value for m in tp]}", value) from None
+
+        return operator.attrgetter("value"), member
+    if not hasattr(tp, "from_dict"):
+        raise TypeError(f"the codec cannot code {tp!r}")
+    # looked up at call time, so that a method patched in later is the one called
+    return operator.methodcaller("to_dict"), (lambda value: tp.from_dict(value))
+
+
+_REQUIRED, _DEFAULTED = object(), object()
+
+
+def _field_plans(cls, tag: Optional[dict]) -> tuple:
+    """(encode_fields, decoders) of a dataclass.
+
+    `encode_fields` is `self -> {**tag, name: encode(self.name), ...}`,
+    compiled as one dict display the way dataclasses compiles `__init__`: a
+    display is about three times faster than filling a dict field by field,
+    and `to_dict` runs for every traced round and world digest. `decoders`
+    holds (name, decode, when missing) per field, where `when missing` is
+    _REQUIRED, _DEFAULTED or None.
+    """
+    hints = typing.get_type_hints(cls)
+    env, items, decoders = {"tag": tag}, ["**tag"] if tag else [], []
+    for i, f in enumerate(dataclasses.fields(cls)):
+        tp = hints[f.name]
+        if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING:
+            missing = _DEFAULTED
+        else:
+            missing = None if _optional_arg(tp) is not None else _REQUIRED
+        encode, decode = field_codec(tp)
+        env[f"encode{i}"] = encode
+        items.append(f"{f.name!r}: " + (f"self.{f.name}" if encode is None else f"encode{i}(self.{f.name})"))
+        decoders.append((f.name, decode, missing))
+    exec(f"def encode_fields(self):\n    return {{{', '.join(items)}}}\n", env)
+    return env["encode_fields"], tuple(decoders)
+
+
+def codec(cls=None, *, strict: bool = False, tag: Optional[dict] = None):
+    """Give a dataclass `to_dict` and `from_dict` built from its annotated fields.
+
+    `to_dict` writes the constant `tag` entries, then every field in
+    declaration order. `from_dict` checks each field's JSON type: a missing
+    required key or a wrongly typed value raises SchemaError. A missing field
+    takes its dataclass default, and a missing Optional field without one is
+    None. Unknown keys are ignored, or rejected when `strict`. The field plan
+    is resolved once per class, on first use.
+    """
+    if cls is None:
+        return lambda c: codec(c, strict=strict, tag=tag)
+    encode_fields = decoders = None
+
+    def resolve():
+        nonlocal encode_fields, decoders
+        encode_fields, decoders = _field_plans(cls, tag)
+
+    def to_dict(self) -> dict:
+        if encode_fields is None:
+            resolve()
+        return encode_fields(self)
+
+    def from_dict(cls, data):
+        if decoders is None:
+            resolve()
+        if type(data) is not dict:
+            raise SchemaError(f"{cls.__name__}: {_mismatch('an object', data)}")
+        if strict:
+            unknown = set(data).difference(tag or (), (name for name, *_ in decoders))
+            if unknown:
+                raise SchemaError(f"{cls.__name__}: unknown keys {sorted(unknown)}")
+        kwargs = {}
+        for name, decode, missing in decoders:
+            if name in data:
+                try:
+                    kwargs[name] = decode(data[name])
+                except SchemaError as exc:
+                    raise SchemaError(f"{cls.__name__}.{name}: {exc}") from None
+            elif missing is _REQUIRED:
+                raise SchemaError(f"{cls.__name__}: missing key {name!r}")
+            elif missing is None:
+                kwargs[name] = None
+        return cls(**kwargs)
+
+    cls.to_dict = to_dict
+    cls.from_dict = classmethod(from_dict)
+    return cls
 
 
 class Status(Enum):
@@ -181,14 +360,8 @@ class UserRequest:
         if not self.text.strip():
             raise InvariantViolation("request text must be non-empty")
 
-    def to_dict(self) -> dict:
-        return {"text": self.text, "id": self.id}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "UserRequest":
-        return cls(text=data["text"], id=data.get("id", "adhoc"))
-
-
+@codec
 @dataclass(frozen=True)
 class SensorData:
     ultrasonic_clearance: float
@@ -199,22 +372,8 @@ class SensorData:
         if self.ultrasonic_clearance < 0:
             raise InvariantViolation("ultrasonic clearance must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "ultrasonic_clearance": self.ultrasonic_clearance,
-            "ir_left": self.ir_left,
-            "ir_right": self.ir_right,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SensorData":
-        return cls(
-            ultrasonic_clearance=float(data["ultrasonic_clearance"]),
-            ir_left=bool(data["ir_left"]),
-            ir_right=bool(data["ir_right"]),
-        )
-
-
+@codec
 @dataclass(frozen=True)
 class VisibleObject:
     label: str
@@ -223,27 +382,6 @@ class VisibleObject:
     text_on_object: Optional[str]
     distance: float
     bearing: float
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "color": self.color,
-            "shape": self.shape,
-            "text_on_object": self.text_on_object,
-            "distance": self.distance,
-            "bearing": self.bearing,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VisibleObject":
-        return cls(
-            label=data["label"],
-            color=data["color"],
-            shape=data["shape"],
-            text_on_object=data.get("text_on_object"),
-            distance=float(data["distance"]),
-            bearing=float(data["bearing"]),
-        )
 
 
 def render_items(items: tuple) -> str:
@@ -263,9 +401,10 @@ def render_items(items: tuple) -> str:
     return "; ".join(parts)
 
 
+@codec
 @dataclass(frozen=True)
 class Observation:
-    items: tuple = ()
+    items: Tuple[VisibleObject, ...] = ()
     free_text: str = ""
 
     @classmethod
@@ -273,17 +412,8 @@ class Observation:
         items = tuple(items)
         return cls(items=items, free_text=render_items(items))
 
-    def to_dict(self) -> dict:
-        return {"items": [it.to_dict() for it in self.items], "free_text": self.free_text}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Observation":
-        return cls(
-            items=tuple(VisibleObject.from_dict(d) for d in data.get("items", [])),
-            free_text=data.get("free_text", ""),
-        )
-
-
+@codec
 @dataclass(frozen=True)
 class ExecResult:
     command_echo: Command
@@ -295,25 +425,6 @@ class ExecResult:
     def __post_init__(self):
         if self.outcome is ExecOutcome.AVOIDED and self.heading_change != -90.0:
             raise InvariantViolation("avoided implies a -90 degree heading change")
-
-    def to_dict(self) -> dict:
-        return {
-            "command_echo": self.command_echo.to_dict(),
-            "outcome": self.outcome.value,
-            "distance_travelled": self.distance_travelled,
-            "heading_change": self.heading_change,
-            "sensor_after": self.sensor_after.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExecResult":
-        return cls(
-            command_echo=Command.from_dict(data["command_echo"]),
-            outcome=ExecOutcome(data["outcome"]),
-            distance_travelled=float(data["distance_travelled"]),
-            heading_change=float(data["heading_change"]),
-            sensor_after=SensorData.from_dict(data["sensor_after"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +443,8 @@ class GlobalPlan:
     def render(self) -> str:
         return "\n".join(f"{i + 1}. {s}" for i, s in enumerate(self.steps))
 
-    def to_dict(self) -> dict:
-        return {"steps": list(self.steps)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "GlobalPlan":
-        return cls(steps=tuple(data["steps"]))
-
-
+@codec
 @dataclass(frozen=True)
 class Round:
     """One decided round of the execution loop.
@@ -362,29 +467,6 @@ class Round:
         if (self.action is None) != (self.exec_result is None):
             raise InvariantViolation("action and exec_result must be present together")
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "observation": self.observation.to_dict(),
-            "thoughts": self.thoughts,
-            "comment": self.comment,
-            "action": self.action.to_dict() if self.action else None,
-            "exec_result": self.exec_result.to_dict() if self.exec_result else None,
-            "status": self.status.value,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Round":
-        return cls(
-            index=int(data["index"]),
-            observation=Observation.from_dict(data["observation"]),
-            thoughts=data.get("thoughts"),
-            comment=data["comment"],
-            action=Command.from_dict(data["action"]) if data.get("action") else None,
-            exec_result=ExecResult.from_dict(data["exec_result"]) if data.get("exec_result") else None,
-            status=parse_status(data["status"]),
-        )
-
 
 @dataclass(frozen=True)
 class MemoryLog:
@@ -394,13 +476,6 @@ class MemoryLog:
 
     def __len__(self) -> int:
         return len(self.rounds)
-
-    def to_dict(self) -> dict:
-        return {"rounds": [r.to_dict() for r in self.rounds]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MemoryLog":
-        return cls(rounds=tuple(Round.from_dict(d) for d in data.get("rounds", [])))
 
 
 def append_round(log: MemoryLog, rnd: Round) -> MemoryLog:

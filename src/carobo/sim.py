@@ -20,23 +20,39 @@ from .model import (
     ExecResult,
     InvalidCommand,
     Observation,
+    SchemaError,
     SensorData,
     VisibleObject,
     canonical_json,
+    codec,
+    field_codec,
     validate_command,
 )
 
 OBJECT_KINDS = ("box", "wall", "person", "paper", "refrigerator", "marker")
 
 
-class SchemaError(CaroboError):
-    """World document is structurally invalid."""
-
-
 class OverlapError(CaroboError):
     """Robot footprint starts inside an object."""
 
 
+# name -> (low, high): the closed range of each simulator parameter. The
+# lower bounds keep every drive finite: a step of 1 mm takes 10^4 increments
+# for the longest legal drive.
+PARAM_RANGES = {
+    "footprint_radius": (0.001, 10.0),
+    "ultrasonic_max": (0.001, 100.0),
+    "avoid_threshold": (0.0, 10.0),
+    "integration_step": (0.001, 1.0),
+    "hfov": (1.0, 360.0),
+    "vfov": (1.0, 179.0),
+    "ir_range": (0.0, 10.0),
+    "ir_angle": (0.0, 180.0),
+    "camera_height": (0.0, 10.0),
+}
+
+
+@codec(strict=True)
 @dataclass(frozen=True)
 class SimParams:
     footprint_radius: float = 0.10
@@ -49,24 +65,17 @@ class SimParams:
     ir_angle: float = 30.0
     camera_height: float = 0.12
 
-    def to_dict(self) -> dict:
-        return {
-            "footprint_radius": self.footprint_radius,
-            "ultrasonic_max": self.ultrasonic_max,
-            "avoid_threshold": self.avoid_threshold,
-            "integration_step": self.integration_step,
-            "hfov": self.hfov,
-            "vfov": self.vfov,
-            "ir_range": self.ir_range,
-            "ir_angle": self.ir_angle,
-            "camera_height": self.camera_height,
-        }
+    def __post_init__(self):
+        for name, (low, high) in PARAM_RANGES.items():
+            if not low <= getattr(self, name) <= high:
+                raise SchemaError(f"params.{name}={getattr(self, name)!r} outside [{low:g}, {high:g}]")
 
 
+@codec
 @dataclass(frozen=True)
 class RobotPose:
-    x: float
-    y: float
+    x: float = 0.0
+    y: float = 0.0
     heading: float = 0.0  # degrees CCW from +x, kept in [0, 360)
     camera_pitch: float = 0.0
 
@@ -77,17 +86,10 @@ class RobotPose:
     def position(self) -> Tuple[float, float]:
         return (self.x, self.y)
 
-    def to_dict(self) -> dict:
-        return {"x": self.x, "y": self.y, "heading": self.heading, "camera_pitch": self.camera_pitch}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RobotPose":
-        return cls(
-            x=float(data.get("x", 0.0)),
-            y=float(data.get("y", 0.0)),
-            heading=float(data.get("heading", 0.0)),
-            camera_pitch=float(data.get("camera_pitch", 0.0)),
-        )
+_number = field_codec(float)[1]
+_point = field_codec(Tuple[float, float])[1]
+_points = field_codec(Tuple[Tuple[float, float], ...])[1]
 
 
 @dataclass(frozen=True)
@@ -123,41 +125,36 @@ class Shape:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Shape":
-        if not isinstance(data, dict) or "type" not in data:
-            raise SchemaError(f"shape document must carry a type: {data!r}")
-        if data["type"] == "circle":
-            center = data.get("center")
-            radius = data.get("radius")
-            if (
-                not isinstance(center, (list, tuple))
-                or len(center) != 2
-                or not isinstance(radius, (int, float))
-                or radius <= 0
-            ):
-                raise SchemaError(f"bad circle shape: {data!r}")
-            return cls(kind="circle", center=(float(center[0]), float(center[1])), radius=float(radius))
-        if data["type"] == "polygon":
-            verts = data.get("vertices")
-            if not isinstance(verts, list) or len(verts) < 3:
-                raise SchemaError("polygon needs at least 3 vertices")
-            try:
-                vertices = tuple((float(v[0]), float(v[1])) for v in verts)
-            except (TypeError, IndexError, ValueError):
-                raise SchemaError(f"bad polygon vertices: {verts!r}")
-            if abs(geo.polygon_area(vertices)) < 1e-9:
-                raise SchemaError("polygon vertices are collinear")
-            return cls(kind="polygon", vertices=vertices)
-        raise SchemaError(f"unknown shape type: {data['type']!r}")
+        if type(data) is not dict or "type" not in data:
+            raise SchemaError(f"shape document must be an object with a type: {data!r}")
+        kind = data["type"]
+        try:
+            if kind == "circle":
+                radius = _number(data.get("radius"))
+                if radius <= 0:
+                    raise SchemaError("radius must be positive")
+                return cls(kind="circle", center=_point(data.get("center")), radius=radius)
+            if kind == "polygon":
+                vertices = _points(data.get("vertices"))
+                if len(vertices) < 3:
+                    raise SchemaError("a polygon needs at least 3 vertices")
+                if abs(geo.polygon_area(vertices)) < 1e-9:
+                    raise SchemaError("polygon vertices are collinear")
+                return cls(kind="polygon", vertices=vertices)
+        except SchemaError as exc:
+            raise SchemaError(f"bad {kind} shape: {exc}") from None
+        raise SchemaError(f"unknown shape type: {kind!r}")
 
 
+@codec
 @dataclass(frozen=True)
 class SimObject:
     id: str
     kind: str
     shape: Shape
-    label: str
-    color: str
-    height: float
+    label: Optional[str] = None  # None: the kind
+    color: str = "gray"
+    height: float = 0.5
     text_on_object: Optional[str] = None
 
     def __post_init__(self):
@@ -165,36 +162,11 @@ class SimObject:
             raise SchemaError(f"unknown object kind: {self.kind!r}")
         if self.height <= 0:
             raise SchemaError(f"object {self.id}: height must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "shape": self.shape.to_dict(),
-            "label": self.label,
-            "color": self.color,
-            "height": self.height,
-            "text_on_object": self.text_on_object,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimObject":
-        if not isinstance(data, dict):
-            raise SchemaError(f"object document must be an object: {data!r}")
-        try:
-            return cls(
-                id=str(data["id"]),
-                kind=str(data["kind"]),
-                shape=Shape.from_dict(data["shape"]),
-                label=str(data.get("label", data["kind"])),
-                color=str(data.get("color", "gray")),
-                height=float(data.get("height", 0.5)),
-                text_on_object=data.get("text_on_object"),
-            )
-        except KeyError as exc:
-            raise SchemaError(f"object document missing field {exc}")
+        if self.label is None:
+            object.__setattr__(self, "label", self.kind)
 
 
+@codec
 @dataclass(frozen=True)
 class WorldState:
     robot: RobotPose
@@ -209,38 +181,14 @@ class WorldState:
                 return obj
         raise KeyError(object_id)
 
-    def to_dict(self) -> dict:
-        return {
-            "robot": self.robot.to_dict(),
-            "params": self.params.to_dict(),
-            "objects": [o.to_dict() for o in self.objects],
-            "buzzer_events": list(self.buzzer_events),
-            "tick": self.tick,
-        }
-
 
 def load_world(document: dict) -> WorldState:
     """Build a world from a plain document, filling parameter defaults."""
-    if not isinstance(document, dict) or "robot" not in document:
-        raise SchemaError("world document must be an object with a robot entry")
-    robot = RobotPose.from_dict(document["robot"])
-    params_doc = document.get("params", {})
-    if not isinstance(params_doc, dict):
-        raise SchemaError("params must be an object")
-    defaults = SimParams()
-    unknown = set(params_doc) - set(defaults.to_dict())
-    if unknown:
-        raise SchemaError(f"unknown sim params: {sorted(unknown)}")
-    params = replace(defaults, **{k: float(v) for k, v in params_doc.items()})
-    objects_doc = document.get("objects", [])
-    if not isinstance(objects_doc, list):
-        raise SchemaError("objects must be a list")
-    objects = tuple(SimObject.from_dict(d) for d in objects_doc)
-    ids = [o.id for o in objects]
+    world = WorldState.from_dict(document)
+    ids = [o.id for o in world.objects]
     if len(set(ids)) != len(ids):
         raise SchemaError("object ids must be unique")
-    world = WorldState(robot=robot, objects=objects, params=params)
-    blocker = _overlapping_object(world, robot.position)
+    blocker = _overlapping_object(world, world.robot.position)
     if blocker is not None:
         raise OverlapError(f"robot footprint overlaps object {blocker.id!r}")
     return world

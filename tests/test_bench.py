@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from carobo.app import EpisodeLimits, EpisodeResult, FailureReason, Verdict
 from carobo.bench import (
+    DATA_DIR,
     And,
     BuzzerCount,
     CameraPitchAtLeast,
@@ -47,7 +48,7 @@ from carobo.model import (
     append_round,
 )
 from carobo.sim import SchemaError, load_world
-from carobo.suite_data import DOMAINS
+from carobo.suite_data import DOMAINS, write_all
 
 
 def ctx(world_doc=None, comments=(), path_length=0.0, buzzes=0):
@@ -321,6 +322,25 @@ def test_missing_field_rejected(tmp_path):
 
     with pytest.raises(SchemaError):
         load_benchmark(synthetic_suite(tmp_path, mutate=bad))
+
+
+@pytest.mark.parametrize("key", ["id", "domain", "request_text", "world_file"])
+def test_scenario_text_fields_must_be_strings(tmp_path, key):
+    def bad(d):
+        d["scenarios"][0][key] = 7
+
+    with pytest.raises(SchemaError, match=f"ScenarioEntry.{key}: expected a string"):
+        load_benchmark(synthetic_suite(tmp_path, mutate=bad))
+
+
+def test_suite_data_regenerates_the_committed_tree(tmp_path):
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    write_all(tmp_path)
+    committed, regenerated = tree(DATA_DIR), tree(tmp_path)
+    assert sorted(regenerated) == sorted(committed)
+    assert [rel for rel in committed if regenerated[rel] != committed[rel]] == []
 
 
 def test_suite_must_be_object_with_list(tmp_path):

@@ -88,6 +88,17 @@ def test_error_envelope_surfaces_as_protocol_error():
         a.close()
 
 
+def test_empty_exec_payload_is_a_typed_error():
+    client, robot_side = local_pair()
+    try:
+        robot_side._send_line(encode_line(TOPIC_EXEC, 0, 0, {}))
+        with pytest.raises(CaroboError) as err:
+            BridgeRobot(client, timeout_ms=500).execute(Command.forward(1.0))
+        assert "ExecResult" in str(err.value)
+    finally:
+        client.close()
+
+
 def test_publish_type_checked_per_topic():
     a, _b = local_pair()
     try:

@@ -112,6 +112,48 @@ def test_replay_rejects_non_trace(tmp_path, capsys):
     assert main(["replay", "--trace", str(bogus)]) == 2
 
 
+def _recorded_trace(tmp_path):
+    trace = tmp_path / "episode.jsonl"
+    assert main(["run", "--request", request_of("cmd_1"), "--world", world_file("cmd_1"),
+                 "--trace", str(trace)]) == 0
+    return trace
+
+
+def _header_without_limits(tmp_path):
+    trace = _recorded_trace(tmp_path)
+    lines = trace.read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["limits"]
+    trace.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    return ["replay", "--trace", str(trace)]
+
+
+def _not_json(tmp_path, name):
+    path = tmp_path / name
+    path.write_text("{not json\n")
+    return str(path)
+
+
+BAD_FILES = {
+    "missing world": lambda tmp: ["run", "--request", "x", "--world", str(tmp / "nope.json")],
+    "world not JSON": lambda tmp: ["run", "--request", "x", "--world", _not_json(tmp, "w.json")],
+    "serve missing world": lambda tmp: ["serve", "--world", str(tmp / "nope.json")],
+    "missing trace": lambda tmp: ["replay", "--trace", str(tmp / "nope.jsonl")],
+    "trace line not JSON": lambda tmp: ["replay", "--trace", _not_json(tmp, "t.jsonl")],
+    "header without limits": _header_without_limits,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_bad_input_files_exit_two(tmp_path, capsys, case):
+    argv = BAD_FILES[case](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "serving" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -180,6 +222,19 @@ def test_serve_accepts_remote_run(capsys):
     ])
     assert code == 0
     assert "Success" in capsys.readouterr().out
+
+
+def test_serve_on_a_busy_port_exits_two(capsys, time_limit):
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen(1)
+        port = holder.getsockname()[1]
+        with time_limit(10.0):
+            code = main(["serve", "--world", world_file("obj_1"), "--listen", f"127.0.0.1:{port}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"cannot listen on 127.0.0.1:{port}" in captured.err
+    assert "serving" not in captured.out
 
 
 def test_parser_requires_subcommand():

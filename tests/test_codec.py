@@ -1,0 +1,209 @@
+"""The dataclass codec: field plans, defaults, tags, and typed errors on bad documents."""
+import json
+import math
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from carobo import model
+from carobo.app import EpisodeFooter, EpisodeHeader, EpisodeLimits, FailureReason, Verdict
+from carobo.bench import And, Near, Report, Row, parse_goal
+from carobo.model import (
+    CaroboError,
+    Command,
+    ExecOutcome,
+    ExecResult,
+    Observation,
+    Round,
+    SchemaError,
+    SensorData,
+    VisibleObject,
+    codec,
+)
+from carobo.sim import (
+    PARAM_RANGES,
+    OverlapError,
+    RobotPose,
+    SimParams,
+    apply_command,
+    load_world,
+    render_camera,
+)
+
+
+def exec_doc(**changes):
+    doc = ExecResult(
+        command_echo=Command.forward(0.5), outcome=ExecOutcome.OK, distance_travelled=0.5,
+        heading_change=0.0, sensor_after=SensorData(1.0, False, True),
+    ).to_dict()
+    doc.update(changes)
+    return doc
+
+
+def world(robot=None, objects=(), params=None):
+    doc = {"robot": robot if robot is not None else {"x": 0.0, "y": 0.0}, "objects": list(objects)}
+    if params is not None:
+        doc["params"] = params
+    return doc
+
+
+def disc(**changes):
+    doc = {"id": "d", "kind": "box", "shape": {"type": "circle", "center": [1.0, 0.0], "radius": 0.2}}
+    doc.update(changes)
+    return doc
+
+
+# ---------------------------------------------------------------------------
+# Round trips and defaults
+
+def test_missing_optional_field_decodes_as_none():
+    doc = VisibleObject("box", "red", "polygon", "HI", 1.0, 0.0).to_dict()
+    del doc["text_on_object"]
+    assert VisibleObject.from_dict(doc).text_on_object is None
+
+
+def test_defaults_fill_missing_keys():
+    world_state = load_world({"robot": {}, "objects": [disc(shape={"type": "circle", "center": [2, 0], "radius": 0.2})]})
+    assert world_state.robot == RobotPose(0.0, 0.0, 0.0, 0.0)
+    obj = world_state.objects[0]
+    assert (obj.label, obj.color, obj.height) == ("box", "gray", 0.5)
+    assert world_state.params == SimParams()
+    assert EpisodeLimits.from_dict({}) == EpisodeLimits()
+
+
+def test_integers_decode_as_floats_and_unknown_keys_are_ignored():
+    data = {"ultrasonic_clearance": 2, "ir_left": True, "ir_right": False, "image_attachment": None}
+    sensors = SensorData.from_dict(data)
+    assert sensors == SensorData(2.0, True, False)
+    assert type(sensors.ultrasonic_clearance) is float
+
+
+def test_report_keeps_field_order():
+    row = Row("s1", "object_detection", "Success", None, 3, 4)
+    report = Report(rows=(row,), domain_rates={"object_detection": 100.0}, overall_rate=100.0)
+    doc = report.to_dict()
+    assert list(doc) == ["rows", "domain_rates", "overall_rate"]
+    assert list(doc["rows"][0]) == ["scenario_id", "domain", "verdict", "failure_reason", "steps", "rounds"]
+    assert Report.from_dict(json.loads(json.dumps(doc))) == report
+
+
+def test_goal_documents_carry_their_op_first():
+    goal = And((Near("fridge", 2.0), Near("box", 1.0)))
+    doc = goal.to_dict()
+    assert list(doc) == ["op", "clauses"] and list(doc["clauses"][0]) == ["op", "object_id", "within"]
+    assert parse_goal(doc) == goal
+
+
+def test_trace_records_round_trip():
+    header = EpisodeHeader("obj_1", "find it", {"robot": {"x": 0.0}}, EpisodeLimits(5))
+    assert header.to_dict()["type"] == "episode"
+    assert EpisodeHeader.from_dict(header.to_dict()) == header
+    footer = EpisodeFooter(Verdict.FAILURE, FailureReason.STEP_LIMIT, 5, 7, None)
+    assert footer.to_dict() == {"type": "result", "verdict": "Failure", "failure_reason": "StepLimit",
+                                "steps": 5, "rounds": 7, "final_world_digest": None}
+    assert EpisodeFooter.from_dict(footer.to_dict()) == footer
+
+
+def test_field_plan_is_resolved_once(monkeypatch):
+    calls = []
+    plans = model._field_plans
+    monkeypatch.setattr(model, "_field_plans", lambda cls, tag: calls.append(cls) or plans(cls, tag))
+
+    @codec
+    @dataclass(frozen=True)
+    class Pair:
+        left: Tuple[float, ...]
+        right: Optional[Dict[str, int]] = None
+
+    assert calls == []  # nothing is resolved at decoration time
+    for _ in range(3):
+        assert Pair.from_dict(Pair((1.0,), {"a": 1}).to_dict()) == Pair((1.0,), {"a": 1})
+    assert calls == [Pair]
+
+
+# ---------------------------------------------------------------------------
+# Bad documents raise a CaroboError subclass
+
+NAN = float("nan")
+
+MALFORMED = {
+    "exec envelope {}": lambda: ExecResult.from_dict({}),
+    "clearance 'x'": lambda: SensorData.from_dict({"ultrasonic_clearance": "x", "ir_left": False, "ir_right": False}),
+    "ir flag 1": lambda: SensorData.from_dict({"ultrasonic_clearance": 1.0, "ir_left": 1, "ir_right": False}),
+    "world x 'a'": lambda: load_world(world(robot={"x": "a", "y": 0})),
+    "params hfov 'wide'": lambda: load_world(world(params={"hfov": "wide"})),
+    "goal within 'far'": lambda: parse_goal({"op": "near", "object_id": "b", "within": "far"}),
+    "items 5": lambda: Observation.from_dict({"items": 5, "free_text": ""}),
+    "clauses 3": lambda: parse_goal({"op": "and", "clauses": 3}),
+    "limits unknown key": lambda: EpisodeLimits.from_dict({"max_steps": 5, "max_step": 5}),
+    "NaN heading": lambda: load_world(world(robot={"x": 0.0, "y": 0.0, "heading": NAN})),
+    "NaN clearance": lambda: SensorData.from_dict({"ultrasonic_clearance": NAN, "ir_left": False, "ir_right": False}),
+    "height 'tall'": lambda: load_world(world(objects=[disc(height="tall")])),
+    "circle center ['p', 1]": lambda: load_world(world(objects=[disc(shape={"type": "circle", "center": ["p", 1], "radius": 0.2})])),
+    "huge integer": lambda: load_world(world(robot={"x": 10**400})),
+    "unknown outcome": lambda: ExecResult.from_dict(exec_doc(outcome="teleported")),
+    "round status lower case": lambda: Round.from_dict({"index": 0, "observation": {}, "comment": "", "status": "finish"}),
+    "index as string": lambda: Round.from_dict({"index": "0", "observation": {}, "comment": "", "status": "FINISH"}),
+    "id as number": lambda: load_world(world(objects=[disc(id=7)])),
+    "bad comment pattern": lambda: parse_goal({"op": "comment_matches", "pattern": "("}),
+    "goal op a list": lambda: parse_goal({"op": ["near"]}),
+    "header without limits": lambda: EpisodeHeader.from_dict({"type": "episode", "request_id": "a", "request_text": "b", "world": {}}),
+    "world is a list": lambda: load_world([]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_documents_raise_typed_errors(case):
+    with pytest.raises(CaroboError):
+        MALFORMED[case]()
+
+
+def test_schema_errors_name_the_field():
+    with pytest.raises(SchemaError, match=r"ExecResult.sensor_after: SensorData.ir_left: expected true or false"):
+        ExecResult.from_dict(exec_doc(sensor_after={"ultrasonic_clearance": 1.0, "ir_left": 1, "ir_right": False}))
+    with pytest.raises(SchemaError, match=r"SimParams: unknown keys \['warp'\]"):
+        SimParams.from_dict({"warp": 9})
+
+
+# ---------------------------------------------------------------------------
+# World parameters and poses cannot make the simulator hang
+
+# three plausible branches to two hostile ones, so that most examples reach the simulator
+_values = st.one_of(
+    st.floats(0.0005, 2.0),
+    st.floats(-1.0, 400.0),
+    st.integers(-10, 10),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e-300, 1e300, "0.1", None, True]),
+)
+_params = st.dictionaries(st.sampled_from(sorted(PARAM_RANGES)), _values, max_size=3)
+_poses = st.dictionaries(st.sampled_from(["x", "y", "heading", "camera_pitch"]), _values, max_size=3)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_params, _poses)
+def test_fuzzed_worlds_load_or_fail_typed_and_never_hang(time_limit, params, pose):
+    doc = world(robot=pose, params=params, objects=[disc(), disc(id="e", shape={"type": "circle", "center": [-1.0, 0.5], "radius": 0.3})])
+    with time_limit(2.0):
+        try:
+            state = load_world(doc)
+        except OverlapError:
+            return
+        except SchemaError:
+            return
+        for command in (Command.forward(1.0), Command.back(1.0)):
+            state, result = apply_command(state, command)
+            assert math.isfinite(result.distance_travelled)
+        render_camera(state)
+
+
+def test_zero_integration_step_is_rejected():
+    with pytest.raises(SchemaError, match="integration_step"):
+        load_world(world(params={"integration_step": 0}))
+    for name, (low, high) in PARAM_RANGES.items():
+        assert low <= getattr(SimParams(), name) <= high
+        with pytest.raises(SchemaError, match=name):
+            SimParams(**{name: high * 2 + 1})

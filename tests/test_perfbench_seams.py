@@ -32,3 +32,5 @@ def test_tracer_sees_every_layer_on_each_transport(monkeypatch):
         assert agent_calls > 0, transport
         if transport != "direct":
             assert {"bridge.open", "bridge.close", "bridge.execute"} <= names, transport
+        if transport == "local:":
+            assert {"model.to_dict", "model.from_dict"} <= names, transport
