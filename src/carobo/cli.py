@@ -114,6 +114,11 @@ def cmd_replay(args) -> int:
     if records[-1].get("type") != "result":
         raise CaroboError(f"{args.trace} has no result record; episode was cut short")
     header = EpisodeHeader.from_dict(records[0])
+    if header.world is None:
+        raise CaroboError(
+            f"{args.trace} was recorded against a remote robot (tcp:HOST:PORT) and carries "
+            "no world, so it cannot be replayed"
+        )
     recorded = EpisodeFooter.from_dict(records[-1])
     cfg = BackendConfig(kind=ReplayConfig(trace_path=args.trace))
     result = run_episode(

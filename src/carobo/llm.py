@@ -12,8 +12,10 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Tuple, Union
 
 import requests
 
@@ -111,11 +113,17 @@ _TEMPLATE_DIR = Path(__file__).parent / "templates"
 class AgentTemplate:
     system: str
     examples: Tuple[Tuple[str, str], ...]
-    block_formats: dict  # kind -> format string with a single {kind} placeholder
+    block_formats: Mapping[str, str]  # kind -> format string with a single {kind} placeholder
 
 
+@lru_cache(maxsize=16)
 def parse_template(text: str) -> AgentTemplate:
-    """Split a template file into sections marked by '== name ==' lines."""
+    """Split a template file into sections marked by '== name ==' lines.
+
+    Memoized on the text: every prompt reloads its template file, and an
+    unchanged file is parsed once per process. The result is shared, so it
+    is read-only.
+    """
     sections: list[tuple[str, list[str]]] = []
     for line in text.splitlines():
         stripped = line.strip()
@@ -145,7 +153,7 @@ def parse_template(text: str) -> AgentTemplate:
             block_formats[kind] = body
     if not system:
         raise CaroboError("template has no system section")
-    return AgentTemplate(system=system, examples=tuple(examples), block_formats=block_formats)
+    return AgentTemplate(system=system, examples=tuple(examples), block_formats=MappingProxyType(block_formats))
 
 
 def load_agent_template(role: str, template_dir: Optional[Path] = None) -> AgentTemplate:

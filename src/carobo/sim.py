@@ -87,6 +87,14 @@ class RobotPose:
         return (self.x, self.y)
 
 
+# Relative and absolute padding of a shape's bounding disc. It exceeds the
+# geometry functions' own tolerances (EPS on a segment's ends) and the rounding
+# of the culling arithmetic for coordinates up to about 1e3 m, so a culled
+# object never held a hit or an overlap that the exact test would report. The
+# one exception: a ray within about 1e-7 rad of parallel to a polygon edge,
+# where ray_segment's own rounding of the hit distance can exceed the margin.
+BOUND_MARGIN = 1e-9
+
 _number = field_codec(float)[1]
 _point = field_codec(Tuple[float, float])[1]
 _points = field_codec(Tuple[Tuple[float, float], ...])[1]
@@ -98,6 +106,17 @@ class Shape:
     center: Optional[Tuple[float, float]] = None
     radius: float = 0.0
     vertices: Tuple[Tuple[float, float], ...] = ()
+    # (cx, cy, r): a padded disc enclosing the shape; never serialized
+    bound: Tuple[float, float, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cx, cy = self.centroid()
+        if self.kind == "circle":
+            r = self.radius
+        else:
+            r = max(math.hypot(x - cx, y - cy) for x, y in self.vertices)
+        r += BOUND_MARGIN * (1.0 + r + abs(cx) + abs(cy))
+        object.__setattr__(self, "bound", (cx, cy, r))
 
     def centroid(self) -> Tuple[float, float]:
         if self.kind == "circle":
@@ -188,35 +207,55 @@ def load_world(document: dict) -> WorldState:
     ids = [o.id for o in world.objects]
     if len(set(ids)) != len(ids):
         raise SchemaError("object ids must be unique")
-    blocker = _overlapping_object(world, world.robot.position)
+    blocker = _overlapping_object(world.objects, world.robot.position, world.params.footprint_radius)
     if blocker is not None:
         raise OverlapError(f"robot footprint overlaps object {blocker.id!r}")
     return world
 
 
-def _overlapping_object(world: WorldState, position) -> Optional[SimObject]:
-    for obj in world.objects:
-        if obj.shape.distance_from(position) < world.params.footprint_radius:
+def _overlapping_object(objects, position, radius: float) -> Optional[SimObject]:
+    for obj in objects:
+        if obj.shape.distance_from(position) < radius:
             return obj
     return None
 
 
-def raycast(world: WorldState, origin, direction_deg: float, max_range: float) -> float:
-    """Distance to the nearest object boundary along the ray, capped at max_range."""
-    direction = geo.unit(direction_deg)
-    best = max_range
-    for obj in world.objects:
+def _nearest_hit(objects, origin, direction, limit: float, skip_id: Optional[str] = None) -> float:
+    """Smallest ray hit below `limit` among `objects` other than `skip_id`, else `limit`.
+
+    The exact test runs only for an object whose bounding disc holds the
+    origin or lies ahead, across the ray's line and nearer than the best hit
+    so far; an object skipped could not have lowered the result.
+    """
+    ox, oy = origin
+    dx, dy = direction
+    best = limit
+    for obj in objects:
+        cx, cy, r = obj.shape.bound
+        mx, my = cx - ox, cy - oy
+        along = mx * dx + my * dy
+        d2 = mx * mx + my * my
+        rr = r * r
+        if d2 > rr and (along < 0.0 or d2 - along * along > rr or along - r >= best):
+            continue
+        if obj.id == skip_id:
+            continue
         t = obj.shape.ray_hit(origin, direction)
         if t is not None and t < best:
             best = t
     return best
 
 
+def raycast(world: WorldState, origin, direction_deg: float, max_range: float) -> float:
+    """Distance to the nearest object boundary along the ray, capped at max_range."""
+    return _nearest_hit(world.objects, origin, geo.unit(direction_deg), max_range)
+
+
 def read_sensors(world: WorldState) -> SensorData:
     """Ultrasonic from the footprint's front edge; IR switches at +/-ir_angle."""
     p = world.params
     pose = world.robot
-    clearance = _front_clearance(world, pose.position, pose.heading)
+    clearance = _front_clearance(world.objects, p, pose.position, pose.heading)
 
     def ir(side_deg: float) -> bool:
         d = raycast(world, pose.position, pose.heading + side_deg, p.ultrasonic_max)
@@ -229,40 +268,64 @@ def read_sensors(world: WorldState) -> SensorData:
     )
 
 
-def _max_free_advance(world: WorldState, start, direction, limit: float) -> float:
+def _max_free_advance(objects, radius: float, start, direction, limit: float) -> float:
     """Largest travel in [0, limit] that keeps the footprint off every object.
 
     Bisects the overlap predicate; 60 halvings put the answer well below 1e-12
     of the true contact point, so clamped stops never overlap.
     """
     end = (start[0] + direction[0] * limit, start[1] + direction[1] * limit)
-    if _overlapping_object(world, end) is None:
+    if _overlapping_object(objects, end, radius) is None:
         return limit
     lo, hi = 0.0, limit  # lo is known free (current pose is legal)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         p = (start[0] + direction[0] * mid, start[1] + direction[1] * mid)
-        if _overlapping_object(world, p) is None:
+        if _overlapping_object(objects, p, radius) is None:
             lo = mid
         else:
             hi = mid
     return lo
 
 
-def _front_clearance(world: WorldState, position, heading: float) -> float:
-    p = world.params
+def _front_clearance(objects, p: SimParams, position, heading: float) -> float:
     front = geo.unit(heading)
     edge = (position[0] + front[0] * p.footprint_radius, position[1] + front[1] * p.footprint_radius)
-    return raycast(world, edge, heading, p.ultrasonic_max)
+    return _nearest_hit(objects, edge, front, p.ultrasonic_max)
+
+
+def _near_segment(objects, start, end, reach: float) -> list:
+    """The objects whose bounding disc comes within `reach` of the segment start-end."""
+    sx, sy = start
+    ex, ey = end[0] - sx, end[1] - sy
+    length2 = ex * ex + ey * ey
+    inv = 1.0 / length2 if length2 > 0.0 else 0.0
+    near = []
+    for obj in objects:
+        cx, cy, r = obj.shape.bound
+        px, py = cx - sx, cy - sy
+        u = min(1.0, max(0.0, (px * ex + py * ey) * inv))
+        qx, qy = px - u * ex, py - u * ey
+        if qx * qx + qy * qy <= (r + reach) ** 2:
+            near.append(obj)
+    return near
 
 
 def _drive(world: WorldState, requested: float, forward: bool) -> Tuple[WorldState, ExecOutcome, float, float]:
-    """Integrate a straight drive; forward motion auto-avoids, reverse does not."""
+    """Integrate a straight drive; forward motion auto-avoids, reverse does not.
+
+    Only objects near the path can stop it: the footprint sweeps within
+    footprint_radius of the segment, and the avoid check looks avoid_threshold
+    further along it.
+    """
     p = world.params
     pose = world.robot
     travel_heading = pose.heading if forward else geo.norm_heading(pose.heading + 180.0)
     direction = geo.unit(travel_heading)
     origin = pose.position
+    reach = p.footprint_radius + (p.avoid_threshold if forward else 0.0)
+    end = (origin[0] + direction[0] * requested, origin[1] + direction[1] * requested)
+    near = _near_segment(world.objects, origin, end, reach)
     travelled = 0.0
     outcome = ExecOutcome.OK
     heading = pose.heading
@@ -271,13 +334,13 @@ def _drive(world: WorldState, requested: float, forward: bool) -> Tuple[WorldSta
         here = (origin[0] + direction[0] * travelled, origin[1] + direction[1] * travelled)
         if forward:
             # obstacle-avoid check happens before every increment
-            if _front_clearance(world, here, heading) < p.avoid_threshold:
+            if _front_clearance(near, p, here, heading) < p.avoid_threshold:
                 outcome = ExecOutcome.AVOIDED
                 heading = geo.norm_heading(heading - 90.0)
                 heading_change = -90.0
                 break
         inc = min(p.integration_step, requested - travelled)
-        free = _max_free_advance(world, here, direction, inc)
+        free = _max_free_advance(near, p.footprint_radius, here, direction, inc)
         travelled += free
         if free < inc - 1e-12:
             outcome = ExecOutcome.BLOCKED
@@ -350,33 +413,31 @@ def render_camera(world: WorldState) -> Observation:
     """Symbolic camera: items for every unoccluded object inside both FOV axes."""
     p = world.params
     pose = world.robot
-    candidates = []
+    half = p.hfov / 2.0
+    in_view, occluders = [], []
     for obj in world.objects:
-        cx, cy = obj.shape.centroid()
+        cx, cy, r = obj.shape.bound  # centred on the centroid
         dx, dy = cx - pose.x, cy - pose.y
         distance = math.hypot(dx, dy)
-        if distance < 1e-9:
-            continue
         bearing = geo.rel_bearing(math.degrees(math.atan2(dy, dx)) - pose.heading)
-        if abs(bearing) > p.hfov / 2.0:
+        # every line of sight below lies in the field of view; a disc that
+        # stays outside it cannot occlude
+        if distance <= r or abs(bearing) <= half + math.degrees(math.asin(r / distance)):
+            occluders.append(obj)
+        if distance < 1e-9 or abs(bearing) > half:
             continue
         lo, hi = visible_height_band(world, obj)
-        if hi <= lo:
-            continue
+        if hi > lo:
+            in_view.append((obj, dx, dy, distance, bearing))
+    candidates = []
+    for obj, dx, dy, distance, bearing in in_view:
         # occlusion along the center line: a nearer object hiding this one
         direction = geo.unit(math.degrees(math.atan2(dy, dx)))
         t_self = obj.shape.ray_hit(pose.position, direction)
         if t_self is None:
             t_self = distance
-        occluded = False
-        for other in world.objects:
-            if other.id == obj.id:
-                continue
-            t_other = other.shape.ray_hit(pose.position, direction)
-            if t_other is not None and t_other < t_self - 1e-9:
-                occluded = True
-                break
-        if occluded:
+        limit = t_self - 1e-9
+        if _nearest_hit(occluders, pose.position, direction, limit, skip_id=obj.id) < limit:
             continue
         candidates.append(
             (

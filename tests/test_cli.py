@@ -3,11 +3,14 @@ import json
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from carobo.bench import DATA_DIR, default_suite_path
+from carobo.bridge import TcpRobotServer
 from carobo.cli import main
+from carobo.sim import load_world
 from carobo.suite_data import SCENARIOS
 
 
@@ -110,6 +113,22 @@ def test_replay_rejects_non_trace(tmp_path, capsys):
     bogus = tmp_path / "not_a_trace.jsonl"
     bogus.write_text("")
     assert main(["replay", "--trace", str(bogus)]) == 2
+
+
+def test_replay_of_a_remote_run_says_it_has_no_world(tmp_path, capsys):
+    world = load_world(json.loads(Path(world_file("cmd_1")).read_text(encoding="utf-8")))
+    server = TcpRobotServer(world).start()
+    trace = tmp_path / "remote.jsonl"
+    try:
+        assert main(["run", "--request", request_of("cmd_1"), "--transport",
+                     f"tcp:127.0.0.1:{server.port}", "--trace", str(trace)]) == 0
+    finally:
+        server.stop()
+    assert json.loads(trace.read_text().splitlines()[0])["world"] is None
+    capsys.readouterr()
+    assert main(["replay", "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "remote robot" in err and "cannot be replayed" in err
 
 
 def _recorded_trace(tmp_path):

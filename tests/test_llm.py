@@ -2,6 +2,7 @@
 import json
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -31,7 +32,9 @@ from carobo.llm import (
     serialize_host_decision,
     with_retry,
 )
-from carobo.model import Command, InvariantViolation, Status, UnknownStatus
+from carobo.app import EpisodeLimits, run_episode
+from carobo.model import Command, InvariantViolation, Status, UnknownStatus, UserRequest
+from carobo.sim import SimRobot, load_world
 
 
 def blocks(**texts):
@@ -90,6 +93,20 @@ def test_bundled_templates_parse():
     assert host.system and app.system
     assert len(host.examples) >= 1 and len(app.examples) >= 1
     assert "plan" in app.block_formats and "plan" not in host.block_formats
+
+
+def test_templates_are_parsed_once_and_reloaded_when_edited(tmp_path):
+    assert load_agent_template("app") is load_agent_template("app")
+    path = tmp_path / "app_agent.tmpl"
+    path.write_text("== system ==\nfirst\n== block request ==\nAsk:\n{request}\n", encoding="utf-8")
+    first = load_agent_template("app", tmp_path)
+    assert first.system == "first"
+    path.write_text("== system ==\nsecond\n", encoding="utf-8")
+    second = load_agent_template("app", tmp_path)
+    assert second.system == "second" and "request" not in second.block_formats
+    with pytest.raises(TypeError):
+        first.block_formats["request"] = "changed for every caller"
+    assert first.block_formats["request"] == "Ask:\n{request}"
 
 
 def test_assemble_prompt_fills_block_formats():
@@ -430,3 +447,68 @@ def test_http_backend_unreachable_port(no_proxy):
         port = s.getsockname()[1]
     with pytest.raises(TransportError, match="unreachable"):
         http_backend(f"http://127.0.0.1:{port}/v1/chat/completions").complete(app_prompt())
+
+
+class SilentEndpoint:
+    """Accepts connections and never answers; keeps every accepted socket."""
+
+    def __init__(self):
+        self._listener = socket.socket()
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen(8)
+        self.url = "http://127.0.0.1:%d/v1/chat/completions" % self._listener.getsockname()[1]
+        self.accepted = []
+        self._thread = threading.Thread(target=self._accept)
+        self._thread.start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            self.accepted.append(conn)
+
+    def close(self):
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes the pending accept()
+        self._listener.close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+        for conn in self.accepted:
+            conn.close()
+
+
+@pytest.fixture
+def silent_endpoint(no_proxy):
+    silent = SilentEndpoint()
+    try:
+        yield silent
+    finally:
+        silent.close()
+
+
+def silent_cfg(url, max_retries=3):
+    return BackendConfig(kind=HttpChatConfig(endpoint=url, model_name="m", timeout_s=0.2), max_retries=max_retries)
+
+
+def test_http_backend_times_out_on_a_silent_endpoint(silent_endpoint, time_limit):
+    start = time.monotonic()
+    with time_limit(5.0), pytest.raises(TransportError, match="unreachable"):
+        make_backend(silent_cfg(silent_endpoint.url)).complete(app_prompt())
+    assert time.monotonic() - start < 2.0
+    assert len(silent_endpoint.accepted) == 1
+
+
+def test_timed_out_round_makes_one_request_per_attempt(silent_endpoint, time_limit):
+    class Planner:
+        def complete(self, prompt):
+            return json.dumps({"observation": "o", "thoughts": "t", "plan": ["look"], "comment": "c"})
+
+    world = load_world({"robot": {"x": 0.0, "y": 0.0, "heading": 0.0, "camera_pitch": 0.0}})
+    host_cfg = BackendConfig(kind=ScriptedConfig(policy_id="unused"))
+    with time_limit(10.0):
+        result = run_episode(UserRequest(text="Look around."), SimRobot(world), host_cfg,
+                             silent_cfg(silent_endpoint.url, max_retries=2),
+                             limits=EpisodeLimits(max_steps=1, max_rounds=1), host_backend=Planner())
+    assert (result.rounds, result.steps) == (1, 0)
+    assert len(silent_endpoint.accepted) == 3

@@ -1,8 +1,13 @@
 """Simulator semantics: driving, avoidance, sensors, the symbolic camera."""
 import math
+import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import fullscan_sim
+from carobo import geometry, sim
 from carobo.model import Command, ExecOutcome
 from carobo.sim import (
     OverlapError,
@@ -338,3 +343,168 @@ def test_sim_robot_handle_surface():
     assert len(obs2.items) == 0
     assert robot.world_digest() == world_digest(robot.world)
     assert robot.world_doc() == robot.world.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# Broad phase: the culled simulator against the full-scan reference
+
+def _shape_doc(rng, cx, cy):
+    """A circle or a convex polygon of 3-6 vertices around (cx, cy)."""
+    if rng.random() < 0.5:
+        return {"type": "circle", "center": [cx, cy], "radius": rng.uniform(0.03, 0.4)}
+    n = rng.randint(3, 6)
+    r = rng.uniform(0.05, 0.4)
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    return {"type": "polygon", "vertices": [
+        [cx + r * math.cos(phase + (i + rng.uniform(-0.3, 0.3)) * 2.0 * math.pi / n),
+         cy + r * math.sin(phase + (i + rng.uniform(-0.3, 0.3)) * 2.0 * math.pi / n)]
+        for i in range(n)
+    ]}
+
+
+GRAZES = ("corridor", "avoid band", "sonar ray")
+
+
+def _graze_doc(rng, kind, pose, params, travel_heading, length):
+    """A shape on an edge that culling must respect: the swept corridor, the
+    avoid band past the end of the drive, or the ultrasonic ray, where the
+    farthest vertex of a triangle lies within EPS of the ray's line."""
+    R = params["footprint_radius"]
+    x, y = pose["x"], pose["y"]
+    tiny = rng.choice((0.0, 1e-13, -1e-13, 1e-10, 1e-9, 2e-9, 1e-6))
+    side = rng.choice((-1.0, 1.0))
+    r = rng.uniform(0.03, 0.3)
+    d = geometry.unit(travel_heading)
+    n = (-d[1], d[0])
+    if kind == "corridor":
+        s = rng.uniform(0.0, length)
+        off = side * (R + r + tiny)
+        return {"type": "circle", "radius": r, "center": [x + d[0] * s + n[0] * off, y + d[1] * s + n[1] * off]}
+    if kind == "avoid band":
+        a = length + R + r + rng.uniform(-0.05, 1.2) * params["avoid_threshold"] + tiny
+        lateral = rng.uniform(-0.9, 0.9) * r
+        return {"type": "circle", "radius": r,
+                "center": [x + d[0] * a + n[0] * lateral, y + d[1] * a + n[1] * lateral]}
+    f = geometry.unit(pose["heading"])
+    m = (-f[1], f[0])
+    ahead = R + rng.uniform(0.02, 0.6)
+    depth = rng.uniform(0.05, 0.3)
+    width = 0.4 * depth  # keeps (vx, vy) the vertex farthest from the centroid
+    # ray_segment accepts a hit up to EPS * edge length past a segment's end
+    off = side * rng.uniform(0.1, 0.8) * geometry.EPS * depth
+    vx, vy = x + f[0] * ahead + m[0] * off, y + f[1] * ahead + m[1] * off
+    return {"type": "polygon", "vertices": [
+        [vx, vy],
+        [vx + side * m[0] * depth + f[0] * width, vy + side * m[1] * depth + f[1] * width],
+        [vx + side * m[0] * depth - f[0] * width, vy + side * m[1] * depth - f[1] * width],
+    ]}
+
+
+def seeded_world(seed, n_objects, half_extent, pose, params, extra=(), centre=None):
+    """A world of `n_objects` seeded shapes in a square around `centre` (the
+    robot by default), plus the `extra` shape documents; shapes that would
+    overlap the robot's footprint are dropped."""
+    rng = random.Random(seed)
+    cx, cy = centre or (pose["x"], pose["y"])
+    docs = [_shape_doc(rng, cx + rng.uniform(-half_extent, half_extent), cy + rng.uniform(-half_extent, half_extent))
+            for _ in range(n_objects)]
+    objects = []
+    for doc in docs + list(extra):
+        if sim.Shape.from_dict(doc).distance_from((pose["x"], pose["y"])) < params.get("footprint_radius", 0.10):
+            continue
+        objects.append({"id": f"o{len(objects)}", "kind": rng.choice(sim.OBJECT_KINDS), "shape": doc,
+                        "height": rng.uniform(0.05, 1.8)})
+    return load_world({"robot": pose, "objects": objects, "params": params})
+
+
+COMMANDS = ("car_forward",) * 4 + ("car_back",) * 2 + ("car_left", "car_right", "camera_move", "buzzer")
+
+
+@st.composite
+def fuzzed_cases(draw):
+    params = {
+        "footprint_radius": draw(st.floats(0.02, 0.3)),
+        "avoid_threshold": draw(st.floats(0.0, 0.8)),
+        "integration_step": draw(st.sampled_from((0.02, 0.05, 0.1, 0.25))),
+        "ultrasonic_max": draw(st.floats(0.5, 6.0)),
+        "hfov": draw(st.floats(1.0, 360.0)),
+        "vfov": draw(st.floats(1.0, 179.0)),
+        "ir_angle": draw(st.floats(0.0, 180.0)),
+        "ir_range": draw(st.floats(0.0, 0.5)),
+    }
+    pose = {"x": draw(st.floats(-20.0, 20.0)), "y": draw(st.floats(-20.0, 20.0)),
+            "heading": draw(st.floats(0.0, 360.0, exclude_max=True)),
+            "camera_pitch": draw(st.floats(-30.0, 60.0))}
+    name = draw(st.sampled_from(COMMANDS))
+    low, high = {"camera_move": (-30.0, 60.0), "car_left": (0.0, 360.0), "car_right": (0.0, 360.0)}.get(
+        name, (0.0, 10.0))
+    value = draw(st.floats(low, high, exclude_min=name != "camera_move"))
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_objects = draw(st.integers(0, 300))
+    half_extent = draw(st.floats(0.5, 15.0))
+    rng = random.Random(seed ^ 0x5EED)
+    travel = pose["heading"] + (180.0 if name == "car_back" else 0.0)
+    length = value if name in ("car_forward", "car_back") else 1.0
+    grazing = [_graze_doc(rng, kind, pose, params, travel, length)
+               for kind in draw(st.lists(st.sampled_from(GRAZES), max_size=4))]
+    world = seeded_world(seed, n_objects, half_extent, pose, params, grazing)
+    return world, Command(name=name, value=value)
+
+
+def graze_case(kind, seed):
+    """One shape on a culling edge in front of the robot at the origin; with a
+    bounding disc that is not padded, or a drive corridor without the avoid
+    band, the culled simulator differs from the full scan here."""
+    pose = {"x": 0.0, "y": 0.0, "heading": 0.0, "camera_pitch": 0.0}
+    params = {"footprint_radius": 0.1, "avoid_threshold": 0.3}
+    doc = _graze_doc(random.Random(seed), kind, pose, params, 0.0, 1.0)
+    return seeded_world(seed, 0, 1.0, pose, params, [doc]), Command.forward(1.0)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(graze_case("sonar ray", 1))
+@example(graze_case("avoid band", 2))
+@given(fuzzed_cases())
+def test_broad_phase_matches_the_full_scan(time_limit, case):
+    world, command = case
+    with time_limit(20.0):
+        assert read_sensors(world) == fullscan_sim.read_sensors(world)
+        assert render_camera(world).to_dict() == fullscan_sim.render_camera(world).to_dict()
+        after, result = apply_command(world, command)
+        ref_after, ref_result = fullscan_sim.apply_command(world, command)
+        assert result == ref_result
+        assert after.robot == ref_after.robot
+        assert world_digest(after) == world_digest(ref_after)
+        assert render_camera(after).to_dict() == fullscan_sim.render_camera(after).to_dict()
+
+
+EXACT_TESTS = ("ray_circle", "ray_segment", "circle_distance", "polygon_distance")
+
+
+def test_exact_tests_stay_bounded_as_the_world_grows(monkeypatch):
+    """Objects off the path, off the sensor rays and outside the field of view
+    cost no exact geometry test: a drive through open space and a render of a
+    few objects ahead make the same small number of tests whether 1000 or 2000
+    objects lie behind the robot."""
+    counts = {}
+    for name in EXACT_TESTS:
+        def counted(*args, fn=getattr(geometry, name), name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(geometry, name, counted)
+    pose = {"x": 0.0, "y": 0.0, "heading": 0.0, "camera_pitch": 0.0}
+    ahead = [{"type": "circle", "center": list(c), "radius": 0.2}
+             for c in ((3.0, 0.0), (2.5, 1.0), (4.0, -1.2), (5.0, 0.4), (3.5, -0.5))]
+    seen = []
+    for n_objects in (1000, 2000):
+        world = seeded_world(n_objects, n_objects, 15.0, pose, {}, extra=ahead, centre=(-16.0, 0.0))
+        counts.clear()
+        _, result = apply_command(world, Command.forward(0.5))
+        drive = sum(counts.values())
+        counts.clear()
+        items = render_camera(world).items
+        seen.append((result.outcome, drive, len(items), sum(counts.values())))
+    assert seen[0] == seen[1]
+    outcome, drive, n_items, render = seen[0]
+    assert outcome is ExecOutcome.OK and n_items == 5
+    assert drive <= 10 and render <= 20
