@@ -7,6 +7,8 @@ in-process transport and a TCP socket. Sequence numbers increase by one per
 
 Protocol served by a robot: on connect the server publishes one sensor and one
 vision envelope; for every command it publishes exec, then sensor, then vision.
+Over TCP a robot thread serves the connection; the in-process robot answers
+each command on the thread that publishes it.
 """
 from __future__ import annotations
 
@@ -123,7 +125,7 @@ class _Inbox:
                 if self._closed:
                     raise ConnectionClosed(self._error or "connection closed")
                 if deadline is None:
-                    self._cond.wait(0.5)
+                    self._cond.wait()  # put and close both notify
                 else:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
@@ -184,18 +186,26 @@ class _ConnectionBase:
 
 
 class LocalConnection(_ConnectionBase):
-    """One end of an in-process duplex pair."""
+    """One end of an in-process duplex pair.
+
+    An end with a `service` is a robot: each command line that reaches it is
+    answered at once, on the sender's thread.
+    """
 
     def __init__(self):
         super().__init__()
         self.peer: Optional["LocalConnection"] = None
+        self.service: Optional["RobotService"] = None
 
     def _send_line(self, line: str):
         peer = self.peer
         if peer is None or peer._closed:
             raise ConnectionClosed("peer is gone")
         # round-trip through the wire encoding keeps both transports honest
-        peer._inbox.put(*decode_line(line))
+        topic, seq, timestamp, doc = decode_line(line)
+        peer._inbox.put(topic, seq, timestamp, doc)
+        if topic == TOPIC_CMD and peer.service is not None and not peer.service.answer(peer):
+            peer.close()
 
     def close(self):
         if self._closed:
@@ -292,27 +302,41 @@ class RobotService:
         conn.publish(TOPIC_SENSOR, sim.read_sensors(self.world))
         conn.publish(TOPIC_VISION, sim.render_camera(self.world))
 
+    def answer(self, conn, timeout_ms: Optional[float] = 0) -> bool:
+        """Read one command from `conn` and publish exec, then sensor, then vision.
+
+        Returns False when the connection is done: the peer left, or the
+        command was malformed and got an error envelope on the exec topic.
+        The caller then closes `conn`. A BridgeTimeout from the read propagates.
+        """
+        try:
+            env = conn.next_message(TOPIC_CMD, timeout_ms)
+        except BridgeTimeout:
+            raise
+        except ConnectionClosed:
+            return False
+        except CaroboError as exc:
+            # malformed command payload: report it before the connection drops
+            try:
+                conn.publish_error(TOPIC_EXEC, f"bad command: {exc}")
+            except ConnectionClosed:
+                pass
+            return False
+        self.world, result = sim.apply_command(self.world, env.payload)
+        conn.publish(TOPIC_EXEC, result)
+        self.publish_state(conn)
+        return True
+
     def handle(self, conn, stop: Optional[threading.Event] = None):
         """Serve commands until the peer disconnects or `stop` is set."""
         try:
             self.publish_state(conn)
             while stop is None or not stop.is_set():
                 try:
-                    env = conn.next_message(TOPIC_CMD, timeout_ms=200)
+                    if not self.answer(conn, timeout_ms=200):
+                        return
                 except BridgeTimeout:
                     continue
-                except ConnectionClosed:
-                    return
-                except (ProtocolError, CaroboError) as exc:
-                    # malformed command payload: report and drop the connection
-                    try:
-                        conn.publish_error(TOPIC_EXEC, f"bad command: {exc}")
-                    except ConnectionClosed:
-                        pass
-                    return
-                self.world, result = sim.apply_command(self.world, env.payload)
-                conn.publish(TOPIC_EXEC, result)
-                self.publish_state(conn)
         except ConnectionClosed:
             return
         finally:
@@ -320,17 +344,19 @@ class RobotService:
 
 
 def start_local_robot(world: sim.WorldState):
-    """Spin up an in-process robot; returns (client connection, service, shutdown)."""
+    """Host `world` in process; returns (client connection, service, shutdown).
+
+    Starts no thread: the connect state is published here, and each command
+    the client publishes is answered before its publish returns.
+    """
     client, server = local_pair()
     service = RobotService(world)
-    stop = threading.Event()
-    thread = threading.Thread(target=service.handle, args=(server, stop), daemon=True)
-    thread.start()
+    server.service = service
+    service.publish_state(server)
 
     def shutdown():
-        stop.set()
         client.close()
-        thread.join(timeout=5)
+        server.close()
 
     return client, service, shutdown
 

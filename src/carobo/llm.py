@@ -12,10 +12,9 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 import requests
 
@@ -116,14 +115,8 @@ class AgentTemplate:
     block_formats: Mapping[str, str]  # kind -> format string with a single {kind} placeholder
 
 
-@lru_cache(maxsize=16)
 def parse_template(text: str) -> AgentTemplate:
-    """Split a template file into sections marked by '== name ==' lines.
-
-    Memoized on the text: every prompt reloads its template file, and an
-    unchanged file is parsed once per process. The result is shared, so it
-    is read-only.
-    """
+    """Split a template file into sections marked by '== name ==' lines."""
     sections: list[tuple[str, list[str]]] = []
     for line in text.splitlines():
         stripped = line.strip()
@@ -156,11 +149,27 @@ def parse_template(text: str) -> AgentTemplate:
     return AgentTemplate(system=system, examples=tuple(examples), block_formats=MappingProxyType(block_formats))
 
 
+# path -> ((st_mtime_ns, st_size), parsed template)
+_TEMPLATE_CACHE: Dict[Path, Tuple[Tuple[int, int], AgentTemplate]] = {}
+
+
 def load_agent_template(role: str, template_dir: Optional[Path] = None) -> AgentTemplate:
-    """Load host_agent.tmpl / app_agent.tmpl from the given directory (or bundled)."""
+    """Load host_agent.tmpl / app_agent.tmpl from the given directory (or bundled).
+
+    Each file is read once per process and again only when its modification
+    time or size changes, so an edited template reloads. The result is shared,
+    so it is read-only.
+    """
     base = Path(template_dir) if template_dir else _TEMPLATE_DIR
     path = base / f"{role}_agent.tmpl"
-    return parse_template(path.read_text(encoding="utf-8"))
+    st = path.stat()
+    stamp = (st.st_mtime_ns, st.st_size)
+    cached = _TEMPLATE_CACHE.get(path)
+    if cached is not None and cached[0] == stamp:
+        return cached[1]
+    template = parse_template(path.read_text(encoding="utf-8"))
+    _TEMPLATE_CACHE[path] = (stamp, template)
+    return template
 
 
 def assemble_prompt(template: AgentTemplate, pieces: dict) -> Prompt:
@@ -333,12 +342,17 @@ _DECODER = json.JSONDecoder()
 # where a decision can start: a brace and its first key; skipping other braces
 # keeps a completion full of them from costing a failed parse at each one
 _OBJECT_START = re.compile(r'\{[ \t\n\r]*"')
+# a failed start can cost a parse down to the recursion limit, so a long
+# completion of them is given up on after this many
+MAX_OBJECT_STARTS = 32
 
 
 def _extract_json_object(raw: str) -> dict:
     """Parse the first JSON object in the completion that parses; anything around it is prose."""
     error = None
-    for start in _OBJECT_START.finditer(raw):
+    for tried, start in enumerate(_OBJECT_START.finditer(raw)):
+        if tried == MAX_OBJECT_STARTS:
+            raise MalformedDecision(f"no JSON object among the first {MAX_OBJECT_STARTS} candidates; {error}")
         try:
             return _DECODER.raw_decode(raw, start.start())[0]
         except json.JSONDecodeError as exc:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 from .model import COMMAND_SPECS
 
@@ -645,15 +647,19 @@ def normalize_request(text: str) -> str:
     return " ".join(text.lower().split()).rstrip(".!? ")
 
 
-def oracle_table() -> Dict[str, Tuple[Tuple[str, ...], Tuple[Tuple[str, float], ...], str]]:
-    """normalized request -> (plan steps, command script, finish comment)."""
+@lru_cache(maxsize=None)
+def oracle_table() -> Mapping[str, Tuple[Tuple[str, ...], Tuple[Tuple[str, float], ...], str]]:
+    """normalized request -> (plan steps, command script, finish comment).
+
+    Built once per process; the mapping is shared, so it is read-only.
+    """
     table = {}
     for s in SCENARIOS:
         table[normalize_request(s.request)] = (s.plan, s.oracle_commands, s.oracle_comment)
     for _cid, request, source in CASE_STUDIES:
         src = scenario_by_id(source)
         table.setdefault(normalize_request(request), (src.plan, src.oracle_commands, src.oracle_comment))
-    return table
+    return MappingProxyType(table)
 
 
 # ---------------------------------------------------------------------------

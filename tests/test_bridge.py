@@ -1,8 +1,10 @@
 """Message bridge: wire format, sequencing, transports, the robot service."""
+import threading
 import time
 
 import pytest
 
+from carobo import bench
 from carobo.bridge import (
     TOPIC_CMD,
     TOPIC_EXEC,
@@ -12,7 +14,9 @@ from carobo.bridge import (
     BridgeRobot,
     BridgeTimeout,
     ConnectionClosed,
+    LocalConnection,
     ProtocolError,
+    TcpConnection,
     TcpRobotServer,
     TopicPayloadMismatch,
     decode_line,
@@ -165,6 +169,25 @@ def test_messages_before_close_still_delivered():
         b.next_message(TOPIC_CMD, timeout_ms=50)
 
 
+def test_untimed_read_wakes_when_the_peer_closes():
+    a, b = local_pair()
+    raised = []
+
+    def read():
+        try:
+            b.next_message(TOPIC_CMD)
+        except ConnectionClosed as exc:
+            raised.append(exc)
+
+    reader = threading.Thread(target=read)
+    reader.start()
+    time.sleep(0.05)
+    began = time.perf_counter()
+    a.close()
+    reader.join(timeout=2)
+    assert raised and time.perf_counter() - began < 0.4
+
+
 def test_seq_gap_detected():
     a, b = local_pair()
     try:
@@ -225,6 +248,36 @@ def test_bridge_robot_without_world_getter():
         bridged.connect()
         assert bridged.world_doc() is None
         assert bridged.world_digest() is None
+    finally:
+        shutdown()
+
+
+def test_local_robot_starts_no_thread():
+    # compared as sets: a thread an earlier test left behind may end meanwhile
+    before = set(threading.enumerate())
+    client, service, shutdown = start_local_robot(load_world(world_doc([a_box()])))
+    robot = BridgeRobot(client, world_getter=lambda: service.world)
+    robot.connect()
+    robot.execute(Command.left(90))
+    assert set(threading.enumerate()) <= before
+    shutdown()
+    assert set(threading.enumerate()) <= before
+    assert service.world.robot.heading == 90.0
+
+
+def test_local_malformed_command_gets_error_envelope():
+    client, _service, shutdown = start_local_robot(load_world(world_doc()))
+    try:
+        client.next_message(TOPIC_SENSOR, timeout_ms=2000)
+        client.next_message(TOPIC_VISION, timeout_ms=2000)
+        # bypass publish() type checking and send junk on the cmd topic
+        client._send_line(TOPIC_CMD + '|0|0|{"name":"car_up","args":{"distance":1}}')
+        with pytest.raises(ProtocolError) as err:
+            client.next_message(TOPIC_EXEC, timeout_ms=2000)
+        assert "bad command" in str(err.value)
+        # the robot dropped the connection, as it does over TCP
+        with pytest.raises(ConnectionClosed):
+            client.publish(TOPIC_CMD, Command.left(90))
     finally:
         shutdown()
 
@@ -327,3 +380,26 @@ def test_malformed_command_gets_error_envelope():
 
 def test_topic_names():
     assert TOPICS == ("/carobo/cmd", "/carobo/vision", "/carobo/sensor", "/carobo/exec")
+
+
+def test_local_and_tcp_send_the_same_wire_bytes(monkeypatch):
+    """Every envelope line of one oracle episode, with the timestamp dropped."""
+    sent = []
+
+    def capture(send_line):
+        def send(self, line):
+            topic, seq, _timestamp, payload = line.split("|", 3)
+            sent.append((topic, seq, payload))
+            return send_line(self, line)
+        return send
+
+    monkeypatch.setattr(LocalConnection, "_send_line", capture(LocalConnection._send_line))
+    monkeypatch.setattr(TcpConnection, "_send_line", capture(TcpConnection._send_line))
+    spec = {s.id: s for s in bench.load_benchmark(bench.default_suite_path())}["obj_1"]
+    lines = {}
+    for transport in ("local:", "tcp:"):
+        row, _ = bench.run_scenario(spec, bench.scripted_pair("oracle"), transport=transport)
+        assert row.verdict == "Success"
+        lines[transport], sent[:] = sent[:], []
+    assert len(lines["local:"]) > 10
+    assert lines["local:"] == lines["tcp:"]

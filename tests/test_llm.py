@@ -1,9 +1,11 @@
 """Prompt assembly, decision parsing, retry behavior, backends."""
 import json
+import os
 import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -14,6 +16,7 @@ from carobo.llm import (
     AppDecision,
     BackendConfig,
     Block,
+    MAX_OBJECT_STARTS,
     HttpChatConfig,
     MalformedDecision,
     Prompt,
@@ -109,6 +112,22 @@ def test_templates_are_parsed_once_and_reloaded_when_edited(tmp_path):
     assert first.block_formats["request"] == "Ask:\n{request}"
 
 
+def test_template_is_read_again_only_when_its_stat_changes(tmp_path, monkeypatch):
+    path = tmp_path / "host_agent.tmpl"
+    path.write_text("== system ==\none\n", encoding="utf-8")
+    first = load_agent_template("host", tmp_path)
+    stamp = path.stat()
+    # same size, same modification time: the cached template stands
+    path.write_text("== system ==\ntwo\n", encoding="utf-8")
+    os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+    reads = []
+    real_read_text = Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: reads.append(self) or real_read_text(self, *a, **k))
+    assert load_agent_template("host", tmp_path) is first and reads == []
+    os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns + 1))
+    assert load_agent_template("host", tmp_path).system == "two" and reads == [path]
+
+
 def test_assemble_prompt_fills_block_formats():
     app = load_agent_template("app")
     prompt = assemble_prompt(
@@ -200,6 +219,20 @@ def test_parse_app_decision_ignores_braces_in_prose(raw):
 def test_parse_app_decision_rejects_deep_nesting():
     with pytest.raises(MalformedDecision):
         parse_app_decision('{"a": ' * 5000 + "1" + "}" * 5000)
+
+
+def test_parse_gives_up_on_a_long_run_of_failed_starts(time_limit):
+    raw = '{"a":' * 20_000  # 100 KB; each start nests down to the recursion limit
+    with time_limit(0.5), pytest.raises(MalformedDecision, match="first 32 candidates"):
+        parse_app_decision(raw)
+
+
+def test_parse_tries_up_to_max_object_starts():
+    decision = '{"observation": "o", "comment": "done", "status": "FINISH"}'
+    failed = '{"unclosed" '
+    assert parse_app_decision(failed * (MAX_OBJECT_STARTS - 1) + decision).status is Status.FINISH
+    with pytest.raises(MalformedDecision):
+        parse_app_decision(failed * MAX_OBJECT_STARTS + decision)
 
 
 def test_continue_without_command_always_rejected():

@@ -53,6 +53,13 @@ def test_oracle_table_covers_every_scenario_and_case_study():
         assert all(isinstance(n, str) and isinstance(v, (int, float)) for n, v in commands)
 
 
+def test_oracle_table_is_built_once_and_read_only():
+    table = oracle_table()
+    assert oracle_table() is table
+    with pytest.raises(TypeError):
+        table["go nowhere"] = ((), (), "")
+
+
 def test_no_table_key_shadows_another():
     # substring lookup stays unambiguous: no key sits inside another request
     keys = list(oracle_table())
