@@ -207,6 +207,9 @@ def run_episode(
     The host plans once up front. If the app agent's decisions fail
     `replan_after_errors` times in a row the host is consulted one more time;
     a second streak aborts the episode as a backend failure.
+
+    The trace's records are built only when `trace_path` is given. The two
+    agent templates are loaded once per episode unless passed in.
     """
     limits = limits or EpisodeLimits()
     if host_backend is None:
@@ -214,8 +217,18 @@ def run_episode(
     if app_backend is None:
         # a shared replay trace interleaves host and app calls on one cursor
         app_backend = host_backend if backend_cfg_app == backend_cfg_host else make_backend(backend_cfg_app)
+    if host_template is None:
+        host_template = load_agent_template("host")
+    if app_template is None:
+        app_template = load_agent_template("app")
 
-    records = [EpisodeHeader(request.id, request.text, world_handle.world_doc(), limits).to_dict()]
+    records = [] if trace_path is not None else None
+
+    def record(build):
+        if records is not None:
+            records.append(build())
+
+    record(lambda: EpisodeHeader(request.id, request.text, world_handle.world_doc(), limits).to_dict())
 
     def finish(verdict, reason, steps, rounds, memory):
         result = EpisodeResult(
@@ -227,8 +240,8 @@ def run_episode(
             trace=memory,
             final_world_digest=world_handle.world_digest(),
         )
-        records.append(EpisodeFooter(verdict, reason, steps, rounds, result.final_world_digest).to_dict())
-        if trace_path is not None:
+        if records is not None:
+            records.append(EpisodeFooter(verdict, reason, steps, rounds, result.final_world_digest).to_dict())
             write_trace(records, trace_path)
         return result
 
@@ -244,14 +257,7 @@ def run_episode(
         )
     except CaroboError:
         return finish(Verdict.FAILURE, FailureReason.BACKEND_ERROR, steps, rounds, memory)
-    records.append(
-        {
-            "type": "host",
-            "prompt_digest": host_digest,
-            "raw": host_raw,
-            "decision": json.loads(serialize_host_decision(host_decision)),
-        }
-    )
+    record(lambda: _host_record(host_decision, host_raw, host_digest))
     global_plan = host_decision.global_plan
     pending_thoughts: Optional[str] = host_decision.thoughts
 
@@ -266,13 +272,8 @@ def run_episode(
             )
         except CaroboError as exc:
             consecutive_errors += 1
-            records.append(
-                {
-                    "type": "round_error",
-                    "round": rounds - 1,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
+            record(lambda: {"type": "round_error", "round": rounds - 1,
+                            "error": f"{type(exc).__name__}: {exc}"})
             if consecutive_errors >= replan_after_errors > 0:
                 if replans_used == 0:
                     try:
@@ -282,10 +283,7 @@ def run_episode(
                         )
                     except CaroboError:
                         return finish(Verdict.FAILURE, FailureReason.BACKEND_ERROR, steps, rounds, memory)
-                    records.append(
-                        {"type": "host", "prompt_digest": host_digest, "raw": host_raw,
-                         "decision": json.loads(serialize_host_decision(host_decision))}
-                    )
+                    record(lambda: _host_record(host_decision, host_raw, host_digest))
                     global_plan = host_decision.global_plan
                     replans_used = 1
                     consecutive_errors = 0
@@ -304,7 +302,7 @@ def run_episode(
                 status=Status.FINISH,
             )
             memory = append_round(memory, rnd)
-            records.append(_round_record(rnd, raw, digest))
+            record(lambda: _round_record(rnd, raw, digest))
             return finish(Verdict.SUCCESS, None, steps, rounds, memory)
 
         exec_result, sensors_next, obs_next = world_handle.execute(decision.command)
@@ -319,12 +317,21 @@ def run_episode(
             status=Status.CONTINUE,
         )
         memory = append_round(memory, rnd)
-        records.append(_round_record(rnd, raw, digest))
+        record(lambda: _round_record(rnd, raw, digest))
         obs, sensors = obs_next, sensors_next
         if steps >= limits.max_steps:
             break
 
     return finish(Verdict.FAILURE, FailureReason.STEP_LIMIT, steps, rounds, memory)
+
+
+def _host_record(decision, raw: str, prompt_digest: str) -> dict:
+    return {
+        "type": "host",
+        "prompt_digest": prompt_digest,
+        "raw": raw,
+        "decision": json.loads(serialize_host_decision(decision)),
+    }
 
 
 def _round_record(rnd: Round, raw: str, prompt_digest: str) -> dict:

@@ -215,7 +215,7 @@ class ScenarioSpec:
     limits: EpisodeLimits
 
     def load_world(self) -> sim.WorldState:
-        return sim.load_world(json.loads(self.world_file.read_text(encoding="utf-8")))
+        return sim.load_world_file(self.world_file)
 
 
 @codec

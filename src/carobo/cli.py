@@ -20,15 +20,7 @@ from .bench import (
 )
 from .bridge import BridgeRobot, parse_endpoint, serve_robot, tcp_connect
 from .llm import BackendConfig, HttpChatConfig, ReplayConfig, ScriptedConfig
-from .model import CaroboError, SchemaError, UserRequest, render_memory
-
-
-def _load_world_file(path) -> sim.WorldState:
-    try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise SchemaError(f"cannot read world {path}: {exc}") from exc
-    return sim.load_world(document)
+from .model import CaroboError, UserRequest, render_memory
 
 
 def _backend_cfg(args) -> BackendConfig:
@@ -58,7 +50,7 @@ def cmd_run(args) -> int:
     elif not args.world:
         raise CaroboError(f"transport {args.transport!r} needs --world FILE")
     else:
-        handle, _get_world, cleanup = open_robot(_load_world_file(args.world), args.transport)
+        handle, _get_world, cleanup = open_robot(sim.load_world_file(args.world), args.transport)
     try:
         result = run_episode(
             UserRequest(text=args.request, id=args.request_id),
@@ -145,7 +137,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    serve_robot(_load_world_file(args.world), args.listen)
+    serve_robot(sim.load_world_file(args.world), args.listen)
     return 0
 
 

@@ -8,8 +8,10 @@ new world plus an execution report, so episodes replay bit-for-bit.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Optional, Tuple
 
 from . import geometry as geo
@@ -213,15 +215,34 @@ def load_world(document: dict) -> WorldState:
     return world
 
 
+def load_world_file(path) -> WorldState:
+    """Build a world from a JSON world file; an unreadable file raises SchemaError."""
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"cannot read world {path}: {exc}") from exc
+    return load_world(document)
+
+
 def _overlapping_object(objects, position, radius: float) -> Optional[SimObject]:
+    """The first object nearer than `radius` to `position`, else None.
+
+    The exact test runs only for an object whose bounding disc comes within
+    `radius` of the point; a farther disc holds no point of its shape that near.
+    """
+    px, py = position
     for obj in objects:
+        cx, cy, r = obj.shape.bound
+        mx, my = cx - px, cy - py
+        if mx * mx + my * my > (r + radius) * (r + radius):
+            continue
         if obj.shape.distance_from(position) < radius:
             return obj
     return None
 
 
-def _nearest_hit(objects, origin, direction, limit: float, skip_id: Optional[str] = None) -> float:
-    """Smallest ray hit below `limit` among `objects` other than `skip_id`, else `limit`.
+def _nearest_hit(objects, origin, direction, limit: float) -> float:
+    """Smallest ray hit below `limit` among `objects`, else `limit`.
 
     The exact test runs only for an object whose bounding disc holds the
     origin or lies ahead, across the ray's line and nearer than the best hit
@@ -237,8 +258,6 @@ def _nearest_hit(objects, origin, direction, limit: float, skip_id: Optional[str
         d2 = mx * mx + my * my
         rr = r * r
         if d2 > rr and (along < 0.0 or d2 - along * along > rr or along - r >= best):
-            continue
-        if obj.id == skip_id:
             continue
         t = obj.shape.ray_hit(origin, direction)
         if t is not None and t < best:
@@ -390,45 +409,106 @@ def apply_command(world: WorldState, command: Command) -> Tuple[WorldState, Exec
     return world, result
 
 
+def _vertical_window(world: WorldState):
+    """The camera's vertical window, as (height, distance) -> (lo, hi).
+
+    The portion [lo, hi] of an object of that height, at that ground distance
+    from the camera, that the window sees; (0, 0) when it sees none. The
+    tangents of the window's two edges are taken once per call of this
+    function, not once per object.
+    """
+    p = world.params
+    half = p.vfov / 2.0
+    tan_lo = math.tan(math.radians(world.robot.camera_pitch - half))
+    tan_hi = math.tan(math.radians(world.robot.camera_pitch + half))
+
+    def band(height: float, distance: float) -> Tuple[float, float]:
+        d = max(distance, 1e-9)
+        lo = max(0.0, p.camera_height + d * tan_lo)
+        hi = min(height, p.camera_height + d * tan_hi)
+        if hi <= lo:
+            return (0.0, 0.0)
+        return (lo, hi)
+
+    return band
+
+
 def visible_height_band(world: WorldState, obj: SimObject) -> Tuple[float, float]:
     """Portion of the object's height [lo, hi] inside the camera's vertical window.
 
     Returns (0, 0) when the window misses the object entirely.
     """
-    p = world.params
-    pose = world.robot
-    d = math.hypot(*(c - r for c, r in zip(obj.shape.centroid(), pose.position)))
-    d = max(d, 1e-9)
-    half = p.vfov / 2.0
-    lo_angle = math.radians(pose.camera_pitch - half)
-    hi_angle = math.radians(pose.camera_pitch + half)
-    lo = max(0.0, p.camera_height + d * math.tan(lo_angle))
-    hi = min(obj.height, p.camera_height + d * math.tan(hi_angle))
-    if hi <= lo:
-        return (0.0, 0.0)
-    return (lo, hi)
+    cx, cy = obj.shape.centroid()
+    return _vertical_window(world)(obj.height, math.hypot(cx - world.robot.x, cy - world.robot.y))
+
+
+def _occluded(occluders, origin, direction, limit: float, target_id: str) -> bool:
+    """Whether an occluder other than `target_id` has an exact ray hit below `limit`.
+
+    `occluders` holds (near edge, cx, cy, r, object) sorted by the near edge,
+    the distance from the origin to the object's bounding disc (cx, cy, r). No
+    hit on an object lies nearer than its near edge, so the walk answers "not
+    occluded" at the first near edge at or beyond `limit`, and "occluded" at
+    the first exact hit below it.
+    """
+    ox, oy = origin
+    dx, dy = direction
+    for near, cx, cy, r, obj in occluders:
+        if near >= limit:
+            return False
+        mx, my = cx - ox, cy - oy
+        along = mx * dx + my * dy
+        d2 = mx * mx + my * my
+        rr = r * r
+        if d2 > rr and (along < 0.0 or d2 - along * along > rr):
+            continue
+        if obj.id == target_id:
+            continue
+        t = obj.shape.ray_hit(origin, direction)
+        if t is not None and t < limit:
+            return True
+    return False
 
 
 def render_camera(world: WorldState) -> Observation:
-    """Symbolic camera: items for every unoccluded object inside both FOV axes."""
+    """Symbolic camera: items for every unoccluded object inside both FOV axes.
+
+    A bounding disc that lies wholly outside the field of view can neither be
+    seen nor hide anything seen. A dot/cross test, padded like the discs,
+    rejects it before any trigonometry. Each object in view then looks for an
+    occluder along its line of sight, nearest disc first, and stops at the
+    first exact hit.
+    """
     p = world.params
     pose = world.robot
     half = p.hfov / 2.0
+    band = _vertical_window(world)
+    fx, fy = geo.unit(pose.heading)
+    cos_half, sin_half = math.cos(math.radians(half)), math.sin(math.radians(half))
     in_view, occluders = [], []
     for obj in world.objects:
         cx, cy, r = obj.shape.bound  # centred on the centroid
         dx, dy = cx - pose.x, cy - pose.y
+        # `past`: how far the centre lies beyond the line of the field of
+        # view's edge on its side. Below 180 degrees the view is a convex cone
+        # that lies at least `past` away; above, what it leaves out is a convex
+        # wedge behind the robot, and `past` is the centre's depth inside it.
+        # Either way a disc more than its radius past the line is out of view.
+        past = abs(dx * fy - dy * fx) * cos_half - (dx * fx + dy * fy) * sin_half
+        if past > r + BOUND_MARGIN * (1.0 + r + abs(dx) + abs(dy)):
+            continue
         distance = math.hypot(dx, dy)
         bearing = geo.rel_bearing(math.degrees(math.atan2(dy, dx)) - pose.heading)
         # every line of sight below lies in the field of view; a disc that
         # stays outside it cannot occlude
         if distance <= r or abs(bearing) <= half + math.degrees(math.asin(r / distance)):
-            occluders.append(obj)
+            occluders.append((distance - r, cx, cy, r, obj))
         if distance < 1e-9 or abs(bearing) > half:
             continue
-        lo, hi = visible_height_band(world, obj)
+        lo, hi = band(obj.height, distance)
         if hi > lo:
             in_view.append((obj, dx, dy, distance, bearing))
+    occluders.sort(key=lambda occluder: occluder[0])
     candidates = []
     for obj, dx, dy, distance, bearing in in_view:
         # occlusion along the center line: a nearer object hiding this one
@@ -436,8 +516,7 @@ def render_camera(world: WorldState) -> Observation:
         t_self = obj.shape.ray_hit(pose.position, direction)
         if t_self is None:
             t_self = distance
-        limit = t_self - 1e-9
-        if _nearest_hit(occluders, pose.position, direction, limit, skip_id=obj.id) < limit:
+        if _occluded(occluders, pose.position, direction, t_self - 1e-9, obj.id):
             continue
         candidates.append(
             (

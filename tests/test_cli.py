@@ -1,5 +1,6 @@
 """Command line entry points, exercised through main(argv)."""
 import json
+import shutil
 import socket
 import threading
 import time
@@ -194,6 +195,16 @@ def test_bench_replay_bundles_by_model_name(tmp_path, capsys):
     report = json.loads(out_path.read_text())
     assert report["overall_rate"] == 90.0
     assert len(report["rows"]) == 20
+
+
+def test_bench_names_a_malformed_world_file(tmp_path, capsys):
+    shutil.copytree(DATA_DIR / "worlds", tmp_path / "worlds")
+    shutil.copy(default_suite_path(), tmp_path / "suite.json")
+    bad = tmp_path / "worlds" / "obj_1.json"
+    bad.write_text("{not json\n")
+    assert main(["bench", "--suite", str(tmp_path / "suite.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read world ") and str(bad.resolve()) in err
 
 
 def test_bench_replay_needs_directory(capsys):

@@ -362,13 +362,15 @@ def _shape_doc(rng, cx, cy):
     ]}
 
 
-GRAZES = ("corridor", "avoid band", "sonar ray")
+GRAZES = ("corridor", "avoid band", "sonar ray", "fov edge")
 
 
 def _graze_doc(rng, kind, pose, params, travel_heading, length):
     """A shape on an edge that culling must respect: the swept corridor, the
-    avoid band past the end of the drive, or the ultrasonic ray, where the
-    farthest vertex of a triangle lies within EPS of the ray's line."""
+    avoid band past the end of the drive, the ultrasonic ray, where the
+    farthest vertex of a triangle lies within EPS of the ray's line, or the
+    edge of the camera's field of view, which a circle touches from just
+    inside or just outside."""
     R = params["footprint_radius"]
     x, y = pose["x"], pose["y"]
     tiny = rng.choice((0.0, 1e-13, -1e-13, 1e-10, 1e-9, 2e-9, 1e-6))
@@ -385,6 +387,12 @@ def _graze_doc(rng, kind, pose, params, travel_heading, length):
         lateral = rng.uniform(-0.9, 0.9) * r
         return {"type": "circle", "radius": r,
                 "center": [x + d[0] * a + n[0] * lateral, y + d[1] * a + n[1] * lateral]}
+    if kind == "fov edge":
+        half = math.radians(params.get("hfov", sim.SimParams.hfov) / 2.0)
+        dist = R + r + rng.uniform(0.05, 3.0)
+        angle = (half + math.asin(r / dist)) * rng.choice((1.0 - 1e-12, 1.0 + 1e-12))
+        c = geometry.unit(pose["heading"] + side * math.degrees(angle))
+        return {"type": "circle", "radius": r, "center": [x + c[0] * dist, y + c[1] * dist]}
     f = geometry.unit(pose["heading"])
     m = (-f[1], f[0])
     ahead = R + rng.uniform(0.02, 0.6)
@@ -464,6 +472,7 @@ def graze_case(kind, seed):
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @example(graze_case("sonar ray", 1))
 @example(graze_case("avoid band", 2))
+@example(graze_case("fov edge", 3))
 @given(fuzzed_cases())
 def test_broad_phase_matches_the_full_scan(time_limit, case):
     world, command = case
