@@ -149,7 +149,9 @@ def decide_with_raw(
     backend_cfg: BackendConfig,
     backend=None,
     template: Optional[AgentTemplate] = None,
-) -> Tuple[AppDecision, str, str]:
+) -> Tuple[AppDecision, str, Prompt]:
+    """Decide with retries; returns the decision, the raw completion it was
+    parsed from and the prompt, which a trace record digests."""
     backend = backend or make_backend(backend_cfg)
     prompt = build_app_prompt(request, global_plan, obs, sensors, memory, template=template)
     raw_holder = {}
@@ -160,7 +162,7 @@ def decide_with_raw(
         return parse_app_decision(raw)
 
     decision = with_retry(attempt, backend_cfg.max_retries)
-    return decision, raw_holder.get("raw", ""), prompt.digest()
+    return decision, raw_holder.get("raw", ""), prompt
 
 
 def render_trace(records: list) -> str:
@@ -251,13 +253,13 @@ def run_episode(
     rounds = 0
 
     try:
-        host_decision, host_raw, host_digest = plan_with_raw(
+        host_decision, host_raw, host_prompt = plan_with_raw(
             request, obs, sensors, memory, backend_cfg_host,
             backend=host_backend, template=host_template,
         )
     except CaroboError:
         return finish(Verdict.FAILURE, FailureReason.BACKEND_ERROR, steps, rounds, memory)
-    record(lambda: _host_record(host_decision, host_raw, host_digest))
+    record(lambda: _host_record(host_decision, host_raw, host_prompt))
     global_plan = host_decision.global_plan
     pending_thoughts: Optional[str] = host_decision.thoughts
 
@@ -266,7 +268,7 @@ def run_episode(
     while rounds < limits.max_rounds:
         rounds += 1
         try:
-            decision, raw, digest = decide_with_raw(
+            decision, raw, prompt = decide_with_raw(
                 request, global_plan, obs, sensors, memory, backend_cfg_app,
                 backend=app_backend, template=app_template,
             )
@@ -277,13 +279,13 @@ def run_episode(
             if consecutive_errors >= replan_after_errors > 0:
                 if replans_used == 0:
                     try:
-                        host_decision, host_raw, host_digest = plan_with_raw(
+                        host_decision, host_raw, host_prompt = plan_with_raw(
                             request, obs, sensors, memory, backend_cfg_host,
                             backend=host_backend, template=host_template,
                         )
                     except CaroboError:
                         return finish(Verdict.FAILURE, FailureReason.BACKEND_ERROR, steps, rounds, memory)
-                    record(lambda: _host_record(host_decision, host_raw, host_digest))
+                    record(lambda: _host_record(host_decision, host_raw, host_prompt))
                     global_plan = host_decision.global_plan
                     replans_used = 1
                     consecutive_errors = 0
@@ -302,7 +304,7 @@ def run_episode(
                 status=Status.FINISH,
             )
             memory = append_round(memory, rnd)
-            record(lambda: _round_record(rnd, raw, digest))
+            record(lambda: _round_record(rnd, raw, prompt))
             return finish(Verdict.SUCCESS, None, steps, rounds, memory)
 
         exec_result, sensors_next, obs_next = world_handle.execute(decision.command)
@@ -317,7 +319,7 @@ def run_episode(
             status=Status.CONTINUE,
         )
         memory = append_round(memory, rnd)
-        record(lambda: _round_record(rnd, raw, digest))
+        record(lambda: _round_record(rnd, raw, prompt))
         obs, sensors = obs_next, sensors_next
         if steps >= limits.max_steps:
             break
@@ -325,20 +327,20 @@ def run_episode(
     return finish(Verdict.FAILURE, FailureReason.STEP_LIMIT, steps, rounds, memory)
 
 
-def _host_record(decision, raw: str, prompt_digest: str) -> dict:
+def _host_record(decision, raw: str, prompt: Prompt) -> dict:
     return {
         "type": "host",
-        "prompt_digest": prompt_digest,
+        "prompt_digest": prompt.digest(),
         "raw": raw,
         "decision": json.loads(serialize_host_decision(decision)),
     }
 
 
-def _round_record(rnd: Round, raw: str, prompt_digest: str) -> dict:
+def _round_record(rnd: Round, raw: str, prompt: Prompt) -> dict:
     return {
         "type": "round",
         "index": rnd.index,
-        "prompt_digest": prompt_digest,
+        "prompt_digest": prompt.digest(),
         "raw": raw,
         "round": rnd.to_dict(),
     }

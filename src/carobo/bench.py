@@ -23,7 +23,16 @@ from .app import (
 )
 from .bridge import BridgeRobot, TcpRobotServer, start_local_robot, tcp_connect
 from .llm import BackendConfig, ReplayConfig, ScriptedConfig
-from .model import CaroboError, SchemaError, UserRequest, codec
+from .model import (
+    CaroboError,
+    Command,
+    GlobalPlan,
+    InvalidCommand,
+    InvariantViolation,
+    SchemaError,
+    UserRequest,
+    codec,
+)
 from .suite_data import DOMAINS
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -205,6 +214,31 @@ class Not(GoalPredicate):
 # ---------------------------------------------------------------------------
 # Suite loading
 
+@codec
+@dataclass(frozen=True)
+class OracleScript:
+    """A known-good run of a scenario, played by the oracle policy.
+
+    `commands` holds one command document per round, kept exactly as loaded,
+    so the policy's completions spell each number as the suite does (an
+    integer stays an integer). `aliases` are further request phrasings that
+    the script answers.
+    """
+
+    plan: Tuple[str, ...]
+    commands: Tuple[dict, ...]
+    comment: str
+    aliases: Tuple[str, ...] = ()
+
+    def __post_init__(self):
+        try:
+            GlobalPlan(self.plan)
+            for doc in self.commands:
+                Command.from_dict(doc)
+        except (InvalidCommand, InvariantViolation) as exc:
+            raise SchemaError(f"{type(exc).__name__}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     id: str
@@ -213,6 +247,7 @@ class ScenarioSpec:
     world_file: Path
     goal: GoalPredicate
     limits: EpisodeLimits
+    oracle: Optional[OracleScript] = None
 
     def load_world(self) -> sim.WorldState:
         return sim.load_world_file(self.world_file)
@@ -229,6 +264,7 @@ class ScenarioEntry:
     world_file: str
     goal: GoalPredicate
     limits: EpisodeLimits = EpisodeLimits()
+    oracle: Optional[OracleScript] = None
 
 
 def default_suite_path() -> Path:
@@ -250,7 +286,12 @@ def load_benchmark(path) -> Tuple[ScenarioSpec, ...]:
         raise SchemaError("suite must be an object with a 'scenarios' list")
     specs = []
     seen = set()
-    for entry in map(ScenarioEntry.from_dict, doc["scenarios"]):
+    for i, raw in enumerate(doc["scenarios"]):
+        try:
+            entry = ScenarioEntry.from_dict(raw)
+        except SchemaError as exc:
+            sid = raw.get("id") if type(raw) is dict else None
+            raise SchemaError(f"scenario {i} ({sid!r}): {exc}") from None
         if entry.domain not in DOMAINS:
             raise SchemaError(f"unknown domain {entry.domain!r} in scenario {entry.id!r}")
         if entry.id in seen:
@@ -259,7 +300,8 @@ def load_benchmark(path) -> Tuple[ScenarioSpec, ...]:
         world_file = (path.parent / entry.world_file).resolve()
         if not world_file.exists():
             raise SchemaError(f"world file missing for {entry.id!r}: {world_file}")
-        specs.append(ScenarioSpec(entry.id, entry.domain, entry.request_text, world_file, entry.goal, entry.limits))
+        specs.append(ScenarioSpec(entry.id, entry.domain, entry.request_text, world_file, entry.goal,
+                                  entry.limits, entry.oracle))
     counts = {d: sum(1 for s in specs if s.domain == d) for d in DOMAINS}
     if any(c != 5 for c in counts.values()) or len(specs) != 20:
         raise CountError(f"suite must hold 5 scenarios per domain, got {counts}")

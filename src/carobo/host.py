@@ -48,21 +48,6 @@ def build_host_prompt(
     )
 
 
-def plan(
-    request: UserRequest,
-    obs: Observation,
-    sensors: SensorData,
-    memory: MemoryLog,
-    backend_cfg: BackendConfig,
-    backend=None,
-    template: Optional[AgentTemplate] = None,
-) -> HostDecision:
-    decision, _raw, _digest = plan_with_raw(
-        request, obs, sensors, memory, backend_cfg, backend=backend, template=template
-    )
-    return decision
-
-
 def plan_with_raw(
     request: UserRequest,
     obs: Observation,
@@ -71,8 +56,9 @@ def plan_with_raw(
     backend_cfg: BackendConfig,
     backend=None,
     template: Optional[AgentTemplate] = None,
-) -> Tuple[HostDecision, str, str]:
-    """Like plan(), but also returns the raw completion and prompt digest for traces."""
+) -> Tuple[HostDecision, str, Prompt]:
+    """Plan with retries; returns the decision, the raw completion it was
+    parsed from and the prompt, which a trace record digests."""
     backend = backend or make_backend(backend_cfg)
     prompt = build_host_prompt(request, obs, sensors, memory, template=template)
     raw_holder = {}
@@ -83,4 +69,4 @@ def plan_with_raw(
         return parse_host_decision(raw)
 
     decision = with_retry(attempt, backend_cfg.max_retries)
-    return decision, raw_holder.get("raw", ""), prompt.digest()
+    return decision, raw_holder.get("raw", ""), prompt

@@ -3,8 +3,9 @@
 A policy is a pure function from an assembled prompt to a completion string.
 The bundled ones:
 
-- ``oracle``: completes every bundled benchmark request with a known-good
-  command script, reading its own progress out of the memory block.
+- ``oracle``: completes every bundled benchmark request with the known-good
+  command script the bundled suite file gives it, reading its own progress
+  out of the memory block.
 - ``finish_now``: declares the request complete on the very first round.
 - ``spin``: turns left forever, never finishing (useful for limit handling).
 """
@@ -12,11 +13,12 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Callable
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Callable, Mapping
 
+from .bench import OracleScript, default_suite_path, load_benchmark
 from .llm import PolicyUnknown, Prompt
-from .model import COMMAND_SPECS
-from .suite_data import normalize_request, oracle_table
 
 Policy = Callable[[Prompt], str]
 
@@ -53,13 +55,12 @@ def _host_doc(plan, comment: str) -> str:
     )
 
 
-def _continue_doc(name: str, value: float, comment: str) -> str:
-    arg_name = COMMAND_SPECS[name][0]
+def _continue_doc(command: dict, comment: str) -> str:
     return _dumps(
         {
             "observation": "Scripted check of the scene.",
             "comment": comment,
-            "command": {"name": name, "args": {arg_name: value}},
+            "command": command,
             "status": "CONTINUE",
         }
     )
@@ -75,26 +76,45 @@ def _finish_doc(comment: str) -> str:
     )
 
 
-def _lookup_script(prompt: Prompt):
+def normalize_request(text: str) -> str:
+    return " ".join(text.lower().split()).rstrip(".!? ")
+
+
+@lru_cache(maxsize=None)
+def oracle_table() -> Mapping[str, OracleScript]:
+    """normalized request -> the oracle script of the bundled scenario.
+
+    Read from the bundled suite file once per process; the mapping is shared,
+    so it is read-only. Scenario requests come first, then their aliases.
+    """
+    specs = [s for s in load_benchmark(default_suite_path()) if s.oracle is not None]
+    table = {normalize_request(s.request_text): s.oracle for s in specs}
+    for s in specs:
+        for alias in s.oracle.aliases:
+            table.setdefault(normalize_request(alias), s.oracle)
+    return MappingProxyType(table)
+
+
+def _lookup_script(prompt: Prompt) -> OracleScript:
     block = prompt.block("request")
     if block is None:
         raise PolicyUnknown("prompt carries no request block")
     haystack = normalize_request(block.text)
-    for key, entry in oracle_table().items():
+    for key, script in oracle_table().items():
         if key in haystack:
-            return entry
+            return script
     raise PolicyUnknown(f"oracle policy has no script for: {block.text!r}")
 
 
 def oracle_policy(prompt: Prompt) -> str:
-    plan, commands, comment = _lookup_script(prompt)
+    script = _lookup_script(prompt)
     if _is_host(prompt):
-        return _host_doc(plan, "Plan ready; handing over to the executor.")
+        return _host_doc(script.plan, "Plan ready; handing over to the executor.")
     idx = _rounds_so_far(prompt)
-    if idx < len(commands):
-        name, value = commands[idx]
-        return _continue_doc(name, value, f"Step {idx + 1}: {name}.")
-    return _finish_doc(comment)
+    if idx < len(script.commands):
+        command = script.commands[idx]
+        return _continue_doc(command, f"Step {idx + 1}: {command['name']}.")
+    return _finish_doc(script.comment)
 
 
 def finish_now_policy(prompt: Prompt) -> str:
@@ -106,7 +126,7 @@ def finish_now_policy(prompt: Prompt) -> str:
 def spin_policy(prompt: Prompt) -> str:
     if _is_host(prompt):
         return _host_doc(["Keep turning left"], "Spinning indefinitely.")
-    return _continue_doc("car_left", 30.0, "Turning left again.")
+    return _continue_doc({"name": "car_left", "args": {"angle": 30.0}}, "Turning left again.")
 
 
 POLICIES: dict[str, Policy] = {

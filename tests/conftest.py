@@ -1,8 +1,20 @@
 """Shared test helpers."""
 import contextlib
 import signal
+from pathlib import Path
 
 import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture
+def build_data(monkeypatch):
+    """scripts/build_data.py, the definition of the bundled suite, imported by path."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import build_data
+
+    return build_data
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ from carobo.bench import (
     run_suite,
     scripted_pair,
 )
-from carobo.host import plan as host_plan
+from carobo.host import plan_with_raw
 from carobo.llm import (
     AppDecision,
     BackendConfig,
@@ -46,7 +46,6 @@ from carobo.model import (
     UserRequest,
 )
 from carobo.sim import Shape, apply_command, load_world, raycast
-from carobo.suite_data import SCENARIOS
 
 
 def check(criterion: int, ok: bool, detail: str):
@@ -393,7 +392,7 @@ def test_criterion_7_parser_robustness(tmp_path):
     garbage.write_text("\n".join(json.dumps("not a decision") for _ in range(6)) + "\n")
     backend = ReplayBackend(ReplayConfig(trace_path=str(garbage)))
     with pytest.raises(MalformedDecision):
-        host_plan(
+        plan_with_raw(
             UserRequest(text="x"), Observation.from_items(()),
             SensorData(ultrasonic_clearance=4.0, ir_left=False, ir_right=False),
             MemoryLog(),
@@ -444,10 +443,10 @@ def test_criterion_8_transport_equivalence(specs, tmp_path):
 # ---------------------------------------------------------------------------
 # 9. False-completion detection
 
-def test_criterion_9_false_completion(specs):
+def test_criterion_9_false_completion(specs, build_data):
     report = run_suite(specs, scripted_pair("finish_now"))
     false_completions = [r.scenario_id for r in report.rows if r.failure_reason == "FalseCompletion"]
-    needs_movement = {s.id for s in SCENARIOS if s.needs_movement}
+    needs_movement = {s.id for s in build_data.SCENARIOS if s.needs_movement}
     missed = sorted(needs_movement - set(false_completions))
     assert len(needs_movement) >= 16
     check(9, len(false_completions) >= 16 and not missed,

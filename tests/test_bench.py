@@ -48,7 +48,7 @@ from carobo.model import (
     append_round,
 )
 from carobo.sim import SchemaError, load_world
-from carobo.suite_data import DOMAINS, write_all
+from carobo.suite_data import DOMAINS
 
 
 def ctx(world_doc=None, comments=(), path_length=0.0, buzzes=0):
@@ -253,6 +253,7 @@ def test_bundled_suite_loads():
     assert all(s.world_file.exists() for s in specs)
     assert all(s.limits == EpisodeLimits(max_steps=20, max_rounds=25) for s in specs)
     assert len({s.id for s in specs}) == 20
+    assert all(s.oracle is not None for s in specs)
 
 
 def synthetic_suite(tmp_path, per_domain=5, mutate=None):
@@ -333,11 +334,30 @@ def test_scenario_text_fields_must_be_strings(tmp_path, key):
         load_benchmark(synthetic_suite(tmp_path, mutate=bad))
 
 
-def test_suite_data_regenerates_the_committed_tree(tmp_path):
+BAD_ORACLE_COMMANDS = {
+    "unknown name": ([{"name": "car_fly", "args": {"angle": 90}}], "UnknownCommand"),
+    "out of range": ([{"name": "car_left", "args": {"angle": 400}}], "ArgOutOfRange"),
+    "boolean argument": ([{"name": "car_left", "args": {"angle": True}}], "must be a number"),
+    "not a list": ({"name": "car_left", "args": {"angle": 90}}, "expected a list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ORACLE_COMMANDS))
+def test_bad_oracle_commands_are_rejected_by_scenario(tmp_path, case):
+    commands, error = BAD_ORACLE_COMMANDS[case]
+
+    def bad(d):
+        d["scenarios"][2]["oracle"] = {"plan": ["turn"], "commands": commands, "comment": "done"}
+
+    with pytest.raises(SchemaError, match=rf"scenario 2 \('object_detection_2'\): ScenarioEntry.oracle: .*{error}"):
+        load_benchmark(synthetic_suite(tmp_path, mutate=bad))
+
+
+def test_suite_data_regenerates_the_committed_tree(tmp_path, build_data):
     def tree(root):
         return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
-    write_all(tmp_path)
+    build_data.write_all(tmp_path)
     committed, regenerated = tree(DATA_DIR), tree(tmp_path)
     assert sorted(regenerated) == sorted(committed)
     assert [rel for rel in committed if regenerated[rel] != committed[rel]] == []

@@ -8,17 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from carobo.bench import DATA_DIR, default_suite_path
+from carobo.bench import DATA_DIR, default_suite_path, load_benchmark
 from carobo.bridge import TcpRobotServer
 from carobo.cli import main
 from carobo.sim import load_world
-from carobo.suite_data import SCENARIOS
 
 
 def request_of(sid):
-    for s in SCENARIOS:
+    for s in load_benchmark(default_suite_path()):
         if s.id == sid:
-            return s.request
+            return s.request_text
     raise KeyError(sid)
 
 
@@ -154,6 +153,14 @@ def _not_json(tmp_path, name):
     return str(path)
 
 
+def _suite_with_an_unknown_oracle_command(tmp_path):
+    shutil.copytree(DATA_DIR / "worlds", tmp_path / "worlds")
+    doc = json.loads(default_suite_path().read_text(encoding="utf-8"))
+    doc["scenarios"][0]["oracle"]["commands"][0]["name"] = "car_fly"
+    (tmp_path / "suite.json").write_text(json.dumps(doc), encoding="utf-8")
+    return ["bench", "--suite", str(tmp_path / "suite.json")]
+
+
 BAD_FILES = {
     "missing world": lambda tmp: ["run", "--request", "x", "--world", str(tmp / "nope.json")],
     "world not JSON": lambda tmp: ["run", "--request", "x", "--world", _not_json(tmp, "w.json")],
@@ -161,6 +168,7 @@ BAD_FILES = {
     "missing trace": lambda tmp: ["replay", "--trace", str(tmp / "nope.jsonl")],
     "trace line not JSON": lambda tmp: ["replay", "--trace", _not_json(tmp, "t.jsonl")],
     "header without limits": _header_without_limits,
+    "suite oracle command unknown": _suite_with_an_unknown_oracle_command,
 }
 
 
@@ -170,7 +178,7 @@ def test_bad_input_files_exit_two(tmp_path, capsys, case):
     capsys.readouterr()
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "serving" not in captured.out
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from carobo.host import build_host_prompt, plan, render_sensors
+from carobo.host import build_host_prompt, plan_with_raw, render_sensors
 from carobo.llm import BackendConfig, MalformedDecision, ScriptedConfig, TransportError
 from carobo.model import (
     MemoryLog,
@@ -38,7 +38,7 @@ def test_plan_via_scripted_policy():
     request, obs, sensors, memory = _inputs()
     request = UserRequest(text="Describe the features of the object in front")
     cfg = BackendConfig(kind=ScriptedConfig(policy_id="oracle"))
-    decision = plan(request, obs, sensors, memory, cfg)
+    decision, _raw, _prompt = plan_with_raw(request, obs, sensors, memory, cfg)
     assert decision.global_plan.steps
     assert decision.thoughts
 
@@ -64,7 +64,7 @@ def test_plan_retries_through_garbage():
     request, obs, sensors, memory = _inputs()
     cfg = BackendConfig(kind=ScriptedConfig(policy_id="unused"), max_retries=3)
     backend = FlakyBackend(garbage_count=3)
-    decision = plan(request, obs, sensors, memory, cfg, backend=backend)
+    decision, _raw, _prompt = plan_with_raw(request, obs, sensors, memory, cfg, backend=backend)
     assert decision.global_plan.steps == ("step",)
     assert backend.calls == 4
 
@@ -74,7 +74,7 @@ def test_plan_gives_up_after_budget():
     cfg = BackendConfig(kind=ScriptedConfig(policy_id="unused"), max_retries=2)
     backend = FlakyBackend(garbage_count=99)
     with pytest.raises(MalformedDecision):
-        plan(request, obs, sensors, memory, cfg, backend=backend)
+        plan_with_raw(request, obs, sensors, memory, cfg, backend=backend)
     assert backend.calls == 3
 
 
@@ -87,4 +87,4 @@ def test_plan_propagates_transport_errors():
 
     cfg = BackendConfig(kind=ScriptedConfig(policy_id="unused"), max_retries=1)
     with pytest.raises(TransportError):
-        plan(request, obs, sensors, memory, cfg, backend=Down())
+        plan_with_raw(request, obs, sensors, memory, cfg, backend=Down())

@@ -3,10 +3,18 @@ import json
 
 import pytest
 
+from carobo.bench import default_suite_path, load_benchmark
 from carobo.llm import Block, PolicyUnknown, Prompt, parse_app_decision, parse_host_decision
 from carobo.model import Command, Status
-from carobo.policies import POLICIES, finish_now_policy, get_policy, oracle_policy, spin_policy
-from carobo.suite_data import SCENARIOS, normalize_request, oracle_table
+from carobo.policies import (
+    POLICIES,
+    finish_now_policy,
+    get_policy,
+    normalize_request,
+    oracle_policy,
+    oracle_table,
+    spin_policy,
+)
 
 
 def prompt_for(request_text, plan=None, memory="(empty)"):
@@ -43,14 +51,17 @@ def test_normalize_request():
 
 def test_oracle_table_covers_every_scenario_and_case_study():
     table = oracle_table()
-    for scenario in SCENARIOS:
-        assert normalize_request(scenario.request) in table
+    specs = load_benchmark(default_suite_path())
+    for spec in specs:
+        assert table[normalize_request(spec.request_text)] == spec.oracle
     # the two case studies reuse scenario scripts under their own phrasings
     assert normalize_request("Find the box that says Bosch.") in table
     assert normalize_request("Move forward avoiding obstacles.") in table
-    for plan, commands, comment in table.values():
-        assert plan and isinstance(comment, str)
-        assert all(isinstance(n, str) and isinstance(v, (int, float)) for n, v in commands)
+    # scenario requests first, in suite order, then the one alias
+    assert list(table) == [normalize_request(s.request_text) for s in specs] + ["find the box that says bosch"]
+    for script in table.values():
+        assert script.plan and isinstance(script.comment, str)
+        assert all(isinstance(Command.from_dict(doc), Command) for doc in script.commands)
 
 
 def test_oracle_table_is_built_once_and_read_only():
@@ -72,7 +83,7 @@ def test_no_table_key_shadows_another():
 # Oracle policy
 
 def scenario(sid):
-    for s in SCENARIOS:
+    for s in load_benchmark(default_suite_path()):
         if s.id == sid:
             return s
     raise KeyError(sid)
@@ -80,31 +91,36 @@ def scenario(sid):
 
 def test_oracle_host_emits_plan():
     s = scenario("obj_1")
-    doc = json.loads(oracle_policy(prompt_for(s.request)))
+    doc = json.loads(oracle_policy(prompt_for(s.request_text)))
     decision = parse_host_decision(json.dumps(doc))
-    assert list(decision.global_plan.steps) == list(s.plan)
+    assert list(decision.global_plan.steps) == list(s.oracle.plan)
+
+
+def test_oracle_commands_keep_the_suite_s_number_spelling():
+    s = scenario("obj_1")  # turns left 90 twice; the suite writes 90, not 90.0
+    assert '"args": {"angle": 90}}' in oracle_policy(prompt_for(s.request_text, plan="steps"))
 
 
 def test_oracle_app_walks_the_script_then_finishes():
     s = scenario("cmd_1")  # square path: (forward 0.6, left 90) x 4
-    first = parse_app_decision(oracle_policy(prompt_for(s.request, plan="steps")))
+    first = parse_app_decision(oracle_policy(prompt_for(s.request_text, plan="steps")))
     assert first.status is Status.CONTINUE
     assert first.command == Command.forward(0.6)
 
     memory = "\n".join(f"[round {i}] comment: c | action: a | result: ok | status: CONTINUE" for i in range(3))
-    fourth = parse_app_decision(oracle_policy(prompt_for(s.request, plan="steps", memory=memory)))
+    fourth = parse_app_decision(oracle_policy(prompt_for(s.request_text, plan="steps", memory=memory)))
     assert fourth.command == Command.left(90)
 
     memory = "\n".join(f"[round {i}] comment: c | action: a | result: ok | status: CONTINUE" for i in range(8))
-    done = parse_app_decision(oracle_policy(prompt_for(s.request, plan="steps", memory=memory)))
+    done = parse_app_decision(oracle_policy(prompt_for(s.request_text, plan="steps", memory=memory)))
     assert done.status is Status.FINISH
-    assert done.comment == s.oracle_comment
+    assert done.comment == s.oracle.comment
 
 
 def test_oracle_progress_reads_the_last_round_marker():
     s = scenario("cmd_1")
     memory = "[round 0] comment: c | action: a | result: ok | status: CONTINUE"
-    second = parse_app_decision(oracle_policy(prompt_for(s.request, plan="steps", memory=memory)))
+    second = parse_app_decision(oracle_policy(prompt_for(s.request_text, plan="steps", memory=memory)))
     assert second.command == Command.left(90)
 
 
@@ -115,7 +131,7 @@ def test_oracle_unknown_request():
 
 def test_oracle_case_study_aliases_map_to_scenario_scripts():
     bosch = parse_app_decision(oracle_policy(prompt_for("Find the box that says Bosch.", plan="p")))
-    via_id = parse_app_decision(oracle_policy(prompt_for(scenario("obs_3").request, plan="p")))
+    via_id = parse_app_decision(oracle_policy(prompt_for(scenario("obs_3").request_text, plan="p")))
     assert bosch.command == via_id.command
 
 
