@@ -13,6 +13,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Tuple
 
+from . import sim
 from .host import build_host_prompt, plan_with_raw, render_sensors
 from .llm import (
     AgentTemplate,
@@ -43,6 +44,7 @@ from .model import (
 )
 
 APP_MEMORY_WINDOW = 10  # rounds shown to the executor; the host sees everything
+REPLAN_AFTER_ERRORS = 3  # failed rounds in a row before the host plans once more
 
 
 class Verdict(Enum):
@@ -123,11 +125,10 @@ def build_app_prompt(
     sensors: SensorData,
     memory: MemoryLog,
     template: Optional[AgentTemplate] = None,
-    memory_window: int = APP_MEMORY_WINDOW,
 ) -> Prompt:
-    """Blocks: request, plan, observation, sensors, memory (last `memory_window` rounds)."""
+    """Blocks: request, plan, observation, sensors, memory (last APP_MEMORY_WINDOW rounds)."""
     template = template or load_agent_template("app")
-    memory_text = render_memory(memory, memory_window) or "(empty)"
+    memory_text = render_memory(memory, APP_MEMORY_WINDOW) or "(empty)"
     return assemble_prompt(
         template,
         {
@@ -193,25 +194,23 @@ def run_episode(
     backend_cfg_app: BackendConfig,
     limits: Optional[EpisodeLimits] = None,
     *,
-    replan_after_errors: int = 3,
     trace_path=None,
     host_backend=None,
     app_backend=None,
-    host_template: Optional[AgentTemplate] = None,
-    app_template: Optional[AgentTemplate] = None,
 ) -> EpisodeResult:
     """Run one full episode against a robot handle.
 
-    The handle is anything with connect() -> (sensors, observation) and
-    execute(command) -> (exec_result, sensors, observation); both the direct
-    simulator and the message bridge satisfy it.
+    The handle is anything with connect() -> (sensors, observation),
+    execute(command) -> (exec_result, sensors, observation) and a `world`
+    that is the robot's WorldState, or None when another process serves the
+    robot; both the direct simulator and the message bridge satisfy it.
 
     The host plans once up front. If the app agent's decisions fail
-    `replan_after_errors` times in a row the host is consulted one more time;
+    REPLAN_AFTER_ERRORS times in a row the host is consulted one more time;
     a second streak aborts the episode as a backend failure.
 
     The trace's records are built only when `trace_path` is given. The two
-    agent templates are loaded once per episode unless passed in.
+    agent templates are loaded once per episode.
     """
     limits = limits or EpisodeLimits()
     if host_backend is None:
@@ -219,10 +218,8 @@ def run_episode(
     if app_backend is None:
         # a shared replay trace interleaves host and app calls on one cursor
         app_backend = host_backend if backend_cfg_app == backend_cfg_host else make_backend(backend_cfg_app)
-    if host_template is None:
-        host_template = load_agent_template("host")
-    if app_template is None:
-        app_template = load_agent_template("app")
+    host_template = load_agent_template("host")
+    app_template = load_agent_template("app")
 
     records = [] if trace_path is not None else None
 
@@ -230,9 +227,14 @@ def run_episode(
         if records is not None:
             records.append(build())
 
-    record(lambda: EpisodeHeader(request.id, request.text, world_handle.world_doc(), limits).to_dict())
+    def header():
+        world = world_handle.world
+        return EpisodeHeader(request.id, request.text, None if world is None else world.to_dict(), limits).to_dict()
+
+    record(header)
 
     def finish(verdict, reason, steps, rounds, memory):
+        world = world_handle.world
         result = EpisodeResult(
             request_id=request.id,
             verdict=verdict,
@@ -240,7 +242,7 @@ def run_episode(
             steps=steps,
             rounds=rounds,
             trace=memory,
-            final_world_digest=world_handle.world_digest(),
+            final_world_digest=None if world is None else sim.world_digest(world),
         )
         if records is not None:
             records.append(EpisodeFooter(verdict, reason, steps, rounds, result.final_world_digest).to_dict())
@@ -276,7 +278,7 @@ def run_episode(
             consecutive_errors += 1
             record(lambda: {"type": "round_error", "round": rounds - 1,
                             "error": f"{type(exc).__name__}: {exc}"})
-            if consecutive_errors >= replan_after_errors > 0:
+            if consecutive_errors >= REPLAN_AFTER_ERRORS:
                 if replans_used == 0:
                     try:
                         host_decision, host_raw, host_prompt = plan_with_raw(

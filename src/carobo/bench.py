@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
@@ -21,7 +22,7 @@ from .app import (
     Verdict,
     run_episode,
 )
-from .bridge import BridgeRobot, TcpRobotServer, start_local_robot, tcp_connect
+from .bridge import BridgeRobot, TcpRobotServer, parse_endpoint, start_local_robot, tcp_connect
 from .llm import BackendConfig, ReplayConfig, ScriptedConfig
 from .model import (
     CaroboError,
@@ -406,12 +407,13 @@ def scripted_pair(policy_id: str) -> BackendPair:
     return pick
 
 
-def replay_pair(trace_dir) -> BackendPair:
+def replay_pair(trace_dir, max_retries: int = 3) -> BackendPair:
     """Host and app share one recorded completion stream per scenario."""
     trace_dir = Path(trace_dir)
 
     def pick(spec: ScenarioSpec):
-        cfg = BackendConfig(kind=ReplayConfig(trace_path=str(trace_dir / f"{spec.id}.jsonl")))
+        cfg = BackendConfig(kind=ReplayConfig(trace_path=str(trace_dir / f"{spec.id}.jsonl")),
+                            max_retries=max_retries)
         return cfg, cfg
 
     return pick
@@ -424,31 +426,40 @@ def fixed_pair(host_cfg: BackendConfig, app_cfg: Optional[BackendConfig] = None)
     return pick
 
 
-def open_robot(world: sim.WorldState, transport: str):
-    """Host `world` on `transport`; returns (robot handle, world getter, cleanup).
+@contextmanager
+def open_robot(transport: str, world: Optional[sim.WorldState] = None):
+    """Open a robot handle on `transport`; on exit, close what was opened.
 
-    `transport` is direct, local: or tcp: (a TCP server in this process). A
-    robot served by another process cannot be judged, since its world is out
-    of reach; `carobo run` connects to one itself.
+    direct, local: and tcp: (a TCP server in this process) host `world` here.
+    tcp:HOST:PORT connects to a robot that another process serves and owns
+    the world of, so it takes no world, and the handle's `world` is None.
     """
-    if transport == "direct":
-        handle = sim.SimRobot(world)
-        return handle, (lambda: handle.world), handle.close
-    if transport in ("local", "local:"):
-        client, service, shutdown = start_local_robot(world)
-        handle = BridgeRobot(client, world_getter=lambda: service.world)
-        return handle, (lambda: service.world), shutdown
-    if transport in ("tcp", "tcp:"):
-        server = TcpRobotServer(world).start()
-        conn = tcp_connect(server.host, server.port)
-        handle = BridgeRobot(conn, world_getter=lambda: server.service.world)
-
-        def cleanup():
-            handle.close()
-            server.stop()
-
-        return handle, (lambda: server.service.world), cleanup
-    raise CaroboError(f"transport must be direct, local: or tcp: to host a world here, got {transport!r}")
+    remote = transport.startswith("tcp:") and transport != "tcp:"
+    if remote:
+        address = parse_endpoint(transport)
+        if world is not None:
+            raise CaroboError(f"transport {transport!r} reaches a robot that another process serves "
+                              "with its own world; it cannot host a world from here")
+    elif transport not in ("direct", "local", "local:", "tcp", "tcp:"):
+        raise CaroboError(f"transport must be direct, local:, tcp: or tcp:HOST:PORT, got {transport!r}")
+    elif world is None:
+        raise CaroboError(f"transport {transport!r} hosts the robot here and needs a world (--world FILE)")
+    with ExitStack() as stack:
+        if transport == "direct":
+            handle = sim.SimRobot(world)
+        elif transport in ("local", "local:"):
+            client, robot, shutdown = start_local_robot(world)
+            stack.callback(shutdown)
+            handle = BridgeRobot(client, robot)
+        elif remote:
+            handle = BridgeRobot(tcp_connect(*address))
+            stack.callback(handle.close)
+        else:
+            server = TcpRobotServer(world).start()
+            stack.callback(server.stop)
+            handle = BridgeRobot(tcp_connect(server.host, server.port), server.robot)
+            stack.callback(handle.close)
+        yield handle
 
 
 def run_scenario(
@@ -458,9 +469,7 @@ def run_scenario(
     trace_path=None,
 ) -> Tuple[Row, EpisodeResult]:
     host_cfg, app_cfg = backends(spec)
-    world = spec.load_world()
-    handle, get_world, cleanup = open_robot(world, transport)
-    try:
+    with open_robot(transport, spec.load_world()) as handle:
         result = run_episode(
             UserRequest(text=spec.request_text, id=spec.id),
             handle,
@@ -469,9 +478,7 @@ def run_scenario(
             limits=spec.limits,
             trace_path=trace_path,
         )
-        judgment = judge(result, get_world(), spec.goal)
-    finally:
-        cleanup()
+        judgment = judge(result, handle.world, spec.goal)
     row = Row(
         scenario_id=spec.id,
         domain=spec.domain,

@@ -5,10 +5,13 @@ Four fixed topics carry typed payloads; envelopes are newline-delimited
 in-process transport and a TCP socket. Sequence numbers increase by one per
 (connection, topic) and receivers audit the gaps.
 
-Protocol served by a robot: on connect the server publishes one sensor and one
-vision envelope; for every command it publishes exec, then sensor, then vision.
-Over TCP a robot thread serves the connection; the in-process robot answers
-each command on the thread that publishes it.
+The robot end serves a `sim.SimRobot`, the same handle the `direct`
+transport uses: on connect it publishes the robot's connect() state as one
+sensor and one vision envelope; for every command it publishes the robot's
+execute() result as exec, then sensor, then vision. Over TCP a robot thread
+serves the connection; the in-process robot answers each command on the
+thread that publishes it. `bench.open_robot` opens a handle on any transport,
+including a robot that another process serves at `tcp:HOST:PORT`.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .model import CaroboError, Command, ExecResult, Observation, SensorData, canonical_json
 from . import sim
@@ -188,14 +191,14 @@ class _ConnectionBase:
 class LocalConnection(_ConnectionBase):
     """One end of an in-process duplex pair.
 
-    An end with a `service` is a robot: each command line that reaches it is
+    An end with a `robot` serves it: each command line that reaches it is
     answered at once, on the sender's thread.
     """
 
     def __init__(self):
         super().__init__()
         self.peer: Optional["LocalConnection"] = None
-        self.service: Optional["RobotService"] = None
+        self.robot: Optional[sim.SimRobot] = None
 
     def _send_line(self, line: str):
         peer = self.peer
@@ -204,7 +207,7 @@ class LocalConnection(_ConnectionBase):
         # round-trip through the wire encoding keeps both transports honest
         topic, seq, timestamp, doc = decode_line(line)
         peer._inbox.put(topic, seq, timestamp, doc)
-        if topic == TOPIC_CMD and peer.service is not None and not peer.service.answer(peer):
+        if topic == TOPIC_CMD and peer.robot is not None and not answer(peer.robot, peer):
             peer.close()
 
     def close(self):
@@ -290,82 +293,81 @@ def parse_endpoint(endpoint: str) -> Tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Robot service: the simulator behind a connection
+# Serving a SimRobot behind a connection
 
-class RobotService:
-    """Owns a world and answers one connection at a time."""
+def _publish_connect(robot: sim.SimRobot, conn):
+    sensors, obs = robot.connect()
+    conn.publish(TOPIC_SENSOR, sensors)
+    conn.publish(TOPIC_VISION, obs)
 
-    def __init__(self, world: sim.WorldState):
-        self.world = world
 
-    def publish_state(self, conn):
-        conn.publish(TOPIC_SENSOR, sim.read_sensors(self.world))
-        conn.publish(TOPIC_VISION, sim.render_camera(self.world))
+def answer(robot: sim.SimRobot, conn, timeout_ms: Optional[float] = 0) -> bool:
+    """Read one command from `conn`, execute it on `robot`, and publish exec,
+    then sensor, then vision.
 
-    def answer(self, conn, timeout_ms: Optional[float] = 0) -> bool:
-        """Read one command from `conn` and publish exec, then sensor, then vision.
-
-        Returns False when the connection is done: the peer left, or the
-        command was malformed and got an error envelope on the exec topic.
-        The caller then closes `conn`. A BridgeTimeout from the read propagates.
-        """
+    Returns False when the connection is done: the peer left, or the command
+    was malformed and got an error envelope on the exec topic. The caller
+    then closes `conn`. A BridgeTimeout from the read propagates.
+    """
+    try:
+        env = conn.next_message(TOPIC_CMD, timeout_ms)
+    except BridgeTimeout:
+        raise
+    except ConnectionClosed:
+        return False
+    except CaroboError as exc:
+        # malformed command payload: report it before the connection drops
         try:
-            env = conn.next_message(TOPIC_CMD, timeout_ms)
-        except BridgeTimeout:
-            raise
+            conn.publish_error(TOPIC_EXEC, f"bad command: {exc}")
         except ConnectionClosed:
-            return False
-        except CaroboError as exc:
-            # malformed command payload: report it before the connection drops
+            pass
+        return False
+    result, sensors, obs = robot.execute(env.payload)
+    conn.publish(TOPIC_EXEC, result)
+    conn.publish(TOPIC_SENSOR, sensors)
+    conn.publish(TOPIC_VISION, obs)
+    return True
+
+
+def serve(robot: sim.SimRobot, conn, stop: Optional[threading.Event] = None):
+    """Serve `robot` on `conn` until the peer disconnects or `stop` is set."""
+    try:
+        _publish_connect(robot, conn)
+        while stop is None or not stop.is_set():
             try:
-                conn.publish_error(TOPIC_EXEC, f"bad command: {exc}")
-            except ConnectionClosed:
-                pass
-            return False
-        self.world, result = sim.apply_command(self.world, env.payload)
-        conn.publish(TOPIC_EXEC, result)
-        self.publish_state(conn)
-        return True
-
-    def handle(self, conn, stop: Optional[threading.Event] = None):
-        """Serve commands until the peer disconnects or `stop` is set."""
-        try:
-            self.publish_state(conn)
-            while stop is None or not stop.is_set():
-                try:
-                    if not self.answer(conn, timeout_ms=200):
-                        return
-                except BridgeTimeout:
-                    continue
-        except ConnectionClosed:
-            return
-        finally:
-            conn.close()
+                if not answer(robot, conn, timeout_ms=200):
+                    return
+            except BridgeTimeout:
+                continue
+    except ConnectionClosed:
+        return
+    finally:
+        conn.close()
 
 
 def start_local_robot(world: sim.WorldState):
-    """Host `world` in process; returns (client connection, service, shutdown).
+    """Host `world` in process; returns (client connection, SimRobot, shutdown).
 
     Starts no thread: the connect state is published here, and each command
     the client publishes is answered before its publish returns.
     """
     client, server = local_pair()
-    service = RobotService(world)
-    server.service = service
-    service.publish_state(server)
+    robot = sim.SimRobot(world)
+    server.robot = robot
+    _publish_connect(robot, server)
 
     def shutdown():
         client.close()
         server.close()
 
-    return client, service, shutdown
+    return client, robot, shutdown
 
 
 class TcpRobotServer:
-    """TCP listener that serves one robot world to sequential clients."""
+    """TCP listener that serves one SimRobot to sequential clients."""
 
     def __init__(self, world: sim.WorldState, host: str = "127.0.0.1", port: int = 0):
-        self.service = RobotService(world)
+        self.robot = sim.SimRobot(world)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -388,7 +390,7 @@ class TcpRobotServer:
             except OSError:
                 return
             conn = TcpConnection(sock)
-            self.service.handle(conn, self._stop)
+            serve(self.robot, conn, self._stop)
         self._listener.close()
 
     def start(self) -> "TcpRobotServer":
@@ -430,17 +432,21 @@ def serve_robot(world: sim.WorldState, endpoint: str):
 # The bridge as a robot handle for the episode loop
 
 class BridgeRobot:
-    """Adapter giving the episode loop its connect()/execute() surface."""
+    """Adapter giving the episode loop its connect()/execute() surface.
 
-    def __init__(
-        self,
-        conn,
-        world_getter: Optional[Callable[[], sim.WorldState]] = None,
-        timeout_ms: float = 10_000.0,
-    ):
+    `robot` is the SimRobot served at the other end when it runs in this
+    process; a robot served by another process leaves it None.
+    """
+
+    def __init__(self, conn, robot: Optional[sim.SimRobot] = None, timeout_ms: float = 10_000.0):
         self._conn = conn
-        self._world_getter = world_getter
+        self._robot = robot
         self._timeout_ms = timeout_ms
+
+    @property
+    def world(self) -> Optional[sim.WorldState]:
+        """The served robot's world, or None when another process serves it."""
+        return self._robot.world if self._robot is not None else None
 
     def _pull_state(self):
         sensor_env = self._conn.next_message(TOPIC_SENSOR, self._timeout_ms)
@@ -455,14 +461,6 @@ class BridgeRobot:
         exec_env = self._conn.next_message(TOPIC_EXEC, self._timeout_ms)
         sensors, obs = self._pull_state()
         return exec_env.payload, sensors, obs
-
-    def world_doc(self) -> Optional[dict]:
-        world = self._world_getter() if self._world_getter else None
-        return world.to_dict() if world is not None else None
-
-    def world_digest(self) -> Optional[str]:
-        world = self._world_getter() if self._world_getter else None
-        return sim.world_digest(world) if world is not None else None
 
     def close(self):
         self._conn.close()

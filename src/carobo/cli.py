@@ -16,9 +16,8 @@ from .bench import (
     open_robot,
     replay_pair,
     run_suite,
-    scripted_pair,
 )
-from .bridge import BridgeRobot, parse_endpoint, serve_robot, tcp_connect
+from .bridge import serve_robot
 from .llm import BackendConfig, HttpChatConfig, ReplayConfig, ScriptedConfig
 from .model import CaroboError, UserRequest, render_memory
 
@@ -43,15 +42,8 @@ def _backend_cfg(args) -> BackendConfig:
 def cmd_run(args) -> int:
     cfg = _backend_cfg(args)
     limits = EpisodeLimits(max_steps=args.max_steps, max_rounds=args.max_rounds)
-    if args.transport.startswith("tcp:") and args.transport != "tcp:":
-        # a robot served by another process, which owns the world
-        handle = BridgeRobot(tcp_connect(*parse_endpoint(args.transport)))
-        cleanup = handle.close
-    elif not args.world:
-        raise CaroboError(f"transport {args.transport!r} needs --world FILE")
-    else:
-        handle, _get_world, cleanup = open_robot(sim.load_world_file(args.world), args.transport)
-    try:
+    world = sim.load_world_file(args.world) if args.world else None
+    with open_robot(args.transport, world) as handle:
         result = run_episode(
             UserRequest(text=args.request, id=args.request_id),
             handle,
@@ -60,8 +52,6 @@ def cmd_run(args) -> int:
             limits=limits,
             trace_path=args.trace,
         )
-    finally:
-        cleanup()
     history = render_memory(result.trace, len(result.trace))
     if history:
         print(history)
@@ -73,9 +63,7 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     specs = load_benchmark(args.suite)
-    if args.backend == "mock":
-        pair = scripted_pair(args.policy)
-    elif args.backend == "replay":
+    if args.backend == "replay":
         if not args.replay_dir:
             raise CaroboError("--backend replay needs --replay-dir DIR (or a bundled model name)")
         replay_dir = Path(args.replay_dir)
@@ -85,7 +73,7 @@ def cmd_bench(args) -> int:
                 replay_dir = bundled
             else:
                 raise CaroboError(f"no replay directory at {args.replay_dir!r}")
-        pair = replay_pair(replay_dir)
+        pair = replay_pair(replay_dir, args.max_retries)
     else:
         pair = fixed_pair(_backend_cfg(args))
     report = run_suite(specs, pair, transport=args.transport, traces_dir=args.traces_dir)
@@ -151,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one episode for a natural language request")
     run.add_argument("--request", required=True, help="natural language request text")
     run.add_argument("--request-id", default="adhoc")
-    run.add_argument("--world", help="world JSON file (not needed for a remote tcp server)")
+    run.add_argument("--world", help="world JSON file (not taken by a remote tcp:HOST:PORT server)")
     run.add_argument("--backend", choices=("mock", "replay", "http"), default="mock")
     run.add_argument("--policy", default="oracle", help="scripted policy for the mock backend")
     run.add_argument("--replay-trace", help="completion JSONL for the replay backend")

@@ -153,15 +153,14 @@ def parse_template(text: str) -> AgentTemplate:
 _TEMPLATE_CACHE: Dict[Path, Tuple[Tuple[int, int], AgentTemplate]] = {}
 
 
-def load_agent_template(role: str, template_dir: Optional[Path] = None) -> AgentTemplate:
-    """Load host_agent.tmpl / app_agent.tmpl from the given directory (or bundled).
+def load_agent_template(role: str) -> AgentTemplate:
+    """Load the bundled host_agent.tmpl / app_agent.tmpl.
 
     Each file is read once per process and again only when its modification
     time or size changes, so an edited template reloads. The result is shared,
     so it is read-only.
     """
-    base = Path(template_dir) if template_dir else _TEMPLATE_DIR
-    path = base / f"{role}_agent.tmpl"
+    path = _TEMPLATE_DIR / f"{role}_agent.tmpl"
     st = path.stat()
     stamp = (st.st_mtime_ns, st.st_size)
     cached = _TEMPLATE_CACHE.get(path)
@@ -208,15 +207,17 @@ class ReplayConfig:
 class BackendConfig:
     kind: Union[HttpChatConfig, ScriptedConfig, ReplayConfig]
     max_retries: int = 3
-    temperature: float = 0.0
+
+    def __post_init__(self):
+        if self.max_retries < 0:
+            raise CaroboError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
 class HttpChatBackend:
     """POSTs an OpenAI-style chat payload and extracts the first choice."""
 
-    def __init__(self, cfg: HttpChatConfig, temperature: float = 0.0):
+    def __init__(self, cfg: HttpChatConfig):
         self.cfg = cfg
-        self.temperature = temperature
 
     def _messages(self, prompt: Prompt) -> list:
         messages = [{"role": "system", "content": prompt.system}]
@@ -234,7 +235,7 @@ class HttpChatBackend:
         body = {
             "model": self.cfg.model_name,
             "messages": self._messages(prompt),
-            "temperature": self.temperature,
+            "temperature": 0.0,
         }
         try:
             resp = requests.post(
@@ -307,7 +308,7 @@ class ReplayBackend:
 
 def make_backend(cfg: BackendConfig):
     if isinstance(cfg.kind, HttpChatConfig):
-        return HttpChatBackend(cfg.kind, temperature=cfg.temperature)
+        return HttpChatBackend(cfg.kind)
     if isinstance(cfg.kind, ScriptedConfig):
         return ScriptedBackend(cfg.kind)
     if isinstance(cfg.kind, ReplayConfig):

@@ -544,8 +544,9 @@ def world_digest(world: WorldState) -> str:
 class SimRobot:
     """The simulator exposed as a robot handle, no transport in between.
 
-    Satisfies the same connect()/execute() surface as a bridge connection, so
-    the episode loop cannot tell them apart.
+    The bridge serves one of these, and its client-side `BridgeRobot` has the
+    same connect()/execute()/world surface, so the episode loop cannot tell
+    them apart. `world` is the current world state.
     """
 
     def __init__(self, world: WorldState):
@@ -557,12 +558,3 @@ class SimRobot:
     def execute(self, command: Command):
         self.world, result = apply_command(self.world, command)
         return result, result.sensor_after, render_camera(self.world)
-
-    def world_doc(self) -> dict:
-        return self.world.to_dict()
-
-    def world_digest(self) -> str:
-        return world_digest(self.world)
-
-    def close(self):
-        pass

@@ -211,18 +211,19 @@ def test_episode_trace_has_no_wall_clock(tmp_path):
 
 
 def test_untraced_episode_builds_no_records_and_loads_each_template_once(tmp_path, monkeypatch):
-    """Without a trace path no record is built, so the world document is never
-    asked for, and each agent template is loaded once per episode, not once
-    per prompt."""
+    """Without a trace path no record is built: neither the header, with its
+    world document, nor the footer. Each agent template is loaded once per
+    episode, not once per prompt."""
     loads = []
     monkeypatch.setattr(app, "load_agent_template", lambda role: loads.append(role) or llm.load_agent_template(role))
 
-    class NoDocRobot(SimRobot):
-        def world_doc(self):
-            raise AssertionError("world document built for an untraced episode")
+    def built(*_args):
+        raise AssertionError("trace record built for an untraced episode")
 
+    monkeypatch.setattr(app, "EpisodeHeader", built)
+    monkeypatch.setattr(app, "EpisodeFooter", built)
     cfg = replay_cfg(tmp_path, [HOST_LINE, forward_line(), forward_line(), FINISH_LINE])
-    result = run_episode(UserRequest(text="r"), NoDocRobot(empty_world()), cfg, cfg)
+    result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg, cfg)
     assert (result.verdict, result.rounds) == (Verdict.SUCCESS, 3)
     assert sorted(loads) == ["app", "host"]
 

@@ -1,10 +1,10 @@
-"""Message bridge: wire format, sequencing, transports, the robot service."""
+"""Message bridge: wire format, sequencing, transports, the served robot."""
 import threading
 import time
 
 import pytest
 
-from carobo import bench
+from carobo import bench, sim
 from carobo.bridge import (
     TOPIC_CMD,
     TOPIC_EXEC,
@@ -203,10 +203,10 @@ def test_seq_gap_detected():
 
 
 # ---------------------------------------------------------------------------
-# Robot service over the local bridge
+# A SimRobot served over the local bridge
 
 def test_local_robot_protocol():
-    client, service, shutdown = start_local_robot(load_world(world_doc([a_box()])))
+    client, robot, shutdown = start_local_robot(load_world(world_doc([a_box()])))
     try:
         # connection starts with one sensor and one vision message
         sensors = client.next_message(TOPIC_SENSOR, timeout_ms=2000).payload
@@ -222,32 +222,32 @@ def test_local_robot_protocol():
         vision = client.next_message(TOPIC_VISION, timeout_ms=2000).payload
         assert sensors.ultrasonic_clearance == 4.0
         assert len(vision.items) == 0
-        assert service.world.robot.heading == 90.0
+        assert robot.world.robot.heading == 90.0
     finally:
         shutdown()
 
 
 def test_bridge_robot_handle_matches_direct_sim():
     direct = SimRobot(load_world(world_doc([a_box()])))
-    client, service, shutdown = start_local_robot(load_world(world_doc([a_box()])))
-    bridged = BridgeRobot(client, world_getter=lambda: service.world)
+    client, robot, shutdown = start_local_robot(load_world(world_doc([a_box()])))
+    bridged = BridgeRobot(client, robot)
     try:
         assert direct.connect() == bridged.connect()
         for cmd in (Command.forward(0.4), Command.left(90), Command.buzz(0.5)):
             assert direct.execute(cmd) == bridged.execute(cmd)
-        assert direct.world_digest() == bridged.world_digest()
-        assert direct.world_doc() == bridged.world_doc()
+        assert bridged.world is robot.world
+        assert direct.world.to_dict() == bridged.world.to_dict()
     finally:
         shutdown()
 
 
-def test_bridge_robot_without_world_getter():
-    client, _service, shutdown = start_local_robot(load_world(world_doc()))
+def test_bridge_robot_without_a_served_robot_has_no_world():
+    client, _robot, shutdown = start_local_robot(load_world(world_doc()))
     bridged = BridgeRobot(client)
     try:
         bridged.connect()
-        assert bridged.world_doc() is None
-        assert bridged.world_digest() is None
+        bridged.execute(Command.left(90))
+        assert bridged.world is None
     finally:
         shutdown()
 
@@ -255,18 +255,18 @@ def test_bridge_robot_without_world_getter():
 def test_local_robot_starts_no_thread():
     # compared as sets: a thread an earlier test left behind may end meanwhile
     before = set(threading.enumerate())
-    client, service, shutdown = start_local_robot(load_world(world_doc([a_box()])))
-    robot = BridgeRobot(client, world_getter=lambda: service.world)
+    client, served, shutdown = start_local_robot(load_world(world_doc([a_box()])))
+    robot = BridgeRobot(client, served)
     robot.connect()
     robot.execute(Command.left(90))
     assert set(threading.enumerate()) <= before
     shutdown()
     assert set(threading.enumerate()) <= before
-    assert service.world.robot.heading == 90.0
+    assert robot.world.robot.heading == 90.0
 
 
 def test_local_malformed_command_gets_error_envelope():
-    client, _service, shutdown = start_local_robot(load_world(world_doc()))
+    client, _robot, shutdown = start_local_robot(load_world(world_doc()))
     try:
         client.next_message(TOPIC_SENSOR, timeout_ms=2000)
         client.next_message(TOPIC_VISION, timeout_ms=2000)
@@ -280,6 +280,22 @@ def test_local_malformed_command_gets_error_envelope():
             client.publish(TOPIC_CMD, Command.left(90))
     finally:
         shutdown()
+
+
+def test_served_robot_reads_the_sensors_once_per_command(monkeypatch):
+    """A bridge serves the SimRobot's own connect()/execute(), so it reads the
+    sensors exactly as often as the direct robot: once per connect and once
+    per command (20 connects and 71 commands over the oracle suite)."""
+    calls = []
+    read_sensors = sim.read_sensors
+    monkeypatch.setattr(sim, "read_sensors", lambda world: calls.append(world) or read_sensors(world))
+    specs = bench.load_benchmark(bench.default_suite_path())
+    counts = {}
+    for transport in ("direct", "local:", "tcp:"):
+        report = bench.run_suite(specs, bench.scripted_pair("oracle"), transport=transport)
+        assert report.overall_rate == 100.0
+        counts[transport], calls[:] = len(calls), []
+    assert counts == {"direct": 91, "local:": 91, "tcp:": 91}
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +327,7 @@ def test_tcp_sequential_clients_share_the_world():
         second.connect()
         second.execute(Command.left(90))
         second.close()
-        assert server.service.world.robot.heading == 180.0
+        assert server.robot.world.robot.heading == 180.0
     finally:
         server.stop()
 

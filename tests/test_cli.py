@@ -1,4 +1,5 @@
 """Command line entry points, exercised through main(argv)."""
+import itertools
 import json
 import shutil
 import socket
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from carobo import policies
 from carobo.bench import DATA_DIR, default_suite_path, load_benchmark
 from carobo.bridge import TcpRobotServer
 from carobo.cli import main
@@ -81,6 +83,22 @@ def test_run_http_needs_endpoint(capsys):
 def test_run_replay_needs_trace(capsys):
     code = main(["run", "--request", "x", "--world", world_file("sa_1"), "--backend", "replay"])
     assert code == 2
+
+
+def test_run_rejects_a_world_for_a_remote_robot(capsys):
+    # the served robot owns its world; the run must fail before it connects
+    world = load_world(json.loads(Path(world_file("obj_1")).read_text(encoding="utf-8")))
+    server = TcpRobotServer(world).start()
+    try:
+        code = main(["run", "--request", request_of("obj_1"), "--world", world_file("obj_1"),
+                     "--transport", f"tcp:127.0.0.1:{server.port}"])
+    finally:
+        server.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"tcp:127.0.0.1:{server.port}" in captured.err and "cannot host a world" in captured.err
+    assert server.robot.world is world
 
 
 def test_run_without_world(capsys):
@@ -213,6 +231,54 @@ def test_bench_names_a_malformed_world_file(tmp_path, capsys):
     assert main(["bench", "--suite", str(tmp_path / "suite.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read world ") and str(bad.resolve()) in err
+
+
+HOST_LINE = json.dumps({"observation": "o", "thoughts": "t", "plan": ["p"], "comment": "c"})
+FINISH_LINE = json.dumps({"observation": "o", "comment": "done", "status": "FINISH"})
+
+
+def _stuttering_policy(monkeypatch, tmp_path):
+    """A mock policy whose app completions alternate garbage and FINISH."""
+    app_calls = itertools.count()
+
+    def stutter(prompt):
+        if policies._is_host(prompt):
+            return HOST_LINE
+        return "not json" if next(app_calls) % 2 == 0 else FINISH_LINE
+
+    monkeypatch.setitem(policies.POLICIES, "stutter", stutter)
+    return ["--backend", "mock", "--policy", "stutter"]
+
+
+def _stuttering_streams(monkeypatch, tmp_path):
+    """Replay streams of a host plan, garbage and FINISH for every scenario."""
+    for spec in load_benchmark(default_suite_path()):
+        lines = (json.dumps(line) for line in (HOST_LINE, "not json", FINISH_LINE))
+        (tmp_path / f"{spec.id}.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["--backend", "replay", "--replay-dir", str(tmp_path)]
+
+
+@pytest.mark.parametrize("backend", [_stuttering_policy, _stuttering_streams])
+def test_bench_max_retries_reaches_every_backend(tmp_path, monkeypatch, capsys, backend):
+    # with retries the garbage is retried inside round 0; without, it fails round 0
+    argv = ["bench"] + backend(monkeypatch, tmp_path)
+    rounds = {}
+    for retries in ("3", "0"):
+        out = tmp_path / f"report-{retries}.json"
+        assert main(argv + ["--max-retries", retries, "--out", str(out)]) == 0
+        rounds[retries] = {row["rounds"] for row in json.loads(out.read_text())["rows"]}
+    assert rounds == {"3": {1}, "0": {2}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--request", "x", "--world", world_file("cmd_1")],
+    ["bench", "--backend", "mock"],
+    ["bench", "--backend", "replay", "--replay-dir", "gpt-4o"],
+])
+def test_negative_max_retries_exits_two(capsys, argv):
+    assert main(argv + ["--max-retries", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_retries must be >= 0") and err.count("\n") == 1
 
 
 def test_bench_replay_needs_directory(capsys):

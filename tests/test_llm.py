@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from carobo import llm
 from carobo.llm import (
     BLOCK_ORDER,
     AppDecision,
@@ -98,14 +99,15 @@ def test_bundled_templates_parse():
     assert "plan" in app.block_formats and "plan" not in host.block_formats
 
 
-def test_templates_are_parsed_once_and_reloaded_when_edited(tmp_path):
+def test_templates_are_parsed_once_and_reloaded_when_edited(tmp_path, monkeypatch):
     assert load_agent_template("app") is load_agent_template("app")
+    monkeypatch.setattr(llm, "_TEMPLATE_DIR", tmp_path)
     path = tmp_path / "app_agent.tmpl"
     path.write_text("== system ==\nfirst\n== block request ==\nAsk:\n{request}\n", encoding="utf-8")
-    first = load_agent_template("app", tmp_path)
+    first = load_agent_template("app")
     assert first.system == "first"
     path.write_text("== system ==\nsecond\n", encoding="utf-8")
-    second = load_agent_template("app", tmp_path)
+    second = load_agent_template("app")
     assert second.system == "second" and "request" not in second.block_formats
     with pytest.raises(TypeError):
         first.block_formats["request"] = "changed for every caller"
@@ -113,9 +115,10 @@ def test_templates_are_parsed_once_and_reloaded_when_edited(tmp_path):
 
 
 def test_template_is_read_again_only_when_its_stat_changes(tmp_path, monkeypatch):
+    monkeypatch.setattr(llm, "_TEMPLATE_DIR", tmp_path)
     path = tmp_path / "host_agent.tmpl"
     path.write_text("== system ==\none\n", encoding="utf-8")
-    first = load_agent_template("host", tmp_path)
+    first = load_agent_template("host")
     stamp = path.stat()
     # same size, same modification time: the cached template stands
     path.write_text("== system ==\ntwo\n", encoding="utf-8")
@@ -123,9 +126,9 @@ def test_template_is_read_again_only_when_its_stat_changes(tmp_path, monkeypatch
     reads = []
     real_read_text = Path.read_text
     monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: reads.append(self) or real_read_text(self, *a, **k))
-    assert load_agent_template("host", tmp_path) is first and reads == []
+    assert load_agent_template("host") is first and reads == []
     os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns + 1))
-    assert load_agent_template("host", tmp_path).system == "two" and reads == [path]
+    assert load_agent_template("host").system == "two" and reads == [path]
 
 
 def test_assemble_prompt_fills_block_formats():
