@@ -21,6 +21,7 @@ from .llm import (
     AppDecision,
     Prompt,
     assemble_prompt,
+    complete_and_parse,
     load_agent_template,
     make_backend,
     parse_app_decision,
@@ -147,23 +148,15 @@ def decide_with_raw(
     obs: Observation,
     sensors: SensorData,
     memory: MemoryLog,
-    backend_cfg: BackendConfig,
-    backend=None,
+    backend,
+    max_retries: int,
     template: Optional[AgentTemplate] = None,
 ) -> Tuple[AppDecision, str, Prompt]:
     """Decide with retries; returns the decision, the raw completion it was
     parsed from and the prompt, which a trace record digests."""
-    backend = backend or make_backend(backend_cfg)
     prompt = build_app_prompt(request, global_plan, obs, sensors, memory, template=template)
-    raw_holder = {}
-
-    def attempt():
-        raw = backend.complete(prompt)
-        raw_holder["raw"] = raw
-        return parse_app_decision(raw)
-
-    decision = with_retry(attempt, backend_cfg.max_retries)
-    return decision, raw_holder.get("raw", ""), prompt
+    decision, raw = with_retry(lambda: complete_and_parse(backend, prompt, parse_app_decision), max_retries)
+    return decision, raw, prompt
 
 
 def render_trace(records: list) -> str:
@@ -190,13 +183,11 @@ def read_trace(path) -> list:
 def run_episode(
     request: UserRequest,
     world_handle,
-    backend_cfg_host: BackendConfig,
-    backend_cfg_app: BackendConfig,
+    backend_cfg: BackendConfig,
     limits: Optional[EpisodeLimits] = None,
     *,
     trace_path=None,
-    host_backend=None,
-    app_backend=None,
+    backend=None,
 ) -> EpisodeResult:
     """Run one full episode against a robot handle.
 
@@ -205,7 +196,10 @@ def run_episode(
     that is the robot's WorldState, or None when another process serves the
     robot; both the direct simulator and the message bridge satisfy it.
 
-    The host plans once up front. If the app agent's decisions fail
+    Both agents call one backend, made from `backend_cfg` unless `backend`
+    is given, and retry each call up to `backend_cfg.max_retries` times; a
+    replay backend serves host and app completions from one stream, in call
+    order. The host plans once up front. If the app agent's decisions fail
     REPLAN_AFTER_ERRORS times in a row the host is consulted one more time;
     a second streak aborts the episode as a backend failure.
 
@@ -213,11 +207,9 @@ def run_episode(
     agent templates are loaded once per episode.
     """
     limits = limits or EpisodeLimits()
-    if host_backend is None:
-        host_backend = make_backend(backend_cfg_host)
-    if app_backend is None:
-        # a shared replay trace interleaves host and app calls on one cursor
-        app_backend = host_backend if backend_cfg_app == backend_cfg_host else make_backend(backend_cfg_app)
+    if backend is None:
+        backend = make_backend(backend_cfg)
+    max_retries = backend_cfg.max_retries
     host_template = load_agent_template("host")
     app_template = load_agent_template("app")
 
@@ -249,79 +241,68 @@ def run_episode(
             write_trace(records, trace_path)
         return result
 
+    def plan():
+        """The host's decision on what the robot sees now, recorded; None if the host fails."""
+        try:
+            decision, raw, prompt = plan_with_raw(
+                request, obs, sensors, memory, backend, max_retries, template=host_template,
+            )
+        except CaroboError:
+            return None
+        record(lambda: _host_record(decision, raw, prompt))
+        return decision
+
     sensors, obs = world_handle.connect()
     memory = MemoryLog()
     steps = 0
     rounds = 0
 
-    try:
-        host_decision, host_raw, host_prompt = plan_with_raw(
-            request, obs, sensors, memory, backend_cfg_host,
-            backend=host_backend, template=host_template,
-        )
-    except CaroboError:
+    host_decision = plan()
+    if host_decision is None:
         return finish(Verdict.FAILURE, FailureReason.BACKEND_ERROR, steps, rounds, memory)
-    record(lambda: _host_record(host_decision, host_raw, host_prompt))
     global_plan = host_decision.global_plan
     pending_thoughts: Optional[str] = host_decision.thoughts
 
     consecutive_errors = 0
-    replans_used = 0
+    replanned = False
     while rounds < limits.max_rounds:
         rounds += 1
         try:
             decision, raw, prompt = decide_with_raw(
-                request, global_plan, obs, sensors, memory, backend_cfg_app,
-                backend=app_backend, template=app_template,
+                request, global_plan, obs, sensors, memory, backend, max_retries, template=app_template,
             )
         except CaroboError as exc:
             consecutive_errors += 1
             record(lambda: {"type": "round_error", "round": rounds - 1,
                             "error": f"{type(exc).__name__}: {exc}"})
             if consecutive_errors >= REPLAN_AFTER_ERRORS:
-                if replans_used == 0:
-                    try:
-                        host_decision, host_raw, host_prompt = plan_with_raw(
-                            request, obs, sensors, memory, backend_cfg_host,
-                            backend=host_backend, template=host_template,
-                        )
-                    except CaroboError:
-                        return finish(Verdict.FAILURE, FailureReason.BACKEND_ERROR, steps, rounds, memory)
-                    record(lambda: _host_record(host_decision, host_raw, host_prompt))
-                    global_plan = host_decision.global_plan
-                    replans_used = 1
-                    consecutive_errors = 0
-                else:
+                host_decision = None if replanned else plan()
+                if host_decision is None:
                     return finish(Verdict.FAILURE, FailureReason.BACKEND_ERROR, steps, rounds, memory)
+                global_plan = host_decision.global_plan
+                replanned = True
+                consecutive_errors = 0
             continue
         consecutive_errors = 0
 
-        thoughts = pending_thoughts if len(memory) == 0 else None
-        if decision.status is Status.FINISH:
-            rnd = Round(
-                index=len(memory),
-                observation=obs,
-                thoughts=thoughts,
-                comment=decision.comment,
-                status=Status.FINISH,
-            )
-            memory = append_round(memory, rnd)
-            record(lambda: _round_record(rnd, raw, prompt))
-            return finish(Verdict.SUCCESS, None, steps, rounds, memory)
-
-        exec_result, sensors_next, obs_next = world_handle.execute(decision.command)
-        steps += 1
+        action = exec_result = None
+        if decision.status is Status.CONTINUE:
+            action = decision.command
+            exec_result, sensors_next, obs_next = world_handle.execute(action)
         rnd = Round(
             index=len(memory),
             observation=obs,
-            thoughts=thoughts,
+            thoughts=pending_thoughts if len(memory) == 0 else None,
             comment=decision.comment,
-            action=decision.command,
+            action=action,
             exec_result=exec_result,
-            status=Status.CONTINUE,
+            status=decision.status,
         )
         memory = append_round(memory, rnd)
         record(lambda: _round_record(rnd, raw, prompt))
+        if action is None:
+            return finish(Verdict.SUCCESS, None, steps, rounds, memory)
+        steps += 1
         obs, sensors = obs_next, sensors_next
         if steps >= limits.max_steps:
             break

@@ -396,34 +396,24 @@ def make_report(rows) -> Report:
     return Report(rows=rows, domain_rates=rates, overall_rate=overall)
 
 
-BackendPair = Callable[[ScenarioSpec], Tuple[BackendConfig, BackendConfig]]
+# the one backend both agents of a scenario's episode call
+BackendPair = Callable[[ScenarioSpec], BackendConfig]
 
 
 def scripted_pair(policy_id: str) -> BackendPair:
-    def pick(_spec: ScenarioSpec):
-        cfg = BackendConfig(kind=ScriptedConfig(policy_id=policy_id))
-        return cfg, cfg
-
-    return pick
+    cfg = BackendConfig(kind=ScriptedConfig(policy_id=policy_id))
+    return lambda _spec: cfg
 
 
 def replay_pair(trace_dir, max_retries: int = 3) -> BackendPair:
     """Host and app share one recorded completion stream per scenario."""
     trace_dir = Path(trace_dir)
-
-    def pick(spec: ScenarioSpec):
-        cfg = BackendConfig(kind=ReplayConfig(trace_path=str(trace_dir / f"{spec.id}.jsonl")),
-                            max_retries=max_retries)
-        return cfg, cfg
-
-    return pick
+    return lambda spec: BackendConfig(kind=ReplayConfig(trace_path=str(trace_dir / f"{spec.id}.jsonl")),
+                                      max_retries=max_retries)
 
 
-def fixed_pair(host_cfg: BackendConfig, app_cfg: Optional[BackendConfig] = None) -> BackendPair:
-    def pick(_spec: ScenarioSpec):
-        return host_cfg, app_cfg or host_cfg
-
-    return pick
+def fixed_pair(cfg: BackendConfig) -> BackendPair:
+    return lambda _spec: cfg
 
 
 @contextmanager
@@ -467,14 +457,15 @@ def run_scenario(
     backends: BackendPair,
     transport: str = "direct",
     trace_path=None,
+    world: Optional[sim.WorldState] = None,
 ) -> Tuple[Row, EpisodeResult]:
-    host_cfg, app_cfg = backends(spec)
-    with open_robot(transport, spec.load_world()) as handle:
+    """Run and judge one scenario; `world` is its decoded world file, which
+    is read here when not given."""
+    with open_robot(transport, spec.load_world() if world is None else world) as handle:
         result = run_episode(
             UserRequest(text=spec.request_text, id=spec.id),
             handle,
-            host_cfg,
-            app_cfg,
+            backends(spec),
             limits=spec.limits,
             trace_path=trace_path,
         )
@@ -496,13 +487,14 @@ def run_suite(
     transport: str = "direct",
     traces_dir=None,
 ) -> Report:
+    # a malformed world file stops the suite before any episode runs
+    worlds = [spec.load_world() for spec in specs]
+    if traces_dir is not None:
+        traces_dir = Path(traces_dir)
+        traces_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for spec in specs:
-        trace_path = None
-        if traces_dir is not None:
-            traces_dir = Path(traces_dir)
-            traces_dir.mkdir(parents=True, exist_ok=True)
-            trace_path = traces_dir / f"{spec.id}.jsonl"
-        row, _result = run_scenario(spec, backends, transport=transport, trace_path=trace_path)
+    for spec, world in zip(specs, worlds):
+        trace_path = None if traces_dir is None else traces_dir / f"{spec.id}.jsonl"
+        row, _result = run_scenario(spec, backends, transport=transport, trace_path=trace_path, world=world)
         rows.append(row)
     return make_report(rows)

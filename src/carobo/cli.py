@@ -48,7 +48,6 @@ def cmd_run(args) -> int:
             UserRequest(text=args.request, id=args.request_id),
             handle,
             cfg,
-            cfg,
             limits=limits,
             trace_path=args.trace,
         )
@@ -104,7 +103,6 @@ def cmd_replay(args) -> int:
     result = run_episode(
         UserRequest(text=header.request_text, id=header.request_id),
         sim.SimRobot(sim.load_world(header.world)),
-        cfg,
         cfg,
         limits=header.limits,
         trace_path=args.out,

@@ -7,12 +7,11 @@ from typing import Optional, Tuple
 
 from .llm import (
     AgentTemplate,
-    BackendConfig,
     HostDecision,
     Prompt,
     assemble_prompt,
+    complete_and_parse,
     load_agent_template,
-    make_backend,
     parse_host_decision,
     with_retry,
 )
@@ -53,20 +52,12 @@ def plan_with_raw(
     obs: Observation,
     sensors: SensorData,
     memory: MemoryLog,
-    backend_cfg: BackendConfig,
-    backend=None,
+    backend,
+    max_retries: int,
     template: Optional[AgentTemplate] = None,
 ) -> Tuple[HostDecision, str, Prompt]:
     """Plan with retries; returns the decision, the raw completion it was
     parsed from and the prompt, which a trace record digests."""
-    backend = backend or make_backend(backend_cfg)
     prompt = build_host_prompt(request, obs, sensors, memory, template=template)
-    raw_holder = {}
-
-    def attempt():
-        raw = backend.complete(prompt)
-        raw_holder["raw"] = raw
-        return parse_host_decision(raw)
-
-    decision = with_retry(attempt, backend_cfg.max_retries)
-    return decision, raw_holder.get("raw", ""), prompt
+    decision, raw = with_retry(lambda: complete_and_parse(backend, prompt, parse_host_decision), max_retries)
+    return decision, raw, prompt

@@ -246,9 +246,14 @@ class HttpChatBackend:
         if resp.status_code != 200:
             raise TransportError(f"chat endpoint returned HTTP {resp.status_code}")
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            content = resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"chat endpoint returned an unexpected payload: {exc}") from exc
+        if not isinstance(content, str):
+            raise TransportError(
+                f"chat endpoint returned an unexpected payload: message content is {type(content).__name__}, not a string"
+            )
+        return content
 
 
 class ScriptedBackend:
@@ -269,6 +274,8 @@ class ReplayBackend:
 
     Accepts either a plain trace (one completion per line, JSON-string quoted
     or verbatim) or an episode trace whose records carry a ``raw`` field.
+    Only typed records (objects with a ``type``) without a string ``raw`` are
+    skipped; any other line is served verbatim.
     """
 
     def __init__(self, cfg: ReplayConfig):
@@ -288,12 +295,11 @@ class ReplayBackend:
                 continue
             if isinstance(doc, str):
                 self.completions.append(doc)
-            elif isinstance(doc, dict):
-                if isinstance(doc.get("raw"), str):
-                    self.completions.append(doc["raw"])
-                elif "type" not in doc:
-                    # a bare decision object on its own line is itself the completion
-                    self.completions.append(line)
+            elif isinstance(doc, dict) and isinstance(doc.get("raw"), str):
+                self.completions.append(doc["raw"])
+            elif not (isinstance(doc, dict) and "type" in doc):
+                # a bare decision object, or any other JSON value, is itself the completion
+                self.completions.append(line)
         self.cursor = 0
 
     def complete(self, prompt: Prompt) -> str:
@@ -430,6 +436,13 @@ RETRYABLE_ERRORS = (
     UnknownStatus,
     InvalidCommand,  # covers UnknownCommand and ArgOutOfRange
 )
+
+
+def complete_and_parse(backend, prompt: Prompt, parse: Callable[[str], object]) -> Tuple[object, str]:
+    """One agent attempt: the decision `parse` reads from the backend's
+    completion, and that raw completion, which a trace records."""
+    raw = backend.complete(prompt)
+    return parse(raw), raw
 
 
 def with_retry(attempt: Callable[[], object], max_retries: int):

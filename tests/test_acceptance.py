@@ -24,7 +24,6 @@ from carobo.bench import (
 from carobo.host import plan_with_raw
 from carobo.llm import (
     AppDecision,
-    BackendConfig,
     GlobalPlan,
     HostDecision,
     MalformedDecision,
@@ -396,8 +395,8 @@ def test_criterion_7_parser_robustness(tmp_path):
             UserRequest(text="x"), Observation.from_items(()),
             SensorData(ultrasonic_clearance=4.0, ir_left=False, ir_right=False),
             MemoryLog(),
-            BackendConfig(kind=ReplayConfig(trace_path=str(garbage)), max_retries=2),
-            backend=backend,
+            backend,
+            max_retries=2,
         )
     assert backend.cursor == 3, f"host consumed {backend.cursor} completions, wanted 3"
 

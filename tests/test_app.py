@@ -73,7 +73,7 @@ def test_app_prompt_carries_plan_and_window():
 
 def test_finish_on_first_round_counts_no_steps(tmp_path):
     cfg = replay_cfg(tmp_path, [HOST_LINE, FINISH_LINE])
-    result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg, cfg)
+    result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg)
     assert result.verdict is Verdict.SUCCESS
     assert result.failure_reason is None
     assert (result.steps, result.rounds) == (0, 1)
@@ -86,7 +86,7 @@ def test_finish_on_first_round_counts_no_steps(tmp_path):
 def test_step_limit_failure(tmp_path):
     cfg = replay_cfg(tmp_path, [HOST_LINE] + [forward_line(0.1)] * 10)
     result = run_episode(
-        UserRequest(text="r"), SimRobot(empty_world()), cfg, cfg,
+        UserRequest(text="r"), SimRobot(empty_world()), cfg,
         limits=EpisodeLimits(max_steps=4),
     )
     assert result.verdict is Verdict.FAILURE
@@ -96,7 +96,7 @@ def test_step_limit_failure(tmp_path):
 
 def test_steps_count_only_dispatched_commands(tmp_path):
     cfg = replay_cfg(tmp_path, [HOST_LINE, forward_line(), forward_line(), FINISH_LINE])
-    result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg, cfg)
+    result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg)
     assert result.verdict is Verdict.SUCCESS
     assert (result.steps, result.rounds) == (2, 3)
     assert [r.status for r in result.trace.rounds] == [
@@ -109,7 +109,7 @@ def test_retry_consumes_garbage_within_a_round(tmp_path):
     # with retries in budget, a bad completion is retried inside the same
     # round; the next line serves as the retry's answer
     cfg = replay_cfg(tmp_path, [HOST_LINE, "garbage", forward_line(), FINISH_LINE])
-    result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg, cfg)
+    result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg)
     assert result.verdict is Verdict.SUCCESS
     assert (result.steps, result.rounds) == (1, 2)
 
@@ -120,7 +120,7 @@ def test_round_errors_are_rounds_but_not_steps(tmp_path):
     )
     trace_path = tmp_path / "episode.jsonl"
     result = run_episode(
-        UserRequest(text="r"), SimRobot(empty_world()), cfg, cfg, trace_path=trace_path,
+        UserRequest(text="r"), SimRobot(empty_world()), cfg, trace_path=trace_path,
     )
     assert result.verdict is Verdict.SUCCESS
     assert (result.steps, result.rounds) == (1, 3)
@@ -135,7 +135,7 @@ def test_three_consecutive_errors_trigger_one_replan(tmp_path):
     cfg = replay_cfg(tmp_path, lines, max_retries=0)
     trace_path = tmp_path / "episode.jsonl"
     result = run_episode(
-        UserRequest(text="r"), SimRobot(empty_world()), cfg, cfg, trace_path=trace_path,
+        UserRequest(text="r"), SimRobot(empty_world()), cfg, trace_path=trace_path,
     )
     assert result.verdict is Verdict.SUCCESS
     assert result.rounds == 4  # three failed decides plus the finish
@@ -149,7 +149,7 @@ def test_three_consecutive_errors_trigger_one_replan(tmp_path):
 def test_second_error_streak_aborts(tmp_path):
     lines = [HOST_LINE, "x", "x", "x", HOST_LINE, "x", "x", "x"]
     cfg = replay_cfg(tmp_path, lines, max_retries=0)
-    result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg, cfg)
+    result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg)
     assert result.verdict is Verdict.FAILURE
     assert result.failure_reason is FailureReason.BACKEND_ERROR
     assert result.steps == 0
@@ -160,7 +160,7 @@ def test_errors_interleaved_with_progress_do_not_replan(tmp_path):
     cfg = replay_cfg(tmp_path, lines, max_retries=0)
     trace_path = tmp_path / "episode.jsonl"
     result = run_episode(
-        UserRequest(text="r"), SimRobot(empty_world()), cfg, cfg, trace_path=trace_path,
+        UserRequest(text="r"), SimRobot(empty_world()), cfg, trace_path=trace_path,
     )
     assert result.verdict is Verdict.SUCCESS
     assert result.steps == 2
@@ -170,7 +170,7 @@ def test_errors_interleaved_with_progress_do_not_replan(tmp_path):
 
 def test_host_failure_is_backend_error(tmp_path):
     cfg = replay_cfg(tmp_path, ["garbage"] * 8)
-    result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg, cfg)
+    result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg)
     assert result.verdict is Verdict.FAILURE
     assert result.failure_reason is FailureReason.BACKEND_ERROR
     assert (result.steps, result.rounds) == (0, 0)
@@ -182,7 +182,7 @@ def test_round_limit_backstops_decide_loops(tmp_path):
     lines = [HOST_LINE, "x", forward_line(0.05), "x", forward_line(0.05), "x", forward_line(0.05)]
     cfg = replay_cfg(tmp_path, lines, max_retries=0)
     result = run_episode(
-        UserRequest(text="r"), SimRobot(empty_world()), cfg, cfg,
+        UserRequest(text="r"), SimRobot(empty_world()), cfg,
         limits=EpisodeLimits(max_steps=5, max_rounds=6),
     )
     assert result.verdict is Verdict.FAILURE
@@ -201,7 +201,7 @@ def test_limits_validation():
 def test_episode_trace_has_no_wall_clock(tmp_path):
     cfg = replay_cfg(tmp_path, [HOST_LINE, forward_line(), FINISH_LINE])
     trace_path = tmp_path / "episode.jsonl"
-    run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg, cfg, trace_path=trace_path)
+    run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg, trace_path=trace_path)
     text = trace_path.read_text(encoding="utf-8")
     assert "timestamp" not in text
     header = json.loads(text.splitlines()[0])
@@ -223,7 +223,7 @@ def test_untraced_episode_builds_no_records_and_loads_each_template_once(tmp_pat
     monkeypatch.setattr(app, "EpisodeHeader", built)
     monkeypatch.setattr(app, "EpisodeFooter", built)
     cfg = replay_cfg(tmp_path, [HOST_LINE, forward_line(), forward_line(), FINISH_LINE])
-    result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg, cfg)
+    result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg)
     assert (result.verdict, result.rounds) == (Verdict.SUCCESS, 3)
     assert sorted(loads) == ["app", "host"]
 
@@ -231,7 +231,7 @@ def test_untraced_episode_builds_no_records_and_loads_each_template_once(tmp_pat
 def test_spin_policy_runs_to_step_limit():
     cfg = scripted("spin")
     result = run_episode(
-        UserRequest(text="whatever"), SimRobot(empty_world()), cfg, cfg,
+        UserRequest(text="whatever"), SimRobot(empty_world()), cfg,
         limits=EpisodeLimits(max_steps=5),
     )
     assert result.failure_reason is FailureReason.STEP_LIMIT
@@ -240,15 +240,7 @@ def test_spin_policy_runs_to_step_limit():
 
 def test_shared_backend_for_equal_configs(tmp_path):
     # host consumes line one, app continues on the same cursor: a single
-    # stream only works if both agents share the backend instance
+    # stream only works because both agents call one backend instance
     cfg = replay_cfg(tmp_path, [HOST_LINE, FINISH_LINE])
-    result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg, cfg)
+    result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg)
     assert result.verdict is Verdict.SUCCESS
-
-
-def test_distinct_configs_get_distinct_cursors(tmp_path):
-    host_cfg = replay_cfg(tmp_path, [HOST_LINE], name="host.jsonl")
-    app_cfg = replay_cfg(tmp_path, [FINISH_LINE], name="app.jsonl")
-    result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), host_cfg, app_cfg)
-    assert result.verdict is Verdict.SUCCESS
-    assert result.rounds == 1

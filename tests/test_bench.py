@@ -421,17 +421,15 @@ def test_backend_pair_builders(tmp_path):
     specs = load_benchmark(default_suite_path())
     spec = specs[0]
 
-    host, app = scripted_pair("oracle")(spec)
-    assert host is app and isinstance(host.kind, ScriptedConfig)
-    assert host.kind.policy_id == "oracle"
+    cfg = scripted_pair("oracle")(spec)
+    assert isinstance(cfg.kind, ScriptedConfig)
+    assert cfg.kind.policy_id == "oracle"
 
-    host, app = replay_pair(tmp_path)(spec)
-    assert host is app and isinstance(host.kind, ReplayConfig)
-    assert host.kind.trace_path.endswith(f"{spec.id}.jsonl")
+    cfg = replay_pair(tmp_path)(spec)
+    assert isinstance(cfg.kind, ReplayConfig)
+    assert cfg.kind.trace_path.endswith(f"{spec.id}.jsonl")
 
-    base = host
-    h2, a2 = fixed_pair(base)(spec)
-    assert h2 is base and a2 is base
+    assert fixed_pair(cfg)(spec) is cfg
 
 
 def test_run_scenario_oracle_direct():

@@ -223,14 +223,17 @@ def test_bench_replay_bundles_by_model_name(tmp_path, capsys):
     assert len(report["rows"]) == 20
 
 
-def test_bench_names_a_malformed_world_file(tmp_path, capsys):
+@pytest.mark.parametrize("scenario", ["obj_1", "sa_5"])  # the suite's first and last worlds
+def test_bench_names_a_malformed_world_file(tmp_path, capsys, scenario):
     shutil.copytree(DATA_DIR / "worlds", tmp_path / "worlds")
     shutil.copy(default_suite_path(), tmp_path / "suite.json")
-    bad = tmp_path / "worlds" / "obj_1.json"
+    bad = tmp_path / "worlds" / f"{scenario}.json"
     bad.write_text("{not json\n")
-    assert main(["bench", "--suite", str(tmp_path / "suite.json")]) == 2
+    traces = tmp_path / "traces"
+    assert main(["bench", "--suite", str(tmp_path / "suite.json"), "--traces-dir", str(traces)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read world ") and str(bad.resolve()) in err
+    assert not traces.exists() or not any(traces.iterdir()), "an episode ran before the bad world was read"
 
 
 HOST_LINE = json.dumps({"observation": "o", "thoughts": "t", "plan": ["p"], "comment": "c"})

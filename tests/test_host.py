@@ -4,7 +4,7 @@ import json
 import pytest
 
 from carobo.host import build_host_prompt, plan_with_raw, render_sensors
-from carobo.llm import BackendConfig, MalformedDecision, ScriptedConfig, TransportError
+from carobo.llm import BackendConfig, MalformedDecision, ScriptedConfig, TransportError, make_backend
 from carobo.model import (
     MemoryLog,
     Observation,
@@ -38,7 +38,7 @@ def test_plan_via_scripted_policy():
     request, obs, sensors, memory = _inputs()
     request = UserRequest(text="Describe the features of the object in front")
     cfg = BackendConfig(kind=ScriptedConfig(policy_id="oracle"))
-    decision, _raw, _prompt = plan_with_raw(request, obs, sensors, memory, cfg)
+    decision, _raw, _prompt = plan_with_raw(request, obs, sensors, memory, make_backend(cfg), cfg.max_retries)
     assert decision.global_plan.steps
     assert decision.thoughts
 
@@ -62,19 +62,17 @@ class FlakyBackend:
 
 def test_plan_retries_through_garbage():
     request, obs, sensors, memory = _inputs()
-    cfg = BackendConfig(kind=ScriptedConfig(policy_id="unused"), max_retries=3)
     backend = FlakyBackend(garbage_count=3)
-    decision, _raw, _prompt = plan_with_raw(request, obs, sensors, memory, cfg, backend=backend)
+    decision, _raw, _prompt = plan_with_raw(request, obs, sensors, memory, backend, max_retries=3)
     assert decision.global_plan.steps == ("step",)
     assert backend.calls == 4
 
 
 def test_plan_gives_up_after_budget():
     request, obs, sensors, memory = _inputs()
-    cfg = BackendConfig(kind=ScriptedConfig(policy_id="unused"), max_retries=2)
     backend = FlakyBackend(garbage_count=99)
     with pytest.raises(MalformedDecision):
-        plan_with_raw(request, obs, sensors, memory, cfg, backend=backend)
+        plan_with_raw(request, obs, sensors, memory, backend, max_retries=2)
     assert backend.calls == 3
 
 
@@ -85,6 +83,5 @@ def test_plan_propagates_transport_errors():
         def complete(self, prompt):
             raise TransportError("endpoint down")
 
-    cfg = BackendConfig(kind=ScriptedConfig(policy_id="unused"), max_retries=1)
     with pytest.raises(TransportError):
-        plan_with_raw(request, obs, sensors, memory, cfg, backend=Down())
+        plan_with_raw(request, obs, sensors, memory, Down(), max_retries=1)

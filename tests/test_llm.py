@@ -357,6 +357,7 @@ def test_replay_backend_line_formats(tmp_path):
         json.dumps(json.dumps(decision)),          # JSON-string quoted completion
         json.dumps(decision),                      # bare decision object
         "verbatim not-json completion",            # raw line
+        "42", "[1, 2]", "null", "true",            # other JSON values: verbatim
         json.dumps({"type": "round", "raw": json.dumps(decision), "round": {}}),  # episode record
         json.dumps({"type": "result", "verdict": "Success"}),  # no raw: skipped
     ]
@@ -365,6 +366,7 @@ def test_replay_backend_line_formats(tmp_path):
     assert backend.complete(None) == json.dumps(decision)
     assert backend.complete(None) == json.dumps(decision)
     assert backend.complete(None) == "verbatim not-json completion"
+    assert [backend.complete(None) for _ in range(4)] == ["42", "[1, 2]", "null", "true"]
     assert backend.complete(None) == json.dumps(decision)
     with pytest.raises(ReplayExhausted):
         backend.complete(None)
@@ -469,6 +471,8 @@ def test_http_backend_sends_text_messages_only(endpoint, monkeypatch):
     (200, {"choices": []}, "unexpected payload"),
     (200, {"choices": [{"text": "legacy shape"}]}, "unexpected payload"),
     (200, b"<html>not json</html>", "unexpected payload"),
+    (200, {"choices": [{"message": {"content": None}}]}, "unexpected payload"),
+    (200, {"choices": [{"message": {"content": 42}}]}, "unexpected payload"),
 ])
 def test_http_backend_failures_are_transport_errors(endpoint, status, doc, message):
     endpoint.reply(status, doc)
@@ -536,15 +540,21 @@ def test_http_backend_times_out_on_a_silent_endpoint(silent_endpoint, time_limit
 
 
 def test_timed_out_round_makes_one_request_per_attempt(silent_endpoint, time_limit):
-    class Planner:
+    cfg = silent_cfg(silent_endpoint.url, max_retries=2)
+
+    class PlanThenEndpoint:
+        """Answers the host itself; sends the app agent's calls to the endpoint."""
+
+        endpoint = make_backend(cfg)
+
         def complete(self, prompt):
+            if prompt.block("plan") is not None:
+                return self.endpoint.complete(prompt)
             return json.dumps({"observation": "o", "thoughts": "t", "plan": ["look"], "comment": "c"})
 
     world = load_world({"robot": {"x": 0.0, "y": 0.0, "heading": 0.0, "camera_pitch": 0.0}})
-    host_cfg = BackendConfig(kind=ScriptedConfig(policy_id="unused"))
     with time_limit(10.0):
-        result = run_episode(UserRequest(text="Look around."), SimRobot(world), host_cfg,
-                             silent_cfg(silent_endpoint.url, max_retries=2),
-                             limits=EpisodeLimits(max_steps=1, max_rounds=1), host_backend=Planner())
+        result = run_episode(UserRequest(text="Look around."), SimRobot(world), cfg,
+                             limits=EpisodeLimits(max_steps=1, max_rounds=1), backend=PlanThenEndpoint())
     assert (result.rounds, result.steps) == (1, 0)
     assert len(silent_endpoint.accepted) == 3
