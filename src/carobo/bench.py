@@ -8,6 +8,7 @@ into per-domain and overall success rates.
 from __future__ import annotations
 
 import json
+import os
 import re
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
@@ -307,6 +308,27 @@ def load_benchmark(path) -> Tuple[ScenarioSpec, ...]:
     if any(c != 5 for c in counts.values()) or len(specs) != 20:
         raise CountError(f"suite must hold 5 scenarios per domain, got {counts}")
     return tuple(specs)
+
+
+_last_suite = (None, ())  # (file stamp, specs) of the suite load_suite decoded last
+
+
+def load_suite(path) -> Tuple[ScenarioSpec, ...]:
+    """`load_benchmark(path)`, decoded again only when the path or the file changes.
+
+    `carobo bench --policy oracle` reads the bundled suite for its scenarios
+    and for the oracle's scripts; both are served by one decode. The file
+    is stat'ed on every call, and a new size, mtime or inode decodes it anew.
+    """
+    global _last_suite
+    try:
+        st = os.stat(path)
+    except OSError:
+        return load_benchmark(path)  # which names the unreadable file
+    stamp = (os.fspath(path), st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+    if _last_suite[0] != stamp:
+        _last_suite = (stamp, load_benchmark(path))
+    return _last_suite[1]
 
 
 # ---------------------------------------------------------------------------

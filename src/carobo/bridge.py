@@ -75,7 +75,11 @@ def decode_line(line: str) -> Tuple[str, int, int, dict]:
     topic, seq_s, ts_s, payload_s = parts
     if topic not in TOPICS:
         raise ProtocolError(f"unknown topic: {topic!r}")
+    # ASCII digits only: int() would also take "1_0", " 7 ", "+3" and non-ASCII digits,
+    # and it still refuses digit strings past the interpreter's conversion limit
     try:
+        if not (seq_s.isascii() and seq_s.isdigit() and ts_s.isascii() and ts_s.isdigit()):
+            raise ValueError
         seq = int(seq_s)
         timestamp = int(ts_s)
     except ValueError:

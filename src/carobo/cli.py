@@ -12,7 +12,7 @@ from .bench import (
     bundled_trace_dir,
     default_suite_path,
     fixed_pair,
-    load_benchmark,
+    load_suite,
     open_robot,
     replay_pair,
     run_suite,
@@ -61,7 +61,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    specs = load_benchmark(args.suite)
+    specs = load_suite(args.suite)
     if args.backend == "replay":
         if not args.replay_dir:
             raise CaroboError("--backend replay needs --replay-dir DIR (or a bundled model name)")

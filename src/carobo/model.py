@@ -3,8 +3,9 @@
 Everything here is an immutable dataclass. The `codec` decorator gives a
 dataclass its dict round-trip (`to_dict` / `from_dict`), so the same objects
 travel over the wire, into trace, world and suite files and through prompts
-without a second serialization layer. Angles are decimal degrees, distances
-decimal meters.
+without a second serialization layer, and a `to_json` that writes exactly
+`canonical_json(to_dict())` without building the dicts. Angles are decimal
+degrees, distances decimal meters.
 """
 from __future__ import annotations
 
@@ -58,6 +59,13 @@ def canonical_json(data) -> str:
 
 # ---------------------------------------------------------------------------
 # The dict codec
+#
+# Each coded type becomes Python source: an expression that decodes the JSON
+# value held in a local name, and one that writes the value as canonical
+# JSON. `field_codec`, `_field_plans` and `_json_writer` compile that source
+# with `exec`, the way dataclasses compiles `__init__`, so decoding and
+# writing run as straight-line code rather than as loops over per-field
+# closures.
 
 def _mismatch(expected: str, value) -> SchemaError:
     return SchemaError(f"expected {expected}, got {reprlib.repr(value)}")
@@ -80,18 +88,10 @@ def _exactly(tp, expected: str):
     return check
 
 
-_SCALARS = {float: _float, int: _exactly(int, "an integer"), str: _exactly(str, "a string"),
-            bool: _exactly(bool, "true or false")}
-
-
-def _list(value, size=None):
-    if (type(value) is not list and type(value) is not tuple) or size not in (None, len(value)):
-        raise _mismatch("a list" if size is None else f"a list of {size}", value)
+def _list(value):
+    if type(value) is not list and type(value) is not tuple:
+        raise _mismatch("a list", value)
     return value
-
-
-def _nullable(fn):
-    return lambda value: None if value is None else fn(value)
 
 
 def _optional_arg(tp):
@@ -102,37 +102,93 @@ def _optional_arg(tp):
     return None
 
 
-def field_codec(tp):
-    """(encode, decode) for values of type `tp`; encode is None for plain JSON values.
+# The globals every compiled function starts from. A string is written the
+# way canonical_json writes it (ensure_ascii=False); the constants keep quotes
+# out of write expressions, which are spliced into f-strings.
+_ENV = {
+    "SchemaError": SchemaError, "mismatch": _mismatch, "seq": _list, "isfinite": math.isfinite,
+    "dumps": canonical_json, "write_str": json.encoder.encode_basestring,
+    "to_float": _float, "to_int": _exactly(int, "an integer"), "to_str": _exactly(str, "a string"),
+    "to_bool": _exactly(bool, "true or false"), "NULL": "null", "COMMA": ",", "LB": "[", "RB": "]",
+}
 
-    `tp` is float, int, str, bool, Optional[X], Tuple[X, ...], a fixed tuple
-    of scalars, dict or Dict[str, scalar], an Enum (coded by its value) or a
-    class with `to_dict`/`from_dict`. `decode` checks one JSON value: a wrong
-    JSON type, a non-finite float or an unknown enum value raises SchemaError.
+# scalar type -> (decode, write) source over the local {v}; the fast path
+# inlines the common case, and the call on the other branch does the rest
+_SCALARS = {
+    float: ("({v} if type({v}) is float and isfinite({v}) else to_float({v}))",
+            "(repr({v}) if type({v}) is float and isfinite({v}) else dumps({v}))"),
+    int: ("({v} if type({v}) is int else to_int({v}))", "(repr({v}) if type({v}) is int else dumps({v}))"),
+    str: ("({v} if type({v}) is str else to_str({v}))", "(write_str({v}) if type({v}) is str else dumps({v}))"),
+    bool: ("({v} if type({v}) is bool else to_bool({v}))", "dumps({v})"),
+}
+
+
+def _bind(env: dict, value, stem: str) -> str:
+    """Put `value` in a compiled function's globals under a fresh name; return the name."""
+    name = f"{stem}{len(env)}"
+    env[name] = value
+    return name
+
+
+def _fixed_tuple(args, env: dict) -> Tuple[str, str]:
+    """Names of a compiled decoder and writer, bound in `env`, for Tuple[args]."""
+    n = len(args)
+    parts = [_sources(a, f"value_{i}", env) for i, a in enumerate(args)]
+    unpack = "".join(f"value_{i}, " for i in range(n))
+    decode, write = _bind(env, None, "decode_tuple"), _bind(env, None, "write_tuple")
+    source = [
+        f"def {decode}(value):",
+        f"    if (type(value) is list or type(value) is tuple) and len(value) == {n}:",
+        f"        {unpack}= value",
+        f"        return ({''.join(d + ', ' for _, d, _ in parts)})",
+        f"    raise mismatch('a list of {n}', value)",
+        f"def {write}(value):",
+    ]
+    if all(a in _SCALARS for a in args):
+        source += [f"    if (type(value) is list or type(value) is tuple) and len(value) == {n}:",
+                   f"        {unpack}= value",
+                   f"        return f'[{','.join('{' + w + '}' for _, _, w in parts)}]'"]
+    source.append("    return dumps(list(value))")
+    exec("\n".join(source), env)
+    return decode, write
+
+
+def _sources(tp, v: str, env: dict) -> tuple:
+    """(encode, decode, write) for values of type `tp` held in the local `v`.
+
+    `encode` turns a value into plain JSON data, or is None for a value that
+    already is. `decode` and `write` are Python expressions over `v`: the
+    first checks a JSON value and builds the `tp` value from it; the second
+    gives the text canonical_json(encode(v)) without building that data. The
+    helpers they call are bound in `env`.
     """
     if tp in _SCALARS:
-        return None, _SCALARS[tp]
+        decode, write = _SCALARS[tp]
+        return None, decode.format(v=v), write.format(v=v)
     inner = _optional_arg(tp)
     if inner is not None:
-        encode, decode = field_codec(inner)
-        return None if encode is None else _nullable(encode), _nullable(decode)
+        encode, decode, write = _sources(inner, v, env)
+        return (None if encode is None else lambda value: None if value is None else encode(value),
+                f"(None if {v} is None else {decode})", f"(NULL if {v} is None else {write})")
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is tuple and args[-1] is Ellipsis:
-        encode, item = field_codec(args[0])
-        encode_all = list if encode is None else (lambda value: [encode(v) for v in value])
-        return encode_all, lambda value: tuple([item(v) for v in _list(value)])
+        item = v + "_"
+        encode, decode, write = _sources(args[0], item, env)
+        return ((list if encode is None else lambda value: [encode(x) for x in value]),
+                f"tuple([{decode} for {item} in seq({v})])",
+                f"(LB + COMMA.join([{write} for {item} in {v}]) + RB)")
     if origin is tuple:
-        items = [field_codec(a)[1] for a in args]
-        return list, lambda value: tuple([d(v) for d, v in zip(items, _list(value, len(items)))])
+        decode, write = _fixed_tuple(args, env)
+        return list, f"{decode}({v})", f"{write}({v})"
     if tp is dict or origin is dict:
-        entry = field_codec(args[1])[1] if args else (lambda v: v)
+        entry = field_codec(args[1])[1] if args else (lambda x: x)
 
         def mapping(value):
             if type(value) is not dict:
                 raise _mismatch("an object", value)
-            return {k: entry(v) for k, v in value.items()}
+            return {k: entry(x) for k, x in value.items()}
 
-        return dict, mapping
+        return dict, f"{_bind(env, mapping, 'mapping')}({v})", f"dumps(dict({v}))"
     if isinstance(tp, type) and issubclass(tp, Enum):
         def member(value):
             try:
@@ -140,89 +196,149 @@ def field_codec(tp):
             except (ValueError, TypeError):
                 raise _mismatch(f"one of {[m.value for m in tp]}", value) from None
 
-        return operator.attrgetter("value"), member
+        return operator.attrgetter("value"), f"{_bind(env, member, 'member')}({v})", f"dumps({v}.value)"
     if not hasattr(tp, "from_dict"):
         raise TypeError(f"the codec cannot code {tp!r}")
-    # looked up at call time, so that a method patched in later is the one called
-    return operator.methodcaller("to_dict"), (lambda value: tp.from_dict(value))
+    # `from_dict` is looked up at call time, so that a method patched in later is the one called
+    name = _bind(env, tp, "cls")
+    write = f"{v}.to_json()" if hasattr(tp, "to_json") else f"dumps({v}.to_dict())"
+    return operator.methodcaller("to_dict"), f"{name}.from_dict({v})", write
 
 
-_REQUIRED, _DEFAULTED = object(), object()
+def field_codec(tp):
+    """(encode, decode, write) for values of type `tp`.
+
+    `tp` is float, int, str, bool, Optional[X], Tuple[X, ...], a fixed tuple
+    of scalars, dict or Dict[str, scalar], an Enum (coded by its value) or a
+    class with `to_dict`/`from_dict`. `encode` turns a value into plain JSON
+    data, or is None for a value that already is. `decode` checks one JSON
+    value: a wrong JSON type, a non-finite float or an unknown enum value
+    raises SchemaError. `write(value)` is canonical_json(encode(value)),
+    written without building the data.
+    """
+    env = dict(_ENV)
+    encode, decode, write = _sources(tp, "value", env)
+    exec(f"def decode(value):\n    return {decode}\ndef write(value):\n    return {write}\n", env)
+    return encode, env["decode"], env["write"]
 
 
-def _field_plans(cls, tag: Optional[dict]) -> tuple:
-    """(encode_fields, decoders) of a dataclass.
+def _field_plans(cls, tag: Optional[dict], strict: bool = False) -> tuple:
+    """(encode_fields, decode) of a dataclass, each compiled with `exec`.
 
-    `encode_fields` is `self -> {**tag, name: encode(self.name), ...}`,
-    compiled as one dict display the way dataclasses compiles `__init__`: a
-    display is about three times faster than filling a dict field by field,
-    and `to_dict` runs for every traced round and world digest. `decoders`
-    holds (name, decode, when missing) per field, where `when missing` is
-    _REQUIRED, _DEFAULTED or None.
+    - `encode_fields(self)` is `{**tag, name: encode(self.name), ...}`, one
+      dict display: a display is about three times faster than filling a dict
+      field by field, and `to_dict` runs for every traced round.
+    - `decode(cls, data)` is `from_dict`: one straight-line block per field
+      checks and decodes it, or fills a missing one with its default, None
+      (a missing Optional) or a "missing key" error.
+
+    The third compiled function, `to_json`, which is exactly
+    `canonical_json(to_dict())` written directly, comes from `_json_writer`.
     """
     hints = typing.get_type_hints(cls)
-    env, items, decoders = {"tag": tag}, ["**tag"] if tag else [], []
-    for i, f in enumerate(dataclasses.fields(cls)):
-        tp = hints[f.name]
-        if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING:
-            missing = _DEFAULTED
+    fields = dataclasses.fields(cls)
+    env = dict(_ENV, tag=tag, known=frozenset([*(tag or ()), *(f.name for f in fields)]))
+    items = ["**tag"] if tag else []
+    decode = ["def decode(cls, data):",
+              "    if type(data) is not dict:",
+              "        raise SchemaError(cls.__name__ + ': ' + str(mismatch('an object', data)))"]
+    if strict:
+        decode += ["    if not known.issuperset(data):",
+                   "        raise SchemaError(f'{cls.__name__}: unknown keys {sorted(set(data) - known)}')"]
+    call = []
+    for i, f in enumerate(fields):
+        x = f"x{i}"
+        encode, decode_x, _ = _sources(hints[f.name], x, env)
+        if encode is None:
+            items.append(f"{f.name!r}: self.{f.name}")
         else:
-            missing = None if _optional_arg(tp) is not None else _REQUIRED
-        encode, decode = field_codec(tp)
-        env[f"encode{i}"] = encode
-        items.append(f"{f.name!r}: " + (f"self.{f.name}" if encode is None else f"encode{i}(self.{f.name})"))
-        decoders.append((f.name, decode, missing))
-    exec(f"def encode_fields(self):\n    return {{{', '.join(items)}}}\n", env)
-    return env["encode_fields"], tuple(decoders)
+            items.append(f"{f.name!r}: {_bind(env, encode, 'encode')}(self.{f.name})")
+        if f.default is not dataclasses.MISSING:
+            missing = f"{x} = {_bind(env, f.default, 'default')}"
+        elif f.default_factory is not dataclasses.MISSING:
+            missing = f"{x} = {_bind(env, f.default_factory, 'factory')}()"
+        elif _optional_arg(hints[f.name]) is not None:
+            missing = f"{x} = None"
+        else:
+            missing = f"raise SchemaError(cls.__name__ + {': missing key ' + repr(f.name)!r})"
+        decode += [f"    if {f.name!r} in data:",
+                   f"        {x} = data[{f.name!r}]",
+                   "        try:",
+                   f"            {x} = {decode_x}",
+                   "        except SchemaError as exc:",
+                   f"            raise SchemaError(cls.__name__ + {'.' + f.name + ': '!r} + str(exc)) from None",
+                   "    else:",
+                   f"        {missing}"]
+        call.append(f"{f.name}={x}")
+    decode.append(f"    return cls({', '.join(call)})")
+    exec(f"def encode_fields(self):\n    return {{{', '.join(items)}}}\n" + "\n".join(decode) + "\n", env)
+    return env["encode_fields"], env["decode"]
+
+
+def _json_writer(cls, tag: Optional[dict]):
+    """`to_json(self)` of a dataclass, compiled with `exec`.
+
+    It returns the text canonical_json(encode_fields(self)), written without
+    building a dict or list: keys in sorted order, a finite float or exact
+    int as its repr, a str escaped as canonical_json escapes it, a coded
+    field by its own `to_json`, and anything else by canonical_json. Only the
+    world's classes are ever written this way, so `codec` compiles it apart
+    from `_field_plans`, on the first `to_json` call.
+    """
+    hints = typing.get_type_hints(cls)
+    env = dict(_ENV)
+    # key -> its `"key":value` piece of the f-string; a tag's is a constant
+    pieces = {key: "{" + _bind(env, canonical_json({key: value})[1:-1], "tag") + "}"
+              for key, value in (tag or {}).items()}
+    loads = []
+    for i, f in enumerate(dataclasses.fields(cls)):
+        x = f"x{i}"
+        loads.append(f"    {x} = self.{f.name}")
+        # a field name is an identifier, so its key holds no quote, brace or backslash
+        pieces[f.name] = canonical_json(f.name) + ":{" + _sources(hints[f.name], x, env)[2] + "}"
+    text = ",".join(pieces[key] for key in sorted(pieces))
+    exec("\n".join(["def to_json(self):", *loads, f"    return f'{{{{{text}}}}}'"]) + "\n", env)
+    return env["to_json"]
 
 
 def codec(cls=None, *, strict: bool = False, tag: Optional[dict] = None):
-    """Give a dataclass `to_dict` and `from_dict` built from its annotated fields.
+    """Give a dataclass `to_dict`, `from_dict` and `to_json`, built from its annotated fields.
 
     `to_dict` writes the constant `tag` entries, then every field in
     declaration order. `from_dict` checks each field's JSON type: a missing
     required key or a wrongly typed value raises SchemaError. A missing field
     takes its dataclass default, and a missing Optional field without one is
-    None. Unknown keys are ignored, or rejected when `strict`. The field plan
-    is resolved once per class, on first use.
+    None. Unknown keys are ignored, or rejected when `strict`. `to_json()` is
+    always exactly `canonical_json(self.to_dict())`, written directly. The
+    first two are compiled by `_field_plans` once per class, on first use;
+    `to_json` is compiled by `_json_writer` on its own first call.
     """
     if cls is None:
         return lambda c: codec(c, strict=strict, tag=tag)
-    encode_fields = decoders = None
+    plan = writer = None
 
     def resolve():
-        nonlocal encode_fields, decoders
-        encode_fields, decoders = _field_plans(cls, tag)
+        nonlocal plan
+        plan = _field_plans(cls, tag, strict)
+        return plan
+
+    def resolve_writer():
+        nonlocal writer
+        writer = _json_writer(cls, tag)
+        return writer
 
     def to_dict(self) -> dict:
-        if encode_fields is None:
-            resolve()
-        return encode_fields(self)
+        return (plan or resolve())[0](self)
 
     def from_dict(cls, data):
-        if decoders is None:
-            resolve()
-        if type(data) is not dict:
-            raise SchemaError(f"{cls.__name__}: {_mismatch('an object', data)}")
-        if strict:
-            unknown = set(data).difference(tag or (), (name for name, *_ in decoders))
-            if unknown:
-                raise SchemaError(f"{cls.__name__}: unknown keys {sorted(unknown)}")
-        kwargs = {}
-        for name, decode, missing in decoders:
-            if name in data:
-                try:
-                    kwargs[name] = decode(data[name])
-                except SchemaError as exc:
-                    raise SchemaError(f"{cls.__name__}.{name}: {exc}") from None
-            elif missing is _REQUIRED:
-                raise SchemaError(f"{cls.__name__}: missing key {name!r}")
-            elif missing is None:
-                kwargs[name] = None
-        return cls(**kwargs)
+        return (plan or resolve())[1](cls, data)
+
+    def to_json(self) -> str:
+        return (writer or resolve_writer())(self)
 
     cls.to_dict = to_dict
     cls.from_dict = classmethod(from_dict)
+    cls.to_json = to_json
     return cls
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .bench import OracleScript, default_suite_path, load_benchmark
+from .bench import OracleScript, default_suite_path, load_suite
 from .llm import PolicyUnknown, Prompt
 
 Policy = Callable[[Prompt], str]
@@ -84,10 +84,12 @@ def normalize_request(text: str) -> str:
 def oracle_table() -> Mapping[str, OracleScript]:
     """normalized request -> the oracle script of the bundled scenario.
 
-    Read from the bundled suite file once per process; the mapping is shared,
-    so it is read-only. Scenario requests come first, then their aliases.
+    Built once per process from the bundled suite as `load_suite` serves it,
+    so `carobo bench` on that suite decodes it once for both its scenarios
+    and this table. The mapping is shared, so it is read-only. Scenario
+    requests come first, then their aliases.
     """
-    specs = [s for s in load_benchmark(default_suite_path()) if s.oracle is not None]
+    specs = [s for s in load_suite(default_suite_path()) if s.oracle is not None]
     table = {normalize_request(s.request_text): s.oracle for s in specs}
     for s in specs:
         for alias in s.oracle.aliases:

@@ -25,7 +25,7 @@ from .model import (
     SchemaError,
     SensorData,
     VisibleObject,
-    canonical_json,
+    canonical_json,  # unused since world_digest hashes to_json(); perfbench/tracer.py wraps sim.canonical_json
     codec,
     field_codec,
     validate_command,
@@ -97,9 +97,9 @@ class RobotPose:
 # where ray_segment's own rounding of the hit distance can exceed the margin.
 BOUND_MARGIN = 1e-9
 
-_number = field_codec(float)[1]
-_point = field_codec(Tuple[float, float])[1]
-_points = field_codec(Tuple[Tuple[float, float], ...])[1]
+_, _number, _write_number = field_codec(float)
+_, _point, _write_point = field_codec(Tuple[float, float])
+_, _points, _write_points = field_codec(Tuple[Tuple[float, float], ...])
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,12 @@ class Shape:
         if self.kind == "circle":
             return {"type": "circle", "center": list(self.center), "radius": self.radius}
         return {"type": "polygon", "vertices": [list(v) for v in self.vertices]}
+
+    def to_json(self) -> str:
+        """canonical_json(self.to_dict()), written without building the dict."""
+        if self.kind == "circle":
+            return f'{{"center":{_write_point(self.center)},"radius":{_write_number(self.radius)},"type":"circle"}}'
+        return f'{{"type":"polygon","vertices":{_write_points(self.vertices)}}}'
 
     @classmethod
     def from_dict(cls, data: dict) -> "Shape":
@@ -537,8 +543,11 @@ def render_camera(world: WorldState) -> Observation:
 
 
 def world_digest(world: WorldState) -> str:
-    """Opaque digest of the full world state."""
-    return hashlib.sha256(canonical_json(world.to_dict()).encode("utf-8")).hexdigest()
+    """Hex sha256 of the world's canonical JSON, `canonical_json(world.to_dict())`, in UTF-8.
+
+    `world.to_json()` writes those bytes without building the dicts.
+    """
+    return hashlib.sha256(world.to_json().encode("utf-8")).hexdigest()
 
 
 class SimRobot:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carobo import bench
 from carobo.app import EpisodeLimits, EpisodeResult, FailureReason, Verdict
 from carobo.bench import (
     DATA_DIR,
@@ -28,6 +29,7 @@ from carobo.bench import (
     fixed_pair,
     judge,
     load_benchmark,
+    load_suite,
     make_report,
     parse_goal,
     replay_pair,
@@ -460,3 +462,17 @@ def test_run_suite_writes_traces(tmp_path):
     assert sorted(p.name for p in tmp_path.glob("*.jsonl")) == sorted(
         f"{s.id}.jsonl" for s in specs
     )
+
+
+def test_load_suite_decodes_again_only_when_the_file_changes(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "_last_suite", bench._last_suite)  # restored after the test
+    path = synthetic_suite(tmp_path)
+    first = load_suite(path)
+    assert load_suite(path) is first and load_suite(str(path)) is first
+    doc = json.loads(path.read_text())
+    doc["scenarios"][0]["request_text"] = "spin twice"
+    path.write_text(json.dumps(doc))
+    again = load_suite(path)
+    assert again is not first and again[0].request_text == "spin twice"
+    with pytest.raises(SchemaError, match="cannot read suite"):
+        load_suite(tmp_path / "missing.json")

@@ -81,6 +81,16 @@ def test_decode_rejects_malformed_lines(line):
         decode_line(line)
 
 
+@pytest.mark.parametrize(
+    "field", ["1_0", " 7 ", "+3", "\u0661\u0660", pytest.param("9" * 5000, id="5000 digits")]
+)
+@pytest.mark.parametrize("template", ["/carobo/cmd|{}|0|{{}}", "/carobo/cmd|0|{}|{{}}"])
+def test_decode_takes_only_ascii_digits_for_seq_and_timestamp(template, field):
+    # int() reads the first four as numbers, and refuses the 5000 digits with a ValueError
+    with pytest.raises(ProtocolError, match="bad seq/timestamp"):
+        decode_line(template.format(field))
+
+
 def test_error_envelope_surfaces_as_protocol_error():
     a, b = local_pair()
     try:

@@ -1,4 +1,5 @@
-"""The dataclass codec: field plans, defaults, tags, and typed errors on bad documents."""
+"""The dataclass codec: field plans, defaults, tags, typed errors on bad documents, and to_json."""
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -21,16 +22,22 @@ from carobo.model import (
     SchemaError,
     SensorData,
     VisibleObject,
+    canonical_json,
     codec,
 )
 from carobo.sim import (
+    OBJECT_KINDS,
     PARAM_RANGES,
     OverlapError,
     RobotPose,
+    Shape,
+    SimObject,
     SimParams,
+    WorldState,
     apply_command,
     load_world,
     render_camera,
+    world_digest,
 )
 
 
@@ -110,7 +117,7 @@ def test_trace_records_round_trip():
 def test_field_plan_is_resolved_once(monkeypatch):
     calls = []
     plans = model._field_plans
-    monkeypatch.setattr(model, "_field_plans", lambda cls, tag: calls.append(cls) or plans(cls, tag))
+    monkeypatch.setattr(model, "_field_plans", lambda cls, *args: calls.append(cls) or plans(cls, *args))
 
     @codec
     @dataclass(frozen=True)
@@ -207,3 +214,82 @@ def test_zero_integration_step_is_rejected():
         assert low <= getattr(SimParams(), name) <= high
         with pytest.raises(SchemaError, match=name):
             SimParams(**{name: high * 2 + 1})
+
+
+# ---------------------------------------------------------------------------
+# Exact messages of the compiled decoder
+
+def polygon(*vertices):
+    return {"id": "p", "kind": "box", "shape": {"type": "polygon", "vertices": [list(v) for v in vertices]}}
+
+
+@pytest.mark.parametrize("decode, message", [
+    (lambda: WorldState.from_dict({"objects": []}), "WorldState: missing key 'robot'"),
+    (lambda: WorldState.from_dict([]), "WorldState: expected an object, got []"),
+    (lambda: SimObject.from_dict(polygon((0, 0), (1, 0))),
+     "SimObject.shape: bad polygon shape: a polygon needs at least 3 vertices"),
+    (lambda: SimObject.from_dict(polygon((0, 0), (1, 0), ("a", 1))),
+     "SimObject.shape: bad polygon shape: expected a finite number, got 'a'"),
+    (lambda: WorldState.from_dict({"robot": {}, "objects": [polygon((0, 0), (1, 0), (1, 1, 1))]}),
+     "WorldState.objects: SimObject.shape: bad polygon shape: expected a list of 2, got [1, 1, 1]"),
+    (lambda: WorldState.from_dict({"robot": {"heading": "north"}}),
+     "WorldState.robot: RobotPose.heading: expected a finite number, got 'north'"),
+    (lambda: WorldState.from_dict({"robot": {}, "tick": 1.0}), "WorldState.tick: expected an integer, got 1.0"),
+    (lambda: SimParams.from_dict({"zeta": 1, "hfov": 60, "warp": 9}), "SimParams: unknown keys ['warp', 'zeta']"),
+    (lambda: EpisodeLimits.from_dict({"max_steps": 5, "max_step": 5}), "EpisodeLimits: unknown keys ['max_step']"),
+])
+def test_decoder_messages(decode, message):
+    with pytest.raises(SchemaError) as err:
+        decode()
+    assert str(err.value) == message
+
+
+def test_missing_optional_and_defaulted_fields():
+    footer = EpisodeFooter.from_dict({"type": "result", "verdict": "Success", "steps": 1, "rounds": 2})
+    assert (footer.failure_reason, footer.final_world_digest) == (None, None)  # Optional, no default
+    state = WorldState.from_dict({"robot": {"x": 1}})
+    assert state == WorldState(RobotPose(1.0), (), SimParams(), (), 0)  # defaults, and a default factory
+    assert state.params is not WorldState.from_dict({"robot": {}}).params
+    assert EpisodeLimits.from_dict({"max_steps": 3}) == EpisodeLimits(3, 8)
+
+
+# ---------------------------------------------------------------------------
+# to_json writes exactly canonical_json(to_dict()), so world digests keep their bytes
+
+def reference_digest(world) -> str:
+    return hashlib.sha256(canonical_json(world.to_dict()).encode("utf-8")).hexdigest()
+
+
+_texts = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    st.sampled_from(['"', "\\", "'", "\x00\t\n\x1f\x7f", "café ☃", "  ", "{}[],:"]),
+)
+_finite = st.one_of(st.floats(-1e6, 1e6), st.integers(-5, 5), st.sampled_from([-0.0, 1e300, -1e-300, 0.1]))
+_any_float = st.one_of(_finite, st.sampled_from([math.nan, math.inf, -math.inf]))
+_points = st.tuples(_finite, _finite)
+_shapes = st.one_of(
+    st.builds(Shape, kind=st.just("circle"), center=_points, radius=st.floats(0.01, 10.0) | st.just(1)),
+    st.builds(Shape, kind=st.just("polygon"), vertices=st.lists(_points, min_size=3, max_size=5).map(tuple)),
+)
+_objects = st.builds(
+    SimObject, id=_texts, kind=st.sampled_from(OBJECT_KINDS), shape=_shapes,
+    label=st.none() | _texts, color=_texts, height=st.floats(0.01, 3.0) | st.just(2),
+    text_on_object=st.none() | _texts,
+)
+_poses = st.builds(RobotPose, x=_any_float, y=_any_float, heading=_any_float, camera_pitch=_any_float)
+_params = st.just(SimParams()) | st.builds(SimParams, hfov=st.integers(1, 360), footprint_radius=st.just(0.25))
+_worlds = st.builds(
+    WorldState, robot=_poses, objects=st.lists(_objects, max_size=4).map(tuple), params=_params,
+    buzzer_events=st.lists(_finite, max_size=3).map(tuple), tick=st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_worlds)
+def test_to_json_is_canonical_json_of_to_dict(world_state):
+    parts = [world_state, world_state.robot, world_state.params]
+    for obj in world_state.objects:
+        parts += [obj, obj.shape]
+    for part in parts:
+        assert part.to_json() == canonical_json(part.to_dict())
+    assert world_digest(world_state) == reference_digest(world_state)
