@@ -41,6 +41,7 @@ from .model import (
     append_round,
     canonical_json,
     codec,
+    read_json,
     render_memory,
 )
 
@@ -172,9 +173,9 @@ def read_trace(path) -> list:
     """The records of an episode trace; each line must hold a JSON object."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-        records = [json.loads(line) for line in lines if line.strip()]
     except (OSError, ValueError) as exc:
         raise SchemaError(f"cannot read trace {path}: {exc}") from exc
+    records = [read_json(line, f"trace {path}") for line in lines if line.strip()]
     if not all(type(rec) is dict for rec in records):
         raise SchemaError(f"{path}: every trace record must be a JSON object")
     return records

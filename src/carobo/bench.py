@@ -7,7 +7,6 @@ into per-domain and overall success rates.
 """
 from __future__ import annotations
 
-import json
 import os
 import re
 from contextlib import ExitStack, contextmanager
@@ -34,6 +33,7 @@ from .model import (
     SchemaError,
     UserRequest,
     codec,
+    read_json,
 )
 from .suite_data import DOMAINS
 
@@ -58,7 +58,12 @@ class JudgeContext:
 
 def build_context(result: EpisodeResult, world: sim.WorldState) -> JudgeContext:
     comments = tuple(r.comment for r in result.trace.rounds)
-    path = sum(r.exec_result.distance_travelled for r in result.trace.rounds if r.exec_result)
+    # added left to right from 0.0, as sum() did before Python 3.12 made it
+    # compensated: a path_length_at_least goal compares the bits to a threshold
+    path = 0.0
+    for r in result.trace.rounds:
+        if r.exec_result:
+            path += r.exec_result.distance_travelled
     return JudgeContext(world=world, comments=comments, path_length=path)
 
 
@@ -281,9 +286,10 @@ def load_benchmark(path) -> Tuple[ScenarioSpec, ...]:
     """Load and validate a suite: exactly five scenarios in each domain."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:
         raise SchemaError(f"cannot read suite {path}: {exc}") from exc
+    doc = read_json(text, f"suite {path}")
     if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):
         raise SchemaError("suite must be an object with a 'scenarios' list")
     specs = []

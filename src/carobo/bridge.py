@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .model import CaroboError, Command, ExecResult, Observation, SensorData, canonical_json
+from .model import CaroboError, Command, ExecResult, Observation, SensorData, canonical_json, read_json
 from . import sim
 
 
@@ -84,12 +84,7 @@ def decode_line(line: str) -> Tuple[str, int, int, dict]:
         timestamp = int(ts_s)
     except ValueError:
         raise ProtocolError(f"bad seq/timestamp in envelope: {line!r}")
-    import json
-
-    try:
-        doc = json.loads(payload_s)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"bad payload JSON: {exc}")
+    doc = read_json(payload_s, "envelope payload", ProtocolError)
     if not isinstance(doc, dict):
         raise ProtocolError("payload must be a JSON object")
     return topic, seq, timestamp, doc

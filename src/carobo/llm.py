@@ -24,10 +24,12 @@ from .model import (
     GlobalPlan,
     InvalidCommand,
     InvariantViolation,
+    SchemaError,
     Status,
     UnknownStatus,
     canonical_json,
     parse_status,
+    read_json,
 )
 
 
@@ -247,7 +249,7 @@ class HttpChatBackend:
             raise TransportError(f"chat endpoint returned HTTP {resp.status_code}")
         try:
             content = resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"chat endpoint returned an unexpected payload: {exc}") from exc
         if not isinstance(content, str):
             raise TransportError(
@@ -289,8 +291,8 @@ class ReplayBackend:
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
+                doc = read_json(line, "replay line")
+            except SchemaError:  # not JSON, or nested too deeply to read: the line itself
                 self.completions.append(line)
                 continue
             if isinstance(doc, str):

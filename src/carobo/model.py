@@ -57,6 +57,19 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+def read_json(text, what: str, error=SchemaError):
+    """The JSON value in `text`; malformed or too deeply nested input raises `error`.
+
+    Every input boundary reads its JSON here: `json.loads` reports bad syntax
+    as ValueError, and nesting deeper than the interpreter's recursion limit
+    as RecursionError, which would otherwise escape untyped.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # The dict codec
 #

@@ -2,14 +2,15 @@
 import hashlib
 import json
 import math
+import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from carobo import model
+from carobo import model, sim
 from carobo.app import EpisodeFooter, EpisodeHeader, EpisodeLimits, FailureReason, Verdict
 from carobo.bench import And, Near, Report, Row, parse_goal
 from carobo.model import (
@@ -36,6 +37,7 @@ from carobo.sim import (
     WorldState,
     apply_command,
     load_world,
+    read_sensors,
     render_camera,
     world_digest,
 )
@@ -205,6 +207,64 @@ def test_fuzzed_worlds_load_or_fail_typed_and_never_hang(time_limit, params, pos
             state, result = apply_command(state, command)
             assert math.isfinite(result.distance_travelled)
         render_camera(state)
+
+
+def ring_of_objects(seed: int, n: int, extra=()) -> list:
+    """n seeded circles and triangles 0.6-4 m from the origin, then the `extra` shapes."""
+    rng = random.Random(seed)
+    shapes = []
+    for _ in range(n):
+        a, d, r = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.6, 4.0), rng.uniform(0.05, 0.3)
+        cx, cy = d * math.cos(a), d * math.sin(a)
+        if rng.random() < 0.5:
+            shapes.append({"type": "circle", "center": [cx, cy], "radius": r})
+        else:
+            shapes.append({"type": "polygon", "vertices": [
+                [cx + r * math.cos(a + k * 2.1), cy + r * math.sin(a + k * 2.1)] for k in range(3)]})
+    return [disc(id=f"o{i}", shape=shape) for i, shape in enumerate(shapes + list(extra))]
+
+
+# shapes that no grid can hold: the 1e300 m polygon's bound is finite, but
+# not the area of its box; the other's centroid, and so its bound, is infinite
+HOSTILE_SHAPES = {
+    "none": (),
+    "polygon spanning 1e300 m": ({"type": "polygon", "vertices": [[5.0, -1e300], [1e300, 0.0], [5.0, 1e300]]},),
+    "infinite bound": ({"type": "polygon", "vertices": [[1e308, -1.0], [1e308, 1.0], [5.0, 0.0]]},),
+}
+_counts = st.integers(sim.GRID_MIN_OBJECTS - 2, sim.GRID_MIN_OBJECTS + 40)
+
+
+def drive_both_ways(doc):
+    """The sensors after connecting, and each drive's result and camera, or None
+    when the world is rejected."""
+    try:
+        state = load_world(doc)
+    except (OverlapError, SchemaError):
+        return None
+    out = [read_sensors(state)]
+    for command in (Command.forward(1.0), Command.back(1.0)):
+        state, result = apply_command(state, command)
+        assert math.isfinite(result.distance_travelled)
+        out += [result, state.robot, render_camera(state).to_dict()]
+    return out
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example({}, {"y": 1.48e21}, 0, sim.GRID_MIN_OBJECTS + 8, "none")
+@example({}, {}, 1, sim.GRID_MIN_OBJECTS + 8, "polygon spanning 1e300 m")
+@example({}, {}, 2, sim.GRID_MIN_OBJECTS + 8, "infinite bound")
+@example({}, {"heading": 45.0}, 3, sim.GRID_MIN_OBJECTS - 1, "none")
+@example({}, {"heading": 45.0}, 3, sim.GRID_MIN_OBJECTS, "none")
+@given(_params, _poses, st.integers(0, 2**32 - 1), _counts, st.sampled_from(sorted(HOSTILE_SHAPES)))
+def test_fuzzed_grid_worlds_load_or_fail_typed_and_never_hang(time_limit, params, pose, seed, n_objects, hostile):
+    """The fuzzed parameters and poses above, around a world large enough for
+    a grid: the grid, or its fallback to the scan, gives what the scan gives."""
+    doc = world(robot=pose, params=params, objects=ring_of_objects(seed, n_objects, HOSTILE_SHAPES[hostile]))
+    with time_limit(2.0):
+        got = drive_both_ways(doc)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "GRID_MIN_OBJECTS", 10**9)
+            assert got == drive_both_ways(doc)
 
 
 def test_zero_integration_step_is_rejected():

@@ -473,6 +473,7 @@ def test_http_backend_sends_text_messages_only(endpoint, monkeypatch):
     (200, b"<html>not json</html>", "unexpected payload"),
     (200, {"choices": [{"message": {"content": None}}]}, "unexpected payload"),
     (200, {"choices": [{"message": {"content": 42}}]}, "unexpected payload"),
+    pytest.param(200, b"[" * 100_000, "unexpected payload", id="200-100000 nested ["),  # too deep for json.loads
 ])
 def test_http_backend_failures_are_transport_errors(endpoint, status, doc, message):
     endpoint.reply(status, doc)

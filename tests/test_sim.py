@@ -1,6 +1,7 @@
 """Simulator semantics: driving, avoidance, sensors, the symbolic camera."""
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -22,6 +23,9 @@ from carobo.sim import (
     visible_height_band,
     world_digest,
 )
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def make_world(objects=(), robot=None, params=None):
@@ -516,3 +520,46 @@ def test_exact_tests_stay_bounded_as_the_world_grows(monkeypatch):
     outcome, drive, n_items, render = seen[0]
     assert outcome is ExecOutcome.OK and n_items == 5
     assert drive <= 10 and render <= 20
+
+
+# ---------------------------------------------------------------------------
+# The uniform grid
+
+def test_centroid_adds_left_to_right():
+    """Python 3.12's compensated sum() would give 1/3 and change every bound's bits."""
+    shape = sim.Shape(kind="polygon", vertices=((1e16, 0.0), (1.0, 1.0), (-1e16, 0.0)))
+    assert shape.centroid()[0] == 0.0
+
+
+def test_sensor_rays_walk_a_bounded_number_of_cells(monkeypatch):
+    """n circles on the robot's heading, listed far to near: the scan makes an
+    exact test for each, since each is nearer than the last; the grid walks
+    from the robot and stops at the nearest."""
+    calls = []
+    monkeypatch.setattr(geometry, "ray_circle", lambda *args, fn=geometry.ray_circle: calls.append(1) or fn(*args))
+    counts = []
+    for n in (500, 5000):
+        ahead = [disc(f"a{i}", 3.9 - 3.6 * i / (n - 1), 0.0, 1e-4) for i in range(n)]
+        world = make_world(ahead + [disc("behind", -0.5, 0.0, 1e-4)])
+        calls.clear()
+        sensors = read_sensors(world)
+        counts.append(len(calls))
+        assert sensors == fullscan_sim.read_sensors(world)
+        assert sensors.ultrasonic_clearance == pytest.approx(0.2 - 1e-4)
+    assert counts[0] == counts[1] <= 4, counts
+
+
+@pytest.mark.parametrize("transport", ["direct", "local:"])
+def test_an_episode_builds_its_grid_once(tmp_path, monkeypatch, transport):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import clutter
+
+    from carobo import bench
+
+    suite, streams, _ = clutter.write_suite(0, tmp_path, n_objects=150)
+    spec = bench.load_benchmark(suite)[0]
+    builds = []
+    monkeypatch.setattr(sim.Grid, "build", classmethod(lambda cls, objects, fn=sim.Grid.build.__func__:
+                                                          builds.append(1) or fn(cls, objects)))
+    _, result = bench.run_scenario(spec, bench.replay_pair(streams), transport=transport)
+    assert result.steps >= 5 and len(builds) == 1
