@@ -21,7 +21,9 @@ from typing import Dict, Optional, Tuple
 from carobo.bench import DATA_DIR
 from carobo.model import COMMAND_SPECS
 from carobo.policies import normalize_request
-from carobo.suite_data import MODELS
+
+# the models whose recorded traces ship under data/traces/, one directory each
+MODELS = ("gpt-4-turbo", "gpt-4o")
 
 # -- small builders ---------------------------------------------------------
 

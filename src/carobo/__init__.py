@@ -3,123 +3,7 @@
 A Host agent turns a natural language request into a global plan once; an App
 agent then walks an observe/decide/act loop, issuing one car command per
 round against either the in-process simulator or a message bridge.
+
+Import each name from its module. The package re-exports nothing, so the robot
+side (`carobo.sim`, `carobo.bridge`) loads none of the agent side.
 """
-
-from .model import (
-    ArgOutOfRange,
-    CaroboError,
-    Command,
-    ExecOutcome,
-    ExecResult,
-    GlobalPlan,
-    IndexMismatch,
-    InvalidCommand,
-    InvariantViolation,
-    MemoryLog,
-    Observation,
-    Round,
-    SchemaError,
-    SensorData,
-    Status,
-    UnknownCommand,
-    UnknownStatus,
-    UserRequest,
-    VisibleObject,
-    append_round,
-    canonical_json,
-    parse_status,
-    render_items,
-    render_memory,
-    validate_command,
-)
-from .sim import (
-    OverlapError,
-    RobotPose,
-    Shape,
-    SimObject,
-    SimParams,
-    SimRobot,
-    WorldState,
-    apply_command,
-    load_world,
-    raycast,
-    read_sensors,
-    render_camera,
-    visible_height_band,
-    world_digest,
-)
-from .llm import (
-    AppDecision,
-    BackendConfig,
-    HostDecision,
-    HttpChatConfig,
-    MalformedDecision,
-    PolicyUnknown,
-    Prompt,
-    ReplayConfig,
-    ReplayExhausted,
-    ScriptedConfig,
-    TransportError,
-    assemble_prompt,
-    load_agent_template,
-    make_backend,
-    parse_app_decision,
-    parse_host_decision,
-    serialize_app_decision,
-    serialize_host_decision,
-    with_retry,
-)
-from .host import build_host_prompt, plan_with_raw, render_sensors
-from .app import (
-    EpisodeLimits,
-    EpisodeResult,
-    FailureReason,
-    Verdict,
-    build_app_prompt,
-    read_trace,
-    run_episode,
-    write_trace,
-)
-from .bridge import (
-    BridgeRobot,
-    BridgeTimeout,
-    ConnectionClosed,
-    LocalConnection,
-    ProtocolError,
-    TcpRobotServer,
-    TopicPayloadMismatch,
-    decode_line,
-    encode_line,
-    local_pair,
-    serve_robot,
-    start_local_robot,
-    tcp_connect,
-)
-from .bench import (
-    And,
-    BuzzerCount,
-    CameraPitchAtLeast,
-    CommentMatches,
-    CountError,
-    GoalPredicate,
-    HeadingWithin,
-    Judgment,
-    Near,
-    Not,
-    Or,
-    PathLengthAtLeast,
-    PoseWithin,
-    Report,
-    ScenarioSpec,
-    bundled_trace_dir,
-    default_suite_path,
-    judge,
-    load_benchmark,
-    parse_goal,
-    replay_pair,
-    run_scenario,
-    run_suite,
-    scripted_pair,
-)
-
-__version__ = "0.1.0"

@@ -7,6 +7,7 @@ into per-domain and overall success rates.
 """
 from __future__ import annotations
 
+import math
 import os
 import re
 from contextlib import ExitStack, contextmanager
@@ -141,7 +142,14 @@ class PoseWithin(GoalPredicate):
 
     def evaluate(self, ctx: JudgeContext) -> bool:
         rx, ry = ctx.world.robot.position
-        return ((rx - self.x) ** 2 + (ry - self.y) ** 2) ** 0.5 <= self.tol
+        dx, dy = rx - self.x, ry - self.y
+        try:
+            distance = (dx ** 2 + dy ** 2) ** 0.5
+        except OverflowError:
+            distance = math.inf
+        if distance == math.inf:  # a square past the float range, from offsets over about 1e154
+            distance = math.hypot(dx, dy)  # may differ from ** in the last bit, so only here
+        return distance <= self.tol
 
 
 @goal_op("heading_within")
@@ -458,14 +466,14 @@ def open_robot(transport: str, world: Optional[sim.WorldState] = None):
         if world is not None:
             raise CaroboError(f"transport {transport!r} reaches a robot that another process serves "
                               "with its own world; it cannot host a world from here")
-    elif transport not in ("direct", "local", "local:", "tcp", "tcp:"):
+    elif transport not in ("direct", "local:", "tcp:"):
         raise CaroboError(f"transport must be direct, local:, tcp: or tcp:HOST:PORT, got {transport!r}")
     elif world is None:
         raise CaroboError(f"transport {transport!r} hosts the robot here and needs a world (--world FILE)")
     with ExitStack() as stack:
         if transport == "direct":
             handle = sim.SimRobot(world)
-        elif transport in ("local", "local:"):
+        elif transport == "local:":
             client, robot, shutdown = start_local_robot(world)
             stack.callback(shutdown)
             handle = BridgeRobot(client, robot)

@@ -364,7 +364,7 @@ def _extract_json_object(raw: str) -> dict:
             raise MalformedDecision(f"no JSON object among the first {MAX_OBJECT_STARTS} candidates; {error}")
         try:
             return _DECODER.raw_decode(raw, start.start())[0]
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
             error = error or f"completion JSON does not parse: {exc}"
         except RecursionError:
             error = error or "completion JSON is nested too deeply"

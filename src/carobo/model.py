@@ -410,9 +410,13 @@ class Command:
             raise UnknownCommand(f"unknown command: {self.name!r}")
         if not isinstance(self.value, (int, float)) or isinstance(self.value, bool):
             raise InvalidCommand(f"{self.name}: argument must be a number")
-        if not math.isfinite(self.value):
+        try:
+            value = float(self.value)
+        except OverflowError:  # an int too large for a float
+            value = math.inf
+        if not math.isfinite(value):
             raise ArgOutOfRange(f"{self.name}: argument must be finite")
-        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "value", value)
 
     @property
     def arg_name(self) -> str:

@@ -1,4 +1,4 @@
-"""Names shared by the bundled benchmark's files and the code that reads them.
+"""The bundled benchmark's domains, in the order its reports list them.
 
 The suite itself (scenarios, worlds, goals, oracle scripts and recorded model
 traces) lives only under the package's data directory; scripts/build_data.py
@@ -11,5 +11,3 @@ DOMAINS = (
     "obstacle_navigation",
     "situation_awareness",
 )
-
-MODELS = ("gpt-4-turbo", "gpt-4o")

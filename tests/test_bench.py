@@ -110,6 +110,17 @@ def test_pose_within():
     assert not PoseWithin(0, 0, tol=0.049).evaluate(c)
 
 
+def test_pose_within_far_from_the_origin_does_not_overflow():
+    # (1e200) ** 2 raises OverflowError; two squares near the float limit add up to inf
+    far = ctx({"robot": {"x": 1e200, "y": 0, "heading": 0, "camera_pitch": 0}, "objects": []})
+    assert not PoseWithin(0, 0, tol=1).evaluate(far)
+    assert PoseWithin(1e200, 0, tol=1).evaluate(far)
+    assert PoseWithin(0, 0, tol=1e300).evaluate(far)
+    edge = ctx({"robot": {"x": 1.3e154, "y": 1.3e154, "heading": 0, "camera_pitch": 0}, "objects": []})
+    assert PoseWithin(0, 0, tol=1e300).evaluate(edge)
+    assert not PoseWithin(0, 0, tol=1.8e154).evaluate(edge)
+
+
 def test_heading_within_is_circular():
     c = ctx({"robot": {"x": 0, "y": 0, "heading": 350, "camera_pitch": 0}, "objects": []})
     assert HeadingWithin(10, tol=20).evaluate(c)

@@ -1,12 +1,16 @@
-"""Every JSON input boundary rejects a document nested too deeply to read with
-a typed error: through the CLI, exit 2 and one `error:` line."""
+"""Every input boundary rejects bad input with a typed error and never hangs:
+through the CLI, exit 2 and one `error:` line."""
+import json
 import socket
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carobo.bridge import TOPIC_SENSOR, ConnectionClosed, ProtocolError, TcpConnection, decode_line
 from carobo.cli import main
-from carobo.llm import ReplayBackend, ReplayConfig
+from carobo.llm import ReplayBackend, ReplayConfig, parse_app_decision, parse_host_decision
+from carobo.model import COMMAND_SPECS, CaroboError
 
 DEEP = "[" * 100_000  # deeper than any recursion limit json.loads can reach
 
@@ -62,3 +66,51 @@ CASES = {
 def test_deeply_nested_json_is_a_typed_error(tmp_path, capsys, time_limit, boundary):
     with time_limit(20.0):
         CASES[boundary](tmp_path, capsys)
+
+
+# ---------------------------------------------------------------------------
+# Completions: whatever a model returns, parsing gives a decision or a CaroboError
+
+def a_forward_of(distance: str) -> str:
+    return ('{"observation": "o", "comment": "c", "status": "CONTINUE", '
+            '"command": {"name": "car_forward", "args": {"distance": %s}}}' % distance)
+
+
+_numbers = st.one_of(st.integers(), st.floats(), st.integers(10**300, 10**400))
+_values = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+_commands = st.fixed_dictionaries({
+    "name": st.sampled_from(sorted(COMMAND_SPECS)) | st.text(max_size=10),
+    "args": st.dictionaries(st.sampled_from(sorted({spec[0] for spec in COMMAND_SPECS.values()})),
+                            _numbers | _values, max_size=2) | _values,
+}) | _values
+_decisions = st.fixed_dictionaries({}, optional={
+    "observation": st.text(max_size=12) | _values,
+    "comment": st.text(max_size=12) | _values,
+    "thoughts": st.text(max_size=12) | _values,
+    "status": st.sampled_from(["CONTINUE", "FINISH", " finish "]) | _values,
+    "command": _commands,
+    "plan": st.lists(st.text(max_size=12), max_size=3) | _values,
+})
+_wrapped = st.builds(lambda before, doc, escape, after: before + json.dumps(doc, ensure_ascii=escape) + after,
+                     st.text(max_size=20), _decisions, st.booleans(), st.text(max_size=20))
+_jsonish = st.text(alphabet='{}[]":, 0123456789.eE-+abctrunlfs\\', max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.text(), _jsonish, _wrapped))
+@example(a_forward_of("1" * 5000))  # past the int-string limit: a plain ValueError from json
+@example(a_forward_of("1" * 400))  # an int too large for a float
+@example('{"observation": ' + DEEP)
+@example(DEEP)
+@example('{"a":' * 100_000)
+def test_fuzzed_completions_parse_or_fail_typed(time_limit, raw):
+    with time_limit(2.0):
+        for parse in (parse_app_decision, parse_host_decision):
+            try:
+                parse(raw)
+            except CaroboError:
+                pass

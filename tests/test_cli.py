@@ -58,9 +58,10 @@ def test_run_transport_self_hosted_tcp(capsys):
     assert code == 0
 
 
-def test_run_unknown_transport(capsys):
+@pytest.mark.parametrize("transport", ["carrier-pigeon", "local", "tcp"])
+def test_run_unknown_transport(capsys, transport):
     code = main([
-        "run", "--request", "x", "--world", world_file("sa_1"), "--transport", "carrier-pigeon",
+        "run", "--request", "x", "--world", world_file("sa_1"), "--transport", transport,
     ])
     assert code == 2
     assert "transport" in capsys.readouterr().err
@@ -271,6 +272,25 @@ def test_bench_max_retries_reaches_every_backend(tmp_path, monkeypatch, capsys, 
         assert main(argv + ["--max-retries", retries, "--out", str(out)]) == 0
         rounds[retries] = {row["rounds"] for row in json.loads(out.read_text())["rows"]}
     assert rounds == {"3": {1}, "0": {2}}
+
+
+def test_an_integer_past_the_int_string_limit_is_retried(tmp_path, capsys):
+    # json refuses to convert more than 4300 digits with a plain ValueError
+    distance = "1" * 5000
+    huge = ('{"observation": "o", "comment": "c", "status": "CONTINUE", '
+            '"command": {"name": "car_forward", "args": {"distance": %s}}}' % distance)
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("\n".join(json.dumps(line) for line in (HOST_LINE, huge, FINISH_LINE)) + "\n",
+                      encoding="utf-8")
+    trace = tmp_path / "episode.jsonl"
+    code = main(["run", "--request", request_of("obj_1"), "--world", world_file("obj_1"),
+                 "--backend", "replay", "--replay-trace", str(stream), "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    # round 0 retried past the unreadable completion and finished on the next one
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [r["raw"] for r in records if r["type"] == "round"] == [FINISH_LINE]
+    assert records[-1]["rounds"] == 1
 
 
 @pytest.mark.parametrize("argv", [
