@@ -16,8 +16,6 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
-import requests
-
 from .model import (
     CaroboError,
     Command,
@@ -216,7 +214,11 @@ class BackendConfig:
 
 
 class HttpChatBackend:
-    """POSTs an OpenAI-style chat payload and extracts the first choice."""
+    """POSTs an OpenAI-style chat payload and extracts the first choice.
+
+    `requests` is imported on the first call, so a process that never calls
+    an HTTP endpoint never loads the HTTP stack (urllib3, ssl, http.client).
+    """
 
     def __init__(self, cfg: HttpChatConfig):
         self.cfg = cfg
@@ -230,6 +232,8 @@ class HttpChatBackend:
         return messages
 
     def complete(self, prompt: Prompt) -> str:
+        import requests
+
         headers = {}
         key = os.environ.get(self.cfg.api_key_env, "")
         if key:
@@ -371,17 +375,35 @@ def _extract_json_object(raw: str) -> dict:
     raise MalformedDecision(error or "completion contains no JSON object")
 
 
+def _encodable(text: str, what: str) -> str:
+    """`text`, if UTF-8 can encode it, as every trace and envelope must.
+
+    A lone surrogate cannot be encoded; a completion can hold one, or an
+    ASCII `\\ud800` escape that JSON decodes to one, so the parsers check both
+    the completion and each string they keep."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedDecision(f"{what} holds a lone surrogate at index {exc.start}, "
+                                    "which UTF-8 cannot encode") from None
+    return text
+
+
 def _require_str(doc: dict, key: str) -> str:
-    if key not in doc or not isinstance(doc[key], str):
+    value = doc.get(key)
+    if not isinstance(value, str):
         raise MalformedDecision(f"decision field {key!r} missing or not a string")
-    return doc[key]
+    return value if value.isascii() else _encodable(value, f"decision field {key!r}")
 
 
 def parse_host_decision(raw: str) -> HostDecision:
-    doc = _extract_json_object(raw)
+    doc = _extract_json_object(_encodable(raw, "completion"))
     plan = doc.get("plan")
     if not isinstance(plan, list) or not plan or any(not isinstance(s, str) for s in plan):
         raise MalformedDecision("host decision needs a non-empty list of plan steps")
+    for step in plan:
+        _encodable(step, "plan step")
     return HostDecision(
         observation_desc=_require_str(doc, "observation"),
         thoughts=_require_str(doc, "thoughts"),
@@ -391,7 +413,7 @@ def parse_host_decision(raw: str) -> HostDecision:
 
 
 def parse_app_decision(raw: str) -> AppDecision:
-    doc = _extract_json_object(raw)
+    doc = _extract_json_object(_encodable(raw, "completion"))
     status = doc.get("status")
     if not isinstance(status, str):
         raise MalformedDecision("app decision needs a status string")

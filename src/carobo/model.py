@@ -52,9 +52,14 @@ class SchemaError(CaroboError):
     """A document does not match the type it is decoded into."""
 
 
+# json.dumps with these settings would build a new encoder per call; encode()
+# makes its own markers and C encoder each call, so one is safe across threads
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(data) -> str:
     """Stable single-line JSON used for digests, traces and the wire format."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _CANONICAL_ENCODER.encode(data)
 
 
 def read_json(text, what: str, error=SchemaError):

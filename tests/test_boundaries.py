@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from carobo.bridge import TOPIC_SENSOR, ConnectionClosed, ProtocolError, TcpConnection, decode_line
 from carobo.cli import main
-from carobo.llm import ReplayBackend, ReplayConfig, parse_app_decision, parse_host_decision
+from carobo.llm import (
+    ReplayBackend,
+    ReplayConfig,
+    parse_app_decision,
+    parse_host_decision,
+    serialize_app_decision,
+    serialize_host_decision,
+)
 from carobo.model import COMMAND_SPECS, CaroboError
 
 DEEP = "[" * 100_000  # deeper than any recursion limit json.loads can reach
@@ -76,10 +83,15 @@ def a_forward_of(distance: str) -> str:
             '"command": {"name": "car_forward", "args": {"distance": %s}}}' % distance)
 
 
+def _text(max_size=None):
+    """Text that may hold lone surrogates, which UTF-8 cannot encode."""
+    return st.text(st.characters() | st.characters(categories=["Cs"]), max_size=max_size)
+
+
 _numbers = st.one_of(st.integers(), st.floats(), st.integers(10**300, 10**400))
 _values = st.recursive(
-    st.none() | st.booleans() | _numbers | st.text(max_size=12),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    st.none() | st.booleans() | _numbers | _text(12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text(8), inner, max_size=3),
     max_leaves=8,
 )
 _commands = st.fixed_dictionaries({
@@ -88,29 +100,38 @@ _commands = st.fixed_dictionaries({
                             _numbers | _values, max_size=2) | _values,
 }) | _values
 _decisions = st.fixed_dictionaries({}, optional={
-    "observation": st.text(max_size=12) | _values,
-    "comment": st.text(max_size=12) | _values,
-    "thoughts": st.text(max_size=12) | _values,
+    "observation": _text(12) | _values,
+    "comment": _text(12) | _values,
+    "thoughts": _text(12) | _values,
     "status": st.sampled_from(["CONTINUE", "FINISH", " finish "]) | _values,
     "command": _commands,
-    "plan": st.lists(st.text(max_size=12), max_size=3) | _values,
+    "plan": st.lists(_text(12), max_size=3) | _values,
 })
+# ensure_ascii writes a surrogate as a \udXXX escape, so the completion is
+# ASCII and only the decoded strings hold it
 _wrapped = st.builds(lambda before, doc, escape, after: before + json.dumps(doc, ensure_ascii=escape) + after,
-                     st.text(max_size=20), _decisions, st.booleans(), st.text(max_size=20))
+                     _text(20), _decisions, st.booleans(), _text(20))
 _jsonish = st.text(alphabet='{}[]":, 0123456789.eE-+abctrunlfs\\', max_size=60)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(st.text(), _jsonish, _wrapped))
+@given(st.one_of(_text(), _jsonish, _wrapped))
 @example(a_forward_of("1" * 5000))  # past the int-string limit: a plain ValueError from json
 @example(a_forward_of("1" * 400))  # an int too large for a float
 @example('{"observation": ' + DEEP)
 @example(DEEP)
 @example('{"a":' * 100_000)
+@example('{"observation": "o", "comment": "\\ud800", "status": "FINISH"}')
+@example('{"observation": "o", "thoughts": "t", "plan": ["\\udc00"], "comment": "c"}')
+@example('{"observation": "o", "thoughts": "t", "plan": ["p"], "comment": "c", "status": "FINISH"} \udfff')
 def test_fuzzed_completions_parse_or_fail_typed(time_limit, raw):
     with time_limit(2.0):
-        for parse in (parse_app_decision, parse_host_decision):
+        for parse, serialize in ((parse_app_decision, serialize_app_decision),
+                                 (parse_host_decision, serialize_host_decision)):
             try:
-                parse(raw)
+                decision = parse(raw)
             except CaroboError:
-                pass
+                continue
+            # an accepted completion and every string kept from it can be written to a trace
+            raw.encode("utf-8")
+            serialize(decision).encode("utf-8")

@@ -293,6 +293,32 @@ def test_an_integer_past_the_int_string_limit_is_retried(tmp_path, capsys):
     assert records[-1]["rounds"] == 1
 
 
+# ASCII lines whose \ud800 escapes decode to lone surrogates, which no trace or stdout can encode
+BAD_HOST_LINE = json.dumps({"observation": "o", "thoughts": "t", "plan": ["p \ud800"], "comment": "c"})
+BAD_APP_LINE = json.dumps({"observation": "o", "comment": "bad \ud800 surrogate", "status": "FINISH"})
+
+
+# without a trace nothing writes the plan, so only a traced run can trip on a host plan's surrogate
+@pytest.mark.parametrize("stream, trace", [
+    pytest.param((HOST_LINE, BAD_APP_LINE, FINISH_LINE), False, id="app-stdout"),
+    pytest.param((HOST_LINE, BAD_APP_LINE, FINISH_LINE), True, id="app-trace"),
+    pytest.param((BAD_HOST_LINE, HOST_LINE, FINISH_LINE), True, id="host-trace"),
+])
+def test_a_completion_with_a_lone_surrogate_is_retried(tmp_path, capsys, stream, trace):
+    path = tmp_path / "stream.jsonl"
+    path.write_text("\n".join(stream) + "\n", encoding="utf-8")  # bare decision lines, served verbatim
+    episode = tmp_path / "episode.jsonl"
+    code = main(["run", "--request", "look", "--world", world_file("obj_1"), "--backend", "replay",
+                 "--replay-trace", str(path)] + (["--trace", str(episode)] if trace else []))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert "Success after 0 steps / 1 rounds" in captured.out
+    if trace:
+        records = [json.loads(line) for line in episode.read_text(encoding="utf-8").splitlines()]
+        assert [(r["type"], r["raw"]) for r in records if "raw" in r] == [("host", HOST_LINE),
+                                                                         ("round", FINISH_LINE)]
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--request", "x", "--world", world_file("cmd_1")],
     ["bench", "--backend", "mock"],

@@ -1,16 +1,96 @@
-"""The robot side of the package loads none of the agent side."""
+"""The robot side of the package loads none of the agent side, and only the
+http backend loads the HTTP stack, on its first call."""
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from carobo.bench import DATA_DIR, bundled_trace_dir, default_suite_path, load_benchmark
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY")
+
+
+def fresh_interpreter(code, *args):
+    """Run `code` in a new interpreter that imports carobo from this checkout; its stdout lines."""
+    env = {k: v for k, v in os.environ.items() if k not in PROXY_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env["NO_PROXY"] = env["no_proxy"] = "127.0.0.1,localhost"
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0 and done.stderr == "", done.stderr[-2000:]
+    return done.stdout.splitlines()
 
 
 def test_the_robot_side_imports_no_agent_or_http_module():
     probe = ("import sys, carobo.sim, carobo.bridge; "
              "print(' '.join(m for m in ('requests', 'carobo.llm', 'carobo.app', 'carobo.bench') "
              "if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert loaded.stdout.split() == []
+    assert fresh_interpreter(probe) == [""]
+
+
+def _replay_run():
+    spec = next(s for s in load_benchmark(default_suite_path()) if s.id == "obj_1")
+    return ["run", "--request", spec.request_text, "--world", str(DATA_DIR / "worlds" / "obj_1.json"),
+            "--backend", "replay", "--replay-trace", str(bundled_trace_dir("gpt-4o") / "obj_1.jsonl")]
+
+
+STARTS = {
+    "import carobo.cli": None,
+    "bench --policy oracle": ["bench", "--policy", "oracle"],
+    "bench --policy oracle --transport local:": ["bench", "--policy", "oracle", "--transport", "local:"],
+    "run --backend replay": _replay_run(),
+}
+
+
+@pytest.mark.parametrize("start", sorted(STARTS))
+def test_commands_that_make_no_http_call_never_load_requests(start):
+    argv = STARTS[start]
+    probe = ("import sys, carobo.cli\n"
+             "if sys.argv[1:]:\n"
+             "    assert carobo.cli.main(sys.argv[1:]) == 0\n"
+             "print('requests' in sys.modules)")
+    out = fresh_interpreter(probe, *(argv or ()))
+    assert out[-1] == "False"
+    if argv and argv[0] == "bench":
+        assert "overall                100.0% (20/20)" in out
+
+
+HTTP_PROBE = """
+import json, sys, threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from carobo.llm import BackendConfig, HttpChatConfig, Block, Prompt, make_backend
+
+class Handler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.dumps({"choices": [{"message": {"content": "the completion"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format, *args):
+        pass
+
+server = HTTPServer(("127.0.0.1", 0), Handler)
+thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+thread.start()
+try:
+    url = "http://127.0.0.1:%d/v1/chat/completions" % server.server_address[1]
+    backend = make_backend(BackendConfig(kind=HttpChatConfig(endpoint=url, model_name="m", timeout_s=5.0)))
+    print("requests" in sys.modules)
+    prompt = Prompt(system="s", user_blocks=tuple(Block(k, k) for k in ("request", "observation", "sensors", "memory")))
+    print(backend.complete(prompt))
+    print("requests" in sys.modules)
+finally:
+    server.shutdown()
+    server.server_close()
+    thread.join()
+"""
+
+
+def test_the_http_backend_loads_requests_on_its_first_call():
+    assert fresh_interpreter(HTTP_PROBE) == ["False", "the completion", "True"]

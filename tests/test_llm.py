@@ -265,6 +265,44 @@ def test_parse_app_decision_rejects_non_json():
         parse_app_decision('{"unclosed": ')
 
 
+APP_DOC = {"observation": "o", "comment": "c", "status": "FINISH"}
+HOST_DOC = {"observation": "o", "thoughts": "t", "plan": ["look", "go"], "comment": "c"}
+
+
+def _with_lone_surrogate(doc, key):
+    """The decision as ASCII JSON in which the string at `key` (a plan step:
+    ("plan", i)) decodes to text holding a lone surrogate."""
+    doc = json.loads(json.dumps(doc))
+    owner, key = (doc[key[0]], key[1]) if isinstance(key, tuple) else (doc, key)
+    owner[key] += "\ud800"
+    return json.dumps(doc)  # ensure_ascii: the surrogate travels as an escape
+
+
+@pytest.mark.parametrize("parse, doc, key, field", [
+    pytest.param(parse_app_decision, APP_DOC, "observation", "decision field 'observation'", id="app-observation"),
+    pytest.param(parse_app_decision, APP_DOC, "comment", "decision field 'comment'", id="app-comment"),
+    pytest.param(parse_host_decision, HOST_DOC, "observation", "decision field 'observation'", id="host-observation"),
+    pytest.param(parse_host_decision, HOST_DOC, "thoughts", "decision field 'thoughts'", id="host-thoughts"),
+    pytest.param(parse_host_decision, HOST_DOC, "comment", "decision field 'comment'", id="host-comment"),
+    pytest.param(parse_host_decision, HOST_DOC, ("plan", 1), "plan step", id="host-plan"),
+])
+def test_a_kept_string_that_utf8_cannot_encode_is_malformed(parse, doc, key, field):
+    raw = _with_lone_surrogate(doc, key)
+    assert raw.isascii()
+    with pytest.raises(MalformedDecision, match=f"{field} holds a lone surrogate"):
+        parse(raw)
+
+
+@pytest.mark.parametrize("parse, doc", [(parse_app_decision, APP_DOC), (parse_host_decision, HOST_DOC)],
+                         ids=["app", "host"])
+def test_a_completion_that_utf8_cannot_encode_is_malformed(parse, doc):
+    # the decision itself is fine, but the raw text, which a trace records, is not
+    raw = json.dumps(doc) + " trailing prose \ud83d"
+    with pytest.raises(MalformedDecision, match="completion holds a lone surrogate at index"):
+        parse(raw)
+    assert parse(json.dumps(doc) + " trailing prose \U0001f600")  # a whole pair is fine
+
+
 _commands = st.one_of(
     st.builds(Command.forward, st.floats(0.01, 10.0)),
     st.builds(Command.back, st.floats(0.01, 10.0)),
