@@ -421,9 +421,7 @@ def parse_app_decision(raw: str) -> AppDecision:
     command = None
     if doc.get("command") is not None:
         command = Command.from_dict(doc["command"])  # UnknownCommand/ArgOutOfRange propagate
-    if parsed_status is Status.CONTINUE and command is None:
-        raise MalformedDecision("CONTINUE decision without a command")
-    return AppDecision(
+    return AppDecision(  # a CONTINUE without a command raises MalformedDecision
         observation_desc=_require_str(doc, "observation"),
         comment=_require_str(doc, "comment"),
         status=parsed_status,

@@ -97,6 +97,17 @@ def _float(value) -> float:
     raise _mismatch("a finite number", value)
 
 
+def _str(value) -> str:
+    if type(value) is not str:
+        raise _mismatch("a string", value)
+    try:  # a lone surrogate, which a JSON "\ud800" escape decodes to, cannot be written out
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SchemaError(f"a string UTF-8 cannot encode (lone surrogate at index {exc.start}): "
+                          f"{reprlib.repr(value)}") from None
+    return value
+
+
 def _exactly(tp, expected: str):
     def check(value):
         if type(value) is not tp:
@@ -126,7 +137,7 @@ def _optional_arg(tp):
 _ENV = {
     "SchemaError": SchemaError, "mismatch": _mismatch, "seq": _list, "isfinite": math.isfinite,
     "dumps": canonical_json, "write_str": json.encoder.encode_basestring,
-    "to_float": _float, "to_int": _exactly(int, "an integer"), "to_str": _exactly(str, "a string"),
+    "to_float": _float, "to_int": _exactly(int, "an integer"), "to_str": _str,
     "to_bool": _exactly(bool, "true or false"), "NULL": "null", "COMMA": ",", "LB": "[", "RB": "]",
 }
 
@@ -136,7 +147,8 @@ _SCALARS = {
     float: ("({v} if type({v}) is float and isfinite({v}) else to_float({v}))",
             "(repr({v}) if type({v}) is float and isfinite({v}) else dumps({v}))"),
     int: ("({v} if type({v}) is int else to_int({v}))", "(repr({v}) if type({v}) is int else dumps({v}))"),
-    str: ("({v} if type({v}) is str else to_str({v}))", "(write_str({v}) if type({v}) is str else dumps({v}))"),
+    str: ("({v} if type({v}) is str and {v}.isascii() else to_str({v}))",
+          "(write_str({v}) if type({v}) is str else dumps({v}))"),
     bool: ("({v} if type({v}) is bool else to_bool({v}))", "dumps({v})"),
 }
 
@@ -230,9 +242,9 @@ def field_codec(tp):
     of scalars, dict or Dict[str, scalar], an Enum (coded by its value) or a
     class with `to_dict`/`from_dict`. `encode` turns a value into plain JSON
     data, or is None for a value that already is. `decode` checks one JSON
-    value: a wrong JSON type, a non-finite float or an unknown enum value
-    raises SchemaError. `write(value)` is canonical_json(encode(value)),
-    written without building the data.
+    value: a wrong JSON type, a non-finite float, a string UTF-8 cannot
+    encode or an unknown enum value raises SchemaError. `write(value)` is
+    canonical_json(encode(value)), written without building the data.
     """
     env = dict(_ENV)
     encode, decode, write = _sources(tp, "value", env)
@@ -379,7 +391,6 @@ class ExecOutcome(Enum):
     OK = "ok"
     BLOCKED = "blocked"
     AVOIDED = "avoided"
-    CLAMPED = "clamped"
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +411,8 @@ COMMAND_SPECS = {
 class Command:
     """One actuator command. Each variant takes a single numeric argument.
 
-    The bare constructor only checks that the variant exists and the value is a
-    finite number; range validation happens in :func:`validate_command`, which
-    the factory methods and the decision parser always apply. The simulator is
-    deliberately lenient about camera pitch (it clamps), so a raw out-of-range
-    CameraMove is representable.
+    The constructor range-checks the argument against COMMAND_SPECS, so every
+    Command that exists is legal and no later layer checks it again.
     """
 
     name: str
@@ -421,6 +429,10 @@ class Command:
             value = math.inf
         if not math.isfinite(value):
             raise ArgOutOfRange(f"{self.name}: argument must be finite")
+        arg_name, low, high, low_inclusive = COMMAND_SPECS[self.name]
+        if not ((value >= low if low_inclusive else value > low) and value <= high):
+            bracket = "[" if low_inclusive else "("
+            raise ArgOutOfRange(f"{self.name}: {arg_name}={value:g} outside {bracket}{low:g}, {high:g}]")
         object.__setattr__(self, "value", value)
 
     @property
@@ -444,46 +456,7 @@ class Command:
         args = data.get("args")
         if not isinstance(args, dict) or set(args.keys()) != {arg_name}:
             raise InvalidCommand(f"{name} takes exactly one argument {arg_name!r}, got {args!r}")
-        cmd = cls(name, args[arg_name])
-        validate_command(cmd)
-        return cmd
-
-    # validated factories
-    @classmethod
-    def forward(cls, distance: float) -> "Command":
-        return validate_command(cls("car_forward", distance))
-
-    @classmethod
-    def back(cls, distance: float) -> "Command":
-        return validate_command(cls("car_back", distance))
-
-    @classmethod
-    def left(cls, angle: float) -> "Command":
-        return validate_command(cls("car_left", angle))
-
-    @classmethod
-    def right(cls, angle: float) -> "Command":
-        return validate_command(cls("car_right", angle))
-
-    @classmethod
-    def camera(cls, pitch: float) -> "Command":
-        return validate_command(cls("camera_move", pitch))
-
-    @classmethod
-    def buzz(cls, duration: float) -> "Command":
-        return validate_command(cls("buzzer", duration))
-
-
-def validate_command(cmd: Command) -> Command:
-    """Range-check a command's argument; returns the command for chaining."""
-    arg_name, low, high, low_inclusive = COMMAND_SPECS[cmd.name]
-    ok = (cmd.value >= low if low_inclusive else cmd.value > low) and cmd.value <= high
-    if not ok:
-        bracket = "[" if low_inclusive else "("
-        raise ArgOutOfRange(
-            f"{cmd.name}: {arg_name}={cmd.value:g} outside {bracket}{low:g}, {high:g}]"
-        )
-    return cmd
+        return cls(name, args[arg_name])
 
 
 # ---------------------------------------------------------------------------

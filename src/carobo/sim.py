@@ -28,7 +28,6 @@ from .model import (
     Command,
     ExecOutcome,
     ExecResult,
-    InvalidCommand,
     Observation,
     SchemaError,
     SensorData,
@@ -37,7 +36,6 @@ from .model import (
     codec,
     field_codec,
     read_json,
-    validate_command,
 )
 
 OBJECT_KINDS = ("box", "wall", "person", "paper", "refrigerator", "marker")
@@ -200,7 +198,7 @@ class SimObject:
         if self.kind not in OBJECT_KINDS:
             raise SchemaError(f"unknown object kind: {self.kind!r}")
         if self.height <= 0:
-            raise SchemaError(f"object {self.id}: height must be positive")
+            raise SchemaError(f"object {self.id!r}: height must be positive")
         if self.label is None:
             object.__setattr__(self, "label", self.kind)
 
@@ -389,6 +387,8 @@ class WorldState:
 def load_world(document: dict) -> WorldState:
     """Build a world from a plain document, filling parameter defaults."""
     world = WorldState.from_dict(document)
+    if not 0 <= world.tick < 2**53:  # a buzzer event records float(tick), which must be exact
+        raise SchemaError("tick must be in [0, 2**53)")
     ids = [o.id for o in world.objects]
     if len(set(ids)) != len(ids):
         raise SchemaError("object ids must be unique")
@@ -572,11 +572,8 @@ def _drive(world: WorldState, requested: float, forward: bool) -> Tuple[WorldSta
 def apply_command(world: WorldState, command: Command) -> Tuple[WorldState, ExecResult]:
     """Execute one command and report what actually happened.
 
-    Distances, angles and buzzer durations are range-checked; camera pitch is
-    clamped instead of rejected so a defensive caller still gets a legal world.
+    A Command is range-checked when it is built, so every one is executed as given.
     """
-    if command.name != "camera_move":
-        validate_command(command)
     outcome = ExecOutcome.OK
     travelled = 0.0
     heading_change = 0.0
@@ -590,14 +587,9 @@ def apply_command(world: WorldState, command: Command) -> Tuple[WorldState, Exec
         pose = world.robot
         world = replace(world, robot=replace(pose, heading=geo.norm_heading(pose.heading + heading_change)))
     elif command.name == "camera_move":
-        pitch = min(60.0, max(-30.0, command.value))
-        if pitch != command.value:
-            outcome = ExecOutcome.CLAMPED
-        world = replace(world, robot=replace(world.robot, camera_pitch=pitch))
+        world = replace(world, robot=replace(world.robot, camera_pitch=command.value))
     elif command.name == "buzzer":
         world = replace(world, buzzer_events=world.buzzer_events + (float(world.tick),))
-    else:  # pragma: no cover - Command constructor rejects unknown names
-        raise InvalidCommand(command.name)
     world = replace(world, tick=world.tick + 1)
     result = ExecResult(
         command_echo=command,

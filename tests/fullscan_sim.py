@@ -18,7 +18,6 @@ from carobo.model import (
     Observation,
     SensorData,
     VisibleObject,
-    validate_command,
 )
 from carobo.sim import SimObject, WorldState, visible_height_band
 
@@ -120,7 +119,6 @@ def apply_command(world: WorldState, command: Command) -> Tuple[WorldState, Exec
     if command.name not in ("car_forward", "car_back"):
         world, result = sim.apply_command(world, command)
         return world, replace(result, sensor_after=read_sensors(world))
-    validate_command(command)
     world, outcome, travelled, heading_change = _drive(
         world, command.value, forward=command.name == "car_forward"
     )

@@ -153,17 +153,17 @@ def test_criterion_3_oracle_end_to_end(specs):
 def test_criterion_4_kinematics():
     world = empty_world()
     for _ in range(4):
-        world, _ = apply_command(world, Command.forward(0.6))
-        world, _ = apply_command(world, Command.left(90))
+        world, _ = apply_command(world, Command("car_forward", 0.6))
+        world, _ = apply_command(world, Command("car_left", 90))
     gap = math.hypot(world.robot.x, world.robot.y)
     heading_err = min(world.robot.heading, 360.0 - world.robot.heading)
     assert gap <= 1e-6, f"square gap {gap}"
     assert heading_err <= 1e-9, f"heading error {heading_err}"
 
     world = empty_world()
-    zigzag = (Command.left(30), Command.forward(0.5), Command.right(60), Command.forward(0.5),
-              Command.left(60), Command.forward(0.5), Command.right(60), Command.forward(0.5),
-              Command.left(30))
+    zigzag = (Command("car_left", 30), Command("car_forward", 0.5), Command("car_right", 60), Command("car_forward", 0.5),
+              Command("car_left", 60), Command("car_forward", 0.5), Command("car_right", 60), Command("car_forward", 0.5),
+              Command("car_left", 30))
     path = 0.0
     for cmd in zigzag:
         world, res = apply_command(world, cmd)
@@ -264,13 +264,13 @@ def test_criterion_5b_footprint_never_violated():
         for _ in range(rng.randint(3, 6)):
             kind = rng.random()
             if kind < 0.45:
-                cmd = Command.forward(rng.uniform(0.05, 1.0))
+                cmd = Command("car_forward", rng.uniform(0.05, 1.0))
             elif kind < 0.70:
-                cmd = Command.back(rng.uniform(0.05, 1.0))
+                cmd = Command("car_back", rng.uniform(0.05, 1.0))
             elif kind < 0.85:
-                cmd = Command.left(rng.uniform(5, 350))
+                cmd = Command("car_left", rng.uniform(5, 350))
             else:
-                cmd = Command.right(rng.uniform(5, 350))
+                cmd = Command("car_right", rng.uniform(5, 350))
             world, _res = apply_command(world, cmd)
             pos = world.robot.position
             for obj in world.objects:
@@ -312,7 +312,7 @@ def test_criterion_6_avoidance():
             "robot": {"x": 0, "y": 0, "heading": heading, "camera_pitch": 0},
             "objects": [{"id": "wall", "kind": "box", "shape": shape}],
         })
-        world, res = apply_command(world, Command.forward(min(gap + 1.0, 10.0)))
+        world, res = apply_command(world, Command("car_forward", min(gap + 1.0, 10.0)))
         assert res.outcome is ExecOutcome.AVOIDED, f"case {case}: {res.outcome} at gap {gap}"
         assert res.heading_change == -90.0, f"case {case}: heading_change {res.heading_change}"
         assert world.robot.heading == (heading - 90.0) % 360.0, f"case {case}"
@@ -333,12 +333,12 @@ def test_criterion_6_avoidance():
 _texts = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), min_size=0, max_size=60)
 _commands = st.one_of(
-    st.builds(Command.forward, st.floats(0.01, 10.0)),
-    st.builds(Command.back, st.floats(0.01, 10.0)),
-    st.builds(Command.left, st.floats(0.01, 360.0)),
-    st.builds(Command.right, st.floats(0.01, 360.0)),
-    st.builds(Command.camera, st.floats(-30.0, 60.0)),
-    st.builds(Command.buzz, st.floats(0.01, 10.0)),
+    st.builds(Command, st.just("car_forward"), st.floats(0.01, 10.0)),
+    st.builds(Command, st.just("car_back"), st.floats(0.01, 10.0)),
+    st.builds(Command, st.just("car_left"), st.floats(0.01, 360.0)),
+    st.builds(Command, st.just("car_right"), st.floats(0.01, 360.0)),
+    st.builds(Command, st.just("camera_move"), st.floats(-30.0, 60.0)),
+    st.builds(Command, st.just("buzzer"), st.floats(0.01, 10.0)),
 )
 _app_decisions = st.one_of(
     st.builds(AppDecision, observation_desc=_texts, comment=_texts,

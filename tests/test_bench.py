@@ -220,7 +220,7 @@ def episode(verdict, failure_reason=None, log=None):
 
 def two_round_log():
     obs = Observation.from_items(())
-    cmd = Command.forward(0.5)
+    cmd = Command("car_forward", 0.5)
     res = ExecResult(command_echo=cmd, outcome=ExecOutcome.OK, distance_travelled=0.5,
                      heading_change=0.0, sensor_after=sensors())
     log = append_round(MemoryLog(), Round(index=0, observation=obs, comment="going",

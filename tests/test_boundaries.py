@@ -1,12 +1,17 @@
 """Every input boundary rejects bad input with a typed error and never hangs:
 through the CLI, exit 2 and one `error:` line."""
+import contextlib
+import io
 import json
 import socket
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from carobo.bench import DATA_DIR, default_suite_path, load_benchmark
 from carobo.bridge import TOPIC_SENSOR, ConnectionClosed, ProtocolError, TcpConnection, decode_line
 from carobo.cli import main
 from carobo.llm import (
@@ -18,6 +23,7 @@ from carobo.llm import (
     serialize_host_decision,
 )
 from carobo.model import COMMAND_SPECS, CaroboError
+from carobo.sim import OBJECT_KINDS, PARAM_RANGES
 
 DEEP = "[" * 100_000  # deeper than any recursion limit json.loads can reach
 
@@ -135,3 +141,60 @@ def test_fuzzed_completions_parse_or_fail_typed(time_limit, raw):
             # an accepted completion and every string kept from it can be written to a trace
             raw.encode("utf-8")
             serialize(decision).encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# World files: whatever a world file holds, `carobo run` finishes its episode
+# (exit 0 or 1) or rejects the file (exit 2 and one `error:` line)
+
+def _or_any(plausible):
+    return plausible | _values
+
+
+_coordinate = _or_any(st.floats(-5, 5) | _numbers)
+_point = _or_any(st.lists(_coordinate, min_size=2, max_size=2))
+_shapes = _or_any(
+    st.fixed_dictionaries({"type": st.just("circle"), "center": _point,
+                           "radius": _or_any(st.floats(0, 2) | _numbers)})
+    | st.fixed_dictionaries({"type": st.just("polygon"),
+                             "vertices": _or_any(st.lists(_point, min_size=3, max_size=5))}))
+_objects = st.fixed_dictionaries(
+    {"id": _or_any(_text(6)), "kind": _or_any(st.sampled_from(OBJECT_KINDS)), "shape": _shapes},
+    optional={"label": _or_any(_text(6)), "color": _or_any(_text(6)), "height": _coordinate,
+              "text_on_object": _or_any(_text(6))})
+_worlds = st.fixed_dictionaries(
+    {"robot": _or_any(st.fixed_dictionaries(
+        {}, optional={key: _coordinate for key in ("x", "y", "heading", "camera_pitch")}))},
+    optional={
+        "objects": _or_any(st.lists(_objects, max_size=4)),
+        "params": _or_any(st.fixed_dictionaries({}, optional={
+            name: _or_any(st.floats(low, high) | _numbers) for name, (low, high) in PARAM_RANGES.items()})),
+        "buzzer_events": _or_any(st.lists(_coordinate, max_size=2)),
+        "tick": _or_any(st.integers(0, 10) | _numbers),
+    }) | _values
+# each scenario's request, so the oracle drives the fuzzed world through its script
+REQUESTS = {s.id: s.request_text for s in load_benchmark(default_suite_path())}
+_requests = st.sampled_from(sorted(REQUESTS.values()))
+OBJ_1 = json.loads((DATA_DIR / "worlds" / "obj_1.json").read_text(encoding="utf-8"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_worlds.map(json.dumps) | _jsonish, _requests)
+@example('{"robot": {}, "objects": ' + DEEP, "look")
+@example(json.dumps(OBJ_1).replace('"fridge"', '"fridge\\ud800"'), "look")
+@example(json.dumps({"robot": {}, "tick": 10**400}), REQUESTS["obj_4"])  # its script sounds the buzzer
+@example(json.dumps({"robot": {}, "objects": [{"id": "two\nlines", "kind": "box", "height": 0,
+                                                "shape": {"type": "circle", "center": [2, 0], "radius": 1}}]}),
+         "look")
+def test_fuzzed_world_files_run_or_exit_two(time_limit, text, request):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "world.json"
+        path.write_text(text, encoding="utf-8")  # json.dumps escapes every lone surrogate
+        err = io.StringIO()
+        with time_limit(5.0), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--request", request, "--world", str(path), "--max-steps", "10"])
+    err = err.getvalue()
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+    else:
+        assert code in (0, 1) and err == "", (code, err[:300])

@@ -107,7 +107,7 @@ def test_empty_exec_payload_is_a_typed_error():
     try:
         robot_side._send_line(encode_line(TOPIC_EXEC, 0, 0, {}))
         with pytest.raises(CaroboError) as err:
-            BridgeRobot(client, timeout_ms=500).execute(Command.forward(1.0))
+            BridgeRobot(client, timeout_ms=500).execute(Command("car_forward", 1.0))
         assert "ExecResult" in str(err.value)
     finally:
         client.close()
@@ -119,7 +119,7 @@ def test_publish_type_checked_per_topic():
         with pytest.raises(TopicPayloadMismatch):
             a.publish(TOPIC_CMD, SensorData(ultrasonic_clearance=1, ir_left=False, ir_right=False))
         with pytest.raises(TopicPayloadMismatch):
-            a.publish("/carobo/nope", Command.forward(1.0))
+            a.publish("/carobo/nope", Command("car_forward", 1.0))
     finally:
         a.close()
 
@@ -130,12 +130,12 @@ def test_publish_type_checked_per_topic():
 def test_local_pair_roundtrip_and_seq():
     a, b = local_pair()
     try:
-        a.publish(TOPIC_CMD, Command.forward(1.0))
-        a.publish(TOPIC_CMD, Command.left(90.0))
+        a.publish(TOPIC_CMD, Command("car_forward", 1.0))
+        a.publish(TOPIC_CMD, Command("car_left", 90.0))
         first = b.next_message(TOPIC_CMD, timeout_ms=500)
         second = b.next_message(TOPIC_CMD, timeout_ms=500)
         assert first.seq == 0 and second.seq == 1
-        assert second.payload == Command.left(90.0)
+        assert second.payload == Command("car_left", 90.0)
     finally:
         a.close()
 
@@ -143,7 +143,7 @@ def test_local_pair_roundtrip_and_seq():
 def test_seq_counters_are_per_topic():
     a, b = local_pair()
     try:
-        a.publish(TOPIC_CMD, Command.forward(1.0))
+        a.publish(TOPIC_CMD, Command("car_forward", 1.0))
         a.publish(TOPIC_SENSOR, SensorData(ultrasonic_clearance=1, ir_left=False, ir_right=False))
         assert b.next_message(TOPIC_CMD, timeout_ms=500).seq == 0
         assert b.next_message(TOPIC_SENSOR, timeout_ms=500).seq == 0
@@ -164,17 +164,17 @@ def test_closed_connection_raises():
     a, b = local_pair()
     a.close()
     with pytest.raises(ConnectionClosed):
-        a.publish(TOPIC_CMD, Command.forward(1.0))
+        a.publish(TOPIC_CMD, Command("car_forward", 1.0))
     with pytest.raises(ConnectionClosed):
         b.next_message(TOPIC_CMD, timeout_ms=50)
 
 
 def test_messages_before_close_still_delivered():
     a, b = local_pair()
-    a.publish(TOPIC_CMD, Command.forward(1.0))
+    a.publish(TOPIC_CMD, Command("car_forward", 1.0))
     a.close()
     env = b.next_message(TOPIC_CMD, timeout_ms=500)
-    assert env.payload == Command.forward(1.0)
+    assert env.payload == Command("car_forward", 1.0)
     with pytest.raises(ConnectionClosed):
         b.next_message(TOPIC_CMD, timeout_ms=50)
 
@@ -202,8 +202,8 @@ def test_seq_gap_detected():
     a, b = local_pair()
     try:
         # hand-crafted frames with a hole in the sequence
-        b._inbox.put(*decode_line(encode_line(TOPIC_CMD, 0, 0, Command.forward(1.0).to_dict())))
-        b._inbox.put(*decode_line(encode_line(TOPIC_CMD, 2, 0, Command.forward(1.0).to_dict())))
+        b._inbox.put(*decode_line(encode_line(TOPIC_CMD, 0, 0, Command("car_forward", 1.0).to_dict())))
+        b._inbox.put(*decode_line(encode_line(TOPIC_CMD, 2, 0, Command("car_forward", 1.0).to_dict())))
         b.next_message(TOPIC_CMD, timeout_ms=100)
         with pytest.raises(ProtocolError) as err:
             b.next_message(TOPIC_CMD, timeout_ms=100)
@@ -225,7 +225,7 @@ def test_local_robot_protocol():
         assert len(vision.items) == 1
 
         # each command answers exec, then sensor, then vision
-        client.publish(TOPIC_CMD, Command.left(90))
+        client.publish(TOPIC_CMD, Command("car_left", 90))
         result = client.next_message(TOPIC_EXEC, timeout_ms=2000).payload
         assert result.heading_change == 90.0
         sensors = client.next_message(TOPIC_SENSOR, timeout_ms=2000).payload
@@ -243,7 +243,7 @@ def test_bridge_robot_handle_matches_direct_sim():
     bridged = BridgeRobot(client, robot)
     try:
         assert direct.connect() == bridged.connect()
-        for cmd in (Command.forward(0.4), Command.left(90), Command.buzz(0.5)):
+        for cmd in (Command("car_forward", 0.4), Command("car_left", 90), Command("buzzer", 0.5)):
             assert direct.execute(cmd) == bridged.execute(cmd)
         assert bridged.world is robot.world
         assert direct.world.to_dict() == bridged.world.to_dict()
@@ -256,7 +256,7 @@ def test_bridge_robot_without_a_served_robot_has_no_world():
     bridged = BridgeRobot(client)
     try:
         bridged.connect()
-        bridged.execute(Command.left(90))
+        bridged.execute(Command("car_left", 90))
         assert bridged.world is None
     finally:
         shutdown()
@@ -268,7 +268,7 @@ def test_local_robot_starts_no_thread():
     client, served, shutdown = start_local_robot(load_world(world_doc([a_box()])))
     robot = BridgeRobot(client, served)
     robot.connect()
-    robot.execute(Command.left(90))
+    robot.execute(Command("car_left", 90))
     assert set(threading.enumerate()) <= before
     shutdown()
     assert set(threading.enumerate()) <= before
@@ -287,7 +287,7 @@ def test_local_malformed_command_gets_error_envelope():
         assert "bad command" in str(err.value)
         # the robot dropped the connection, as it does over TCP
         with pytest.raises(ConnectionClosed):
-            client.publish(TOPIC_CMD, Command.left(90))
+            client.publish(TOPIC_CMD, Command("car_left", 90))
     finally:
         shutdown()
 
@@ -317,7 +317,7 @@ def test_tcp_server_roundtrip():
         robot = BridgeRobot(tcp_connect(server.host, server.port))
         sensors, _vision = robot.connect()
         assert sensors.ultrasonic_clearance == pytest.approx(0.75)
-        result, sensors2, _vision2 = robot.execute(Command.forward(0.3))
+        result, sensors2, _vision2 = robot.execute(Command("car_forward", 0.3))
         assert result.distance_travelled == pytest.approx(0.3)
         assert sensors2.ultrasonic_clearance == pytest.approx(0.45)
         robot.close()
@@ -330,12 +330,12 @@ def test_tcp_sequential_clients_share_the_world():
     try:
         first = BridgeRobot(tcp_connect(server.host, server.port))
         first.connect()
-        first.execute(Command.left(90))
+        first.execute(Command("car_left", 90))
         first.close()
 
         second = BridgeRobot(tcp_connect(server.host, server.port))
         second.connect()
-        second.execute(Command.left(90))
+        second.execute(Command("car_left", 90))
         second.close()
         assert server.robot.world.robot.heading == 180.0
     finally:

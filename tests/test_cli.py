@@ -237,6 +237,45 @@ def test_bench_names_a_malformed_world_file(tmp_path, capsys, scenario):
     assert not traces.exists() or not any(traces.iterdir()), "an episode ran before the bad world was read"
 
 
+def _world_with_an_unencodable_id(tmp_path):
+    text = (DATA_DIR / "worlds" / "obj_1.json").read_text(encoding="utf-8")
+    assert '"fridge"' in text
+    path = tmp_path / "world.json"
+    path.write_text(text.replace('"fridge"', '"fridge\\ud800"'), encoding="utf-8")
+    return ["run", "--request", "look", "--world", str(path)]
+
+
+def _suite_with_an_unencodable_request(tmp_path):
+    shutil.copytree(DATA_DIR / "worlds", tmp_path / "worlds")
+    doc = json.loads(default_suite_path().read_text(encoding="utf-8"))
+    doc["scenarios"][0]["request_text"] += " \ud800"
+    # json.dumps writes the lone surrogate as the ASCII escape \ud800
+    (tmp_path / "suite.json").write_text(json.dumps(doc), encoding="utf-8")
+    return ["bench", "--suite", str(tmp_path / "suite.json"), "--traces-dir", str(tmp_path / "traces")]
+
+
+def _trace_with_an_unencodable_request(tmp_path):
+    trace = _recorded_trace(tmp_path)
+    lines = trace.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["request_text"] += " \ud800"
+    trace.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    return ["replay", "--trace", str(trace)]
+
+
+@pytest.mark.parametrize("case", [_world_with_an_unencodable_id, _suite_with_an_unencodable_request,
+                                  _trace_with_an_unencodable_request], ids=["world", "suite", "trace"])
+def test_a_string_utf8_cannot_encode_exits_two(tmp_path, capsys, case):
+    argv = case(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "UTF-8 cannot encode (lone surrogate at index " in err
+    traces = tmp_path / "traces"
+    assert not traces.exists() or not any(traces.iterdir()), "an episode ran before the bad suite was read"
+
+
 HOST_LINE = json.dumps({"observation": "o", "thoughts": "t", "plan": ["p"], "comment": "c"})
 FINISH_LINE = json.dumps({"observation": "o", "comment": "done", "status": "FINISH"})
 

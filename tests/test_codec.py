@@ -45,7 +45,7 @@ from carobo.sim import (
 
 def exec_doc(**changes):
     doc = ExecResult(
-        command_echo=Command.forward(0.5), outcome=ExecOutcome.OK, distance_travelled=0.5,
+        command_echo=Command("car_forward", 0.5), outcome=ExecOutcome.OK, distance_travelled=0.5,
         heading_change=0.0, sensor_after=SensorData(1.0, False, True),
     ).to_dict()
     doc.update(changes)
@@ -161,6 +161,9 @@ MALFORMED = {
     "goal op a list": lambda: parse_goal({"op": ["near"]}),
     "header without limits": lambda: EpisodeHeader.from_dict({"type": "episode", "request_id": "a", "request_text": "b", "world": {}}),
     "world is a list": lambda: load_world([]),
+    "id with a lone surrogate": lambda: load_world(world(objects=[disc(id="b\ud800")])),
+    "negative tick": lambda: load_world(world() | {"tick": -1}),
+    "tick past 2**53": lambda: load_world(world() | {"tick": 2**53}),
 }
 
 
@@ -203,7 +206,7 @@ def test_fuzzed_worlds_load_or_fail_typed_and_never_hang(time_limit, params, pos
             return
         except SchemaError:
             return
-        for command in (Command.forward(1.0), Command.back(1.0)):
+        for command in (Command("car_forward", 1.0), Command("car_back", 1.0)):
             state, result = apply_command(state, command)
             assert math.isfinite(result.distance_travelled)
         render_camera(state)
@@ -242,7 +245,7 @@ def drive_both_ways(doc):
     except (OverlapError, SchemaError):
         return None
     out = [read_sensors(state)]
-    for command in (Command.forward(1.0), Command.back(1.0)):
+    for command in (Command("car_forward", 1.0), Command("car_back", 1.0)):
         state, result = apply_command(state, command)
         assert math.isfinite(result.distance_travelled)
         out += [result, state.robot, render_camera(state).to_dict()]
@@ -297,6 +300,10 @@ def polygon(*vertices):
     (lambda: WorldState.from_dict({"robot": {}, "tick": 1.0}), "WorldState.tick: expected an integer, got 1.0"),
     (lambda: SimParams.from_dict({"zeta": 1, "hfov": 60, "warp": 9}), "SimParams: unknown keys ['warp', 'zeta']"),
     (lambda: EpisodeLimits.from_dict({"max_steps": 5, "max_step": 5}), "EpisodeLimits: unknown keys ['max_step']"),
+    # what a "\ud800" escape in any input file or bridge payload decodes to
+    (lambda: Observation.from_dict({"free_text": "a\ud800"}),
+     "Observation.free_text: a string UTF-8 cannot encode (lone surrogate at index 1): 'a\\ud800'"),
+    (lambda: load_world({"robot": {}, "tick": 2**53}), "tick must be in [0, 2**53)"),
 ])
 def test_decoder_messages(decode, message):
     with pytest.raises(SchemaError) as err:

@@ -198,7 +198,7 @@ def test_parse_app_decision_continue_and_finish():
         "command": {"name": "car_forward", "args": {"distance": 0.5}},
     })
     d = parse_app_decision(cont)
-    assert d.status is Status.CONTINUE and d.command == Command.forward(0.5)
+    assert d.status is Status.CONTINUE and d.command == Command("car_forward", 0.5)
 
     fin = json.dumps({"observation": "o", "comment": "done", "status": "finish"})
     d = parse_app_decision(fin)
@@ -304,12 +304,12 @@ def test_a_completion_that_utf8_cannot_encode_is_malformed(parse, doc):
 
 
 _commands = st.one_of(
-    st.builds(Command.forward, st.floats(0.01, 10.0)),
-    st.builds(Command.back, st.floats(0.01, 10.0)),
-    st.builds(Command.left, st.floats(0.01, 360.0)),
-    st.builds(Command.right, st.floats(0.01, 360.0)),
-    st.builds(Command.camera, st.floats(-30.0, 60.0)),
-    st.builds(Command.buzz, st.floats(0.01, 10.0)),
+    st.builds(Command, st.just("car_forward"), st.floats(0.01, 10.0)),
+    st.builds(Command, st.just("car_back"), st.floats(0.01, 10.0)),
+    st.builds(Command, st.just("car_left"), st.floats(0.01, 360.0)),
+    st.builds(Command, st.just("car_right"), st.floats(0.01, 360.0)),
+    st.builds(Command, st.just("camera_move"), st.floats(-30.0, 60.0)),
+    st.builds(Command, st.just("buzzer"), st.floats(0.01, 10.0)),
 )
 
 _texts = st.text(

@@ -30,7 +30,6 @@ from carobo.model import (
     parse_status,
     render_items,
     render_memory,
-    validate_command,
 )
 
 
@@ -77,7 +76,7 @@ def test_command_specs_cover_exactly_six_commands():
     ],
 )
 def test_validate_accepts_in_range(name, value):
-    validate_command(Command(name=name, value=value))
+    assert Command(name=name, value=value).value == value
 
 
 @pytest.mark.parametrize(
@@ -98,7 +97,7 @@ def test_validate_accepts_in_range(name, value):
 )
 def test_validate_rejects_out_of_range(name, value):
     with pytest.raises(ArgOutOfRange):
-        validate_command(Command(name=name, value=value))
+        Command(name=name, value=value)
 
 
 def test_unknown_command_name_rejected_at_construction():
@@ -114,7 +113,7 @@ def test_non_finite_value_rejected():
 
 
 def test_command_serialization_shape():
-    cmd = Command.forward(0.5)
+    cmd = Command("car_forward", 0.5)
     assert cmd.to_dict() == {"name": "car_forward", "args": {"distance": 0.5}}
     assert Command.from_dict(cmd.to_dict()) == cmd
 
@@ -128,9 +127,46 @@ def test_command_from_dict_requires_exact_arg_name():
         Command.from_dict({"name": "car_forward", "args": {"distance": 99}})
 
 
+def _arguments():
+    """A command name and an argument: any float or int, a bool, the infinities,
+    NaN, or a value at or just beside one end of the name's range."""
+    def for_name(name):
+        _, lo, hi, _ = COMMAND_SPECS[name]
+        edges = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(lo, math.inf),
+                 math.nextafter(hi, math.inf), int(lo), int(hi), math.inf, -math.inf, math.nan]
+        return st.tuples(st.just(name), st.one_of(
+            st.floats(), st.floats(lo - 1, hi + 1), st.integers(), st.integers(-400, 400),
+            st.booleans(), st.sampled_from(edges)))
+
+    return st.sampled_from(sorted(COMMAND_SPECS)).flatmap(for_name)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except InvalidCommand as exc:
+        return type(exc), str(exc)
+
+
+@given(_arguments())
+def test_a_command_can_be_built_exactly_when_its_argument_is_in_range(case):
+    name, value = case
+    arg, lo, hi, low_inclusive = COMMAND_SPECS[name]
+    in_range = (type(value) in (int, float) and (lo <= value if low_inclusive else lo < value)
+                and value <= hi)
+    built = _outcome(lambda: Command(name, value))
+    if in_range:
+        assert isinstance(built, Command) and built.value == value and type(built.value) is float
+    else:
+        assert isinstance(built, tuple)
+        # a number out of range (NaN and the infinities too) is ArgOutOfRange; a bool is no number
+        assert built[0] is (InvalidCommand if type(value) is bool else ArgOutOfRange)
+    assert _outcome(lambda: Command.from_dict({"name": name, "args": {arg: value}})) == built
+
+
 def test_command_describe_reads_naturally():
-    assert Command.left(90).describe() == "car_left(angle=90)"
-    assert Command.buzz(0.5).describe() == "buzzer(duration=0.5)"
+    assert Command("car_left", 90).describe() == "car_left(angle=90)"
+    assert Command("buzzer", 0.5).describe() == "buzzer(duration=0.5)"
 
 
 @given(st.sampled_from(sorted(COMMAND_SPECS)), st.floats(0.0001, 10.0))
@@ -192,7 +228,7 @@ def _sensors():
 def test_exec_result_avoided_requires_minus_ninety():
     with pytest.raises(InvariantViolation):
         ExecResult(
-            command_echo=Command.forward(1.0),
+            command_echo=Command("car_forward", 1.0),
             outcome=ExecOutcome.AVOIDED,
             distance_travelled=0.2,
             heading_change=-45.0,
@@ -201,7 +237,7 @@ def test_exec_result_avoided_requires_minus_ninety():
 
 
 def test_exec_outcomes_serialize_lowercase():
-    assert {o.value for o in ExecOutcome} == {"ok", "blocked", "avoided", "clamped"}
+    assert {o.value for o in ExecOutcome} == {"ok", "blocked", "avoided"}
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +259,7 @@ def _round(i, status=Status.CONTINUE, with_action=True, comment="c"):
     obs = Observation.from_items(())
     if status is Status.FINISH or not with_action:
         return Round(index=i, observation=obs, comment=comment, status=status)
-    cmd = Command.forward(0.5)
+    cmd = Command("car_forward", 0.5)
     res = ExecResult(
         command_echo=cmd, outcome=ExecOutcome.OK, distance_travelled=0.5,
         heading_change=0.0, sensor_after=_sensors(),
@@ -236,7 +272,7 @@ def test_round_action_and_result_travel_together():
     obs = Observation.from_items(())
     with pytest.raises(InvariantViolation):
         Round(index=0, observation=obs, comment="c", status=Status.CONTINUE,
-              action=Command.forward(1.0))
+              action=Command("car_forward", 1.0))
 
 
 def test_append_round_enforces_contiguous_indices():

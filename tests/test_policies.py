@@ -105,11 +105,11 @@ def test_oracle_app_walks_the_script_then_finishes():
     s = scenario("cmd_1")  # square path: (forward 0.6, left 90) x 4
     first = parse_app_decision(oracle_policy(prompt_for(s.request_text, plan="steps")))
     assert first.status is Status.CONTINUE
-    assert first.command == Command.forward(0.6)
+    assert first.command == Command("car_forward", 0.6)
 
     memory = "\n".join(f"[round {i}] comment: c | action: a | result: ok | status: CONTINUE" for i in range(3))
     fourth = parse_app_decision(oracle_policy(prompt_for(s.request_text, plan="steps", memory=memory)))
-    assert fourth.command == Command.left(90)
+    assert fourth.command == Command("car_left", 90)
 
     memory = "\n".join(f"[round {i}] comment: c | action: a | result: ok | status: CONTINUE" for i in range(8))
     done = parse_app_decision(oracle_policy(prompt_for(s.request_text, plan="steps", memory=memory)))
@@ -121,7 +121,7 @@ def test_oracle_progress_reads_the_last_round_marker():
     s = scenario("cmd_1")
     memory = "[round 0] comment: c | action: a | result: ok | status: CONTINUE"
     second = parse_app_decision(oracle_policy(prompt_for(s.request_text, plan="steps", memory=memory)))
-    assert second.command == Command.left(90)
+    assert second.command == Command("car_left", 90)
 
 
 def test_oracle_unknown_request():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import fullscan_sim
 from carobo import geometry, sim
-from carobo.model import Command, ExecOutcome
+from carobo.model import ArgOutOfRange, Command, ExecOutcome
 from carobo.sim import (
     OverlapError,
     SchemaError,
@@ -129,7 +129,7 @@ def test_heading_normalized_on_load():
 
 def test_forward_clear_path_is_exact():
     world = make_world()
-    world, result = apply_command(world, Command.forward(1.25))
+    world, result = apply_command(world, Command("car_forward", 1.25))
     assert result.outcome is ExecOutcome.OK
     assert math.isclose(result.distance_travelled, 1.25, abs_tol=1e-9)
     assert math.isclose(world.robot.x, 1.25, abs_tol=1e-9)
@@ -140,7 +140,7 @@ def test_forward_clear_path_is_exact():
 def test_forward_avoids_when_clearance_drops():
     # box face at x=0.45; clearance from the front edge starts at 0.35
     world = make_world([box("wall", 0.6, 0.0)])
-    world, result = apply_command(world, Command.forward(1.0))
+    world, result = apply_command(world, Command("car_forward", 1.0))
     assert result.outcome is ExecOutcome.AVOIDED
     assert result.heading_change == -90.0
     assert world.robot.heading == 270.0
@@ -154,7 +154,7 @@ def test_forward_avoids_when_clearance_drops():
 def test_avoid_check_happens_before_moving():
     # already closer than the threshold: no travel at all, just the turn
     world = make_world([box("wall", 0.5, 0.0)], robot={"x": 0.12, "y": 0, "heading": 0, "camera_pitch": 0})
-    world, result = apply_command(world, Command.forward(0.5))
+    world, result = apply_command(world, Command("car_forward", 0.5))
     assert result.outcome is ExecOutcome.AVOIDED
     assert result.distance_travelled == 0.0
     assert world.robot.x == 0.12
@@ -164,7 +164,7 @@ def test_avoid_check_happens_before_moving():
 def test_forward_blocked_by_grazing_contact():
     # off the ray line, so the ultrasonic never warns, but the footprint clips it
     world = make_world([disc("pebble", 0.3, 0.12, 0.05)])
-    world, result = apply_command(world, Command.forward(1.0))
+    world, result = apply_command(world, Command("car_forward", 1.0))
     assert result.outcome is ExecOutcome.BLOCKED
     assert math.isclose(result.distance_travelled, 0.21, abs_tol=1e-6)
     gap = math.hypot(world.robot.x - 0.3, world.robot.y - 0.12) - 0.05
@@ -173,7 +173,7 @@ def test_forward_blocked_by_grazing_contact():
 
 def test_back_drives_into_contact_without_avoidance():
     world = make_world([box("wall", -0.5, 0.0)])
-    world, result = apply_command(world, Command.back(1.0))
+    world, result = apply_command(world, Command("car_back", 1.0))
     assert result.outcome is ExecOutcome.BLOCKED
     assert math.isclose(result.distance_travelled, 0.25, abs_tol=1e-9)
     assert math.isclose(world.robot.x, -0.25, abs_tol=1e-9)
@@ -183,44 +183,43 @@ def test_back_drives_into_contact_without_avoidance():
 
 def test_back_clear_path():
     world = make_world()
-    world, result = apply_command(world, Command.back(0.7))
+    world, result = apply_command(world, Command("car_back", 0.7))
     assert result.outcome is ExecOutcome.OK
     assert math.isclose(world.robot.x, -0.7, abs_tol=1e-9)
 
 
 def test_rotations_are_pure_heading_changes():
     world = make_world()
-    world, r1 = apply_command(world, Command.left(30))
+    world, r1 = apply_command(world, Command("car_left", 30))
     assert world.robot.heading == 30.0 and r1.heading_change == 30.0
-    world, r2 = apply_command(world, Command.right(90))
+    world, r2 = apply_command(world, Command("car_right", 90))
     assert world.robot.heading == 300.0 and r2.heading_change == -90.0
     assert r1.outcome is ExecOutcome.OK and r2.outcome is ExecOutcome.OK
     assert (world.robot.x, world.robot.y) == (0.0, 0.0)
 
 
-def test_camera_move_sets_and_clamps():
+def test_camera_move_sets_an_in_range_pitch_exactly():
     world = make_world()
-    world, r = apply_command(world, Command.camera(45))
-    assert world.robot.camera_pitch == 45.0 and r.outcome is ExecOutcome.OK
-    world, r = apply_command(world, Command(name="camera_move", value=99.0))
-    assert world.robot.camera_pitch == 60.0 and r.outcome is ExecOutcome.CLAMPED
-    world, r = apply_command(world, Command(name="camera_move", value=-77.0))
-    assert world.robot.camera_pitch == -30.0 and r.outcome is ExecOutcome.CLAMPED
+    for pitch in (45, 60.0, -30.0, 0.0):
+        world, r = apply_command(world, Command("camera_move", pitch))
+        assert world.robot.camera_pitch == pitch and r.outcome is ExecOutcome.OK
+    # an out-of-range pitch never reaches the simulator: it cannot be built
+    for pitch in (99.0, -77.0, math.nextafter(60.0, math.inf), math.nextafter(-30.0, -math.inf)):
+        with pytest.raises(ArgOutOfRange):
+            Command("camera_move", pitch)
 
 
 def test_out_of_range_drive_rejected_even_in_sim():
-    from carobo.model import ArgOutOfRange
-    world = make_world()
     with pytest.raises(ArgOutOfRange):
-        apply_command(world, Command(name="car_forward", value=11.0))
+        Command(name="car_forward", value=11.0)
 
 
 def test_buzzer_records_the_command_clock():
     world = make_world()
-    world, _ = apply_command(world, Command.left(10))
-    world, _ = apply_command(world, Command.buzz(0.5))
-    world, _ = apply_command(world, Command.left(10))
-    world, _ = apply_command(world, Command.buzz(0.5))
+    world, _ = apply_command(world, Command("car_left", 10))
+    world, _ = apply_command(world, Command("buzzer", 0.5))
+    world, _ = apply_command(world, Command("car_left", 10))
+    world, _ = apply_command(world, Command("buzzer", 0.5))
     assert world.buzzer_events == (1.0, 3.0)
     assert world.tick == 4
 
@@ -228,7 +227,7 @@ def test_buzzer_records_the_command_clock():
 def test_buzzer_changes_the_digest():
     world = make_world()
     before = world_digest(world)
-    world, _ = apply_command(world, Command.buzz(1.0))
+    world, _ = apply_command(world, Command("buzzer", 1.0))
     assert world_digest(world) != before
 
 
@@ -281,7 +280,7 @@ def test_height_band_truncates_a_tall_person_at_level_pitch():
 
 def test_height_band_reaches_the_top_once_tilted_up():
     world = make_world([person("p", 0.8, 0.0)])
-    world, _ = apply_command(world, Command.camera(40))
+    world, _ = apply_command(world, Command("camera_move", 40))
     lo, hi = visible_height_band(world, world.object_by_id("p"))
     assert hi == 1.6
     assert lo > 0.0
@@ -329,7 +328,7 @@ def test_camera_misses_flat_paper_when_tilted_far_up():
     }
     world = make_world([paper])
     assert len(render_camera(world).items) == 1
-    world, _ = apply_command(world, Command.camera(60))
+    world, _ = apply_command(world, Command("camera_move", 60))
     assert len(render_camera(world).items) == 0
 
 
@@ -342,7 +341,7 @@ def test_sim_robot_handle_surface():
     sensors, obs = robot.connect()
     assert sensors.ultrasonic_clearance == pytest.approx(0.75)
     assert len(obs.items) == 1
-    result, sensors2, obs2 = robot.execute(Command.left(180))
+    result, sensors2, obs2 = robot.execute(Command("car_left", 180))
     assert result.heading_change == 180.0
     assert len(obs2.items) == 0
     assert robot.world is not world and robot.world.robot.heading == 180.0
@@ -469,7 +468,7 @@ def graze_case(kind, seed):
     pose = {"x": 0.0, "y": 0.0, "heading": 0.0, "camera_pitch": 0.0}
     params = {"footprint_radius": 0.1, "avoid_threshold": 0.3}
     doc = _graze_doc(random.Random(seed), kind, pose, params, 0.0, 1.0)
-    return seeded_world(seed, 0, 1.0, pose, params, [doc]), Command.forward(1.0)
+    return seeded_world(seed, 0, 1.0, pose, params, [doc]), Command("car_forward", 1.0)
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -511,7 +510,7 @@ def test_exact_tests_stay_bounded_as_the_world_grows(monkeypatch):
     for n_objects in (1000, 2000):
         world = seeded_world(n_objects, n_objects, 15.0, pose, {}, extra=ahead, centre=(-16.0, 0.0))
         counts.clear()
-        _, result = apply_command(world, Command.forward(0.5))
+        _, result = apply_command(world, Command("car_forward", 0.5))
         drive = sum(counts.values())
         counts.clear()
         items = render_camera(world).items
