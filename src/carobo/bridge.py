@@ -121,14 +121,16 @@ class _Inbox:
     def next(self, topic: str, timeout_ms: Optional[float]) -> Envelope:
         if topic not in TOPICS:
             raise TopicPayloadMismatch(f"unknown topic: {topic!r}")
-        deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000.0
+        deadline = None  # read the clock only if the message is not queued yet
         with self._cond:
             while not self._queues[topic]:
                 if self._closed:
                     raise ConnectionClosed(self._error or "connection closed")
-                if deadline is None:
+                if timeout_ms is None:
                     self._cond.wait()  # put and close both notify
                 else:
+                    if deadline is None:
+                        deadline = time.monotonic() + timeout_ms / 1000.0
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         raise BridgeTimeout(f"no message on {topic} within {timeout_ms} ms")
@@ -154,28 +156,26 @@ class _ConnectionBase:
         self._send_lock = threading.Lock()
         self._closed = False
 
-    def publish(self, topic: str, payload) -> Envelope:
+    def publish(self, topic: str, payload):
         if topic not in TOPICS:
             raise TopicPayloadMismatch(f"unknown topic: {topic!r}")
         if not isinstance(payload, PAYLOAD_TYPES[topic]):
             raise TopicPayloadMismatch(
                 f"{topic} carries {PAYLOAD_TYPES[topic].__name__}, got {type(payload).__name__}"
             )
-        return self._publish_doc(topic, payload.to_dict(), payload)
+        self._publish_doc(topic, payload.to_dict())
 
-    def publish_error(self, topic: str, message: str) -> Envelope:
+    def publish_error(self, topic: str, message: str):
         """Defensive escape hatch: sends an error document on the topic."""
-        return self._publish_doc(topic, {"error": message}, None)
+        self._publish_doc(topic, {"error": message})
 
-    def _publish_doc(self, topic: str, doc: dict, payload) -> Envelope:
+    def _publish_doc(self, topic: str, doc: dict):
         with self._send_lock:
             if self._closed:
                 raise ConnectionClosed("publish on a closed connection")
             seq = self._out_seq[topic]
             self._out_seq[topic] = seq + 1
-            ts = _now_ms()
-            self._send_line(encode_line(topic, seq, ts, doc))
-        return Envelope(topic=topic, seq=seq, timestamp=ts, payload=payload)
+            self._send_line(encode_line(topic, seq, _now_ms(), doc))
 
     def next_message(self, topic: str, timeout_ms: Optional[float] = None) -> Envelope:
         return self._inbox.next(topic, timeout_ms)

@@ -52,14 +52,25 @@ class SchemaError(CaroboError):
     """A document does not match the type it is decoded into."""
 
 
-# json.dumps with these settings would build a new encoder per call; encode()
-# makes its own markers and C encoder each call, so one is safe across threads
 _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# JSONEncoder.encode makes a new C encoder on every call. This one is made once,
+# with the same settings, and is the encoder that call makes. It keeps no cycle
+# markers, so it holds no state between calls and is safe across threads; a
+# circular document would raise RecursionError instead of ValueError, and no
+# document written here can be circular, since `to_dict` output is a tree.
+_C_ENCODER = None if json.encoder.c_make_encoder is None else json.encoder.c_make_encoder(
+    None, _CANONICAL_ENCODER.default, json.encoder.encode_basestring, _CANONICAL_ENCODER.indent,
+    _CANONICAL_ENCODER.key_separator, _CANONICAL_ENCODER.item_separator, _CANONICAL_ENCODER.sort_keys,
+    _CANONICAL_ENCODER.skipkeys, _CANONICAL_ENCODER.allow_nan)
+# the C scanner that json.loads runs, called without json.loads's checks around it
+_SCAN = json.JSONDecoder().scan_once
 
 
 def canonical_json(data) -> str:
     """Stable single-line JSON used for digests, traces and the wire format."""
-    return _CANONICAL_ENCODER.encode(data)
+    if _C_ENCODER is None:
+        return _CANONICAL_ENCODER.encode(data)
+    return "".join(_C_ENCODER(data, 0))
 
 
 def read_json(text, what: str, error=SchemaError):
@@ -68,7 +79,20 @@ def read_json(text, what: str, error=SchemaError):
     Every input boundary reads its JSON here: `json.loads` reports bad syntax
     as ValueError, and nesting deeper than the interpreter's recursion limit
     as RecursionError, which would otherwise escape untyped.
+
+    A str that the scanner reads whole from its first character is returned
+    from the scanner, as json.loads would return it. Anything else (bytes,
+    surrounding whitespace, a BOM, extra data, every error) goes through
+    json.loads, so values, errors and messages are json.loads's.
     """
+    if type(text) is str:
+        try:
+            value, end = _SCAN(text, 0)
+        except (StopIteration, ValueError, RecursionError):
+            pass
+        else:
+            if end == len(text):
+                return value
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:

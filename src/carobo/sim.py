@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, Tuple
@@ -25,6 +25,7 @@ from typing import Optional, Tuple
 from . import geometry as geo
 from .model import (
     CaroboError,
+    COMMAND_SPECS,
     Command,
     ExecOutcome,
     ExecResult,
@@ -389,6 +390,9 @@ def load_world(document: dict) -> WorldState:
     world = WorldState.from_dict(document)
     if not 0 <= world.tick < 2**53:  # a buzzer event records float(tick), which must be exact
         raise SchemaError("tick must be in [0, 2**53)")
+    _, low, high, _ = COMMAND_SPECS["camera_move"]
+    if not low <= world.robot.camera_pitch <= high:  # a pitch no camera_move could reach
+        raise SchemaError(f"robot.camera_pitch={world.robot.camera_pitch:g} outside [{low:g}, {high:g}]")
     ids = [o.id for o in world.objects]
     if len(set(ids)) != len(ids):
         raise SchemaError("object ids must be unique")
@@ -530,8 +534,11 @@ def _near_segment(objects, start, end, reach: float) -> list:
     return near
 
 
-def _drive(world: WorldState, requested: float, forward: bool) -> Tuple[WorldState, ExecOutcome, float, float]:
+def _drive(world: WorldState, requested: float, forward: bool) -> Tuple[RobotPose, ExecOutcome, float, float]:
     """Integrate a straight drive; forward motion auto-avoids, reverse does not.
+
+    Returns the robot's pose after the drive, the outcome, the distance
+    travelled and the heading change.
 
     Only objects near the path can stop it: the footprint sweeps within
     footprint_radius of the segment, and the avoid check looks avoid_threshold
@@ -565,8 +572,7 @@ def _drive(world: WorldState, requested: float, forward: bool) -> Tuple[WorldSta
             outcome = ExecOutcome.BLOCKED
             break
     final = (origin[0] + direction[0] * travelled, origin[1] + direction[1] * travelled)
-    new_pose = replace(pose, x=final[0], y=final[1], heading=heading)
-    return replace(world, robot=new_pose), outcome, travelled, heading_change
+    return RobotPose(final[0], final[1], heading, pose.camera_pitch), outcome, travelled, heading_change
 
 
 def apply_command(world: WorldState, command: Command) -> Tuple[WorldState, ExecResult]:
@@ -577,20 +583,22 @@ def apply_command(world: WorldState, command: Command) -> Tuple[WorldState, Exec
     outcome = ExecOutcome.OK
     travelled = 0.0
     heading_change = 0.0
+    pose = world.robot
+    buzzer_events = world.buzzer_events
     if command.name in ("car_forward", "car_back"):
-        world, outcome, travelled, heading_change = _drive(
+        pose, outcome, travelled, heading_change = _drive(
             world, command.value, forward=command.name == "car_forward"
         )
     elif command.name in ("car_left", "car_right"):
         sign = 1.0 if command.name == "car_left" else -1.0
         heading_change = sign * command.value
-        pose = world.robot
-        world = replace(world, robot=replace(pose, heading=geo.norm_heading(pose.heading + heading_change)))
+        pose = RobotPose(pose.x, pose.y, geo.norm_heading(pose.heading + heading_change), pose.camera_pitch)
     elif command.name == "camera_move":
-        world = replace(world, robot=replace(world.robot, camera_pitch=command.value))
+        pose = RobotPose(pose.x, pose.y, pose.heading, command.value)
     elif command.name == "buzzer":
-        world = replace(world, buzzer_events=world.buzzer_events + (float(world.tick),))
-    world = replace(world, tick=world.tick + 1)
+        buzzer_events = buzzer_events + (float(world.tick),)
+    world = WorldState(robot=pose, objects=world.objects, params=world.params,
+                       buzzer_events=buzzer_events, tick=world.tick + 1)
     result = ExecResult(
         command_echo=command,
         outcome=outcome,

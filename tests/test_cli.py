@@ -172,6 +172,14 @@ def _not_json(tmp_path, name):
     return str(path)
 
 
+def _world_with_an_unreachable_camera_pitch(tmp_path):
+    doc = json.loads((DATA_DIR / "worlds" / "obj_1.json").read_text(encoding="utf-8"))
+    doc["robot"]["camera_pitch"] = 99
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return ["run", "--request", "look", "--world", str(path)]
+
+
 def _suite_with_an_unknown_oracle_command(tmp_path):
     shutil.copytree(DATA_DIR / "worlds", tmp_path / "worlds")
     doc = json.loads(default_suite_path().read_text(encoding="utf-8"))
@@ -183,6 +191,7 @@ def _suite_with_an_unknown_oracle_command(tmp_path):
 BAD_FILES = {
     "missing world": lambda tmp: ["run", "--request", "x", "--world", str(tmp / "nope.json")],
     "world not JSON": lambda tmp: ["run", "--request", "x", "--world", _not_json(tmp, "w.json")],
+    "world camera pitch 99": _world_with_an_unreachable_camera_pitch,
     "serve missing world": lambda tmp: ["serve", "--world", str(tmp / "nope.json")],
     "missing trace": lambda tmp: ["replay", "--trace", str(tmp / "nope.jsonl")],
     "trace line not JSON": lambda tmp: ["replay", "--trace", _not_json(tmp, "t.jsonl")],

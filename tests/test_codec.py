@@ -10,9 +10,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from carobo import model, sim
+from carobo import bridge, model, sim
 from carobo.app import EpisodeFooter, EpisodeHeader, EpisodeLimits, FailureReason, Verdict
-from carobo.bench import And, Near, Report, Row, parse_goal
+from carobo.bench import (
+    And, Near, Report, Row, default_suite_path, load_benchmark, parse_goal, run_scenario, scripted_pair,
+)
 from carobo.model import (
     CaroboError,
     Command,
@@ -360,3 +362,93 @@ def test_to_json_is_canonical_json_of_to_dict(world_state):
     for part in parts:
         assert part.to_json() == canonical_json(part.to_dict())
     assert world_digest(world_state) == reference_digest(world_state)
+
+
+# ---------------------------------------------------------------------------
+# The codec's bytes: canonical_json writes what json.dumps writes, read_json
+# returns what json.loads returns or raises what it raised around it, and the
+# wire carries the bytes it always carried
+
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(10**20, 10**40) | st.floats()
+                 | st.sampled_from([-0.0, math.inf, -math.inf, math.nan])
+                 | st.text(max_size=8) | st.text(st.characters(min_codepoint=0x80), max_size=8))
+_json_docs = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_docs)
+def test_canonical_json_writes_what_json_dumps_writes(time_limit, doc):
+    with time_limit(10.0):
+        expected = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        assert canonical_json(doc) == expected
+
+
+DEEP = "[" * 100_000  # deeper than any recursion limit json.loads can reach
+_blank = st.text(" \t\n\r", max_size=2)
+_json_texts = st.one_of(
+    st.builds(lambda before, doc, ascii, after: before + json.dumps(doc, ensure_ascii=ascii) + after,
+              _blank | st.just("\ufeff"), _json_docs, st.booleans(), _blank | st.sampled_from(["x", "]", " 1"])),
+    st.text(alphabet='{}[]":,0123456789.eE-+aINfinytrulsf\\u \n\ufeff', max_size=40),
+    st.text(max_size=20),
+    st.binary(max_size=20),
+    _json_docs.map(lambda doc: json.dumps(doc).encode("utf-8")),
+)
+
+
+def _loads_or_typed_error(text):
+    try:
+        return "value", json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return "error", f"cannot read doc: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_texts)
+@example(" [1] ")
+@example("\ufeff[1]")
+@example("[1] [2]")
+@example("{} x")
+@example("")
+@example(DEEP)
+@example('"\\ud800"')
+@example("\ud800")
+@example(b"[1]")
+@example("1" * 5000)  # past the int-string limit
+def test_read_json_returns_what_json_loads_returns(time_limit, text):
+    with time_limit(10.0):
+        expected = _loads_or_typed_error(text)
+        try:
+            got = "value", model.read_json(text, "doc")
+        except SchemaError as exc:
+            got = "error", str(exc)
+    assert repr(got) == repr(expected)  # repr tells -0.0 from 0.0 and matches NaN with NaN
+
+
+# sha256 of the envelope lines of the obs_5 oracle episode on local:, with
+# the timestamp field emptied; it changes only if the wire format does
+WIRE_SHA256 = "80a4b8fea7b7447cfd3159a93868b37dde10e221529c266df1d24c2459300e23"
+
+
+def test_the_wire_carries_the_same_bytes(monkeypatch):
+    lines = []
+    send = bridge.LocalConnection._send_line
+
+    def record(conn, line):
+        lines.append(line)
+        send(conn, line)
+
+    monkeypatch.setattr(bridge.LocalConnection, "_send_line", record)
+    spec = {s.id: s for s in load_benchmark(default_suite_path())}["obs_5"]
+    row, _ = run_scenario(spec, scripted_pair("oracle"), transport="local:")
+    assert row.verdict == "Success"
+    masked = []
+    for line in lines:
+        topic, seq, timestamp, payload = line.split("|", 3)
+        assert timestamp.isascii() and timestamp.isdigit()
+        masked.append(f"{topic}|{seq}||{payload}")
+    assert len(masked) == 2 + 4 * 8  # the connect state, then each of 8 commands and its 3 replies
+    assert hashlib.sha256("\n".join(masked).encode("utf-8")).hexdigest() == WIRE_SHA256

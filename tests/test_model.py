@@ -308,19 +308,3 @@ def test_canonical_json_is_stable_and_compact():
     assert one == canonical_json(json.loads(one))
     assert " " not in one.replace('"a a"', "")
     assert one.index('"a"') < one.index('"b"') < one.index('"c"')
-
-
-_json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(10**20, 10**40) | st.floats()
-                 | st.sampled_from([-0.0, math.inf, -math.inf, math.nan]) | st.text(max_size=8))
-_json_docs = st.recursive(
-    _json_scalars,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=20,
-)
-
-
-@given(_json_docs)
-def test_canonical_json_writes_what_json_dumps_writes(doc):
-    # one shared encoder stands in for the encoder json.dumps builds per call
-    expected = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    assert canonical_json(doc) == expected

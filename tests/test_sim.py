@@ -209,6 +209,17 @@ def test_camera_move_sets_an_in_range_pitch_exactly():
             Command("camera_move", pitch)
 
 
+@pytest.mark.parametrize("pitch", [-30.0, 0.0, 60.0, 99.0, -77.0, math.nextafter(60.0, math.inf),
+                                   math.nextafter(-30.0, -math.inf)])
+def test_a_world_starts_its_camera_at_a_pitch_a_command_can_reach(pitch):
+    robot = {"x": 0.0, "y": 0.0, "heading": 0.0, "camera_pitch": pitch}
+    if -30.0 <= pitch <= 60.0:
+        assert make_world(robot=robot).robot.camera_pitch == pitch
+    else:
+        with pytest.raises(SchemaError, match=r"camera_pitch=.* outside \[-30, 60\]"):
+            make_world(robot=robot)
+
+
 def test_out_of_range_drive_rejected_even_in_sim():
     with pytest.raises(ArgOutOfRange):
         Command(name="car_forward", value=11.0)
