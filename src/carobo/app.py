@@ -7,8 +7,7 @@ is taken at face value here and judged against ground truth by the harness.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Tuple
@@ -25,7 +24,6 @@ from .llm import (
     load_agent_template,
     make_backend,
     parse_app_decision,
-    serialize_host_decision,
     with_retry,
 )
 from .model import (
@@ -261,7 +259,7 @@ def run_episode(
     host_decision = plan()
     if host_decision is None:
         return finish(Verdict.FAILURE, FailureReason.BACKEND_ERROR, steps, rounds, memory)
-    global_plan = host_decision.global_plan
+    global_plan = host_decision.plan
     pending_thoughts: Optional[str] = host_decision.thoughts
 
     consecutive_errors = 0
@@ -280,7 +278,7 @@ def run_episode(
                 host_decision = None if replanned else plan()
                 if host_decision is None:
                     return finish(Verdict.FAILURE, FailureReason.BACKEND_ERROR, steps, rounds, memory)
-                global_plan = host_decision.global_plan
+                global_plan = host_decision.plan
                 replanned = True
                 consecutive_errors = 0
             continue
@@ -316,7 +314,7 @@ def _host_record(decision, raw: str, prompt: Prompt) -> dict:
         "type": "host",
         "prompt_digest": prompt.digest(),
         "raw": raw,
-        "decision": json.loads(serialize_host_decision(decision)),
+        "decision": decision.to_dict(),
     }
 
 

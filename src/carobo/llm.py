@@ -2,8 +2,8 @@
 
 Three interchangeable backends produce completions: an HTTP chat endpoint, a
 deterministic scripted policy, and a replay cursor over a recorded trace.
-Completions are parsed strictly; variance from a live model is absorbed by
-bounded retries, never by loosening the schema.
+Completions are decoded strictly, by the model's codec; variance from a live
+model is absorbed by bounded retries, never by loosening the schema.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ from .model import (
     SchemaError,
     Status,
     UnknownStatus,
-    canonical_json,
-    parse_status,
+    canonical_json,  # not called here, but perfbench/tracer.py wraps llm.canonical_json
+    codec,
     read_json,
 )
 
@@ -331,19 +331,21 @@ def make_backend(cfg: BackendConfig):
 # ---------------------------------------------------------------------------
 # Decision parsing
 
+@codec
 @dataclass(frozen=True)
 class HostDecision:
-    observation_desc: str
+    observation: str
     thoughts: str
-    global_plan: GlobalPlan
+    plan: GlobalPlan
     comment: str
 
 
+@codec
 @dataclass(frozen=True)
 class AppDecision:
-    observation_desc: str
+    observation: str
     comment: str
-    status: Status
+    status: Status  # forgiving case and whitespace, through Status._missing_
     command: Optional[Command] = None
 
     def __post_init__(self):
@@ -378,9 +380,9 @@ def _extract_json_object(raw: str) -> dict:
 def _encodable(text: str, what: str) -> str:
     """`text`, if UTF-8 can encode it, as every trace and envelope must.
 
-    A lone surrogate cannot be encoded; a completion can hold one, or an
-    ASCII `\\ud800` escape that JSON decodes to one, so the parsers check both
-    the completion and each string they keep."""
+    A completion can hold a lone surrogate, which cannot be encoded; the
+    codec checks each string a decision keeps, which an ASCII `\\ud800`
+    escape can also decode to."""
     if not text.isascii():
         try:
             text.encode("utf-8")
@@ -390,65 +392,21 @@ def _encodable(text: str, what: str) -> str:
     return text
 
 
-def _require_str(doc: dict, key: str) -> str:
-    value = doc.get(key)
-    if not isinstance(value, str):
-        raise MalformedDecision(f"decision field {key!r} missing or not a string")
-    return value if value.isascii() else _encodable(value, f"decision field {key!r}")
+def _decode(cls, raw: str):
+    """The `cls` decision in a completion; one that does not fit raises MalformedDecision."""
+    doc = _extract_json_object(_encodable(raw, "completion"))
+    try:
+        return cls.from_dict(doc)  # a bad status or command raises its own retryable error
+    except (SchemaError, InvariantViolation) as exc:  # a plan with no step, or a blank one
+        raise MalformedDecision(str(exc)) from None
 
 
 def parse_host_decision(raw: str) -> HostDecision:
-    doc = _extract_json_object(_encodable(raw, "completion"))
-    plan = doc.get("plan")
-    if not isinstance(plan, list) or not plan or any(not isinstance(s, str) for s in plan):
-        raise MalformedDecision("host decision needs a non-empty list of plan steps")
-    for step in plan:
-        _encodable(step, "plan step")
-    return HostDecision(
-        observation_desc=_require_str(doc, "observation"),
-        thoughts=_require_str(doc, "thoughts"),
-        global_plan=GlobalPlan(steps=tuple(plan)),
-        comment=_require_str(doc, "comment"),
-    )
+    return _decode(HostDecision, raw)
 
 
 def parse_app_decision(raw: str) -> AppDecision:
-    doc = _extract_json_object(_encodable(raw, "completion"))
-    status = doc.get("status")
-    if not isinstance(status, str):
-        raise MalformedDecision("app decision needs a status string")
-    parsed_status = parse_status(status)  # UnknownStatus propagates
-    command = None
-    if doc.get("command") is not None:
-        command = Command.from_dict(doc["command"])  # UnknownCommand/ArgOutOfRange propagate
-    return AppDecision(  # a CONTINUE without a command raises MalformedDecision
-        observation_desc=_require_str(doc, "observation"),
-        comment=_require_str(doc, "comment"),
-        status=parsed_status,
-        command=command,
-    )
-
-
-def serialize_host_decision(decision: HostDecision) -> str:
-    return canonical_json(
-        {
-            "observation": decision.observation_desc,
-            "thoughts": decision.thoughts,
-            "plan": list(decision.global_plan.steps),
-            "comment": decision.comment,
-        }
-    )
-
-
-def serialize_app_decision(decision: AppDecision) -> str:
-    doc = {
-        "observation": decision.observation_desc,
-        "comment": decision.comment,
-        "status": decision.status.value,
-    }
-    if decision.command is not None:
-        doc["command"] = decision.command.to_dict()
-    return canonical_json(doc)
+    return _decode(AppDecision, raw)
 
 
 # errors worth retrying: the model said something bad or the wire hiccuped

@@ -184,10 +184,10 @@ def _bind(env: dict, value, stem: str) -> str:
     return name
 
 
-def _fixed_tuple(args, env: dict) -> Tuple[str, str]:
+def _fixed_tuple(args, env: dict, exact: bool) -> Tuple[str, str]:
     """Names of a compiled decoder and writer, bound in `env`, for Tuple[args]."""
     n = len(args)
-    parts = [_sources(a, f"value_{i}", env) for i, a in enumerate(args)]
+    parts = [_sources(a, f"value_{i}", env, exact) for i, a in enumerate(args)]
     unpack = "".join(f"value_{i}, " for i in range(n))
     decode, write = _bind(env, None, "decode_tuple"), _bind(env, None, "write_tuple")
     source = [
@@ -207,32 +207,34 @@ def _fixed_tuple(args, env: dict) -> Tuple[str, str]:
     return decode, write
 
 
-def _sources(tp, v: str, env: dict) -> tuple:
+def _sources(tp, v: str, env: dict, exact: bool = False) -> tuple:
     """(encode, decode, write) for values of type `tp` held in the local `v`.
 
     `encode` turns a value into plain JSON data, or is None for a value that
     already is. `decode` and `write` are Python expressions over `v`: the
     first checks a JSON value and builds the `tp` value from it; the second
     gives the text canonical_json(encode(v)) without building that data. The
-    helpers they call are bound in `env`.
+    helpers they call are bound in `env`. An enum decodes by calling it, so
+    that its `_missing_` hook can forgive a value, or, when `exact`, from
+    its members' values alone.
     """
     if tp in _SCALARS:
         decode, write = _SCALARS[tp]
         return None, decode.format(v=v), write.format(v=v)
     inner = _optional_arg(tp)
     if inner is not None:
-        encode, decode, write = _sources(inner, v, env)
+        encode, decode, write = _sources(inner, v, env, exact)
         return (None if encode is None else lambda value: None if value is None else encode(value),
                 f"(None if {v} is None else {decode})", f"(NULL if {v} is None else {write})")
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is tuple and args[-1] is Ellipsis:
         item = v + "_"
-        encode, decode, write = _sources(args[0], item, env)
+        encode, decode, write = _sources(args[0], item, env, exact)
         return ((list if encode is None else lambda value: [encode(x) for x in value]),
                 f"tuple([{decode} for {item} in seq({v})])",
                 f"(LB + COMMA.join([{write} for {item} in {v}]) + RB)")
     if origin is tuple:
-        decode, write = _fixed_tuple(args, env)
+        decode, write = _fixed_tuple(args, env, exact)
         return list, f"{decode}({v})", f"{write}({v})"
     if tp is dict or origin is dict:
         entry = field_codec(args[1])[1] if args else (lambda x: x)
@@ -244,11 +246,13 @@ def _sources(tp, v: str, env: dict) -> tuple:
 
         return dict, f"{_bind(env, mapping, 'mapping')}({v})", f"dumps(dict({v}))"
     if isinstance(tp, type) and issubclass(tp, Enum):
+        members = {m.value: m for m in tp}
+
         def member(value):
             try:
-                return tp(value)
-            except (ValueError, TypeError):
-                raise _mismatch(f"one of {[m.value for m in tp]}", value) from None
+                return members[value] if exact else tp(value)
+            except (KeyError, ValueError, TypeError):
+                raise _mismatch(f"one of {list(members)}", value) from None
 
         return operator.attrgetter("value"), f"{_bind(env, member, 'member')}({v})", f"dumps({v}.value)"
     if not hasattr(tp, "from_dict"):
@@ -283,8 +287,8 @@ def _field_plans(cls, tag: Optional[dict], strict: bool = False) -> tuple:
       dict display: a display is about three times faster than filling a dict
       field by field, and `to_dict` runs for every traced round.
     - `decode(cls, data)` is `from_dict`: one straight-line block per field
-      checks and decodes it, or fills a missing one with its default, None
-      (a missing Optional) or a "missing key" error.
+      checks and decodes it, and then its range, or fills a missing one with
+      its default, None (a missing Optional) or a "missing key" error.
 
     The third compiled function, `to_json`, which is exactly
     `canonical_json(to_dict())` written directly, comes from `_json_writer`.
@@ -302,7 +306,7 @@ def _field_plans(cls, tag: Optional[dict], strict: bool = False) -> tuple:
     call = []
     for i, f in enumerate(fields):
         x = f"x{i}"
-        encode, decode_x, _ = _sources(hints[f.name], x, env)
+        encode, decode_x, _ = _sources(hints[f.name], x, env, strict)
         if encode is None:
             items.append(f"{f.name!r}: self.{f.name}")
         else:
@@ -320,9 +324,13 @@ def _field_plans(cls, tag: Optional[dict], strict: bool = False) -> tuple:
                    "        try:",
                    f"            {x} = {decode_x}",
                    "        except SchemaError as exc:",
-                   f"            raise SchemaError(cls.__name__ + {'.' + f.name + ': '!r} + str(exc)) from None",
-                   "    else:",
-                   f"        {missing}"]
+                   f"            raise SchemaError(cls.__name__ + {'.' + f.name + ': '!r} + str(exc)) from None"]
+        if "range" in f.metadata:
+            low, high = f.metadata["range"]
+            outside = f" outside [{low:g}, {high:g}]" if type(low) is float else f" outside [{low}, {high}]"
+            decode += [f"        if not {low!r} <= {x} <= {high!r}:",
+                       f"            raise SchemaError(cls.__name__ + {'.' + f.name + '='!r} + repr({x}) + {outside!r})"]
+        decode += ["    else:", f"        {missing}"]
         call.append(f"{f.name}={x}")
     decode.append(f"    return cls({', '.join(call)})")
     exec(f"def encode_fields(self):\n    return {{{', '.join(items)}}}\n" + "\n".join(decode) + "\n", env)
@@ -360,9 +368,13 @@ def codec(cls=None, *, strict: bool = False, tag: Optional[dict] = None):
 
     `to_dict` writes the constant `tag` entries, then every field in
     declaration order. `from_dict` checks each field's JSON type: a missing
-    required key or a wrongly typed value raises SchemaError. A missing field
-    takes its dataclass default, and a missing Optional field without one is
-    None. Unknown keys are ignored, or rejected when `strict`. `to_json()` is
+    required key or a wrongly typed value raises SchemaError. So does a
+    number outside the closed range a field declares as its metadata,
+    `field(metadata={"range": (low, high)})`. A missing field takes its
+    dataclass default, and a missing Optional field without one is None.
+    Unknown keys are ignored, and an enum field is decoded by calling the
+    enum. When `strict`, unknown keys are rejected and an enum field takes
+    only a member's exact value. `to_json()` is
     always exactly `canonical_json(self.to_dict())`, written directly. The
     first two are compiled by `_field_plans` once per class, on first use;
     `to_json` is compiled by `_json_writer` on its own first call.
@@ -400,15 +412,13 @@ class Status(Enum):
     CONTINUE = "CONTINUE"
     FINISH = "FINISH"
 
-
-def parse_status(token: str) -> Status:
-    """Parse a status token: surrounding whitespace and case are forgiven, nothing else."""
-    cleaned = token.strip().upper()
-    if cleaned == "CONTINUE":
-        return Status.CONTINUE
-    if cleaned == "FINISH":
-        return Status.FINISH
-    raise UnknownStatus(f"unknown status token: {token!r}")
+    @classmethod
+    def _missing_(cls, token):
+        """`Status(token)` forgives surrounding whitespace and case, nothing else."""
+        cleaned = token.strip().upper() if type(token) is str else None
+        if cleaned in cls.__members__:
+            return cls[cleaned]
+        raise UnknownStatus(f"unknown status token: {token!r}")
 
 
 class ExecOutcome(Enum):
@@ -420,13 +430,15 @@ class ExecOutcome(Enum):
 # ---------------------------------------------------------------------------
 # Commands
 
+PITCH_RANGE = (-30.0, 60.0)  # the camera's pitch, in degrees: what camera_move sets
+
 # name -> (argument name, low, high, low-inclusive)
 COMMAND_SPECS = {
     "car_forward": ("distance", 0.0, 10.0, False),
     "car_back": ("distance", 0.0, 10.0, False),
     "car_left": ("angle", 0.0, 360.0, False),
     "car_right": ("angle", 0.0, 360.0, False),
-    "camera_move": ("pitch", -30.0, 60.0, True),
+    "camera_move": ("pitch", *PITCH_RANGE, True),
     "buzzer": ("duration", 0.0, 10.0, False),
 }
 
@@ -565,8 +577,13 @@ class ExecResult:
 # ---------------------------------------------------------------------------
 # Plans, rounds, memory
 
+_, _decode_steps, _ = field_codec(Tuple[str, ...])
+
+
 @dataclass(frozen=True)
 class GlobalPlan:
+    """The host's plan; its document is the list of its steps."""
+
     steps: tuple
 
     def __post_init__(self):
@@ -578,8 +595,15 @@ class GlobalPlan:
     def render(self) -> str:
         return "\n".join(f"{i + 1}. {s}" for i, s in enumerate(self.steps))
 
+    def to_dict(self) -> list:
+        return list(self.steps)
 
-@codec
+    @classmethod
+    def from_dict(cls, data) -> "GlobalPlan":
+        return cls(_decode_steps(data))
+
+
+@codec(strict=True)  # only carobo writes rounds, so a status must be exactly as written
 @dataclass(frozen=True)
 class Round:
     """One decided round of the execution loop.

@@ -24,8 +24,8 @@ from typing import Optional, Tuple
 
 from . import geometry as geo
 from .model import (
+    PITCH_RANGE,
     CaroboError,
-    COMMAND_SPECS,
     Command,
     ExecOutcome,
     ExecResult,
@@ -46,39 +46,27 @@ class OverlapError(CaroboError):
     """Robot footprint starts inside an object."""
 
 
-# name -> (low, high): the closed range of each simulator parameter. The
-# lower bounds keep every drive finite: a step of 1 mm takes 10^4 increments
-# for the longest legal drive.
-PARAM_RANGES = {
-    "footprint_radius": (0.001, 10.0),
-    "ultrasonic_max": (0.001, 100.0),
-    "avoid_threshold": (0.0, 10.0),
-    "integration_step": (0.001, 1.0),
-    "hfov": (1.0, 360.0),
-    "vfov": (1.0, 179.0),
-    "ir_range": (0.0, 10.0),
-    "ir_angle": (0.0, 180.0),
-    "camera_height": (0.0, 10.0),
-}
+def _within(low: float, high: float, default: float):
+    """A field whose documents must hold a number in [low, high]."""
+    return field(default=default, metadata={"range": (low, high)})
 
 
 @codec(strict=True)
 @dataclass(frozen=True)
 class SimParams:
-    footprint_radius: float = 0.10
-    ultrasonic_max: float = 4.0
-    avoid_threshold: float = 0.30
-    integration_step: float = 0.05
-    hfov: float = 62.0
-    vfov: float = 49.0
-    ir_range: float = 0.20
-    ir_angle: float = 30.0
-    camera_height: float = 0.12
+    """The simulator's parameters, each decoded within its closed range. The
+    lower bounds keep every drive finite: a step of 1 mm takes 10^4
+    increments for the longest legal drive."""
 
-    def __post_init__(self):
-        for name, (low, high) in PARAM_RANGES.items():
-            if not low <= getattr(self, name) <= high:
-                raise SchemaError(f"params.{name}={getattr(self, name)!r} outside [{low:g}, {high:g}]")
+    footprint_radius: float = _within(0.001, 10.0, 0.10)
+    ultrasonic_max: float = _within(0.001, 100.0, 4.0)
+    avoid_threshold: float = _within(0.0, 10.0, 0.30)
+    integration_step: float = _within(0.001, 1.0, 0.05)
+    hfov: float = _within(1.0, 360.0, 62.0)
+    vfov: float = _within(1.0, 179.0, 49.0)
+    ir_range: float = _within(0.0, 10.0, 0.20)
+    ir_angle: float = _within(0.0, 180.0, 30.0)
+    camera_height: float = _within(0.0, 10.0, 0.12)
 
 
 @codec
@@ -87,7 +75,7 @@ class RobotPose:
     x: float = 0.0
     y: float = 0.0
     heading: float = 0.0  # degrees CCW from +x, kept in [0, 360)
-    camera_pitch: float = 0.0
+    camera_pitch: float = _within(*PITCH_RANGE, 0.0)  # a pitch no camera_move could reach is refused
 
     def __post_init__(self):
         object.__setattr__(self, "heading", geo.norm_heading(self.heading))
@@ -372,7 +360,9 @@ class WorldState:
     objects: Tuple[SimObject, ...] = ()  # an ObjectSet: __post_init__ wraps any other sequence
     params: SimParams = field(default_factory=SimParams)
     buzzer_events: Tuple[float, ...] = ()
-    tick: int = 0  # commands executed so far; doubles as the sim clock
+    # commands executed so far; doubles as the sim clock. A buzzer event
+    # records float(tick), which must be exact.
+    tick: int = _within(0, 2**53 - 1, 0)
 
     def __post_init__(self):
         if type(self.objects) is not ObjectSet:
@@ -388,11 +378,6 @@ class WorldState:
 def load_world(document: dict) -> WorldState:
     """Build a world from a plain document, filling parameter defaults."""
     world = WorldState.from_dict(document)
-    if not 0 <= world.tick < 2**53:  # a buzzer event records float(tick), which must be exact
-        raise SchemaError("tick must be in [0, 2**53)")
-    _, low, high, _ = COMMAND_SPECS["camera_move"]
-    if not low <= world.robot.camera_pitch <= high:  # a pitch no camera_move could reach
-        raise SchemaError(f"robot.camera_pitch={world.robot.camera_pitch:g} outside [{low:g}, {high:g}]")
     ids = [o.id for o in world.objects]
     if len(set(ids)) != len(ids):
         raise SchemaError("object ids must be unique")

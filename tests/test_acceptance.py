@@ -31,8 +31,6 @@ from carobo.llm import (
     ReplayConfig,
     parse_app_decision,
     parse_host_decision,
-    serialize_app_decision,
-    serialize_host_decision,
     with_retry,
 )
 from carobo.model import (
@@ -341,18 +339,18 @@ _commands = st.one_of(
     st.builds(Command, st.just("buzzer"), st.floats(0.01, 10.0)),
 )
 _app_decisions = st.one_of(
-    st.builds(AppDecision, observation_desc=_texts, comment=_texts,
+    st.builds(AppDecision, observation=_texts, comment=_texts,
               status=st.just(Status.CONTINUE), command=_commands),
-    st.builds(AppDecision, observation_desc=_texts, comment=_texts,
+    st.builds(AppDecision, observation=_texts, comment=_texts,
               status=st.just(Status.FINISH), command=st.none() | _commands),
 )
 _plan_steps = st.lists(
     _texts.filter(lambda s: s.strip()), min_size=1, max_size=6).map(tuple)
 _host_decisions = st.builds(
     HostDecision,
-    observation_desc=_texts,
+    observation=_texts,
     thoughts=_texts,
-    global_plan=st.builds(GlobalPlan, steps=_plan_steps),
+    plan=st.builds(GlobalPlan, steps=_plan_steps),
     comment=_texts,
 )
 
@@ -361,12 +359,12 @@ def test_criterion_7_parser_robustness(tmp_path):
     @settings(max_examples=300, deadline=None)
     @given(_app_decisions)
     def app_round_trip(decision):
-        assert parse_app_decision(serialize_app_decision(decision)) == decision
+        assert parse_app_decision(decision.to_json()) == decision
 
     @settings(max_examples=300, deadline=None)
     @given(_host_decisions)
     def host_round_trip(decision):
-        assert parse_host_decision(serialize_host_decision(decision)) == decision
+        assert parse_host_decision(decision.to_json()) == decision
 
     app_round_trip()
     host_round_trip()
@@ -412,7 +410,7 @@ def test_criterion_7_parser_robustness(tmp_path):
 
     continue_needs_command()
     with pytest.raises(MalformedDecision):
-        AppDecision(observation_desc="x", comment="y", status=Status.CONTINUE, command=None)
+        AppDecision(observation="x", comment="y", status=Status.CONTINUE, command=None)
 
     check(7, True,
           "600 fuzzed decisions round-trip; retry budget exact at 1+max_retries"

@@ -1,6 +1,7 @@
 """Every input boundary rejects bad input with a typed error and never hangs:
 through the CLI, exit 2 and one `error:` line."""
 import contextlib
+import dataclasses
 import io
 import json
 import socket
@@ -14,16 +15,9 @@ from hypothesis import strategies as st
 from carobo.bench import DATA_DIR, default_suite_path, load_benchmark
 from carobo.bridge import TOPIC_SENSOR, ConnectionClosed, ProtocolError, TcpConnection, decode_line
 from carobo.cli import main
-from carobo.llm import (
-    ReplayBackend,
-    ReplayConfig,
-    parse_app_decision,
-    parse_host_decision,
-    serialize_app_decision,
-    serialize_host_decision,
-)
-from carobo.model import COMMAND_SPECS, CaroboError
-from carobo.sim import OBJECT_KINDS, PARAM_RANGES
+from carobo.llm import RETRYABLE_ERRORS, ReplayBackend, ReplayConfig, parse_app_decision, parse_host_decision
+from carobo.model import COMMAND_SPECS
+from carobo.sim import OBJECT_KINDS, SimParams
 
 DEEP = "[" * 100_000  # deeper than any recursion limit json.loads can reach
 
@@ -82,7 +76,7 @@ def test_deeply_nested_json_is_a_typed_error(tmp_path, capsys, time_limit, bound
 
 
 # ---------------------------------------------------------------------------
-# Completions: whatever a model returns, parsing gives a decision or a CaroboError
+# Completions: whatever a model returns, parsing gives a decision or an error the agents retry
 
 def a_forward_of(distance: str) -> str:
     return ('{"observation": "o", "comment": "c", "status": "CONTINUE", '
@@ -130,17 +124,20 @@ _jsonish = st.text(alphabet='{}[]":, 0123456789.eE-+abctrunlfs\\', max_size=60)
 @example('{"observation": "o", "comment": "\\ud800", "status": "FINISH"}')
 @example('{"observation": "o", "thoughts": "t", "plan": ["\\udc00"], "comment": "c"}')
 @example('{"observation": "o", "thoughts": "t", "plan": ["p"], "comment": "c", "status": "FINISH"} \udfff')
+@example('{"observation": "o", "thoughts": "t", "plan": ["go", "  "], "comment": "c"}')
+@example('{"observation": "o", "thoughts": "t", "plan": [], "comment": "c"}')
+@example('{"observation": "o", "comment": "c", "status": 5}')
 def test_fuzzed_completions_parse_or_fail_typed(time_limit, raw):
+    """Every completion parses, or fails with an error that the agents retry."""
     with time_limit(2.0):
-        for parse, serialize in ((parse_app_decision, serialize_app_decision),
-                                 (parse_host_decision, serialize_host_decision)):
+        for parse in (parse_app_decision, parse_host_decision):
             try:
                 decision = parse(raw)
-            except CaroboError:
+            except RETRYABLE_ERRORS:
                 continue
             # an accepted completion and every string kept from it can be written to a trace
             raw.encode("utf-8")
-            serialize(decision).encode("utf-8")
+            decision.to_json().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +165,7 @@ _worlds = st.fixed_dictionaries(
     optional={
         "objects": _or_any(st.lists(_objects, max_size=4)),
         "params": _or_any(st.fixed_dictionaries({}, optional={
-            name: _or_any(st.floats(low, high) | _numbers) for name, (low, high) in PARAM_RANGES.items()})),
+            f.name: _or_any(st.floats(*f.metadata["range"]) | _numbers) for f in dataclasses.fields(SimParams)})),
         "buzzer_events": _or_any(st.lists(_coordinate, max_size=2)),
         "tick": _or_any(st.integers(0, 10) | _numbers),
     }) | _values

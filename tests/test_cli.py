@@ -367,6 +367,18 @@ def test_a_completion_with_a_lone_surrogate_is_retried(tmp_path, capsys, stream,
                                                                          ("round", FINISH_LINE)]
 
 
+@pytest.mark.parametrize("plan", [["go", "  "], [], "go"], ids=["blank-step", "no-step", "a-string"])
+def test_a_host_plan_that_is_no_plan_is_retried(tmp_path, capsys, plan):
+    bad_host_line = json.dumps({"observation": "o", "thoughts": "t", "plan": plan, "comment": "c"})
+    path = tmp_path / "stream.jsonl"
+    path.write_text("\n".join((bad_host_line, HOST_LINE, FINISH_LINE)) + "\n", encoding="utf-8")
+    code = main(["run", "--request", "look", "--world", world_file("obj_1"), "--backend", "replay",
+                 "--replay-trace", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert "Success after 0 steps / 1 rounds" in captured.out
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--request", "x", "--world", world_file("cmd_1")],
     ["bench", "--backend", "mock"],

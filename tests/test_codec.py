@@ -1,8 +1,10 @@
 """The dataclass codec: field plans, defaults, tags, typed errors on bad documents, and to_json."""
+import dataclasses
 import hashlib
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -30,7 +32,6 @@ from carobo.model import (
 )
 from carobo.sim import (
     OBJECT_KINDS,
-    PARAM_RANGES,
     OverlapError,
     RobotPose,
     Shape,
@@ -193,7 +194,7 @@ _values = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([1e-300, 1e300, "0.1", None, True]),
 )
-_params = st.dictionaries(st.sampled_from(sorted(PARAM_RANGES)), _values, max_size=3)
+_params = st.dictionaries(st.sampled_from(sorted(f.name for f in dataclasses.fields(SimParams))), _values, max_size=3)
 _poses = st.dictionaries(st.sampled_from(["x", "y", "heading", "camera_pitch"]), _values, max_size=3)
 
 
@@ -275,10 +276,42 @@ def test_fuzzed_grid_worlds_load_or_fail_typed_and_never_hang(time_limit, params
 def test_zero_integration_step_is_rejected():
     with pytest.raises(SchemaError, match="integration_step"):
         load_world(world(params={"integration_step": 0}))
-    for name, (low, high) in PARAM_RANGES.items():
-        assert low <= getattr(SimParams(), name) <= high
-        with pytest.raises(SchemaError, match=name):
-            SimParams(**{name: high * 2 + 1})
+    for f in dataclasses.fields(SimParams):
+        low, high = f.metadata["range"]
+        assert low <= getattr(SimParams(), f.name) <= high
+        with pytest.raises(SchemaError, match=f.name):
+            SimParams.from_dict({f.name: high * 2 + 1})
+
+
+# where each class with declared ranges sits in a world document: (key, class), None for the top level
+RANGED = ((None, WorldState), ("robot", RobotPose), ("params", SimParams))
+RANGES = [(key, f.name, f.metadata["range"]) for key, cls in RANGED
+          for f in dataclasses.fields(cls) if "range" in f.metadata]
+
+
+def world_with(key, name, value):
+    doc = world()
+    if key is None:
+        doc[name] = value
+    else:
+        doc.setdefault(key, {})[name] = value
+    return doc
+
+
+def past(end, direction):
+    """The next int, or the next float, beyond `end`."""
+    return end + direction if type(end) is int else math.nextafter(end, direction * math.inf)
+
+
+@pytest.mark.parametrize("key, name, bounds", RANGES, ids=[name for _, name, _ in RANGES])
+def test_a_world_holds_each_range_end_and_nothing_past_it(key, name, bounds):
+    low, high = bounds
+    for end in bounds:
+        state = load_world(world_with(key, name, end))
+        assert getattr(state if key is None else getattr(state, key), name) == end
+    for value in (past(low, -1), past(high, 1)):
+        with pytest.raises(SchemaError, match=rf"\.{name}={re.escape(repr(value))} outside \["):
+            load_world(world_with(key, name, value))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +338,10 @@ def polygon(*vertices):
     # what a "\ud800" escape in any input file or bridge payload decodes to
     (lambda: Observation.from_dict({"free_text": "a\ud800"}),
      "Observation.free_text: a string UTF-8 cannot encode (lone surrogate at index 1): 'a\\ud800'"),
-    (lambda: load_world({"robot": {}, "tick": 2**53}), "tick must be in [0, 2**53)"),
+    (lambda: load_world({"robot": {}, "tick": 2**53}), "WorldState.tick=9007199254740992 outside [0, 9007199254740991]"),
+    (lambda: load_world({"robot": {"camera_pitch": 99}}), "WorldState.robot: RobotPose.camera_pitch=99.0 outside [-30, 60]"),
+    (lambda: load_world({"robot": {}, "params": {"integration_step": 0}}),
+     "WorldState.params: SimParams.integration_step=0.0 outside [0.001, 1]"),
 ])
 def test_decoder_messages(decode, message):
     with pytest.raises(SchemaError) as err:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from carobo.app import REPLAN_AFTER_ERRORS, EpisodeFooter, EpisodeHeader
 from carobo.cli import main
-from carobo.llm import parse_host_decision, serialize_host_decision
+from carobo.llm import parse_host_decision
 from carobo.model import COMMAND_SPECS, Round, canonical_json
 from carobo.sim import GRID_MIN_OBJECTS, OBJECT_KINDS, load_world
 
@@ -124,7 +124,7 @@ def _check_record(rec: dict):
         assert canonical_json(EpisodeHeader.from_dict(rec).to_dict()) == canonical_json(rec)
         assert load_world(rec["world"]).to_json() == canonical_json(rec["world"])
     elif kind == "host":
-        assert serialize_host_decision(parse_host_decision(rec["raw"])) == canonical_json(rec["decision"])
+        assert parse_host_decision(rec["raw"]).to_json() == canonical_json(rec["decision"])
     elif kind == "round":
         assert canonical_json(Round.from_dict(rec["round"]).to_dict()) == canonical_json(rec["round"])
     elif kind == "round_error":

@@ -39,7 +39,7 @@ def test_plan_via_scripted_policy():
     request = UserRequest(text="Describe the features of the object in front")
     cfg = BackendConfig(kind=ScriptedConfig(policy_id="oracle"))
     decision, _raw, _prompt = plan_with_raw(request, obs, sensors, memory, make_backend(cfg), cfg.max_retries)
-    assert decision.global_plan.steps
+    assert decision.plan.steps
     assert decision.thoughts
 
 
@@ -64,7 +64,7 @@ def test_plan_retries_through_garbage():
     request, obs, sensors, memory = _inputs()
     backend = FlakyBackend(garbage_count=3)
     decision, _raw, _prompt = plan_with_raw(request, obs, sensors, memory, backend, max_retries=3)
-    assert decision.global_plan.steps == ("step",)
+    assert decision.plan.steps == ("step",)
     assert backend.calls == 4
 
 

@@ -32,8 +32,6 @@ from carobo.llm import (
     parse_app_decision,
     parse_host_decision,
     parse_template,
-    serialize_app_decision,
-    serialize_host_decision,
     with_retry,
 )
 from carobo.app import EpisodeLimits, run_episode
@@ -179,8 +177,8 @@ def test_parse_host_decision_happy_path():
         "comment": "ok",
     })
     d = parse_host_decision(raw)
-    assert d.global_plan.steps == ("go forward", "stop")
-    assert json.loads(serialize_host_decision(d))["plan"] == ["go forward", "stop"]
+    assert d.plan.steps == ("go forward", "stop")
+    assert json.loads(d.to_json())["plan"] == ["go forward", "stop"]
 
 
 def test_parse_host_decision_wants_a_list_plan():
@@ -243,7 +241,7 @@ def test_continue_without_command_always_rejected():
     with pytest.raises(MalformedDecision):
         parse_app_decision(raw)
     with pytest.raises(MalformedDecision):
-        AppDecision(observation_desc="o", comment="c", status=Status.CONTINUE, command=None)
+        AppDecision(observation="o", comment="c", status=Status.CONTINUE, command=None)
 
 
 def test_parse_app_decision_bad_status_and_command():
@@ -278,18 +276,19 @@ def _with_lone_surrogate(doc, key):
     return json.dumps(doc)  # ensure_ascii: the surrogate travels as an escape
 
 
-@pytest.mark.parametrize("parse, doc, key, field", [
-    pytest.param(parse_app_decision, APP_DOC, "observation", "decision field 'observation'", id="app-observation"),
-    pytest.param(parse_app_decision, APP_DOC, "comment", "decision field 'comment'", id="app-comment"),
-    pytest.param(parse_host_decision, HOST_DOC, "observation", "decision field 'observation'", id="host-observation"),
-    pytest.param(parse_host_decision, HOST_DOC, "thoughts", "decision field 'thoughts'", id="host-thoughts"),
-    pytest.param(parse_host_decision, HOST_DOC, "comment", "decision field 'comment'", id="host-comment"),
-    pytest.param(parse_host_decision, HOST_DOC, ("plan", 1), "plan step", id="host-plan"),
+@pytest.mark.parametrize("parse, doc, key", [
+    pytest.param(parse_app_decision, APP_DOC, "observation", id="app-observation"),
+    pytest.param(parse_app_decision, APP_DOC, "comment", id="app-comment"),
+    pytest.param(parse_host_decision, HOST_DOC, "observation", id="host-observation"),
+    pytest.param(parse_host_decision, HOST_DOC, "thoughts", id="host-thoughts"),
+    pytest.param(parse_host_decision, HOST_DOC, "comment", id="host-comment"),
+    pytest.param(parse_host_decision, HOST_DOC, ("plan", 1), id="host-plan"),
 ])
-def test_a_kept_string_that_utf8_cannot_encode_is_malformed(parse, doc, key, field):
+def test_a_kept_string_that_utf8_cannot_encode_is_malformed(parse, doc, key):
     raw = _with_lone_surrogate(doc, key)
     assert raw.isascii()
-    with pytest.raises(MalformedDecision, match=f"{field} holds a lone surrogate"):
+    wire_key = key[0] if isinstance(key, tuple) else key
+    with pytest.raises(MalformedDecision, match=rf"\.{wire_key}: a string UTF-8 cannot encode \(lone surrogate"):
         parse(raw)
 
 
@@ -320,10 +319,10 @@ _texts = st.text(
 @given(obs=_texts, comment=_texts, command=_commands, finish=st.booleans())
 def test_app_decision_roundtrip_property(obs, comment, command, finish):
     if finish:
-        d = AppDecision(observation_desc=obs, comment=comment, status=Status.FINISH, command=None)
+        d = AppDecision(observation=obs, comment=comment, status=Status.FINISH, command=None)
     else:
-        d = AppDecision(observation_desc=obs, comment=comment, status=Status.CONTINUE, command=command)
-    again = parse_app_decision(serialize_app_decision(d))
+        d = AppDecision(observation=obs, comment=comment, status=Status.CONTINUE, command=command)
+    again = parse_app_decision(d.to_json())
     assert again == d
 
 
@@ -332,7 +331,7 @@ def test_app_decision_roundtrip_property(obs, comment, command, finish):
 def test_host_decision_roundtrip_property(obs, thoughts, comment, plan):
     raw = json.dumps({"observation": obs, "thoughts": thoughts, "plan": plan, "comment": comment})
     d = parse_host_decision(raw)
-    assert parse_host_decision(serialize_host_decision(d)) == d
+    assert parse_host_decision(d.to_json()) == d
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from carobo.model import (
     VisibleObject,
     append_round,
     canonical_json,
-    parse_status,
     render_items,
     render_memory,
 )
@@ -38,18 +37,18 @@ from carobo.model import (
 
 @pytest.mark.parametrize("raw", ["CONTINUE", "continue", "  Continue \n"])
 def test_parse_status_continue_variants(raw):
-    assert parse_status(raw) is Status.CONTINUE
+    assert Status(raw) is Status.CONTINUE
 
 
 @pytest.mark.parametrize("raw", ["FINISH", "finish", "\tFinish "])
 def test_parse_status_finish_variants(raw):
-    assert parse_status(raw) is Status.FINISH
+    assert Status(raw) is Status.FINISH
 
 
 @pytest.mark.parametrize("raw", ["DONE", "", "FINISHED", "CONTINUE.", "CONT INUE"])
 def test_parse_status_rejects_everything_else(raw):
     with pytest.raises(UnknownStatus):
-        parse_status(raw)
+        Status(raw)
 
 
 # ---------------------------------------------------------------------------

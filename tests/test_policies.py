@@ -93,7 +93,7 @@ def test_oracle_host_emits_plan():
     s = scenario("obj_1")
     doc = json.loads(oracle_policy(prompt_for(s.request_text)))
     decision = parse_host_decision(json.dumps(doc))
-    assert list(decision.global_plan.steps) == list(s.oracle.plan)
+    assert list(decision.plan.steps) == list(s.oracle.plan)
 
 
 def test_oracle_commands_keep_the_suite_s_number_spelling():
@@ -140,7 +140,7 @@ def test_oracle_case_study_aliases_map_to_scenario_scripts():
 
 def test_finish_now_policy():
     host = parse_host_decision(finish_now_policy(prompt_for("Anything at all.")))
-    assert host.global_plan.steps
+    assert host.plan.steps
     app = parse_app_decision(finish_now_policy(prompt_for("Anything at all.", plan="p")))
     assert app.status is Status.FINISH and app.command is None
 
