@@ -8,6 +8,7 @@ model is absorbed by bounded retries, never by loosening the schema.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -52,6 +53,12 @@ class PolicyUnknown(CaroboError):
 
 BLOCK_ORDER = ("request", "plan", "observation", "sensors", "memory")
 REQUIRED_BLOCKS = ("request", "observation", "sensors", "memory")
+# every legal sequence of block kinds: each required kind, and any of the
+# others, in BLOCK_ORDER: two, with and without the plan
+_LAYOUTS = frozenset(
+    tuple(k for k in BLOCK_ORDER if k in REQUIRED_BLOCKS or k in chosen)
+    for n in range(len(BLOCK_ORDER) + 1) for chosen in itertools.combinations(BLOCK_ORDER, n)
+)
 
 
 @dataclass(frozen=True)
@@ -73,15 +80,9 @@ class Prompt:
     user_blocks: Tuple[Block, ...] = ()
 
     def __post_init__(self):
-        kinds = [b.kind for b in self.user_blocks]
-        if kinds.count("request") != 1:
-            raise InvariantViolation("prompt must carry exactly one request block")
-        expected = [k for k in BLOCK_ORDER if k in kinds]
-        if kinds != expected or any(k not in BLOCK_ORDER for k in kinds):
-            raise InvariantViolation(f"prompt blocks out of order: {kinds}")
-        missing = [k for k in REQUIRED_BLOCKS if k not in kinds]
-        if missing:
-            raise InvariantViolation(f"prompt blocks missing: {missing}")
+        kinds = tuple([b.kind for b in self.user_blocks])
+        if kinds not in _LAYOUTS:
+            raise _layout_error(list(kinds))
 
     def block(self, kind: str) -> Optional[Block]:
         for b in self.user_blocks:
@@ -100,6 +101,17 @@ class Prompt:
         for blk in self.user_blocks:
             h.update(b"\x00" + blk.kind.encode("ascii") + b"\x1f" + blk.text.encode("utf-8"))
         return h.hexdigest()
+
+
+def _layout_error(kinds: list) -> InvariantViolation:
+    """The error for block kinds in none of the legal layouts: the first of
+    three checks that fails, one request, the order, the required kinds."""
+    if kinds.count("request") != 1:
+        return InvariantViolation("prompt must carry exactly one request block")
+    expected = [k for k in BLOCK_ORDER if k in kinds]
+    if kinds != expected or any(k not in BLOCK_ORDER for k in kinds):
+        return InvariantViolation(f"prompt blocks out of order: {kinds}")
+    return InvariantViolation(f"prompt blocks missing: {[k for k in REQUIRED_BLOCKS if k not in kinds]}")
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +185,15 @@ def load_agent_template(role: str) -> AgentTemplate:
 
 def assemble_prompt(template: AgentTemplate, pieces: dict) -> Prompt:
     """Fill the template's block formats with content, in canonical block order."""
+    formats = template.block_formats
     blocks = []
     for kind in BLOCK_ORDER:
         if kind not in pieces:
             continue
-        fmt = template.block_formats.get(kind, kind.capitalize() + ":\n{" + kind + "}")
-        blocks.append(Block(kind=kind, text=fmt.format(**{kind: pieces[kind]})))
+        fmt = formats.get(kind)
+        if fmt is None:
+            fmt = kind.capitalize() + ":\n{" + kind + "}"
+        blocks.append(Block(kind=kind, text=fmt.format_map({kind: pieces[kind]})))
     return Prompt(system=template.system, few_shot=template.examples, user_blocks=tuple(blocks))
 
 
@@ -263,15 +278,22 @@ class HttpChatBackend:
 
 
 class ScriptedBackend:
-    """Looks up a registered deterministic policy and applies it to the prompt."""
+    """Applies a registered deterministic policy to the prompt.
+
+    The policy is looked up on the first call and kept for the backend's
+    life, one episode; an unknown id raises PolicyUnknown at every call.
+    """
 
     def __init__(self, cfg: ScriptedConfig):
         self.policy_id = cfg.policy_id
+        self._policy: Optional[Callable[[Prompt], str]] = None
 
     def complete(self, prompt: Prompt) -> str:
-        from .policies import get_policy  # late import: policies build prompts too
+        policy = self._policy
+        if policy is None:
+            from .policies import get_policy  # late import: policies build prompts too
 
-        policy = get_policy(self.policy_id)
+            policy = self._policy = get_policy(self.policy_id)
         return policy(prompt)
 
 
@@ -288,7 +310,7 @@ class ReplayBackend:
         self.trace_path = cfg.trace_path
         try:
             lines = Path(cfg.trace_path).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: the file is not UTF-8
             raise TransportError(f"cannot read replay trace {cfg.trace_path!r}: {exc}") from exc
         self.completions = []
         for line in lines:

@@ -52,25 +52,37 @@ class SchemaError(CaroboError):
     """A document does not match the type it is decoded into."""
 
 
-_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-# JSONEncoder.encode makes a new C encoder on every call. This one is made once,
-# with the same settings, and is the encoder that call makes. It keeps no cycle
-# markers, so it holds no state between calls and is safe across threads; a
-# circular document would raise RecursionError instead of ValueError, and no
-# document written here can be circular, since `to_dict` output is a tree.
-_C_ENCODER = None if json.encoder.c_make_encoder is None else json.encoder.c_make_encoder(
-    None, _CANONICAL_ENCODER.default, json.encoder.encode_basestring, _CANONICAL_ENCODER.indent,
-    _CANONICAL_ENCODER.key_separator, _CANONICAL_ENCODER.item_separator, _CANONICAL_ENCODER.sort_keys,
-    _CANONICAL_ENCODER.skipkeys, _CANONICAL_ENCODER.allow_nan)
+def make_dumps(**settings):
+    """A function that writes exactly `json.dumps(data, **settings)`, for
+    settings without `indent`, which the C encoder does not write.
+
+    `json.dumps` makes a new encoder, and a new C encoder, on every call. The
+    C encoder here is made once, with the same settings, and is the encoder
+    that call makes; where the interpreter has no C encoder, the Python
+    encoder made once here writes instead. It keeps no cycle markers, so it
+    holds no state between calls and is safe across threads; a circular
+    document would raise RecursionError instead of ValueError, and no
+    document written with it can be circular, since each is a tree.
+    """
+    encoder = json.JSONEncoder(**settings)
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    c_encoder = json.encoder.c_make_encoder(
+        None, encoder.default,
+        json.encoder.encode_basestring_ascii if encoder.ensure_ascii else json.encoder.encode_basestring,
+        encoder.indent, encoder.key_separator, encoder.item_separator, encoder.sort_keys,
+        encoder.skipkeys, encoder.allow_nan)
+
+    def dumps(data) -> str:
+        return "".join(c_encoder(data, 0))
+
+    return dumps
+
+
+# stable single-line JSON used for digests, traces and the wire format
+canonical_json = make_dumps(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 # the C scanner that json.loads runs, called without json.loads's checks around it
 _SCAN = json.JSONDecoder().scan_once
-
-
-def canonical_json(data) -> str:
-    """Stable single-line JSON used for digests, traces and the wire format."""
-    if _C_ENCODER is None:
-        return _CANONICAL_ENCODER.encode(data)
-    return "".join(_C_ENCODER(data, 0))
 
 
 def read_json(text, what: str, error=SchemaError):

@@ -11,7 +11,6 @@ The bundled ones:
 """
 from __future__ import annotations
 
-import json
 import re
 from functools import lru_cache
 from types import MappingProxyType
@@ -19,6 +18,7 @@ from typing import Callable, Mapping
 
 from .bench import OracleScript, default_suite_path, load_suite
 from .llm import PolicyUnknown, Prompt
+from .model import make_dumps
 
 Policy = Callable[[Prompt], str]
 
@@ -40,8 +40,8 @@ def _rounds_so_far(prompt: Prompt) -> int:
     return int(marks[-1]) + 1
 
 
-def _dumps(doc: dict) -> str:
-    return json.dumps(doc, ensure_ascii=False)
+# the completion text: json.dumps(doc, ensure_ascii=False), by one encoder made here
+_dumps = make_dumps(ensure_ascii=False)
 
 
 def _host_doc(plan, comment: str) -> str:

@@ -457,7 +457,7 @@ def read_sensors(world: WorldState) -> SensorData:
     """Ultrasonic from the footprint's front edge; IR switches at +/-ir_angle."""
     p = world.params
     pose = world.robot
-    clearance = _front_clearance(world.objects, p, pose.position, pose.heading)
+    clearance = _front_clearance(world.objects, p, pose.position, geo.unit(pose.heading))
 
     def ir(side_deg: float) -> bool:
         d = raycast(world, pose.position, pose.heading + side_deg, p.ultrasonic_max)
@@ -490,8 +490,8 @@ def _max_free_advance(objects, radius: float, start, direction, limit: float) ->
     return lo
 
 
-def _front_clearance(objects, p: SimParams, position, heading: float) -> float:
-    front = geo.unit(heading)
+def _front_clearance(objects, p: SimParams, position, front) -> float:
+    """The sonar's reading from the footprint's edge along the unit vector `front`."""
     edge = (position[0] + front[0] * p.footprint_radius, position[1] + front[1] * p.footprint_radius)
     return _nearest_hit(objects, edge, front, p.ultrasonic_max)
 
@@ -527,7 +527,8 @@ def _drive(world: WorldState, requested: float, forward: bool) -> Tuple[RobotPos
 
     Only objects near the path can stop it: the footprint sweeps within
     footprint_radius of the segment, and the avoid check looks avoid_threshold
-    further along it.
+    further along it. With nothing near, each increment is free and the sonar
+    reads ultrasonic_max, so the loop sums the increments without the checks.
     """
     p = world.params
     pose = world.robot
@@ -541,17 +542,24 @@ def _drive(world: WorldState, requested: float, forward: bool) -> Tuple[RobotPos
     outcome = ExecOutcome.OK
     heading = pose.heading
     heading_change = 0.0
+    step, radius, threshold = p.integration_step, p.footprint_radius, p.avoid_threshold
+    clearance = p.ultrasonic_max  # the sonar's reading with nothing near the path
     while travelled < requested - 1e-12:
-        here = (origin[0] + direction[0] * travelled, origin[1] + direction[1] * travelled)
-        if forward:
-            # obstacle-avoid check happens before every increment
-            if _front_clearance(near, p, here, heading) < p.avoid_threshold:
-                outcome = ExecOutcome.AVOIDED
-                heading = geo.norm_heading(heading - 90.0)
-                heading_change = -90.0
-                break
-        inc = min(p.integration_step, requested - travelled)
-        free = _max_free_advance(near, p.footprint_radius, here, direction, inc)
+        remaining = requested - travelled
+        inc = remaining if remaining < step else step  # min(step, remaining), bit for bit
+        free = inc  # with nothing near the path, every increment is free
+        if near:
+            here = (origin[0] + direction[0] * travelled, origin[1] + direction[1] * travelled)
+            if forward:  # forward, the travel direction is the sonar's
+                clearance = _front_clearance(near, p, here, direction)
+        # obstacle-avoid check happens before every increment
+        if forward and clearance < threshold:
+            outcome = ExecOutcome.AVOIDED
+            heading = geo.norm_heading(heading - 90.0)
+            heading_change = -90.0
+            break
+        if near:
+            free = _max_free_advance(near, radius, here, direction, inc)
         travelled += free
         if free < inc - 1e-12:
             outcome = ExecOutcome.BLOCKED

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import socket
 import tempfile
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carobo.bench import DATA_DIR, default_suite_path, load_benchmark
+from carobo.bench import DATA_DIR, bundled_trace_dir, default_suite_path, load_benchmark
 from carobo.bridge import TOPIC_SENSOR, ConnectionClosed, ProtocolError, TcpConnection, decode_line
 from carobo.cli import main
 from carobo.llm import RETRYABLE_ERRORS, ReplayBackend, ReplayConfig, parse_app_decision, parse_host_decision
@@ -195,3 +196,41 @@ def test_fuzzed_world_files_run_or_exit_two(time_limit, text, request):
         assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
     else:
         assert code in (0, 1) and err == "", (code, err[:300])
+
+
+# ---------------------------------------------------------------------------
+# Replay streams: whatever bytes a replay stream holds, `carobo run` finishes
+# its episode (exit 0 or 1, and a result line) or rejects the stream (exit 2
+# and one `error:` line)
+
+RECORDED = (bundled_trace_dir("gpt-4o") / "obj_1.jsonl").read_bytes().splitlines()
+_stream_lines = st.one_of(
+    st.sampled_from(RECORDED),
+    st.binary(max_size=30),
+    _jsonish.map(str.encode),
+    _wrapped.map(lambda text: text.encode("utf-8", "surrogatepass")),
+)
+_streams = st.lists(_stream_lines, max_size=8).map(b"\n".join) | st.binary(max_size=80)
+RESULT_LINE = re.compile(r"\S+: (Success|Failure)( \(\w+\))? after \d+ steps / \d+ rounds")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_streams)
+@example(b"\xff\xfe bad\n")
+@example(b"")
+@example(b"\n".join(RECORDED))
+@example(b"\n".join(RECORDED[:1] + [b'"\\ud800"'] + RECORDED[1:]))
+def test_fuzzed_replay_streams_run_or_exit_two(time_limit, stream):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "stream.jsonl"
+        path.write_bytes(stream)
+        out, err = io.StringIO(), io.StringIO()
+        with time_limit(5.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--world", str(DATA_DIR / "worlds" / "obj_1.json"), "--request", REQUESTS["obj_1"],
+                         "--backend", "replay", "--replay-trace", str(path), "--max-steps", "10"])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+    else:
+        assert code in (0, 1) and err == "", (code, err[:300])
+        assert RESULT_LINE.fullmatch(out.splitlines()[-1]), out[-300:]

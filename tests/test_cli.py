@@ -188,12 +188,25 @@ def _suite_with_an_unknown_oracle_command(tmp_path):
     return ["bench", "--suite", str(tmp_path / "suite.json")]
 
 
+def _run_replaying(path):
+    return ["run", "--world", world_file("obj_1"), "--request", "find the fridge",
+            "--backend", "replay", "--replay-trace", str(path)]
+
+
+def _replay_stream_not_utf8(tmp_path):
+    path = tmp_path / "stream.jsonl"
+    path.write_bytes(b"\xff\xfe bad\n")
+    return _run_replaying(path)
+
+
 BAD_FILES = {
     "missing world": lambda tmp: ["run", "--request", "x", "--world", str(tmp / "nope.json")],
     "world not JSON": lambda tmp: ["run", "--request", "x", "--world", _not_json(tmp, "w.json")],
     "world camera pitch 99": _world_with_an_unreachable_camera_pitch,
     "serve missing world": lambda tmp: ["serve", "--world", str(tmp / "nope.json")],
     "missing trace": lambda tmp: ["replay", "--trace", str(tmp / "nope.jsonl")],
+    "missing replay stream": lambda tmp: _run_replaying(tmp / "nope.jsonl"),
+    "replay stream not UTF-8": _replay_stream_not_utf8,
     "trace line not JSON": lambda tmp: ["replay", "--trace", _not_json(tmp, "t.jsonl")],
     "header without limits": _header_without_limits,
     "suite oracle command unknown": _suite_with_an_unknown_oracle_command,

@@ -3,9 +3,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import pytest
@@ -421,6 +425,35 @@ def test_canonical_json_writes_what_json_dumps_writes(time_limit, doc):
     with time_limit(10.0):
         expected = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
         assert canonical_json(doc) == expected
+
+
+# run in a fresh interpreter, in which json loses its C encoder before carobo is imported
+WITHOUT_C_ENCODER = r"""
+import json, json.encoder
+json.encoder.c_make_encoder = None
+from carobo import model, policies
+docs = [{"b": [1, 2.5, -0.0, 1e300, 10**40], "a": {"z": None, "y": True}}, "caf\u00e9 \u2192 \U0001f697",
+        {"observation": "\u51b0\u7bb1", "comment": "Step 1: car_forward.", "status": "CONTINUE",
+         "command": {"name": "car_forward", "args": {"distance": 1.0}}},
+        [float("nan"), float("inf"), -float("inf"), "\\\"\n\x00\ud800"], {}, [], 0, None]
+print(type(model.canonical_json.__self__).__name__, type(policies._dumps.__self__).__name__)
+for doc in docs:
+    print(model.canonical_json(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False),
+          policies._dumps(doc) == json.dumps(doc, ensure_ascii=False))
+"""
+
+
+def test_both_writers_keep_their_bytes_without_the_c_encoder():
+    """Where json has no C encoder, canonical_json and the policy writer fall
+    back to a Python JSONEncoder made once, and still write json.dumps's bytes."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", WITHOUT_C_ENCODER], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0 and done.stderr == "", done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    assert lines[0] == "JSONEncoder JSONEncoder"
+    assert lines[1:] == ["True True"] * 8
 
 
 DEEP = "[" * 100_000  # deeper than any recursion limit json.loads can reach

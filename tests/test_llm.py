@@ -1,4 +1,5 @@
 """Prompt assembly, decision parsing, retry behavior, backends."""
+import itertools
 import json
 import os
 import socket
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 from carobo import llm
 from carobo.llm import (
     BLOCK_ORDER,
+    REQUIRED_BLOCKS,
     AppDecision,
     BackendConfig,
     Block,
     MAX_OBJECT_STARTS,
     HttpChatConfig,
     MalformedDecision,
+    PolicyUnknown,
     Prompt,
     ReplayBackend,
     ReplayConfig,
@@ -77,6 +80,39 @@ def test_prompt_plan_block_is_optional_but_ordered():
     assert [b.kind for b in p.user_blocks] == list(BLOCK_ORDER)
     assert p.block("plan").text == "p"
     assert p.user_text() == "r\n\np\n\no\n\ns\n\nm"
+
+
+def reference_layout_check(kinds: list):
+    """The prompt layout check as three scans of the kinds, kept as the reference."""
+    if kinds.count("request") != 1:
+        raise InvariantViolation("prompt must carry exactly one request block")
+    expected = [k for k in BLOCK_ORDER if k in kinds]
+    if kinds != expected or any(k not in BLOCK_ORDER for k in kinds):
+        raise InvariantViolation(f"prompt blocks out of order: {kinds}")
+    missing = [k for k in REQUIRED_BLOCKS if k not in kinds]
+    if missing:
+        raise InvariantViolation(f"prompt blocks missing: {missing}")
+
+
+def test_prompt_accepts_exactly_the_layouts_of_the_reference_check():
+    """Every sequence of up to six kinds, from BLOCK_ORDER and one unknown kind:
+    Prompt accepts it, or raises the reference check's message."""
+    accepted = 0
+    for n in range(7):
+        for kinds in itertools.product(BLOCK_ORDER + ("unknown",), repeat=n):
+            try:
+                reference_layout_check(list(kinds))
+                want = None
+            except InvariantViolation as exc:
+                want = str(exc)
+            try:
+                Prompt(system="s", user_blocks=tuple(Block(k, k) for k in kinds))
+                got = None
+            except InvariantViolation as exc:
+                got = str(exc)
+            assert got == want, kinds
+            accepted += want is None
+    assert accepted == 2  # with and without the plan
 
 
 def test_prompt_digest_tracks_content():
@@ -139,6 +175,14 @@ def test_assemble_prompt_fills_block_formats():
     assert prompt.block("request").text.endswith("do it")
     assert "1. go" in prompt.block("plan").text
     assert prompt.few_shot == app.examples
+
+
+def test_assemble_prompt_writes_a_kind_the_template_lacks_under_its_name():
+    bare = parse_template("== system ==\nsys\n== block memory ==\nSo far:\n{memory}\n")
+    prompt = assemble_prompt(bare, {"request": "do it", "observation": "{box}", "sensors": "clear",
+                                    "memory": "(empty)"})
+    assert [b.text for b in prompt.user_blocks] == [
+        "Request:\ndo it", "Observation:\n{box}", "Sensors:\nclear", "So far:\n(empty)"]
 
 
 def test_parse_template_rejects_missing_system():
@@ -414,12 +458,32 @@ def test_replay_backend_missing_file():
         ReplayBackend(ReplayConfig(trace_path="/nonexistent/nope.jsonl"))
 
 
+def test_replay_backend_stream_not_utf8(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\xff\xfe bad\n")
+    with pytest.raises(TransportError, match="cannot read replay trace .*utf-8"):
+        ReplayBackend(ReplayConfig(trace_path=str(path)))
+
+
 def test_scripted_backend_unknown_policy():
-    from carobo.llm import PolicyUnknown
     backend = make_backend(BackendConfig(kind=ScriptedConfig(policy_id="no_such")))
     prompt = Prompt(system="s", few_shot=(), user_blocks=blocks())
-    with pytest.raises(PolicyUnknown):
-        backend.complete(prompt)
+    for _ in range(2):  # at every call, not only the first
+        with pytest.raises(PolicyUnknown):
+            backend.complete(prompt)
+
+
+def test_scripted_backend_keeps_the_policy_it_found_first(monkeypatch):
+    """A backend looks its policy up once; a new backend sees the table as it is then."""
+    from carobo import policies
+
+    monkeypatch.setitem(policies.POLICIES, "oracle", lambda prompt: "first")
+    prompt = Prompt(system="s", few_shot=(), user_blocks=blocks())
+    backend = make_backend(BackendConfig(kind=ScriptedConfig(policy_id="oracle")))
+    assert backend.complete(prompt) == "first"
+    monkeypatch.setitem(policies.POLICIES, "oracle", lambda prompt: "second")
+    assert backend.complete(prompt) == "first"
+    assert make_backend(BackendConfig(kind=ScriptedConfig(policy_id="oracle"))).complete(prompt) == "second"
 
 
 # ---------------------------------------------------------------------------

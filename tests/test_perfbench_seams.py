@@ -28,7 +28,8 @@ def test_tracer_sees_every_layer_on_each_transport(monkeypatch):
 
     for transport, (names, agent_calls) in seen.items():
         assert {"bench.run_scenario", "app.run_episode", "host.plan", "app.decide",
-                "llm.assemble_prompt", "llm.parse_app_decision", "bench.judge"} <= names, transport
+                "llm.assemble_prompt", "llm.parse_app_decision", "bench.judge",
+                "llm.scripted_complete", "policies.oracle_policy"} <= names, transport
         assert agent_calls > 0, transport
         if transport != "direct":
             assert {"bridge.open", "bridge.close", "bridge.execute"} <= names, transport

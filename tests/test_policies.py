@@ -2,10 +2,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carobo.bench import default_suite_path, load_benchmark
 from carobo.llm import Block, PolicyUnknown, Prompt, parse_app_decision, parse_host_decision
 from carobo.model import Command, Status
+from carobo import policies
 from carobo.policies import (
     POLICIES,
     finish_now_policy,
@@ -153,3 +156,25 @@ def test_spin_policy_never_finishes():
         d = parse_app_decision(spin_policy(prompt_for("Whatever.", plan="p", memory=memory)))
         assert d.status is Status.CONTINUE
         assert d.command.name == "car_left" and d.command.value == 30.0
+
+
+# ---------------------------------------------------------------------------
+# The completion text: one encoder writes what json.dumps writes
+
+_texts = st.text(max_size=12) | st.text(st.characters(min_codepoint=0x80), max_size=12)
+_numbers = st.integers() | st.floats()
+_decision_docs = st.fixed_dictionaries(
+    {"observation": _texts, "comment": _texts},
+    optional={
+        "thoughts": _texts,
+        "plan": st.lists(_texts, max_size=4),
+        "status": st.sampled_from(["CONTINUE", "FINISH"]) | _texts,
+        "command": st.fixed_dictionaries({"name": _texts, "args": st.dictionaries(_texts, _numbers, max_size=2)}),
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_decision_docs)
+def test_policy_writer_writes_what_json_dumps_writes(doc):
+    assert policies._dumps(doc) == json.dumps(doc, ensure_ascii=False)

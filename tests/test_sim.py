@@ -438,6 +438,7 @@ def seeded_world(seed, n_objects, half_extent, pose, params, extra=(), centre=No
     return load_world({"robot": pose, "objects": objects, "params": params})
 
 
+SONAR_SHORTER_THAN_AVOID = {"ultrasonic_max": 0.1, "avoid_threshold": 0.3}
 COMMANDS = ("car_forward",) * 4 + ("car_back",) * 2 + ("car_left", "car_right", "camera_move", "buzzer")
 
 
@@ -447,7 +448,8 @@ def fuzzed_cases(draw):
         "footprint_radius": draw(st.floats(0.02, 0.3)),
         "avoid_threshold": draw(st.floats(0.0, 0.8)),
         "integration_step": draw(st.sampled_from((0.02, 0.05, 0.1, 0.25))),
-        "ultrasonic_max": draw(st.floats(0.5, 6.0)),
+        # below avoid_threshold in about one draw of five: the avoid turn comes before any increment
+        "ultrasonic_max": draw(st.floats(0.001, 1.0) | st.floats(0.5, 6.0)),
         "hfov": draw(st.floats(1.0, 360.0)),
         "vfov": draw(st.floats(1.0, 179.0)),
         "ir_angle": draw(st.floats(0.0, 180.0)),
@@ -486,6 +488,8 @@ def graze_case(kind, seed):
 @example(graze_case("sonar ray", 1))
 @example(graze_case("avoid band", 2))
 @example(graze_case("fov edge", 3))
+@example((seeded_world(0, 0, 1.0, {"x": 0.0, "y": 0.0, "heading": 0.0, "camera_pitch": 0.0},
+                       SONAR_SHORTER_THAN_AVOID), Command("car_forward", 1.0)))
 @given(fuzzed_cases())
 def test_broad_phase_matches_the_full_scan(time_limit, case):
     world, command = case
@@ -498,6 +502,16 @@ def test_broad_phase_matches_the_full_scan(time_limit, case):
         assert after.robot == ref_after.robot
         assert world_digest(after) == world_digest(ref_after)
         assert render_camera(after).to_dict() == fullscan_sim.render_camera(after).to_dict()
+
+
+def test_a_sonar_shorter_than_the_avoid_threshold_turns_before_moving():
+    """With nothing near the path the sonar reads ultrasonic_max; below the
+    avoid threshold, the drive turns away at once, as in the full scan."""
+    world = make_world(params=SONAR_SHORTER_THAN_AVOID)
+    for sim_module in (sim, fullscan_sim):
+        after, result = sim_module.apply_command(world, Command("car_forward", 1.0))
+        assert result.outcome is ExecOutcome.AVOIDED and result.distance_travelled == 0.0
+        assert (after.robot.x, after.robot.y, after.robot.heading) == (0.0, 0.0, 270.0)
 
 
 EXACT_TESTS = ("ray_circle", "ray_segment", "circle_distance", "polygon_distance")
