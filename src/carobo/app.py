@@ -164,7 +164,10 @@ def render_trace(records: list) -> str:
 
 
 def write_trace(records: list, path) -> None:
-    Path(path).write_text(render_trace(records), encoding="utf-8")
+    try:
+        Path(path).write_text(render_trace(records), encoding="utf-8")
+    except OSError as exc:
+        raise CaroboError(f"cannot write trace {path}: {exc}") from exc
 
 
 def read_trace(path) -> list:

@@ -527,7 +527,10 @@ def run_suite(
     worlds = [spec.load_world() for spec in specs]
     if traces_dir is not None:
         traces_dir = Path(traces_dir)
-        traces_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            traces_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CaroboError(f"cannot make traces directory {traces_dir}: {exc}") from exc
     rows = []
     for spec, world in zip(specs, worlds):
         trace_path = None if traces_dir is None else traces_dir / f"{spec.id}.jsonl"

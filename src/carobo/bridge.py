@@ -8,10 +8,12 @@ in-process transport and a TCP socket. Sequence numbers increase by one per
 The robot end serves a `sim.SimRobot`, the same handle the `direct`
 transport uses: on connect it publishes the robot's connect() state as one
 sensor and one vision envelope; for every command it publishes the robot's
-execute() result as exec, then sensor, then vision. Over TCP a robot thread
-serves the connection; the in-process robot answers each command on the
-thread that publishes it. `bench.open_robot` opens a handle on any transport,
-including a robot that another process serves at `tcp:HOST:PORT`.
+execute() result as exec, then sensor, then vision. No connection reads in
+the background: a read takes a queued envelope or reads the socket itself.
+The in-process robot answers each command on the thread that publishes it,
+so only a TCP robot served in this process has a thread; it waits in calls
+that closing a socket ends. `bench.open_robot` opens a handle on any
+transport, including a robot that another process serves at `tcp:HOST:PORT`.
 """
 from __future__ import annotations
 
@@ -96,65 +98,21 @@ def _decode_payload(topic: str, doc: dict):
     return PAYLOAD_TYPES[topic].from_dict(doc)
 
 
-class _Inbox:
-    """Per-connection receive side: FIFO per topic with sequence auditing."""
-
-    def __init__(self):
-        self._queues = {t: deque() for t in TOPICS}
-        self._expected = {t: 0 for t in TOPICS}
-        self._cond = threading.Condition()
-        self._closed = False
-        self._error: Optional[str] = None
-
-    def put(self, topic: str, seq: int, timestamp: int, doc: dict):
-        with self._cond:
-            self._queues[topic].append((seq, timestamp, doc))
-            self._cond.notify_all()
-
-    def close(self, error: Optional[str] = None):
-        with self._cond:
-            self._closed = True
-            if error and not self._error:
-                self._error = error
-            self._cond.notify_all()
-
-    def next(self, topic: str, timeout_ms: Optional[float]) -> Envelope:
-        if topic not in TOPICS:
-            raise TopicPayloadMismatch(f"unknown topic: {topic!r}")
-        deadline = None  # read the clock only if the message is not queued yet
-        with self._cond:
-            while not self._queues[topic]:
-                if self._closed:
-                    raise ConnectionClosed(self._error or "connection closed")
-                if timeout_ms is None:
-                    self._cond.wait()  # put and close both notify
-                else:
-                    if deadline is None:
-                        deadline = time.monotonic() + timeout_ms / 1000.0
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise BridgeTimeout(f"no message on {topic} within {timeout_ms} ms")
-                    self._cond.wait(remaining)
-            seq, timestamp, doc = self._queues[topic].popleft()
-            expected = self._expected[topic]
-            if seq != expected:
-                raise ProtocolError(f"sequence gap on {topic}: expected {expected}, got {seq}")
-            self._expected[topic] = expected + 1
-        return Envelope(topic=topic, seq=seq, timestamp=timestamp, payload=_decode_payload(topic, doc))
-
-
 def _now_ms() -> int:
     return int(time.time() * 1000)
 
 
 class _ConnectionBase:
-    """Shared publish bookkeeping; subclasses provide _send_line and close."""
+    """Shared publish and receive bookkeeping: a FIFO per topic with sequence
+    auditing. Subclasses provide _send_line, _receive and close."""
 
     def __init__(self):
-        self._inbox = _Inbox()
-        self._out_seq = {t: 0 for t in TOPICS}
+        self._queues = {t: deque() for t in TOPICS}
+        self._expected = dict.fromkeys(TOPICS, 0)
+        self._out_seq = dict.fromkeys(TOPICS, 0)
         self._send_lock = threading.Lock()
         self._closed = False
+        self._ended: Optional[str] = None  # why the receive side ended, once it has
 
     def publish(self, topic: str, payload):
         if topic not in TOPICS:
@@ -166,8 +124,9 @@ class _ConnectionBase:
         self._publish_doc(topic, payload.to_dict())
 
     def publish_error(self, topic: str, message: str):
-        """Defensive escape hatch: sends an error document on the topic."""
-        self._publish_doc(topic, {"error": message})
+        """Defensive escape hatch: sends an error document on the topic. The
+        message may quote a peer's text; what UTF-8 cannot encode goes as escapes."""
+        self._publish_doc(topic, {"error": message.encode("utf-8", "backslashreplace").decode("utf-8")})
 
     def _publish_doc(self, topic: str, doc: dict):
         with self._send_lock:
@@ -178,7 +137,27 @@ class _ConnectionBase:
             self._send_line(encode_line(topic, seq, _now_ms(), doc))
 
     def next_message(self, topic: str, timeout_ms: Optional[float] = None) -> Envelope:
-        return self._inbox.next(topic, timeout_ms)
+        """The next envelope on `topic`. Envelopes queued before the receive
+        side ended are still delivered; after them, ConnectionClosed."""
+        if topic not in TOPICS:
+            raise TopicPayloadMismatch(f"unknown topic: {topic!r}")
+        queue = self._queues[topic]
+        if not queue:
+            self._receive(topic, timeout_ms)
+        seq, timestamp, doc = queue.popleft()
+        expected = self._expected[topic]
+        if seq != expected:
+            raise ProtocolError(f"sequence gap on {topic}: expected {expected}, got {seq}")
+        self._expected[topic] = expected + 1
+        return Envelope(topic=topic, seq=seq, timestamp=timestamp, payload=_decode_payload(topic, doc))
+
+    def _end(self, reason: str):
+        if self._ended is None:
+            self._ended = reason
+
+    def _receive(self, topic: str, timeout_ms: Optional[float]):  # pragma: no cover - abstract
+        """Queue a message on `topic`, or raise BridgeTimeout or ConnectionClosed."""
+        raise NotImplementedError
 
     def _send_line(self, line: str):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -190,8 +169,9 @@ class _ConnectionBase:
 class LocalConnection(_ConnectionBase):
     """One end of an in-process duplex pair.
 
-    An end with a `robot` serves it: each command line that reaches it is
-    answered at once, on the sender's thread.
+    A line sent from one end is queued at the other before the send returns,
+    so a read never waits. An end with a `robot` serves it: each command line
+    that reaches it is answered at once, on the sender's thread.
     """
 
     def __init__(self):
@@ -205,17 +185,22 @@ class LocalConnection(_ConnectionBase):
             raise ConnectionClosed("peer is gone")
         # round-trip through the wire encoding keeps both transports honest
         topic, seq, timestamp, doc = decode_line(line)
-        peer._inbox.put(topic, seq, timestamp, doc)
+        peer._queues[topic].append((seq, timestamp, doc))
         if topic == TOPIC_CMD and peer.robot is not None and not answer(peer.robot, peer):
             peer.close()
+
+    def _receive(self, topic: str, timeout_ms: Optional[float]):
+        if self._ended is not None:
+            raise ConnectionClosed(self._ended)
+        raise BridgeTimeout(f"no message on {topic}: the local: peer has sent none")
 
     def close(self):
         if self._closed:
             return
         self._closed = True
-        self._inbox.close()
+        self._end("connection closed")
         if self.peer is not None:
-            self.peer._inbox.close()
+            self.peer._end("connection closed")
 
 
 def local_pair() -> Tuple[LocalConnection, LocalConnection]:
@@ -225,35 +210,50 @@ def local_pair() -> Tuple[LocalConnection, LocalConnection]:
 
 
 class TcpConnection(_ConnectionBase):
-    """One end of a TCP stream; a reader thread demuxes lines into the inbox."""
+    """One end of a TCP stream; a read takes lines from the socket into the
+    topic queues, on the reading thread, until its topic has one."""
 
     def __init__(self, sock: socket.socket):
         super().__init__()
         self._sock = sock
+        self._partial = b""  # received bytes after the last newline
         try:
             # each message is one small line; waiting to coalesce them only adds latency
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
 
-    def _read_loop(self):
-        try:
-            with self._sock.makefile("r", encoding="utf-8", newline="\n") as stream:
-                for line in stream:
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    try:
-                        self._inbox.put(*decode_line(line))
-                    except ProtocolError as exc:
-                        self._inbox.close(str(exc))
-                        return
-        except OSError:
-            pass
-        finally:
-            self._inbox.close()
+    def _receive(self, topic: str, timeout_ms: Optional[float]):
+        queue = self._queues[topic]
+        deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000.0
+        while not queue:
+            if self._ended is not None:
+                raise ConnectionClosed(self._ended)
+            wait = None
+            if deadline is not None:
+                wait = deadline - time.monotonic()
+                if wait <= 0:
+                    raise BridgeTimeout(f"no message on {topic} within {timeout_ms} ms")
+            try:
+                self._sock.settimeout(wait)
+                data = self._sock.recv(65536)
+            except socket.timeout:
+                continue  # the deadline has passed
+            except OSError:
+                data = b""
+            if not data:
+                self._end("connection closed")
+                continue
+            *lines, self._partial = (self._partial + data).split(b"\n")
+            try:
+                for line in lines:
+                    if line:
+                        name, seq, timestamp, doc = decode_line(line.decode("utf-8"))
+                        self._queues[name].append((seq, timestamp, doc))
+            except UnicodeDecodeError as exc:
+                self._end(f"envelope line is not UTF-8: {exc}")
+            except ProtocolError as exc:
+                self._end(str(exc))
 
     def _send_line(self, line: str):
         try:
@@ -265,12 +265,13 @@ class TcpConnection(_ConnectionBase):
         if self._closed:
             return
         self._closed = True
+        self._end("connection closed")
         try:
+            # wakes a read blocked on this socket in another thread
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         self._sock.close()
-        self._inbox.close()
 
 
 def tcp_connect(host: str, port: int, timeout_s: float = 10.0) -> TcpConnection:
@@ -300,18 +301,16 @@ def _publish_connect(robot: sim.SimRobot, conn):
     conn.publish(TOPIC_VISION, obs)
 
 
-def answer(robot: sim.SimRobot, conn, timeout_ms: Optional[float] = 0) -> bool:
+def answer(robot: sim.SimRobot, conn) -> bool:
     """Read one command from `conn`, execute it on `robot`, and publish exec,
     then sensor, then vision.
 
     Returns False when the connection is done: the peer left, or the command
     was malformed and got an error envelope on the exec topic. The caller
-    then closes `conn`. A BridgeTimeout from the read propagates.
+    then closes `conn`.
     """
     try:
-        env = conn.next_message(TOPIC_CMD, timeout_ms)
-    except BridgeTimeout:
-        raise
+        env = conn.next_message(TOPIC_CMD)
     except ConnectionClosed:
         return False
     except CaroboError as exc:
@@ -328,18 +327,14 @@ def answer(robot: sim.SimRobot, conn, timeout_ms: Optional[float] = 0) -> bool:
     return True
 
 
-def serve(robot: sim.SimRobot, conn, stop: Optional[threading.Event] = None):
-    """Serve `robot` on `conn` until the peer disconnects or `stop` is set."""
+def serve(robot: sim.SimRobot, conn):
+    """Serve `robot` on `conn` until the peer disconnects or `conn` is closed."""
     try:
         _publish_connect(robot, conn)
-        while stop is None or not stop.is_set():
-            try:
-                if not answer(robot, conn, timeout_ms=200):
-                    return
-            except BridgeTimeout:
-                continue
+        while answer(robot, conn):
+            pass
     except ConnectionClosed:
-        return
+        pass
     finally:
         conn.close()
 
@@ -376,43 +371,44 @@ class TcpRobotServer:
             self._listener.close()
             raise CaroboError(f"cannot listen on {host}:{port}: {exc}") from exc
         self.host, self.port = self._listener.getsockname()
-        self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
+        self._lock = threading.Lock()  # orders stop() against a connection being accepted
+        self._stopped = False
+        self._conn: Optional[TcpConnection] = None
 
-    def _accept_loop(self):
-        self._listener.settimeout(0.2)
-        while not self._stop.is_set():
+    def serve_forever(self):
+        """Serve clients one at a time until stop() shuts the listener."""
+        while True:
             try:
                 sock, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
                 return
-            conn = TcpConnection(sock)
-            serve(self.robot, conn, self._stop)
-        self._listener.close()
+            with self._lock:
+                if self._stopped:
+                    sock.close()
+                    return
+                self._conn = TcpConnection(sock)
+            serve(self.robot, self._conn)
 
     def start(self) -> "TcpRobotServer":
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
         return self
 
     def stop(self):
-        self._stop.set()
+        with self._lock:
+            self._stopped = True
+            conn = self._conn
         try:
-            # wakes a pending accept() at once instead of at its next timeout
+            # wakes a pending accept(); closing the connection ends its read
             self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        if conn is not None:
+            conn.close()
         if self._thread is not None:
             self._thread.join(timeout=5)
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-
-    def serve_forever(self):
-        self._accept_loop()
+        self._listener.close()
 
 
 def serve_robot(world: sim.WorldState, endpoint: str):

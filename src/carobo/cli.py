@@ -78,9 +78,12 @@ def cmd_bench(args) -> int:
     report = run_suite(specs, pair, transport=args.transport, traces_dir=args.traces_dir)
     print(report.to_text())
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
+        try:
+            Path(args.out).write_text(
+                json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+            )
+        except OSError as exc:
+            raise CaroboError(f"cannot write report {args.out}: {exc}") from exc
         print(f"report written to {args.out}")
     return 0
 

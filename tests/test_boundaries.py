@@ -14,11 +14,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carobo.bench import DATA_DIR, bundled_trace_dir, default_suite_path, load_benchmark
-from carobo.bridge import TOPIC_SENSOR, ConnectionClosed, ProtocolError, TcpConnection, decode_line
+from carobo.bridge import (
+    TOPIC_CMD,
+    TOPIC_SENSOR,
+    TOPICS,
+    BridgeRobot,
+    ConnectionClosed,
+    ProtocolError,
+    TcpConnection,
+    TcpRobotServer,
+    decode_line,
+    start_local_robot,
+    tcp_connect,
+)
 from carobo.cli import main
 from carobo.llm import RETRYABLE_ERRORS, ReplayBackend, ReplayConfig, parse_app_decision, parse_host_decision
-from carobo.model import COMMAND_SPECS
-from carobo.sim import OBJECT_KINDS, SimParams
+from carobo.model import COMMAND_SPECS, CaroboError, Command, canonical_json
+from carobo.sim import OBJECT_KINDS, SimParams, SimRobot, load_world
 
 DEEP = "[" * 100_000  # deeper than any recursion limit json.loads can reach
 
@@ -38,7 +50,7 @@ def decode_the_line(tmp_path, capsys):
 
 
 def tcp_peer_sends_the_line(tmp_path, capsys):
-    """The reader thread closes the inbox with the typed message, instead of dying."""
+    """The read ends the connection's receive side with the typed message."""
     ours, theirs = socket.socketpair()
     conn = TcpConnection(ours)
     try:
@@ -234,3 +246,110 @@ def test_fuzzed_replay_streams_run_or_exit_two(time_limit, stream):
     else:
         assert code in (0, 1) and err == "", (code, err[:300])
         assert RESULT_LINE.fullmatch(out.splitlines()[-1]), out[-300:]
+
+
+# ---------------------------------------------------------------------------
+# Envelope lines: whatever lines a peer sends, every read on the other end
+# returns or raises a CaroboError, and the robot thread of a served `tcp:`
+# robot lives on to serve the next client
+
+def _valid_payloads():
+    robot = SimRobot(load_world(OBJ_1))
+    sensors, obs = robot.connect()
+    result, _sensors, _obs = robot.execute(Command("car_left", 90))
+    return [doc.to_dict() for doc in (Command("car_left", 90), Command("car_forward", 0.2), sensors, obs, result)]
+
+
+_payload_texts = st.one_of(
+    st.sampled_from(_valid_payloads()).map(canonical_json),
+    _values.map(json.dumps),
+    _wrapped,
+    _jsonish,
+    st.integers(1, 3000).map(lambda depth: "[" * depth),
+    st.sampled_from(['{"error": "nope"}', '{"error": "\\ud800"}', '{"name": "car_left", "args": {"angle": "\\ud800"}}']),
+)
+_envelopes = st.builds(
+    lambda topic, seq, payload: f"{topic}|{seq}|0|{payload}".encode("utf-8", "surrogatepass"),
+    st.sampled_from(TOPICS + ("/carobo/nope",)),
+    st.sampled_from(["0", "1", "2"]) | st.text(max_size=3),
+    _payload_texts,
+)
+_peer_lines = st.lists(
+    _envelopes | st.binary(max_size=30) | st.builds(bytes.__add__, st.sampled_from(TOPICS).map(
+        lambda topic: f"{topic}|0|0|".encode()), st.binary(max_size=30)),
+    min_size=1, max_size=5,
+)
+
+
+def _read_everything(conn, timeout_ms=None):
+    """Read each topic until the read raises; every read returns or raises a CaroboError."""
+    for topic in TOPICS:
+        for _ in range(50):
+            try:
+                conn.next_message(topic, timeout_ms)
+            except CaroboError:
+                break
+
+
+def _send_to_a_local_robot(lines):
+    client, _robot, shutdown = start_local_robot(load_world(OBJ_1))
+    try:
+        for line in lines:
+            try:
+                client._send_line(line.decode("utf-8", "surrogateescape"))
+            except CaroboError:
+                pass
+        _read_everything(client)
+    finally:
+        shutdown()
+
+
+def _send_to_a_tcp_robot(lines):
+    server = TcpRobotServer(load_world(OBJ_1)).start()
+    try:
+        sock = socket.create_connection((server.host, server.port))
+        conn = TcpConnection(sock)
+        try:
+            sock.sendall(b"".join(line + b"\n" for line in lines))
+            sock.shutdown(socket.SHUT_WR)  # the robot reads to the end of the lines, then leaves
+        except OSError:
+            pass  # the robot dropped the connection before it read every line
+        _read_everything(conn, timeout_ms=5000)
+        conn.close()
+        robot = BridgeRobot(tcp_connect(server.host, server.port), timeout_ms=5000)
+        robot.connect()
+        robot.execute(Command("car_left", 90))
+        robot.close()
+        assert server._thread.is_alive()
+    finally:
+        server.stop()
+
+
+def _feed_a_bridge_robot(lines):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        ours = socket.create_connection(listener.getsockname())
+        theirs, _addr = listener.accept()
+    with theirs:
+        theirs.sendall(b"".join(line + b"\n" for line in lines))
+    robot = BridgeRobot(TcpConnection(ours), timeout_ms=5000)
+    try:
+        robot.connect()
+        robot.execute(Command("car_left", 90))
+    except CaroboError:
+        pass
+    finally:
+        robot.close()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_peer_lines)
+@example([b'/carobo/sensor|0|0|{"ultrasonic_clearance":1.0,"ir_left":false,"ir_right":"\xff"}'])
+@example([b'/carobo/cmd|0|0|{"name":"car_left","args":{"angle":"\xff"}}'])
+@example([f"{TOPIC_CMD}|0|0|{DEEP}".encode()])
+@example([f"{TOPIC_SENSOR}|0|0|{DEEP}".encode()])
+@example([b'/carobo/cmd|0|0|{"error":"\\ud800"}'])
+def test_fuzzed_envelope_lines_read_or_fail_typed(time_limit, lines):
+    with time_limit(10.0):
+        _send_to_a_local_robot(lines)
+        _send_to_a_tcp_robot(lines)
+        _feed_a_bridge_robot(lines)

@@ -1,4 +1,5 @@
 """Message bridge: wire format, sequencing, transports, the served robot."""
+import socket
 import threading
 import time
 
@@ -179,31 +180,24 @@ def test_messages_before_close_still_delivered():
         b.next_message(TOPIC_CMD, timeout_ms=50)
 
 
-def test_untimed_read_wakes_when_the_peer_closes():
+def test_an_untimed_local_read_raises_at_once():
+    # a local: peer queues before its publish returns, so a read has nothing to wait for
     a, b = local_pair()
-    raised = []
-
-    def read():
-        try:
-            b.next_message(TOPIC_CMD)
-        except ConnectionClosed as exc:
-            raised.append(exc)
-
-    reader = threading.Thread(target=read)
-    reader.start()
-    time.sleep(0.05)
     began = time.perf_counter()
+    with pytest.raises(BridgeTimeout):
+        b.next_message(TOPIC_CMD)
     a.close()
-    reader.join(timeout=2)
-    assert raised and time.perf_counter() - began < 0.4
+    with pytest.raises(ConnectionClosed):
+        b.next_message(TOPIC_CMD)
+    assert time.perf_counter() - began < 0.1
 
 
 def test_seq_gap_detected():
     a, b = local_pair()
     try:
         # hand-crafted frames with a hole in the sequence
-        b._inbox.put(*decode_line(encode_line(TOPIC_CMD, 0, 0, Command("car_forward", 1.0).to_dict())))
-        b._inbox.put(*decode_line(encode_line(TOPIC_CMD, 2, 0, Command("car_forward", 1.0).to_dict())))
+        a._send_line(encode_line(TOPIC_CMD, 0, 0, Command("car_forward", 1.0).to_dict()))
+        a._send_line(encode_line(TOPIC_CMD, 2, 0, Command("car_forward", 1.0).to_dict()))
         b.next_message(TOPIC_CMD, timeout_ms=100)
         with pytest.raises(ProtocolError) as err:
             b.next_message(TOPIC_CMD, timeout_ms=100)
@@ -362,6 +356,104 @@ def test_tcp_stop_is_prompt_after_the_client_left():
         server.stop()
         assert time.perf_counter() - began < 0.1
         assert not server._thread.is_alive()
+
+
+@pytest.mark.parametrize("read_the_connect_state", [True, False])
+def test_tcp_stop_is_prompt_with_an_idle_client(read_the_connect_state):
+    # the robot thread waits in recv() or accept(), and stop() closes the socket it waits on;
+    # a client that does not read first may reach stop() while its connection is being accepted
+    for _ in range(10):
+        server = TcpRobotServer(load_world(world_doc())).start()
+        conn = tcp_connect(server.host, server.port)
+        if read_the_connect_state:
+            conn.next_message(TOPIC_SENSOR, timeout_ms=2000)
+            conn.next_message(TOPIC_VISION, timeout_ms=2000)
+        began = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - began < 0.1
+        assert not server._thread.is_alive()
+        with pytest.raises(ConnectionClosed):
+            conn.next_message(TOPIC_EXEC, timeout_ms=2000)
+        conn.close()
+
+
+def loopback_sockets():
+    """The two ends of one loopback TCP connection."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = socket.create_connection(listener.getsockname())
+        served, _addr = listener.accept()
+    return client, served
+
+
+def test_untimed_read_wakes_when_the_peer_closes():
+    ours, theirs = loopback_sockets()
+    a, b = TcpConnection(theirs), TcpConnection(ours)
+    raised = []
+
+    def read():
+        try:
+            b.next_message(TOPIC_CMD)
+        except ConnectionClosed as exc:
+            raised.append(exc)
+
+    reader = threading.Thread(target=read)
+    reader.start()
+    time.sleep(0.05)
+    began = time.perf_counter()
+    a.close()
+    reader.join(timeout=2)
+    assert raised and time.perf_counter() - began < 0.4
+    b.close()
+
+
+def test_a_timed_tcp_read_waits_out_its_timeout():
+    ours, theirs = loopback_sockets()
+    conn = TcpConnection(ours)
+    try:
+        for timeout_ms in (0, 1, 30):
+            began = time.perf_counter()
+            with pytest.raises(BridgeTimeout):
+                conn.next_message(TOPIC_SENSOR, timeout_ms=timeout_ms)
+            assert time.perf_counter() - began >= timeout_ms / 1000
+        # the connection is still usable after a timeout
+        theirs.sendall(encode_line(TOPIC_SENSOR, 0, 0, {"ultrasonic_clearance": 1.0, "ir_left": False,
+                                                         "ir_right": True}).encode() + b"\n")
+        assert conn.next_message(TOPIC_SENSOR, timeout_ms=2000).payload.ir_right is True
+    finally:
+        conn.close()
+        theirs.close()
+
+
+def test_a_tcp_episode_starts_one_thread(monkeypatch):
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    spec = {s.id: s for s in bench.load_benchmark(bench.default_suite_path())}["obj_1"]
+    for transport, threads in (("direct", 0), ("local:", 0), ("tcp:", 1)):
+        row, _ = bench.run_scenario(spec, bench.scripted_pair("oracle"), transport=transport)
+        assert row.verdict == "Success"
+        assert len(started) == threads, transport
+        started.clear()
+
+
+def test_a_served_robot_drops_a_client_whose_line_is_not_utf8():
+    server = TcpRobotServer(load_world(world_doc())).start()
+    try:
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(TOPIC_CMD.encode() + b'|0|0|{"name":"car_left","args":{"angle":"\xff"}}\n')
+            received = b""
+            while chunk := sock.recv(4096):  # the robot closes after the connect state
+                received += chunk
+        assert [line.split(b"|")[0] for line in received.splitlines()] == [TOPIC_SENSOR.encode(),
+                                                                          TOPIC_VISION.encode()]
+        # the robot thread lives on and serves the next client
+        robot = BridgeRobot(tcp_connect(server.host, server.port), timeout_ms=2000)
+        robot.connect()
+        robot.execute(Command("car_left", 90))
+        robot.close()
+        assert server.robot.world.robot.heading == 90.0
+    finally:
+        server.stop()
 
 
 @pytest.mark.parametrize("endpoint, address", [

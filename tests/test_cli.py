@@ -1,8 +1,11 @@
 """Command line entry points, exercised through main(argv)."""
 import itertools
 import json
+import os
 import shutil
 import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -14,6 +17,9 @@ from carobo.bench import DATA_DIR, default_suite_path, load_benchmark
 from carobo.bridge import TcpRobotServer
 from carobo.cli import main
 from carobo.sim import load_world
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def request_of(sid):
@@ -199,6 +205,15 @@ def _replay_stream_not_utf8(tmp_path):
     return _run_replaying(path)
 
 
+def _replay_out_in_a_missing_directory(tmp_path):
+    return ["replay", "--trace", str(_recorded_trace(tmp_path)), "--out", str(tmp_path / "nope" / "t.jsonl")]
+
+
+def _bench_traces_dir_that_is_a_file(tmp_path):
+    (tmp_path / "traces").write_text("", encoding="utf-8")
+    return ["bench", "--traces-dir", str(tmp_path / "traces")]
+
+
 BAD_FILES = {
     "missing world": lambda tmp: ["run", "--request", "x", "--world", str(tmp / "nope.json")],
     "world not JSON": lambda tmp: ["run", "--request", "x", "--world", _not_json(tmp, "w.json")],
@@ -210,6 +225,12 @@ BAD_FILES = {
     "trace line not JSON": lambda tmp: ["replay", "--trace", _not_json(tmp, "t.jsonl")],
     "header without limits": _header_without_limits,
     "suite oracle command unknown": _suite_with_an_unknown_oracle_command,
+    # output paths that cannot be written
+    "run --trace in a missing directory": lambda tmp: ["run", "--request", "x", "--world", world_file("obj_1"),
+                                                       "--trace", str(tmp / "nope" / "t.jsonl")],
+    "replay --out in a missing directory": _replay_out_in_a_missing_directory,
+    "bench --out in a missing directory": lambda tmp: ["bench", "--out", str(tmp / "nope" / "report.json")],
+    "bench --traces-dir that is a file": _bench_traces_dir_that_is_a_file,
 }
 
 
@@ -472,6 +493,34 @@ def test_serve_on_a_busy_port_exits_two(capsys, time_limit):
     assert code == 2
     assert f"cannot listen on 127.0.0.1:{port}" in captured.err
     assert "serving" not in captured.out
+
+
+def test_a_wire_line_that_is_not_utf8_exits_two_with_one_line():
+    """A robot at tcp:HOST:PORT whose first envelope holds a byte UTF-8 cannot
+    decode: the run ends with one error line, and no thread traceback."""
+    line = b'/carobo/sensor|0|0|{"ultrasonic_clearance":1.0,"ir_left":false,"ir_right":"\xff"}\n'
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        port = listener.getsockname()[1]
+
+        def robot():
+            sock, _addr = listener.accept()
+            with sock:
+                sock.sendall(line)
+                while sock.recv(4096):  # until the client leaves
+                    pass
+
+        thread = threading.Thread(target=robot, daemon=True)
+        thread.start()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "carobo.cli", "run", "--request", "find the fridge",
+             "--transport", f"tcp:127.0.0.1:{port}"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: envelope line is not UTF-8") and done.stderr.count("\n") == 1, done.stderr
 
 
 def test_parser_requires_subcommand():
