@@ -517,6 +517,16 @@ def run_scenario(
     return row, result
 
 
+def make_traces_dir(traces_dir) -> Path:
+    """The directory for per-scenario traces, made with its parents if need be."""
+    traces_dir = Path(traces_dir)
+    try:
+        traces_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CaroboError(f"cannot make traces directory {traces_dir}: {exc}") from exc
+    return traces_dir
+
+
 def run_suite(
     specs,
     backends: BackendPair,
@@ -526,11 +536,7 @@ def run_suite(
     # a malformed world file stops the suite before any episode runs
     worlds = [spec.load_world() for spec in specs]
     if traces_dir is not None:
-        traces_dir = Path(traces_dir)
-        try:
-            traces_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise CaroboError(f"cannot make traces directory {traces_dir}: {exc}") from exc
+        traces_dir = make_traces_dir(traces_dir)
     rows = []
     for spec, world in zip(specs, worlds):
         trace_path = None if traces_dir is None else traces_dir / f"{spec.id}.jsonl"

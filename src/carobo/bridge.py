@@ -216,7 +216,7 @@ class TcpConnection(_ConnectionBase):
     def __init__(self, sock: socket.socket):
         super().__init__()
         self._sock = sock
-        self._partial = b""  # received bytes after the last newline
+        self._partial = bytearray()  # received bytes after the last newline
         try:
             # each message is one small line; waiting to coalesce them only adds latency
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -244,7 +244,14 @@ class TcpConnection(_ConnectionBase):
             if not data:
                 self._end("connection closed")
                 continue
-            *lines, self._partial = (self._partial + data).split(b"\n")
+            # only the bytes just received can hold a newline, so each byte is searched once
+            start = len(self._partial)
+            self._partial += data
+            end = self._partial.rfind(b"\n", start)
+            if end < 0:
+                continue
+            lines = self._partial[:end].split(b"\n")
+            del self._partial[:end + 1]
             try:
                 for line in lines:
                     if line:

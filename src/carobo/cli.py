@@ -13,6 +13,7 @@ from .bench import (
     default_suite_path,
     fixed_pair,
     load_suite,
+    make_traces_dir,
     open_robot,
     replay_pair,
     run_suite,
@@ -39,8 +40,15 @@ def _backend_cfg(args) -> BackendConfig:
     raise CaroboError(f"unknown backend {args.backend!r}")
 
 
+def _check_output(path, what: str) -> None:
+    """Fail before any work when `path` cannot be written for want of its directory."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise CaroboError(f"cannot write {what} {path}: no directory {Path(path).parent}")
+
+
 def cmd_run(args) -> int:
     cfg = _backend_cfg(args)
+    _check_output(args.trace, "trace")
     limits = EpisodeLimits(max_steps=args.max_steps, max_rounds=args.max_rounds)
     world = sim.load_world_file(args.world) if args.world else None
     with open_robot(args.transport, world) as handle:
@@ -75,6 +83,9 @@ def cmd_bench(args) -> int:
         pair = replay_pair(replay_dir, args.max_retries)
     else:
         pair = fixed_pair(_backend_cfg(args))
+    if args.traces_dir:
+        make_traces_dir(args.traces_dir)  # before --out's check, as the report may go inside it
+    _check_output(args.out, "report")
     report = run_suite(specs, pair, transport=args.transport, traces_dir=args.traces_dir)
     print(report.to_text())
     if args.out:
@@ -102,6 +113,7 @@ def cmd_replay(args) -> int:
             "no world, so it cannot be replayed"
         )
     recorded = EpisodeFooter.from_dict(records[-1])
+    _check_output(args.out, "trace")
     cfg = BackendConfig(kind=ReplayConfig(trace_path=args.trace))
     result = run_episode(
         UserRequest(text=header.request_text, id=header.request_id),
@@ -186,12 +198,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# C0 and C1 controls and the two Unicode line separators, each as its Python escape
+_ONE_LINE = str.maketrans({c: c.encode("unicode_escape").decode("ascii")
+                           for c in map(chr, [*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029])})
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CaroboError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line per error, whatever text a file or a peer put in the message
+        print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return 2
 
 

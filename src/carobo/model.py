@@ -92,9 +92,10 @@ def read_json(text, what: str, error=SchemaError):
     as ValueError, and nesting deeper than the interpreter's recursion limit
     as RecursionError, which would otherwise escape untyped.
 
-    A str that the scanner reads whole from its first character is returned
+    A str that the scanner reads from its first character to the end, or up
+    to a tail of the whitespace json.loads skips (" \t\n\r"), is returned
     from the scanner, as json.loads would return it. Anything else (bytes,
-    surrounding whitespace, a BOM, extra data, every error) goes through
+    leading whitespace, a BOM, extra data, every error) goes through
     json.loads, so values, errors and messages are json.loads's.
     """
     if type(text) is str:
@@ -103,7 +104,7 @@ def read_json(text, what: str, error=SchemaError):
         except (StopIteration, ValueError, RecursionError):
             pass
         else:
-            if end == len(text):
+            if end == len(text) or not text[end:].strip(" \t\n\r"):
                 return value
     try:
         return json.loads(text)
@@ -300,14 +301,21 @@ def _field_plans(cls, tag: Optional[dict], strict: bool = False) -> tuple:
       field by field, and `to_dict` runs for every traced round.
     - `decode(cls, data)` is `from_dict`: one straight-line block per field
       checks and decodes it, and then its range, or fills a missing one with
-      its default, None (a missing Optional) or a "missing key" error.
+      its default, None (a missing Optional) or a "missing key" error. It
+      then does what the dataclass `__init__` of a frozen class does, less
+      its keyword call: sets each field with `object.__setattr__` on a new
+      instance, then runs `__post_init__`. (Filling the new instance's
+      `__dict__` in one call decodes faster, but leaves the instance with a
+      dict of its own, whose attribute reads are slower than those of one
+      built by `__init__`.)
 
     The third compiled function, `to_json`, which is exactly
     `canonical_json(to_dict())` written directly, comes from `_json_writer`.
     """
     hints = typing.get_type_hints(cls)
     fields = dataclasses.fields(cls)
-    env = dict(_ENV, tag=tag, known=frozenset([*(tag or ()), *(f.name for f in fields)]))
+    env = dict(_ENV, tag=tag, known=frozenset([*(tag or ()), *(f.name for f in fields)]), new=object.__new__,
+               set_field=object.__setattr__)
     items = ["**tag"] if tag else []
     decode = ["def decode(cls, data):",
               "    if type(data) is not dict:",
@@ -343,8 +351,9 @@ def _field_plans(cls, tag: Optional[dict], strict: bool = False) -> tuple:
             decode += [f"        if not {low!r} <= {x} <= {high!r}:",
                        f"            raise SchemaError(cls.__name__ + {'.' + f.name + '='!r} + repr({x}) + {outside!r})"]
         decode += ["    else:", f"        {missing}"]
-        call.append(f"{f.name}={x}")
-    decode.append(f"    return cls({', '.join(call)})")
+        call.append((f.name, x))
+    decode += ["    self = new(cls)", *(f"    set_field(self, {name!r}, {x})" for name, x in call),
+               *(["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []), "    return self"]
     exec(f"def encode_fields(self):\n    return {{{', '.join(items)}}}\n" + "\n".join(decode) + "\n", env)
     return env["encode_fields"], env["decode"]
 

@@ -10,13 +10,16 @@ geometry test. A world of at least GRID_MIN_OBJECTS objects also buckets the
 discs into a uniform grid, built once on the first query: the sensor rays walk
 its cells nearest first, and a drive takes the objects of the cells around its
 path. Both give exactly what a scan of every disc gives. Smaller worlds, and
-queries from outside the grid, scan; the camera and the start-pose overlap
-check always scan.
+queries from outside the grid, scan; so does the start-pose overlap check.
+The camera scans a table of the discs, built once per world, and judges each
+line of sight once per robot position: a render after a turn, a camera move
+or a drive that did not move reuses the verdicts of the one before.
 """
 from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -33,7 +36,7 @@ from .model import (
     SchemaError,
     SensorData,
     VisibleObject,
-    canonical_json,  # unused since world_digest hashes to_json(); perfbench/tracer.py wraps sim.canonical_json
+    canonical_json,
     codec,
     field_codec,
     read_json,
@@ -94,8 +97,14 @@ class RobotPose:
 BOUND_MARGIN = 1e-9
 
 _, _number, _write_number = field_codec(float)
-_, _point, _write_point = field_codec(Tuple[float, float])
-_, _points, _write_points = field_codec(Tuple[Tuple[float, float], ...])
+_, _point, _ = field_codec(Tuple[float, float])
+_, _points, _ = field_codec(Tuple[Tuple[float, float], ...])
+
+
+def _bounding_disc(kind: str, radius: float, vertices, cx: float, cy: float) -> Tuple[float, float, float]:
+    """A shape's padded bounding disc about its centroid (cx, cy)."""
+    r = radius if kind == "circle" else max([math.hypot(x - cx, y - cy) for x, y in vertices])
+    return (cx, cy, r + BOUND_MARGIN * (1.0 + r + abs(cx) + abs(cy)))
 
 
 @dataclass(frozen=True)
@@ -108,23 +117,12 @@ class Shape:
     bound: Tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cx, cy = self.centroid()
-        if self.kind == "circle":
-            r = self.radius
-        else:
-            r = max(math.hypot(x - cx, y - cy) for x, y in self.vertices)
-        r += BOUND_MARGIN * (1.0 + r + abs(cx) + abs(cy))
-        object.__setattr__(self, "bound", (cx, cy, r))
+        object.__setattr__(self, "bound", _bounding_disc(self.kind, self.radius, self.vertices, *self.centroid()))
 
     def centroid(self) -> Tuple[float, float]:
         if self.kind == "circle":
             return self.center
-        # left to right from 0.0, as sum() added floats before Python 3.12;
-        # its compensated sum since then would change the bits of every bound
-        sx = sy = 0.0
-        for x, y in self.vertices:
-            sx += x
-            sy += y
+        sx, sy, _ = geo.polygon_sums(self.vertices)
         n = len(self.vertices)
         return (sx / n, sy / n)
 
@@ -146,30 +144,41 @@ class Shape:
     def to_json(self) -> str:
         """canonical_json(self.to_dict()), written without building the dict."""
         if self.kind == "circle":
-            return f'{{"center":{_write_point(self.center)},"radius":{_write_number(self.radius)},"type":"circle"}}'
-        return f'{{"type":"polygon","vertices":{_write_points(self.vertices)}}}'
+            return f'{{"center":{canonical_json(self.center)},"radius":{_write_number(self.radius)},"type":"circle"}}'
+        return f'{{"type":"polygon","vertices":{canonical_json(self.vertices)}}}'
 
     @classmethod
     def from_dict(cls, data: dict) -> "Shape":
+        """The shape of a document. Its bounding disc is set here, not by
+        `__post_init__`, so that a polygon's vertices are summed once, for the
+        collinearity check and the centroid together."""
         if type(data) is not dict or "type" not in data:
             raise SchemaError(f"shape document must be an object with a type: {data!r}")
         kind = data["type"]
+        if kind not in ("circle", "polygon"):
+            raise SchemaError(f"unknown shape type: {kind!r}")
         try:
             if kind == "circle":
                 radius = _number(data.get("radius"))
                 if radius <= 0:
                     raise SchemaError("radius must be positive")
-                return cls(kind="circle", center=_point(data.get("center")), radius=radius)
-            if kind == "polygon":
-                vertices = _points(data.get("vertices"))
-                if len(vertices) < 3:
+                center, vertices = _point(data.get("center")), ()
+                cx, cy = center
+            else:
+                radius, center, vertices = 0.0, None, _points(data.get("vertices"))
+                n = len(vertices)
+                if n < 3:
                     raise SchemaError("a polygon needs at least 3 vertices")
-                if abs(geo.polygon_area(vertices)) < 1e-9:
+                sx, sy, area = geo.polygon_sums(vertices)
+                if abs(area) < 1e-9:
                     raise SchemaError("polygon vertices are collinear")
-                return cls(kind="polygon", vertices=vertices)
+                cx, cy = sx / n, sy / n
         except SchemaError as exc:
             raise SchemaError(f"bad {kind} shape: {exc}") from None
-        raise SchemaError(f"unknown shape type: {kind!r}")
+        shape = object.__new__(cls)
+        shape.__dict__.update(kind=kind, center=center, radius=radius, vertices=vertices,
+                              bound=_bounding_disc(kind, radius, vertices, cx, cy))
+        return shape
 
 
 @codec
@@ -199,18 +208,49 @@ class SimObject:
 GRID_MIN_OBJECTS = 32
 
 
-class ObjectSet(tuple):
-    """A world's objects in world order, with their uniform grid.
+# a position's exact bits, so that 0.0 and -0.0 are different positions
+_position_bits = struct.Struct("<dd").pack
 
-    Objects never move, so the grid is built once, on the first query that
-    wants it, and kept with the tuple: every WorldState that shares the tuple
-    shares the grid, and a new tuple can never carry a stale one.
+
+class ObjectSet(tuple):
+    """A world's objects in world order, with what queries derive from them.
+
+    Objects never move, so the grid and the bound table are built once, on
+    the first query that wants them, and kept with the tuple: every
+    WorldState that shares the tuple shares them, and a new tuple can never
+    carry a stale one. The camera's line-of-sight verdicts are kept the same
+    way, for the last position rendered.
     """
+
+    _sight = (b"", None)  # (position bits, {object index: hidden}) of the last render
 
     @cached_property
     def grid(self) -> Optional["Grid"]:
         """The grid over the objects' bounding discs; None keeps the plain scan."""
         return Grid.build(self) if len(self) >= GRID_MIN_OBJECTS else None
+
+    @cached_property
+    def bounds(self) -> Tuple[tuple, float]:
+        """(table, extent): a row (cx, cy, r, object) of each object's
+        `Shape.bound`, in world order; and the largest 1 + r + |cx| + |cy| of
+        the rows (1.0 for none), which bounds every disc's own padding."""
+        table = tuple([(*obj.shape.bound, obj) for obj in self])
+        return table, max([1.0 + r + abs(cx) + abs(cy) for cx, cy, r, _ in table], default=1.0)
+
+    def sightlines(self, x: float, y: float) -> dict:
+        """The camera's verdicts at position (x, y), object index -> hidden.
+
+        Whether an object is hidden depends on the position and the objects
+        alone, so every render at these exact coordinates shares the dict. A
+        render elsewhere starts a new one; the tuple swaps in whole, so a
+        render on another thread keeps the dict of its own position.
+        """
+        key = _position_bits(x, y)
+        bits, hidden = self._sight
+        if bits != key:
+            hidden = {}
+            self._sight = (key, hidden)
+        return hidden
 
 
 class Grid:
@@ -635,22 +675,35 @@ def visible_height_band(world: WorldState, obj: SimObject) -> Tuple[float, float
     return _vertical_window(world)(obj.height, math.hypot(cx - world.robot.x, cy - world.robot.y))
 
 
-def _occluded(occluders, origin, direction, limit: float, target_id: str) -> bool:
-    """Whether an occluder other than `target_id` has an exact ray hit below `limit`.
+def _hidden(occluders, origin, target: SimObject, dx: float, dy: float, distance: float, edge: float) -> bool:
+    """Whether an object other than `target` hides it from `origin`.
+
+    The line of sight runs to the target's centroid, at offset (dx, dy) and
+    `distance`; `edge` is the near edge of the target's bounding disc. It is
+    hidden when another object has an exact ray hit below t_self - 1e-9,
+    where t_self is the target's own hit, or `distance` if the ray misses it.
 
     `occluders` holds (near edge, cx, cy, r, object) sorted by the near edge,
-    the distance from the origin to the object's bounding disc (cx, cy, r). No
-    hit on an object lies nearer than its near edge, so the walk answers "not
-    occluded" at the first near edge at or beyond `limit`, and "occluded" at
-    the first exact hit below it.
+    the distance from the origin to the object's bounding disc (cx, cy, r).
+    No hit on an object lies nearer than its near edge, the target's own
+    included. So a hit below the target's near edge less 1e-9 hides it, and
+    t_self is found only once the walk meets a later hit or near edge. The
+    walk answers "visible" at the first near edge at or beyond t_self - 1e-9.
     """
+    direction = geo.unit(math.degrees(math.atan2(dy, dx)))
     ox, oy = origin
-    dx, dy = direction
+    ux, uy = direction
+    below = edge - 1e-9  # at most t_self - 1e-9
+    limit = None  # t_self - 1e-9, once the walk needs it
+    target_id = target.id
     for near, cx, cy, r, obj in occluders:
-        if near >= limit:
-            return False
+        if near >= below:
+            if limit is None:
+                limit = _sight_limit(target, origin, direction, distance)
+            if near >= limit:
+                return False
         mx, my = cx - ox, cy - oy
-        along = mx * dx + my * dy
+        along = mx * ux + my * uy
         d2 = mx * mx + my * my
         rr = r * r
         if d2 > rr and (along < 0.0 or d2 - along * along > rr):
@@ -658,9 +711,21 @@ def _occluded(occluders, origin, direction, limit: float, target_id: str) -> boo
         if obj.id == target_id:
             continue
         t = obj.shape.ray_hit(origin, direction)
-        if t is not None and t < limit:
+        if t is None:
+            continue
+        if t < below:
+            return True
+        if limit is None:
+            limit = _sight_limit(target, origin, direction, distance)
+        if t < limit:
             return True
     return False
+
+
+def _sight_limit(target: SimObject, origin, direction, distance: float) -> float:
+    """t_self - 1e-9: a hit on another object nearer than this hides the target."""
+    t_self = target.shape.ray_hit(origin, direction)
+    return (distance if t_self is None else t_self) - 1e-9
 
 
 def render_camera(world: WorldState) -> Observation:
@@ -668,27 +733,33 @@ def render_camera(world: WorldState) -> Observation:
 
     A bounding disc that lies wholly outside the field of view can neither be
     seen nor hide anything seen. A dot/cross test, padded like the discs,
-    rejects it before any trigonometry. Each object in view then looks for an
-    occluder along its line of sight, nearest disc first, and stops at the
-    first exact hit.
+    rejects it before any trigonometry. Each object in view then needs its
+    verdict: whether a nearer object hides it along its line of sight. That
+    depends on the robot's position alone, not on where the robot looks, so
+    the verdicts at this position are the world's `ObjectSet.sightlines`, and
+    `_hidden` finds only those not yet judged there.
     """
     p = world.params
     pose = world.robot
+    x, y = pose.x, pose.y
     half = p.hfov / 2.0
     band = _vertical_window(world)
     fx, fy = geo.unit(pose.heading)
     cos_half, sin_half = math.cos(math.radians(half)), math.sin(math.radians(half))
+    table, extent = world.objects.bounds
+    # twice the largest of the discs' own paddings, BOUND_MARGIN * (1 + r + |dx| + |dy|),
+    # as |dx| <= |cx| + |x|: a looser cull only adds objects that the exact tests turn away
+    pad = 2.0 * BOUND_MARGIN * (extent + abs(x) + abs(y))
     in_view, occluders = [], []
-    for obj in world.objects:
-        cx, cy, r = obj.shape.bound  # centred on the centroid
-        dx, dy = cx - pose.x, cy - pose.y
+    for i, (cx, cy, r, obj) in enumerate(table):
+        dx, dy = cx - x, cy - y
         # `past`: how far the centre lies beyond the line of the field of
         # view's edge on its side. Below 180 degrees the view is a convex cone
         # that lies at least `past` away; above, what it leaves out is a convex
         # wedge behind the robot, and `past` is the centre's depth inside it.
         # Either way a disc more than its radius past the line is out of view.
         past = abs(dx * fy - dy * fx) * cos_half - (dx * fx + dy * fy) * sin_half
-        if past > r + BOUND_MARGIN * (1.0 + r + abs(dx) + abs(dy)):
+        if past > r + pad:
             continue
         distance = math.hypot(dx, dy)
         bearing = geo.rel_bearing(math.degrees(math.atan2(dy, dx)) - pose.heading)
@@ -700,16 +771,15 @@ def render_camera(world: WorldState) -> Observation:
             continue
         lo, hi = band(obj.height, distance)
         if hi > lo:
-            in_view.append((obj, dx, dy, distance, bearing))
+            in_view.append((i, obj, dx, dy, distance, bearing, distance - r))
     occluders.sort(key=lambda occluder: occluder[0])
+    hidden = world.objects.sightlines(x, y)
     candidates = []
-    for obj, dx, dy, distance, bearing in in_view:
-        # occlusion along the center line: a nearer object hiding this one
-        direction = geo.unit(math.degrees(math.atan2(dy, dx)))
-        t_self = obj.shape.ray_hit(pose.position, direction)
-        if t_self is None:
-            t_self = distance
-        if _occluded(occluders, pose.position, direction, t_self - 1e-9, obj.id):
+    for i, obj, dx, dy, distance, bearing, edge in in_view:
+        verdict = hidden.get(i)
+        if verdict is None:
+            verdict = hidden[i] = _hidden(occluders, (x, y), obj, dx, dy, distance, edge)
+        if verdict:
             continue
         candidates.append(
             (

@@ -1,4 +1,6 @@
 """Command line entry points, exercised through main(argv)."""
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -8,14 +10,18 @@ import subprocess
 import sys
 import threading
 import time
+import unicodedata
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from carobo import bench, policies
+from carobo import bench, cli, policies
 from carobo.bench import DATA_DIR, default_suite_path, load_benchmark
 from carobo.bridge import TcpRobotServer
 from carobo.cli import main
+from carobo.model import CaroboError
 from carobo.sim import load_world
 
 
@@ -242,6 +248,44 @@ def test_bad_input_files_exit_two(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "serving" not in captured.out
+
+
+OUTPUT_PATHS = ("run --trace in a missing directory", "replay --out in a missing directory",
+                "bench --out in a missing directory", "bench --traces-dir that is a file")
+
+
+@pytest.mark.parametrize("case", OUTPUT_PATHS)
+def test_an_output_path_that_cannot_be_written_fails_before_the_work(tmp_path, capsys, monkeypatch, case):
+    argv = BAD_FILES[case](tmp_path)
+    capsys.readouterr()
+    ran = []
+    monkeypatch.setattr(cli, "run_episode", lambda *args, **kwargs: ran.append("episode"))
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: ran.append("suite"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert ran == [] and captured.out == ""
+    assert captured.err.startswith("error: cannot ") and captured.err.count("\n") == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text())
+@example("first\nsecond")
+@example("a\r\nb\x0bc\x0cd\x1ce\x85f\u2028g\u2029h\x00i\x7f")
+def test_every_error_is_one_line(message):
+    """Whatever text a CaroboError carries, from a file or a peer, main
+    writes one `error:` line; a message with no control character keeps its
+    bytes."""
+    def fail(path):
+        raise CaroboError(message)
+
+    stderr = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(stderr):
+        patch.setattr(cli.sim, "load_world_file", fail)
+        assert main(["serve", "--world", "w.json"]) == 2
+    err = stderr.getvalue()
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and err.endswith("\n")
+    if not any(unicodedata.category(c) == "Cc" or c in "\u2028\u2029" for c in message):
+        assert err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -460,7 +460,8 @@ DEEP = "[" * 100_000  # deeper than any recursion limit json.loads can reach
 _blank = st.text(" \t\n\r", max_size=2)
 _json_texts = st.one_of(
     st.builds(lambda before, doc, ascii, after: before + json.dumps(doc, ensure_ascii=ascii) + after,
-              _blank | st.just("\ufeff"), _json_docs, st.booleans(), _blank | st.sampled_from(["x", "]", " 1"])),
+              _blank | st.just("\ufeff"), _json_docs, st.booleans(),
+              _blank | st.sampled_from(["x", "]", " 1", "\x0b", "\x0c", "\xa0", "\x85", "\u2028", "\n\x00"])),
     st.text(alphabet='{}[]":,0123456789.eE-+aINfinytrulsf\\u \n\ufeff', max_size=40),
     st.text(max_size=20),
     st.binary(max_size=20),
@@ -487,6 +488,10 @@ def _loads_or_typed_error(text):
 @example("\ud800")
 @example(b"[1]")
 @example("1" * 5000)  # past the int-string limit
+@example("[1]\n")
+@example("[1] \t\r\n ")
+@example("[1]\x0c")
+@example("[1]\u2028")
 def test_read_json_returns_what_json_loads_returns(time_limit, text):
     with time_limit(10.0):
         expected = _loads_or_typed_error(text)
@@ -495,6 +500,15 @@ def test_read_json_returns_what_json_loads_returns(time_limit, text):
         except SchemaError as exc:
             got = "error", str(exc)
     assert repr(got) == repr(expected)  # repr tells -0.0 from 0.0 and matches NaN with NaN
+
+
+def test_a_document_ending_in_whitespace_is_parsed_once(monkeypatch):
+    """Every bundled world and suite file ends in a newline; the scanner's
+    value is returned without a second parse by json.loads."""
+    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("parsed a second time"))
+    assert model.read_json('{"a": [1, 2.5]} \t\r\n', "doc") == {"a": [1, 2.5]}
+    text = default_suite_path().read_text(encoding="utf-8")
+    assert text.endswith("\n") and type(model.read_json(text, "suite")) is dict
 
 
 # sha256 of the envelope lines of the obs_5 oracle episode on local:, with

@@ -117,7 +117,29 @@ def test_point_in_polygon_basics():
 
 
 def test_polygon_area_shoelace():
-    assert math.isclose(geo.polygon_area(SQUARE), 4.0, abs_tol=1e-12)
+    assert geo.polygon_sums(SQUARE) == (8.0, 0.0, 4.0)
+
+
+def _separate_sums(vertices):
+    """The centroid sums and the shoelace area as three loops over the vertices."""
+    sx = sy = acc = 0.0
+    for x, y in vertices:
+        sx += x
+        sy += y
+    n = len(vertices)
+    for i in range(n):
+        x1, y1 = vertices[i]
+        x2, y2 = vertices[(i + 1) % n]
+        acc += x1 * y2 - x2 * y1
+    return sx, sy, 0.5 * acc
+
+
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=7))
+def test_polygon_sums_add_as_separate_loops_do(vertices):
+    """Bit for bit, signed zeros, overflow to inf and nan included: the sums
+    decide each shape's bounding disc and whether a polygon is collinear."""
+    assert [repr(v) for v in geo.polygon_sums(vertices)] == [repr(v) for v in _separate_sums(vertices)]
 
 
 # ---------------------------------------------------------------------------

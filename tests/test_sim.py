@@ -546,6 +546,71 @@ def test_exact_tests_stay_bounded_as_the_world_grows(monkeypatch):
     assert drive <= 10 and render <= 20
 
 
+def test_a_render_after_a_turn_judges_only_what_it_has_not_judged(monkeypatch):
+    """The line-of-sight verdicts depend on the robot's position alone: after
+    a turn or a camera move, a render makes no exact test for an object
+    already judged there, and a turn back makes none at all. A drive that
+    moves the robot judges again."""
+    judged, counts = [], {}
+    for name in EXACT_TESTS:
+        def counted(*args, fn=getattr(geometry, name), name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(geometry, name, counted)
+    monkeypatch.setattr(sim, "_hidden", lambda occluders, origin, target, *rest, fn=sim._hidden:
+                        judged.append(target.id) or fn(occluders, origin, target, *rest))
+    pose = {"x": 0.0, "y": 0.0, "heading": 0.0, "camera_pitch": 45.0}
+    world = seeded_world(5, 400, 12.0, pose, {})
+    renders = []
+    for command in (None, Command("camera_move", 0.0), Command("car_left", 20.0),
+                    Command("car_right", 20.0), Command("car_forward", 0.5)):
+        if command is not None:
+            world, _ = apply_command(world, command)
+        judged.clear()
+        counts.clear()
+        items = render_camera(world).items
+        renders.append((judged[:], sum(counts.values()), len(items)))
+        assert items == fullscan_sim.render_camera(world).items
+    first, tilted, turned, back, moved = renders
+    assert first[0] and first[1] > 0
+    # only the objects that the camera move, then the turn, brought into view
+    assert tilted[0] and not set(tilted[0]) & set(first[0])
+    assert turned[0] and not set(turned[0]) & set(first[0] + tilted[0])
+    assert back[:2] == ([], 0) and back[2] > 0
+    assert moved[0] and moved[1] > 0 and world.robot.x > 0.0
+
+
+@st.composite
+def renders_at_one_position(draw):
+    """A seeded world, and a sequence of (x, y, heading, pitch) to render at:
+    mostly one drawn position, whose zero coordinates may change sign from
+    step to step, and at times a second one."""
+    params = {"hfov": draw(st.floats(1.0, 360.0)), "vfov": draw(st.floats(1.0, 179.0))}
+    coordinate = st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0)
+    here, there = (draw(coordinate), draw(coordinate)), (draw(coordinate), draw(coordinate))
+    pose = {"x": here[0], "y": here[1], "heading": 0.0, "camera_pitch": 0.0}
+    world = seeded_world(draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 200)), draw(st.floats(0.5, 12.0)),
+                         pose, params, extra=[{"type": "circle", "center": [here[0] - 1.0, -0.0], "radius": 0.2}])
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        x, y = draw(st.sampled_from([here, here, here, there]))
+        if draw(st.booleans()):
+            x, y = (-x if x == 0.0 else x), (-y if y == 0.0 else y)
+        steps.append((x, y, draw(st.floats(0.0, 360.0, exclude_max=True)), draw(st.floats(-30.0, 60.0))))
+    return world, steps
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(renders_at_one_position())
+def test_renders_that_reuse_their_verdicts_match_the_full_scan(time_limit, case):
+    world, steps = case
+    with time_limit(20.0):
+        for x, y, heading, pitch in steps:
+            at = sim.WorldState(robot=sim.RobotPose(x, y, heading, pitch), objects=world.objects,
+                                params=world.params)
+            assert render_camera(at).to_dict() == fullscan_sim.render_camera(at).to_dict()
+
+
 # ---------------------------------------------------------------------------
 # The uniform grid
 
