@@ -205,7 +205,6 @@ class HttpChatConfig:
     endpoint: str
     model_name: str
     timeout_s: float = 30.0
-    api_key_env: str = "CAROBO_API_KEY"
 
 
 @dataclass(frozen=True)
@@ -228,11 +227,18 @@ class BackendConfig:
             raise CaroboError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
+# the http backend sends this variable's value, when set, as its bearer token
+API_KEY_ENV = "CAROBO_API_KEY"
+
+
 class HttpChatBackend:
     """POSTs an OpenAI-style chat payload and extracts the first choice.
 
-    `requests` is imported on the first call, so a process that never calls
-    an HTTP endpoint never loads the HTTP stack (urllib3, ssl, http.client).
+    One `urllib.request.urlopen` call per completion, on a new connection. It
+    takes proxies from the environment (`HTTP(S)_PROXY`, `ALL_PROXY`,
+    `NO_PROXY`) and checks TLS against the system's trust store. The HTTP
+    stack (urllib.request, http.client) is imported on the first call, so a
+    process that never calls an HTTP endpoint never loads it.
     """
 
     def __init__(self, cfg: HttpChatConfig):
@@ -247,10 +253,15 @@ class HttpChatBackend:
         return messages
 
     def complete(self, prompt: Prompt) -> str:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
-        headers = {}
-        key = os.environ.get(self.cfg.api_key_env, "")
+        url = self.cfg.endpoint
+        if not url.lower().startswith(("http://", "https://")):  # urlopen would also read file: and ftp: URLs
+            raise TransportError(f"chat endpoint unreachable: {url!r} is not an http or https URL")
+        headers = {"Content-Type": "application/json"}
+        key = os.environ.get(API_KEY_ENV, "")
         if key:
             headers["Authorization"] = f"Bearer {key}"
         body = {
@@ -259,15 +270,21 @@ class HttpChatBackend:
             "temperature": 0.0,
         }
         try:
-            resp = requests.post(
-                self.cfg.endpoint, json=body, headers=headers, timeout=self.cfg.timeout_s
-            )
-        except requests.RequestException as exc:
+            request = urllib.request.Request(url, data=json.dumps(body).encode("utf-8"), headers=headers)
+            with urllib.request.urlopen(request, timeout=self.cfg.timeout_s) as resp:
+                status = resp.status
+                payload = resp.read() if status == 200 else b""
+        except urllib.error.HTTPError as exc:  # a status outside 2xx that no redirect resolved; still open
+            exc.close()
+            raise TransportError(f"chat endpoint returned HTTP {exc.code}") from None
+        # OSError: refused, reset, timed out; HTTPException: a bad status line or a cut-short body;
+        # ValueError: a URL that urlopen cannot use
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(f"chat endpoint unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"chat endpoint returned HTTP {resp.status_code}")
+        if status != 200:
+            raise TransportError(f"chat endpoint returned HTTP {status}")
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(payload)["choices"][0]["message"]["content"]
         except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"chat endpoint returned an unexpected payload: {exc}") from exc
         if not isinstance(content, str):

@@ -28,7 +28,19 @@ from carobo.bridge import (
     tcp_connect,
 )
 from carobo.cli import main
-from carobo.llm import RETRYABLE_ERRORS, ReplayBackend, ReplayConfig, parse_app_decision, parse_host_decision
+from carobo.llm import (
+    RETRYABLE_ERRORS,
+    BackendConfig,
+    Block,
+    HttpChatConfig,
+    Prompt,
+    ReplayBackend,
+    ReplayConfig,
+    TransportError,
+    make_backend,
+    parse_app_decision,
+    parse_host_decision,
+)
 from carobo.model import COMMAND_SPECS, CaroboError, Command, canonical_json
 from carobo.sim import OBJECT_KINDS, SimParams, SimRobot, load_world
 
@@ -353,3 +365,55 @@ def test_fuzzed_envelope_lines_read_or_fail_typed(time_limit, lines):
         _send_to_a_local_robot(lines)
         _send_to_a_tcp_robot(lines)
         _feed_a_bridge_robot(lines)
+
+
+# ---------------------------------------------------------------------------
+# HTTP responses: whatever a chat endpoint answers, the http backend makes one
+# request, and returns the first choice's content or raises TransportError
+
+def _chat(content: str) -> bytes:
+    return json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]}).encode("utf-8")
+
+
+# (the content, if the body is a chat payload; the body)
+_bodies = st.one_of(
+    _text(20).map(lambda content: (content, _chat(content))),
+    _jsonish.map(lambda text: (None, text.encode("utf-8"))),  # its alphabet cannot spell "choices"
+    st.binary(max_size=30).map(lambda raw: (None, raw)),  # too short to hold a chat payload
+    st.integers(1, 3000).map(lambda depth: (None, b"[" * depth)),
+    st.integers(4301, 5000).map(lambda digits: (None, _chat("").replace(b'""', b"1" * digits))),
+)
+PROMPT = Prompt(system="s", user_blocks=tuple(Block(k, k) for k in ("request", "observation", "sensors", "memory")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(status=st.none() | st.integers(200, 599), body=_bodies, short=st.none() | st.integers(1, 1000))
+@example(status=200, body=("cut short", _chat("cut short")), short=10)
+@example(status=200, body=(None, b"\xff"), short=None)
+@example(status=204, body=(None, b""), short=None)
+@example(status=200, body=(None, DEEP.encode()), short=None)
+@example(status=None, body=(None, b""), short=None)
+def test_fuzzed_http_responses_return_or_fail_typed(module_endpoint, time_limit, status, body, short):
+    """`status` None closes the connection without an answer; `short` sends a
+    Content-Length that many bytes past the body, and then closes."""
+    content, raw = body
+    module_endpoint.requests.clear()
+    module_endpoint.reply(status, raw, None if short is None else len(raw) + short)
+    backend = make_backend(BackendConfig(kind=HttpChatConfig(endpoint=module_endpoint.url, model_name="m",
+                                                             timeout_s=2.0)))
+    with time_limit(10.0):
+        try:
+            out = backend.complete(PROMPT)
+        except TransportError as exc:
+            out = exc
+    assert len(module_endpoint.requests) == 1
+    if status is None or (status == 200 and short):
+        expected = "chat endpoint unreachable: "
+    elif status != 200:
+        expected = f"chat endpoint returned HTTP {status}"
+    elif content is None:
+        expected = "chat endpoint returned an unexpected payload: "
+    else:
+        assert out == content
+        return
+    assert isinstance(out, TransportError) and str(out).startswith(expected), (status, short, out)

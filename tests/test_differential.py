@@ -1,6 +1,7 @@
 """Differential test over whole episodes: one world and one completion stream
 give byte-identical episode traces on the `direct`, `local:` and `tcp:`
-transports, and every record of those traces decodes with its codec."""
+transports, and through the replay and http backends, and every record of
+those traces decodes with its codec."""
 import contextlib
 import io
 import json
@@ -163,3 +164,48 @@ def test_every_transport_writes_the_same_trace(clutter, time_limit, world, token
     assert runs["local:"] == runs["direct"] and runs["tcp:"] == runs["direct"]
     for line in runs["direct"][2].decode("utf-8").splitlines():
         _check_record(json.loads(line))
+
+
+FINISH = _decision(status="FINISH", comment="Done.")
+
+
+@settings(max_examples=30, deadline=None)
+@given(world=_worlds, tokens=st.lists(_tokens, min_size=2, max_size=14), retries=st.integers(0, 2))
+@example(world=("small", {"robot": {}, "objects": []}), retries=0,
+         tokens=[("replan streak",), ("replan streak",)])
+def test_the_http_backend_writes_the_trace_of_the_replay_backend(clutter, module_endpoint, time_limit,
+                                                                 world, tokens, retries):
+    """The replay backend and the http backend against a loopback endpoint,
+    given one completion stream, write the same trace on every transport.
+
+    A stream that runs out ends each backend differently: replay raises
+    ReplayExhausted, which ends the round, and the endpoint answers HTTP 500,
+    which is retried. So the stream ends in FINISH decisions, enough to end
+    the episode before it runs out: an app round that reads one succeeds, and
+    a host plan that reads one on each attempt fails."""
+    if world[0] == "clutter":
+        world = clutter.make_world(random.Random(world[1]), world[2], 4.0)
+    else:
+        world = world[1]
+    stream = [HOST_PLAN] + [line for token in tokens for line in _completions(token, retries)]
+    stream += [FINISH] * (retries + 1)
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        (scratch / "world.json").write_text(json.dumps(world), encoding="utf-8")
+        (scratch / "stream.jsonl").write_text("".join(json.dumps(line) + "\n" for line in stream), encoding="utf-8")
+        backends = {"replay": ["--backend", "replay", "--replay-trace", str(scratch / "stream.jsonl")],
+                    "http": ["--backend", "http", "--endpoint", module_endpoint.url, "--model", "m"]}
+        runs = {}
+        for backend, transport in [("replay", "direct")] + [("http", transport) for transport in TRANSPORTS]:
+            module_endpoint.serve(stream)
+            module_endpoint.requests.clear()
+            out = io.StringIO()
+            with time_limit(20.0), contextlib.redirect_stdout(out):
+                code = main(["run", "--request", "Explore the room.", "--world", str(scratch / "world.json"),
+                             *backends[backend], "--max-retries", str(retries), "--transport", transport,
+                             "--trace", str(scratch / "trace.jsonl"), *LIMITS])
+            runs[backend, transport] = (code, out.getvalue(), (scratch / "trace.jsonl").read_bytes())
+            assert backend == "replay" or len(module_endpoint.requests) <= len(stream)
+    reference = runs.pop(("replay", "direct"))
+    assert reference[0] in (0, 1)
+    assert all(run == reference for run in runs.values())

@@ -5,7 +5,6 @@ import os
 import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -489,57 +488,6 @@ def test_scripted_backend_keeps_the_policy_it_found_first(monkeypatch):
 # ---------------------------------------------------------------------------
 # The http backend against a chat-completions endpoint on loopback
 
-class FakeEndpoint:
-    """Answers every POST with `status` and `body`, and keeps the parsed requests."""
-
-    def __init__(self):
-        self.status, self.body = 200, b""
-        self.requests = []
-        fake = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                length = int(self.headers["Content-Length"])
-                fake.requests.append((dict(self.headers), json.loads(self.rfile.read(length))))
-                self.send_response(fake.status)
-                self.send_header("Content-Length", str(len(fake.body)))
-                self.end_headers()
-                self.wfile.write(fake.body)
-
-            def log_message(self, format, *args):
-                pass
-
-        self._server = HTTPServer(("127.0.0.1", 0), Handler)
-        self.url = "http://127.0.0.1:%d/v1/chat/completions" % self._server.server_address[1]
-        self._thread = threading.Thread(target=self._server.serve_forever, kwargs={"poll_interval": 0.05})
-        self._thread.start()
-
-    def reply(self, status, doc):
-        self.status = status
-        self.body = doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8")
-
-    def close(self):
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5)
-        assert not self._thread.is_alive()
-
-
-@pytest.fixture
-def no_proxy(monkeypatch):
-    for name in ("http_proxy", "https_proxy", "all_proxy", "HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY"):
-        monkeypatch.delenv(name, raising=False)
-
-
-@pytest.fixture
-def endpoint(no_proxy):
-    fake = FakeEndpoint()
-    try:
-        yield fake
-    finally:
-        fake.close()
-
-
 def http_backend(url):
     return make_backend(BackendConfig(kind=HttpChatConfig(endpoint=url, model_name="m", timeout_s=5.0)))
 
@@ -660,3 +608,19 @@ def test_timed_out_round_makes_one_request_per_attempt(silent_endpoint, time_lim
                              limits=EpisodeLimits(max_steps=1, max_rounds=1), backend=PlanThenEndpoint())
     assert (result.rounds, result.steps) == (1, 0)
     assert len(silent_endpoint.accepted) == 3
+
+
+def test_http_backend_posts_json_and_no_key_it_lacks(endpoint, monkeypatch):
+    monkeypatch.delenv(llm.API_KEY_ENV, raising=False)
+    endpoint.reply(200, {"choices": [{"message": {"content": "c"}}]})
+    assert http_backend(endpoint.url).complete(app_prompt()) == "c"
+    [(headers, _body)] = endpoint.requests
+    headers = {name.lower(): value for name, value in headers.items()}
+    assert headers["content-type"] == "application/json" and "authorization" not in headers
+
+
+@pytest.mark.parametrize("url", ["file:///dev/zero", "ftp://127.0.0.1/chat", "127.0.0.1:80/v1/chat/completions",
+                                 "http://127.0.0.1:notaport/v1/chat/completions", "http://[::1/v1/chat/completions"])
+def test_http_backend_cannot_use_the_url(url):
+    with pytest.raises(TransportError, match="unreachable"):
+        http_backend(url).complete(app_prompt())
