@@ -40,6 +40,7 @@ from .model import (
     canonical_json,
     codec,
     read_json,
+    read_text,
     render_memory,
 )
 
@@ -172,11 +173,7 @@ def write_trace(records: list, path) -> None:
 
 def read_trace(path) -> list:
     """The records of an episode trace; each line must hold a JSON object."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, ValueError) as exc:
-        raise SchemaError(f"cannot read trace {path}: {exc}") from exc
-    records = [read_json(line, f"trace {path}") for line in lines if line.strip()]
+    records = [read_json(line, f"trace {path}") for line in read_text(path, "trace").splitlines() if line.strip()]
     if not all(type(rec) is dict for rec in records):
         raise SchemaError(f"{path}: every trace record must be a JSON object")
     return records

@@ -35,6 +35,7 @@ from .model import (
     UserRequest,
     codec,
     read_json,
+    read_text,
 )
 from .suite_data import DOMAINS
 
@@ -293,11 +294,7 @@ def bundled_trace_dir(model: str) -> Path:
 def load_benchmark(path) -> Tuple[ScenarioSpec, ...]:
     """Load and validate a suite: exactly five scenarios in each domain."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:
-        raise SchemaError(f"cannot read suite {path}: {exc}") from exc
-    doc = read_json(text, f"suite {path}")
+    doc = read_json(read_text(path, "suite"), f"suite {path}")
     if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):
         raise SchemaError("suite must be an object with a 'scenarios' list")
     specs = []

@@ -5,6 +5,11 @@ Four fixed topics carry typed payloads; envelopes are newline-delimited
 in-process transport and a TCP socket. Sequence numbers increase by one per
 (connection, topic) and receivers audit the gaps.
 
+Both transports take each received line through one intake, `_take`: a line
+over MAX_LINE_BYTES (8 MiB of UTF-8), not UTF-8 or not an envelope ends the
+reader's receive side with the reason, after what came before it, and never
+fails the sender's write. A `tcp:` line cut off by the stream's end is dropped.
+
 The robot end serves a `sim.SimRobot`, the same handle the `direct`
 transport uses: on connect it publishes the robot's connect() state as one
 sensor and one vision envelope; for every command it publishes the robot's
@@ -49,6 +54,8 @@ TOPIC_VISION = "/carobo/vision"
 TOPIC_SENSOR = "/carobo/sensor"
 TOPIC_EXEC = "/carobo/exec"
 TOPICS = (TOPIC_CMD, TOPIC_VISION, TOPIC_SENSOR, TOPIC_EXEC)
+
+MAX_LINE_BYTES = 8 << 20  # the longest envelope line taken, in UTF-8 bytes; a 10^4-object world is 1.9 MB
 
 PAYLOAD_TYPES = {
     TOPIC_CMD: Command,
@@ -103,8 +110,8 @@ def _now_ms() -> int:
 
 
 class _ConnectionBase:
-    """Shared publish and receive bookkeeping: a FIFO per topic with sequence
-    auditing. Subclasses provide _send_line, _receive and close."""
+    """Shared publish and receive bookkeeping: a FIFO per topic, fed by `_take`, with
+    sequence auditing. Subclasses provide _send_line, _receive and _release."""
 
     def __init__(self):
         self._queues = {t: deque() for t in TOPICS}
@@ -151,19 +158,37 @@ class _ConnectionBase:
         self._expected[topic] = expected + 1
         return Envelope(topic=topic, seq=seq, timestamp=timestamp, payload=_decode_payload(topic, doc))
 
+    def _take(self, line) -> Optional[str]:
+        """Queue the envelope in one received line (str, or bytes off a socket) and return
+        its topic; a line that ends the receive side, or comes after one, gives None."""
+        if self._ended is not None:
+            return None
+        try:
+            if type(line) is not str:
+                line = line.decode("utf-8")
+            # no line of at most MAX_LINE_BYTES // 4 characters encodes to more bytes than that
+            if len(line) > MAX_LINE_BYTES // 4 and len(line.encode("utf-8", "surrogatepass")) > MAX_LINE_BYTES:
+                raise ProtocolError(f"envelope line longer than {MAX_LINE_BYTES} bytes")
+            topic, seq, timestamp, doc = decode_line(line)
+        except UnicodeDecodeError as exc:
+            self._end(f"envelope line is not UTF-8: {exc}")
+            return None
+        except ProtocolError as exc:
+            self._end(str(exc))
+            return None
+        self._queues[topic].append((seq, timestamp, doc))
+        return topic
+
     def _end(self, reason: str):
         if self._ended is None:
             self._ended = reason
 
-    def _receive(self, topic: str, timeout_ms: Optional[float]):  # pragma: no cover - abstract
-        """Queue a message on `topic`, or raise BridgeTimeout or ConnectionClosed."""
-        raise NotImplementedError
-
-    def _send_line(self, line: str):  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def close(self):
-        raise NotImplementedError  # pragma: no cover
+        if self._closed:
+            return
+        self._closed = True
+        self._end("connection closed")
+        self._release()
 
 
 class LocalConnection(_ConnectionBase):
@@ -183,10 +208,9 @@ class LocalConnection(_ConnectionBase):
         peer = self.peer
         if peer is None or peer._closed:
             raise ConnectionClosed("peer is gone")
-        # round-trip through the wire encoding keeps both transports honest
-        topic, seq, timestamp, doc = decode_line(line)
-        peer._queues[topic].append((seq, timestamp, doc))
-        if topic == TOPIC_CMD and peer.robot is not None and not answer(peer.robot, peer):
+        topic = peer._take(line)
+        # a robot answers a command; after a line that ended its receive side, it drops the client
+        if topic in (TOPIC_CMD, None) and peer.robot is not None and not answer(peer.robot, peer):
             peer.close()
 
     def _receive(self, topic: str, timeout_ms: Optional[float]):
@@ -194,11 +218,7 @@ class LocalConnection(_ConnectionBase):
             raise ConnectionClosed(self._ended)
         raise BridgeTimeout(f"no message on {topic}: the local: peer has sent none")
 
-    def close(self):
-        if self._closed:
-            return
-        self._closed = True
-        self._end("connection closed")
+    def _release(self):
         if self.peer is not None:
             self.peer._end("connection closed")
 
@@ -248,19 +268,14 @@ class TcpConnection(_ConnectionBase):
             start = len(self._partial)
             self._partial += data
             end = self._partial.rfind(b"\n", start)
-            if end < 0:
-                continue
-            lines = self._partial[:end].split(b"\n")
-            del self._partial[:end + 1]
-            try:
-                for line in lines:
+            if end >= 0:
+                for line in self._partial[:end].split(b"\n"):
                     if line:
-                        name, seq, timestamp, doc = decode_line(line.decode("utf-8"))
-                        self._queues[name].append((seq, timestamp, doc))
-            except UnicodeDecodeError as exc:
-                self._end(f"envelope line is not UTF-8: {exc}")
-            except ProtocolError as exc:
-                self._end(str(exc))
+                        self._take(line)
+                del self._partial[:end + 1]
+            if len(self._partial) > MAX_LINE_BYTES:  # a line that can only end past the cap
+                self._end(f"envelope line longer than {MAX_LINE_BYTES} bytes")
+                self._partial.clear()
 
     def _send_line(self, line: str):
         try:
@@ -268,11 +283,7 @@ class TcpConnection(_ConnectionBase):
         except OSError as exc:
             raise ConnectionClosed(f"socket send failed: {exc}") from exc
 
-    def close(self):
-        if self._closed:
-            return
-        self._closed = True
-        self._end("connection closed")
+    def _release(self):
         try:
             # wakes a read blocked on this socket in another thread
             self._sock.shutdown(socket.SHUT_RDWR)

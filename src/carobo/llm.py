@@ -29,6 +29,7 @@ from .model import (
     canonical_json,  # not called here, but perfbench/tracer.py wraps llm.canonical_json
     codec,
     read_json,
+    read_text,
 )
 
 
@@ -325,12 +326,8 @@ class ReplayBackend:
 
     def __init__(self, cfg: ReplayConfig):
         self.trace_path = cfg.trace_path
-        try:
-            lines = Path(cfg.trace_path).read_text(encoding="utf-8").splitlines()
-        except (OSError, ValueError) as exc:  # ValueError: the file is not UTF-8
-            raise TransportError(f"cannot read replay trace {cfg.trace_path!r}: {exc}") from exc
         self.completions = []
-        for line in lines:
+        for line in read_text(cfg.trace_path, "replay trace", TransportError).splitlines():
             if not line.strip():
                 continue
             try:

@@ -112,6 +112,15 @@ def read_json(text, what: str, error=SchemaError):
         raise error(f"cannot read {what}: {exc}") from exc
 
 
+def read_text(path, what: str, error=SchemaError) -> str:
+    """The text of the UTF-8 input file at `path`; a file that cannot be read, or is not UTF-8, raises `error`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: the file is not UTF-8
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # The dict codec
 #
@@ -197,27 +206,19 @@ def _bind(env: dict, value, stem: str) -> str:
     return name
 
 
-def _fixed_tuple(args, env: dict, exact: bool) -> Tuple[str, str]:
-    """Names of a compiled decoder and writer, bound in `env`, for Tuple[args]."""
+def _fixed_tuple(args, env: dict, exact: bool) -> str:
+    """The name of a compiled decoder, bound in `env`, for Tuple[args]."""
     n = len(args)
-    parts = [_sources(a, f"value_{i}", env, exact) for i, a in enumerate(args)]
-    unpack = "".join(f"value_{i}, " for i in range(n))
-    decode, write = _bind(env, None, "decode_tuple"), _bind(env, None, "write_tuple")
-    source = [
+    decoders = [_sources(a, f"value_{i}", env, exact)[1] for i, a in enumerate(args)]
+    decode = _bind(env, None, "decode_tuple")
+    exec("\n".join([
         f"def {decode}(value):",
         f"    if (type(value) is list or type(value) is tuple) and len(value) == {n}:",
-        f"        {unpack}= value",
-        f"        return ({''.join(d + ', ' for _, d, _ in parts)})",
+        f"        {''.join(f'value_{i}, ' for i in range(n))}= value",
+        f"        return ({''.join(d + ', ' for d in decoders)})",
         f"    raise mismatch('a list of {n}', value)",
-        f"def {write}(value):",
-    ]
-    if all(a in _SCALARS for a in args):
-        source += [f"    if (type(value) is list or type(value) is tuple) and len(value) == {n}:",
-                   f"        {unpack}= value",
-                   f"        return f'[{','.join('{' + w + '}' for _, _, w in parts)}]'"]
-    source.append("    return dumps(list(value))")
-    exec("\n".join(source), env)
-    return decode, write
+    ]), env)
+    return decode
 
 
 def _sources(tp, v: str, env: dict, exact: bool = False) -> tuple:
@@ -246,9 +247,8 @@ def _sources(tp, v: str, env: dict, exact: bool = False) -> tuple:
         return ((list if encode is None else lambda value: [encode(x) for x in value]),
                 f"tuple([{decode} for {item} in seq({v})])",
                 f"(LB + COMMA.join([{write} for {item} in {v}]) + RB)")
-    if origin is tuple:
-        decode, write = _fixed_tuple(args, env, exact)
-        return list, f"{decode}({v})", f"{write}({v})"
+    if origin is tuple:  # no coded class has such a field, so nothing calls its writer; dumps gives the bytes
+        return list, f"{_fixed_tuple(args, env, exact)}({v})", f"dumps({v})"
     if tp is dict or origin is dict:
         entry = field_codec(args[1])[1] if args else (lambda x: x)
 

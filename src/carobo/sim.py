@@ -22,7 +22,6 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import Optional, Tuple
 
 from . import geometry as geo
@@ -40,6 +39,7 @@ from .model import (
     codec,
     field_codec,
     read_json,
+    read_text,
 )
 
 OBJECT_KINDS = ("box", "wall", "person", "paper", "refrigerator", "marker")
@@ -429,11 +429,7 @@ def load_world(document: dict) -> WorldState:
 
 def load_world_file(path) -> WorldState:
     """Build a world from a JSON world file; an unreadable file raises SchemaError."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:
-        raise SchemaError(f"cannot read world {path}: {exc}") from exc
-    return load_world(read_json(text, f"world {path}"))
+    return load_world(read_json(read_text(path, "world"), f"world {path}"))
 
 
 def _overlapping_object(objects, position, radius: float) -> Optional[SimObject]:

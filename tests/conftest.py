@@ -22,18 +22,23 @@ def build_data(monkeypatch):
     return build_data
 
 
+class TimeLimitExceeded(Exception):
+    """Not a TimeoutError: code under test that catches OSError or socket.timeout
+    (which is TimeoutError) while it waits must not swallow the limit."""
+
+
 @pytest.fixture(scope="session")
 def time_limit():
-    """`with time_limit(s):` raises TimeoutError in a block still running after s seconds.
+    """`with time_limit(s):` raises TimeLimitExceeded in a block still running after s seconds.
 
     It arms a SIGALRM timer, so it works on the main thread only; a regression
-    into an endless loop then fails its test instead of hanging the suite.
+    into an endless loop or wait then fails its test instead of hanging the suite.
     """
 
     @contextlib.contextmanager
     def limit(seconds: float):
         def expire(_signum, _frame):
-            raise TimeoutError(f"still running after {seconds} s")
+            raise TimeLimitExceeded(f"still running after {seconds} s")
 
         previous = signal.signal(signal.SIGALRM, expire)
         signal.setitimer(signal.ITIMER_REAL, seconds)

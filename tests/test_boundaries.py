@@ -1,9 +1,12 @@
 """Every input boundary rejects bad input with a typed error and never hangs:
 through the CLI, exit 2 and one `error:` line."""
 import contextlib
+import copy
 import dataclasses
+import functools
 import io
 import json
+import operator
 import re
 import socket
 import tempfile
@@ -261,6 +264,114 @@ def test_fuzzed_replay_streams_run_or_exit_two(time_limit, stream):
 
 
 # ---------------------------------------------------------------------------
+# Suite and trace files: whatever a suite holds, `carobo bench` reports on it,
+# and whatever an episode trace holds, `carobo replay` re-runs it (exit 0 or
+# 1); or either rejects the file (exit 2 and one `error:` line)
+
+_SAME_TYPE = {str: _text(12), bool: st.booleans(), int: _numbers, float: _numbers}
+
+
+def _paths(node, path=()):
+    """The path to every value in a JSON document, the document's own () first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """`doc` after one to three drawn edits, each of a value drawn from all of
+    its values, so mostly a leaf: the value dropped, or replaced by one of its
+    own JSON type (so that most edited files are still read whole) or by any."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            return draw(_values)
+        parent, key = functools.reduce(operator.getitem, path[:-1], doc), path[-1]
+        if draw(st.integers(0, 3)):
+            same = _SAME_TYPE.get(type(parent[key]))
+            parent[key] = draw(_values if same is None else same | _values)
+        else:
+            del parent[key]
+    return doc
+
+
+def _cli(argv, time_limit):
+    out, err = io.StringIO(), io.StringIO()
+    with time_limit(10.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _suite_document() -> dict:
+    """The bundled suite, with each world file named by its absolute path."""
+    doc = json.loads(default_suite_path().read_text(encoding="utf-8"))
+    for entry in doc["scenarios"]:
+        entry["world_file"] = str(DATA_DIR / entry["world_file"])
+    return doc
+
+
+SUITE = _suite_document()
+_garbage = _jsonish.map(str.encode) | st.binary(max_size=80)
+_suite_files = _mutated(SUITE).map(lambda doc: json.dumps(doc).encode("utf-8")) | _garbage
+
+
+@settings(max_examples=60, deadline=None)
+@given(_suite_files)
+@example(json.dumps(SUITE).encode("utf-8"))
+@example(b"\xff\xfe")
+@example(json.dumps({"scenarios": SUITE["scenarios"][:19]}).encode("utf-8"))
+def test_fuzzed_suite_files_run_or_exit_two(time_limit, suite):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "suite.json"
+        path.write_bytes(suite)
+        code, out, err = _cli(["bench", "--suite", str(path)], time_limit)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+    else:
+        assert code == 0 and err == "" and "overall" in out, (code, err[:300])
+
+
+def _recorded_episode() -> list:
+    """The records of one oracle episode's trace."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "trace.jsonl"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--request", REQUESTS["obj_1"], "--world", str(DATA_DIR / "worlds" / "obj_1.json"),
+                         "--trace", str(path)]) == 0
+        return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _jsonl(records) -> bytes:
+    """One JSON line per record; a document that is no longer a list is one line."""
+    lines = records if isinstance(records, list) else [records]
+    return "".join(json.dumps(rec) + "\n" for rec in lines).encode("utf-8")
+
+
+EPISODE = _recorded_episode()
+_trace_files = _mutated(EPISODE).map(_jsonl) | _garbage
+
+
+@settings(max_examples=60, deadline=None)
+@given(_trace_files)
+@example(_jsonl(EPISODE))
+@example(b"\xff\xfe")
+@example(_jsonl(EPISODE[:-1]))
+def test_fuzzed_trace_files_replay_or_exit_two(time_limit, trace):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "trace.jsonl"
+        path.write_bytes(trace)
+        code, out, err = _cli(["replay", "--trace", str(path)], time_limit)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+    else:
+        assert code in (0, 1) and err == "", (code, err[:300])
+        assert out.splitlines()[-1].startswith("final world digest: "), out[-300:]
+
+
+# ---------------------------------------------------------------------------
 # Envelope lines: whatever lines a peer sends, every read on the other end
 # returns or raises a CaroboError, and the robot thread of a served `tcp:`
 # robot lives on to serve the next client
@@ -377,7 +488,8 @@ def _chat(content: str) -> bytes:
 
 # (the content, if the body is a chat payload; the body)
 _bodies = st.one_of(
-    _text(20).map(lambda content: (content, _chat(content))),
+    # the content a JSON reader gives back: "\ud800\udc00" escapes one astral character, not two
+    _text(20).map(lambda content: (json.loads(json.dumps(content)), _chat(content))),
     _jsonish.map(lambda text: (None, text.encode("utf-8"))),  # its alphabet cannot spell "choices"
     st.binary(max_size=30).map(lambda raw: (None, raw)),  # too short to hold a chat payload
     st.integers(1, 3000).map(lambda depth: (None, b"[" * depth)),
@@ -393,6 +505,7 @@ PROMPT = Prompt(system="s", user_blocks=tuple(Block(k, k) for k in ("request", "
 @example(status=204, body=(None, b""), short=None)
 @example(status=200, body=(None, DEEP.encode()), short=None)
 @example(status=None, body=(None, b""), short=None)
+@example(status=200, body=("\U00010000", _chat("\ud800\udc00")), short=None)
 def test_fuzzed_http_responses_return_or_fail_typed(module_endpoint, time_limit, status, body, short):
     """`status` None closes the connection without an answer; `short` sends a
     Content-Length that many bytes past the body, and then closes."""

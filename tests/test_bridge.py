@@ -1,9 +1,14 @@
 """Message bridge: wire format, sequencing, transports, the served robot."""
+import contextlib
 import socket
 import threading
 import time
+from collections import deque
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, precondition, rule, run_state_machine_as_test
 
 from carobo import bench, sim
 from carobo.bridge import (
@@ -13,6 +18,7 @@ from carobo.bridge import (
     TOPIC_VISION,
     TOPICS,
     BridgeRobot,
+    MAX_LINE_BYTES,
     BridgeTimeout,
     ConnectionClosed,
     LocalConnection,
@@ -28,7 +34,7 @@ from carobo.bridge import (
     start_local_robot,
     tcp_connect,
 )
-from carobo.model import CaroboError, Command, Observation, SensorData, VisibleObject
+from carobo.model import CaroboError, Command, ExecOutcome, ExecResult, Observation, SensorData, VisibleObject
 from carobo.sim import SimRobot, load_world
 
 
@@ -425,20 +431,27 @@ def test_a_timed_tcp_read_waits_out_its_timeout():
 
 
 def test_an_unterminated_stream_is_read_in_linear_time(time_limit):
-    """16 MB without a newline, then the end of the stream: the reader
-    searches each received byte for a newline once. On a 2-vCPU host, a
-    reader that joined and split its whole buffer on every recv took 2.8 s;
-    this one takes about 15 ms."""
+    """16 MB without a newline, on a stream that stays open: the reader
+    searches each received byte for a newline once, and ends the connection
+    as soon as the unfinished line passes MAX_LINE_BYTES. On a 2-vCPU host, a
+    reader that joined and split its whole buffer on every recv took 2.8 s
+    for the 16 MB, with no cap; this one stops after 8 MiB in about 10 ms."""
     ours, theirs = socket.socketpair()
     conn = TcpConnection(ours)
-    writer = threading.Thread(target=lambda: (theirs.sendall(b"x" * (16 << 20)), theirs.close()))
+
+    def write():
+        with contextlib.suppress(OSError):  # the reader closes its end after the cap
+            theirs.sendall(b"x" * (16 << 20))
+
+    writer = threading.Thread(target=write)
     writer.start()
     try:
-        with time_limit(1.0), pytest.raises(ConnectionClosed, match="connection closed"):
+        with time_limit(0.5), pytest.raises(ConnectionClosed, match=f"longer than {MAX_LINE_BYTES} bytes"):
             conn.next_message(TOPIC_SENSOR)
     finally:
         conn.close()
         writer.join(timeout=10)
+        theirs.close()
     assert not writer.is_alive()
 
 
@@ -539,3 +552,244 @@ def test_local_and_tcp_send_the_same_wire_bytes(monkeypatch):
         lines[transport], sent[:] = sent[:], []
     assert len(lines["local:"]) > 10
     assert lines["local:"] == lines["tcp:"]
+
+
+# ---------------------------------------------------------------------------
+# One intake: both transports take a received line the same way
+
+SENSORS = SensorData(ultrasonic_clearance=1.0, ir_left=False, ir_right=True)
+
+
+def connected_pair(transport):
+    """(sender, reader): the two ends of a local: pair, or of a tcp: socketpair."""
+    if transport == "local:":
+        return local_pair()
+    ours, theirs = socket.socketpair()
+    return TcpConnection(ours), TcpConnection(theirs)
+
+
+@pytest.mark.parametrize("transport", ["local:", "tcp:"])
+def test_a_line_that_does_not_decode_ends_the_readers_receive_side(transport):
+    """The sender's write returns; the reader gets what came before, then
+    ConnectionClosed with the decoder's reason on every topic, and the lines
+    after it are dropped. (A local: sender used to get the ProtocolError, and
+    its reader timed out on every later read.)"""
+    sender, reader = connected_pair(transport)
+    try:
+        sender._send_line(encode_line(TOPIC_SENSOR, 0, 0, SENSORS.to_dict()))
+        sender._send_line("/carobo/exec|x|0|{}")
+        sender._send_line(encode_line(TOPIC_SENSOR, 1, 0, SENSORS.to_dict()))
+        assert reader.next_message(TOPIC_SENSOR, timeout_ms=2000).payload == SENSORS
+        for topic in (TOPIC_EXEC, TOPIC_SENSOR):
+            with pytest.raises(ConnectionClosed) as err:
+                reader.next_message(topic, timeout_ms=2000)
+            assert str(err.value) == "bad seq/timestamp in envelope: '/carobo/exec|x|0|{}'"
+    finally:
+        sender.close()
+        reader.close()
+
+
+@pytest.mark.parametrize("transport", ["local:", "tcp:"])
+def test_a_served_robot_drops_a_client_whose_line_does_not_decode(transport):
+    world = load_world(world_doc())
+    if transport == "local:":
+        client, _robot, stop = start_local_robot(world)
+    else:
+        server = TcpRobotServer(world).start()
+        client, stop = tcp_connect(server.host, server.port), server.stop
+    try:
+        client.next_message(TOPIC_SENSOR, timeout_ms=2000)
+        client.next_message(TOPIC_VISION, timeout_ms=2000)
+        client._send_line("/carobo/cmd|0|0|{")
+        with pytest.raises(ConnectionClosed, match="^connection closed$"):
+            client.next_message(TOPIC_EXEC, timeout_ms=2000)
+    finally:
+        client.close()
+        stop()
+
+
+def a_vision_line(size: int):
+    """(line, observation): a vision envelope line of exactly `size` UTF-8 bytes,
+    nearly all of them in two-byte characters, so it has about half as many
+    characters; and the observation it carries."""
+    def line(text):
+        return encode_line(TOPIC_VISION, 0, 0, Observation(free_text=text).to_dict())
+
+    room = size - len(line("").encode("utf-8"))
+    text = "é" * (room // 2) + "a" * (room % 2)
+    assert len(line(text).encode("utf-8")) == size
+    return line(text), Observation(free_text=text)
+
+
+# 1,893,201 bytes: `WorldState.to_json()` of a 10^4-object world at perfbench/sweep.py's density (seed 0)
+@pytest.mark.parametrize("size", [1_893_201, MAX_LINE_BYTES, MAX_LINE_BYTES + 1])
+@pytest.mark.parametrize("transport", ["local:", "tcp:"])
+def test_the_line_cap_counts_utf8_bytes(time_limit, transport, size):
+    line, observation = a_vision_line(size)
+    sender, reader = connected_pair(transport)
+
+    def send():
+        with contextlib.suppress(ConnectionClosed):  # the reader closes its end after the cap
+            sender._send_line(line)
+
+    writer = threading.Thread(target=send)  # a tcp: reader drains the socket meanwhile
+    writer.start()
+    if transport == "local:":
+        writer.join()  # a local: send hands the line over before it returns
+    try:
+        with time_limit(10.0):
+            if size <= MAX_LINE_BYTES:
+                assert reader.next_message(TOPIC_VISION, timeout_ms=5000).payload == observation
+            else:
+                with pytest.raises(ConnectionClosed, match=f"^envelope line longer than {MAX_LINE_BYTES} bytes$"):
+                    reader.next_message(TOPIC_VISION, timeout_ms=5000)
+    finally:
+        reader.close()
+        writer.join(timeout=10)
+        sender.close()
+    assert not writer.is_alive()
+
+
+def test_a_last_line_without_a_newline_is_dropped_at_the_end_of_the_stream():
+    """A tcp: stream that ends inside a line: the lines before it are read,
+    then ConnectionClosed; the unfinished line is not decoded, even when it
+    would decode. (A local: peer hands over whole lines only.)"""
+    ours, theirs = socket.socketpair()
+    reader = TcpConnection(ours)
+    try:
+        with theirs:
+            theirs.sendall("\n".join(encode_line(TOPIC_SENSOR, seq, 0, SENSORS.to_dict()) for seq in (0, 1)).encode())
+        assert reader.next_message(TOPIC_SENSOR, timeout_ms=2000).seq == 0
+        with pytest.raises(ConnectionClosed, match="^connection closed$"):
+            reader.next_message(TOPIC_SENSOR, timeout_ms=2000)
+    finally:
+        reader.close()
+
+
+PAYLOADS = {
+    TOPIC_CMD: (Command("car_left", 90.0), Command("buzzer", 0.5)),
+    TOPIC_SENSOR: (SENSORS,),
+    # one-, two-, three- and four-byte characters, so that a cut can fall inside any of them
+    TOPIC_VISION: (Observation(), Observation.from_items(
+        (VisibleObject(label="sign", color="vert", shape="polygon", text_on_object="café ☕ \U0001d11e",
+                       distance=1.5, bearing=-20.0),))),
+    TOPIC_EXEC: (ExecResult(command_echo=Command("car_forward", 0.2), outcome=ExecOutcome.OK, distance_travelled=0.2,
+                            heading_change=0.0, sensor_after=SENSORS),),
+}
+FOREIGN_LINES = ("/carobo/exec|x|0|{}", "not a frame", "/carobo/vision|0|0|[1]", '/carobo/sensor|0|0|{"é',
+                 "/carobo/nope|0|0|{}")
+
+
+class OneIntake(RuleBasedStateMachine):
+    """A writer and a reader on each transport, fed the same byte stream.
+
+    The tcp: writer sends the stream in drawn cuts, as they fall; the local:
+    writer hands its reader each line once a cut has sent all of it, since a
+    local: peer takes whole lines. The model is a FIFO per topic of the lines
+    sent whole, which ends at a line that does not decode or at a close. Both
+    readers must read exactly the model, except that a tcp: reader closed
+    with lines still unread in its socket never reads those.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.local_writer, self.local_reader = local_pair()
+        self.tcp_writer, theirs = socket.socketpair()
+        self.tcp_reader = TcpConnection(theirs)
+        self.unsent = b""  # written, not yet sent
+        self.unfinished = b""  # sent, but its line not yet whole
+        self.written = deque()  # per written line: (topic, payload), or (None, why it does not decode)
+        self.seq = dict.fromkeys(TOPICS, 0)
+        self.lines = {topic: [] for topic in TOPICS}
+        self.read_count = {"local:": dict.fromkeys(TOPICS, 0), "tcp:": dict.fromkeys(TOPICS, 0)}
+        self.ended = None
+        self.writer_open = self.reader_open = True
+
+    def _end(self, reason):
+        self.ended = self.ended or reason
+
+    @precondition(lambda self: self.writer_open)
+    @rule(data=st.data(), topic=st.sampled_from(TOPICS))
+    def publish(self, data, topic):
+        payload = data.draw(st.sampled_from(PAYLOADS[topic]))
+        self.unsent += (encode_line(topic, self.seq[topic], 0, payload.to_dict()) + "\n").encode()
+        self.seq[topic] += 1
+        self.written.append((topic, payload))
+
+    @precondition(lambda self: self.writer_open)
+    @rule(line=st.sampled_from(FOREIGN_LINES))
+    def write_a_foreign_line(self, line):
+        with pytest.raises(ProtocolError) as err:
+            decode_line(line)
+        self.unsent += (line + "\n").encode()
+        self.written.append((None, str(err.value)))
+
+    @precondition(lambda self: self.writer_open and self.unsent)
+    @rule(data=st.data())
+    def send(self, data):
+        # a cut before a UTF-8 continuation byte falls inside a character
+        inside = [i for i in range(1, len(self.unsent)) if self.unsent[i] & 0xC0 == 0x80]
+        cut = data.draw(st.integers(1, len(self.unsent)) | st.sampled_from(inside or [len(self.unsent)]))
+        chunk, self.unsent = self.unsent[:cut], self.unsent[cut:]
+        with contextlib.suppress(OSError):  # the reader has closed
+            self.tcp_writer.sendall(chunk)
+        *whole, self.unfinished = (self.unfinished + chunk).split(b"\n")
+        for line in whole:
+            with contextlib.suppress(ConnectionClosed):  # the reader has closed
+                self.local_writer._send_line(line.decode("utf-8"))
+            topic, payload = self.written.popleft()
+            if self.ended is None and topic is None:
+                self._end(payload)
+            elif self.ended is None:
+                self.lines[topic].append(payload)
+
+    @precondition(lambda self: self.writer_open)
+    @rule()
+    def close_the_writer(self):
+        self.local_writer.close()
+        self.tcp_writer.close()
+        self.writer_open = False
+        self._end("connection closed")  # what is unsent, or sent but not whole, is dropped
+
+    @precondition(lambda self: self.reader_open)
+    @rule()
+    def close_the_reader(self):
+        self.local_reader.close()
+        self.tcp_reader.close()
+        self.reader_open = False
+        self._end("connection closed")
+
+    @rule(topic=st.sampled_from(TOPICS), untimed=st.booleans())
+    def read(self, topic, untimed):
+        for name, reader in (("local:", self.local_reader), ("tcp:", self.tcp_reader)):
+            i = self.read_count[name][topic]
+            ready = i < len(self.lines[topic])
+            # a read that finds nothing times out: keep that short, as tcp: waits it out; and read
+            # untimed only where nothing is to be waited for, as an untimed tcp: read would wait for good
+            timeout_ms = (None if untimed else 2000) if ready or self.ended else 5
+            try:
+                env = reader.next_message(topic, timeout_ms)
+            except BridgeTimeout:
+                assert not ready and self.ended is None, name
+            except ConnectionClosed as exc:
+                # a closed tcp: reader has lost what its socket held unread, a foreign line too
+                lost = name == "tcp:" and not self.reader_open
+                assert str(exc) == self.ended or (lost and str(exc) == "connection closed"), name
+                assert not ready or lost, name
+            else:
+                assert ready and (env.seq, env.payload) == (i, self.lines[topic][i]), name
+                self.read_count[name][topic] = i + 1
+        if self.reader_open:
+            assert self.read_count["local:"] == self.read_count["tcp:"]
+
+    def teardown(self):
+        self.local_writer.close()
+        self.local_reader.close()
+        self.tcp_writer.close()
+        self.tcp_reader.close()
+
+
+def test_both_transports_read_the_same_lines_wherever_the_stream_is_cut(time_limit):
+    with time_limit(120.0):
+        run_state_machine_as_test(OneIntake, settings=settings(max_examples=80, stateful_step_count=30,
+                                                               deadline=None))
