@@ -19,7 +19,9 @@ from .llm import (
     BackendConfig,
     AppDecision,
     Prompt,
+    PromptBuilder,
     assemble_prompt,
+    build_once,
     complete_and_parse,
     load_agent_template,
     make_backend,
@@ -151,10 +153,12 @@ def decide_with_raw(
     backend,
     max_retries: int,
     template: Optional[AgentTemplate] = None,
-) -> Tuple[AppDecision, str, Prompt]:
+) -> Tuple[AppDecision, str, PromptBuilder]:
     """Decide with retries; returns the decision, the raw completion it was
-    parsed from and the prompt, which a trace record digests."""
-    prompt = build_app_prompt(request, global_plan, obs, sensors, memory, template=template)
+    parsed from and the prompt's builder, which a trace record calls for the
+    prompt's digest. The prompt is built at most once, on the first call of
+    the builder: by a backend that reads it, or by that record."""
+    prompt = build_once(lambda: build_app_prompt(request, global_plan, obs, sensors, memory, template=template))
     decision, raw = with_retry(lambda: complete_and_parse(backend, prompt, parse_app_decision), max_retries)
     return decision, raw, prompt
 
@@ -203,7 +207,9 @@ def run_episode(
     a second streak aborts the episode as a backend failure.
 
     The trace's records are built only when `trace_path` is given. The two
-    agent templates are loaded once per episode.
+    agent templates are loaded once per episode. An agent call's prompt is
+    built only if its backend reads it (http and scripted do, replay does
+    not) or a trace record digests it, and then once for all its retries.
     """
     limits = limits or EpisodeLimits()
     if backend is None:
@@ -309,20 +315,20 @@ def run_episode(
     return finish(Verdict.FAILURE, FailureReason.STEP_LIMIT, steps, rounds, memory)
 
 
-def _host_record(decision, raw: str, prompt: Prompt) -> dict:
+def _host_record(decision, raw: str, prompt: PromptBuilder) -> dict:
     return {
         "type": "host",
-        "prompt_digest": prompt.digest(),
+        "prompt_digest": prompt().digest(),
         "raw": raw,
         "decision": decision.to_dict(),
     }
 
 
-def _round_record(rnd: Round, raw: str, prompt: Prompt) -> dict:
+def _round_record(rnd: Round, raw: str, prompt: PromptBuilder) -> dict:
     return {
         "type": "round",
         "index": rnd.index,
-        "prompt_digest": prompt.digest(),
+        "prompt_digest": prompt().digest(),
         "raw": raw,
         "round": rnd.to_dict(),
     }

@@ -251,14 +251,16 @@ class TcpConnection(_ConnectionBase):
                 raise ConnectionClosed(self._ended)
             wait = None
             if deadline is not None:
-                wait = deadline - time.monotonic()
-                if wait <= 0:
-                    raise BridgeTimeout(f"no message on {topic} within {timeout_ms} ms")
+                # once the deadline has passed, one more read that does not block: a line already
+                # in the socket buffer is taken, as a local: read takes one already queued
+                wait = max(deadline - time.monotonic(), 0.0)
             try:
                 self._sock.settimeout(wait)
                 data = self._sock.recv(65536)
             except socket.timeout:
                 continue  # the deadline has passed
+            except BlockingIOError:  # the read that does not block found nothing
+                raise BridgeTimeout(f"no message on {topic} within {timeout_ms} ms") from None
             except OSError:
                 data = b""
             if not data:
@@ -279,6 +281,8 @@ class TcpConnection(_ConnectionBase):
 
     def _send_line(self, line: str):
         try:
+            if self._sock.gettimeout() == 0:  # left non-blocking by a read past its deadline
+                self._sock.settimeout(None)
             self._sock.sendall(line.encode("utf-8") + b"\n")
         except OSError as exc:
             raise ConnectionClosed(f"socket send failed: {exc}") from exc

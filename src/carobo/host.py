@@ -9,7 +9,9 @@ from .llm import (
     AgentTemplate,
     HostDecision,
     Prompt,
+    PromptBuilder,
     assemble_prompt,
+    build_once,
     complete_and_parse,
     load_agent_template,
     parse_host_decision,
@@ -55,9 +57,11 @@ def plan_with_raw(
     backend,
     max_retries: int,
     template: Optional[AgentTemplate] = None,
-) -> Tuple[HostDecision, str, Prompt]:
+) -> Tuple[HostDecision, str, PromptBuilder]:
     """Plan with retries; returns the decision, the raw completion it was
-    parsed from and the prompt, which a trace record digests."""
-    prompt = build_host_prompt(request, obs, sensors, memory, template=template)
+    parsed from and the prompt's builder, which a trace record calls for the
+    prompt's digest. The prompt is built at most once, on the first call of
+    the builder: by a backend that reads it, or by that record."""
+    prompt = build_once(lambda: build_host_prompt(request, obs, sensors, memory, template=template))
     decision, raw = with_retry(lambda: complete_and_parse(backend, prompt, parse_host_decision), max_retries)
     return decision, raw, prompt

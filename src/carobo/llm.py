@@ -2,6 +2,9 @@
 
 Three interchangeable backends produce completions: an HTTP chat endpoint, a
 deterministic scripted policy, and a replay cursor over a recorded trace.
+`complete` takes the prompt as a zero-argument builder: the HTTP and scripted
+backends call it, the replay backend never does, so replaying a recording
+assembles no prompt unless a trace record digests one.
 Completions are decoded strictly, by the model's codec; variance from a live
 model is absorbed by bounded retries, never by loosening the schema.
 """
@@ -198,6 +201,26 @@ def assemble_prompt(template: AgentTemplate, pieces: dict) -> Prompt:
     return Prompt(system=template.system, few_shot=template.examples, user_blocks=tuple(blocks))
 
 
+# what a backend's `complete` takes: a zero-argument function that builds the prompt
+PromptBuilder = Callable[[], Prompt]
+
+
+def build_once(build: PromptBuilder) -> PromptBuilder:
+    """A builder that calls `build` on its own first call and returns that
+    prompt on every call, so that the attempts of one agent call and its
+    trace record share one build. A plain closure: `functools.cache` costs
+    several times as much per agent call."""
+    prompt: Optional[Prompt] = None
+
+    def once() -> Prompt:
+        nonlocal prompt
+        if prompt is None:
+            prompt = build()
+        return prompt
+
+    return once
+
+
 # ---------------------------------------------------------------------------
 # Backend configuration
 
@@ -253,7 +276,7 @@ class HttpChatBackend:
         messages.append({"role": "user", "content": prompt.user_text()})
         return messages
 
-    def complete(self, prompt: Prompt) -> str:
+    def complete(self, prompt: PromptBuilder) -> str:
         import http.client
         import urllib.error
         import urllib.request
@@ -267,7 +290,7 @@ class HttpChatBackend:
             headers["Authorization"] = f"Bearer {key}"
         body = {
             "model": self.cfg.model_name,
-            "messages": self._messages(prompt),
+            "messages": self._messages(prompt()),
             "temperature": 0.0,
         }
         try:
@@ -306,13 +329,13 @@ class ScriptedBackend:
         self.policy_id = cfg.policy_id
         self._policy: Optional[Callable[[Prompt], str]] = None
 
-    def complete(self, prompt: Prompt) -> str:
+    def complete(self, prompt: PromptBuilder) -> str:
         policy = self._policy
         if policy is None:
             from .policies import get_policy  # late import: policies build prompts too
 
             policy = self._policy = get_policy(self.policy_id)
-        return policy(prompt)
+        return policy(prompt())
 
 
 class ReplayBackend:
@@ -322,6 +345,11 @@ class ReplayBackend:
     or verbatim) or an episode trace whose records carry a ``raw`` field.
     Only typed records (objects with a ``type``) without a string ``raw`` are
     skipped; any other line is served verbatim.
+
+    `complete` never calls its prompt builder: a replayed completion does not
+    depend on the prompt, so no prompt is built for it. An error in building
+    a prompt (a broken template, say) therefore surfaces only on the backends
+    that read the prompt, or when a trace record digests it.
     """
 
     def __init__(self, cfg: ReplayConfig):
@@ -344,7 +372,7 @@ class ReplayBackend:
                 self.completions.append(line)
         self.cursor = 0
 
-    def complete(self, prompt: Prompt) -> str:
+    def complete(self, prompt: PromptBuilder) -> str:
         if self.cursor >= len(self.completions):
             raise ReplayExhausted(
                 f"replay trace {self.trace_path!r} exhausted after {self.cursor} completions"
@@ -454,9 +482,10 @@ RETRYABLE_ERRORS = (
 )
 
 
-def complete_and_parse(backend, prompt: Prompt, parse: Callable[[str], object]) -> Tuple[object, str]:
+def complete_and_parse(backend, prompt: PromptBuilder, parse: Callable[[str], object]) -> Tuple[object, str]:
     """One agent attempt: the decision `parse` reads from the backend's
-    completion, and that raw completion, which a trace records."""
+    completion for the prompt that `prompt` builds, and that raw completion,
+    which a trace records."""
     raw = backend.complete(prompt)
     return parse(raw), raw
 

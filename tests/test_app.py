@@ -1,9 +1,11 @@
 """App agent and the episode loop: rounds, steps, limits, replans, traces."""
 import json
+from collections import Counter
 
 import pytest
+from test_trace_pins import BUNDLED, PINS, bench_digest
 
-from carobo import app, llm
+from carobo import app, bench, host, llm
 from carobo.app import (
     EpisodeLimits,
     FailureReason,
@@ -226,6 +228,81 @@ def test_untraced_episode_builds_no_records_and_loads_each_template_once(tmp_pat
     result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg)
     assert (result.verdict, result.rounds) == (Verdict.SUCCESS, 3)
     assert sorted(loads) == ["app", "host"]
+
+
+@pytest.fixture
+def prompt_builds(monkeypatch):
+    """The role of each prompt that the agents assemble, and of each memory
+    render, in call order: ("app" | "host", "assemble" | "memory")."""
+    built = []
+    for module, role in ((app, "app"), (host, "host")):
+        for attr, what in (("assemble_prompt", "assemble"), ("render_memory", "memory")):
+            def counted(*args, fn=getattr(module, attr), key=(role, what)):
+                built.append(key)
+                return fn(*args)
+
+            monkeypatch.setattr(module, attr, counted)
+    return built
+
+
+@pytest.mark.parametrize("transport", ["direct", "local:"])
+def test_an_untraced_replay_run_builds_no_prompt(prompt_builds, transport):
+    """A replayed completion does not depend on its prompt: without a trace
+    no agent call assembles one or renders its memory."""
+    pair = bench.replay_pair(bench.bundled_trace_dir("gpt-4o"))
+    rounds = 0
+    for spec in bench.load_benchmark(bench.default_suite_path()):
+        row, _result = bench.run_scenario(spec, pair, transport=transport)
+        rounds += row.rounds
+    assert rounds > 0
+    assert prompt_builds == []
+
+
+def test_a_traced_replay_run_builds_each_recorded_prompt_once(prompt_builds, tmp_path):
+    """With traces, each agent call that a record digests builds its prompt
+    once, and the traces and report keep their pinned bytes."""
+    assert bench_digest(tmp_path, BUNDLED["gpt-4o"]) == PINS["gpt-4o"]
+    digested = Counter()
+    for path in (tmp_path / "traces").glob("*.jsonl"):
+        for rec in read_trace(path):
+            if "prompt_digest" in rec:
+                role = {"host": "host", "round": "app"}[rec["type"]]
+                digested[role, "assemble"] += 1
+                digested[role, "memory"] += 1
+    assert digested[("app", "assemble")] > 0
+    assert Counter(prompt_builds) == digested
+
+
+def test_app_retries_share_one_prompt_build(prompt_builds):
+    """A backend that reads the prompt, and fails k attempts, builds one
+    prompt for the agent call, not one per attempt."""
+    seen = []
+
+    class Flaky:
+        def complete(self, prompt):
+            seen.append(prompt())
+            return "garbage" if len(seen) <= 2 else FINISH_LINE
+
+    _decision, _raw, prompt = app.decide_with_raw(
+        UserRequest(text="r"), GlobalPlan(steps=("a",)), Observation.from_items(()),
+        SensorData(ultrasonic_clearance=1, ir_left=False, ir_right=False), MemoryLog(), Flaky(), 3,
+    )
+    assert len(seen) == 3 and all(p is prompt() for p in seen)
+    assert prompt_builds == [("app", "memory"), ("app", "assemble")]
+
+
+def test_a_prompt_that_cannot_be_built_fails_only_where_it_is_read(tmp_path):
+    """A template whose block format names an unknown field: the scripted
+    backend reads the prompt and fails; an untraced replay never builds it."""
+    template = llm.load_agent_template("app")
+    broken = llm.AgentTemplate(template.system, template.examples, {**template.block_formats, "plan": "{nope}"})
+    inputs = (UserRequest(text="r"), GlobalPlan(steps=("a",)), Observation.from_items(()),
+              SensorData(ultrasonic_clearance=1, ir_left=False, ir_right=False), MemoryLog())
+    replay = llm.make_backend(replay_cfg(tmp_path, [FINISH_LINE]))
+    decision, _raw, _prompt = app.decide_with_raw(*inputs, replay, 0, template=broken)
+    assert decision.status is Status.FINISH
+    with pytest.raises(KeyError, match="nope"):
+        app.decide_with_raw(*inputs, llm.make_backend(scripted("finish_now")), 0, template=broken)
 
 
 def test_spin_policy_runs_to_step_limit():

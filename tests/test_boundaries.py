@@ -516,7 +516,7 @@ def test_fuzzed_http_responses_return_or_fail_typed(module_endpoint, time_limit,
                                                              timeout_s=2.0)))
     with time_limit(10.0):
         try:
-            out = backend.complete(PROMPT)
+            out = backend.complete(lambda: PROMPT)
         except TransportError as exc:
             out = exc
     assert len(module_endpoint.requests) == 1

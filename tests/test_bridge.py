@@ -590,6 +590,31 @@ def test_a_line_that_does_not_decode_ends_the_readers_receive_side(transport):
 
 
 @pytest.mark.parametrize("transport", ["local:", "tcp:"])
+def test_a_read_with_no_time_left_takes_a_line_already_sent(time_limit, transport):
+    """A read with `timeout_ms=0` returns an envelope already sent, and times
+    out only when none is. (A tcp: read used to time out before it read the
+    socket.) The read leaves a tcp: socket fit to send a line larger than
+    its buffer."""
+    sender, reader = connected_pair(transport)
+    line, observation = a_vision_line(1 << 20)
+    try:
+        with time_limit(10.0):
+            sender.publish(TOPIC_SENSOR, SENSORS)
+            assert reader.next_message(TOPIC_SENSOR, timeout_ms=0).payload == SENSORS
+            with pytest.raises(BridgeTimeout):
+                reader.next_message(TOPIC_SENSOR, timeout_ms=0)
+            back = threading.Thread(target=reader._send_line, args=(line,))  # the sender drains it meanwhile
+            back.start()
+            if transport == "local:":
+                back.join()  # a local: send hands the line over before it returns
+            assert sender.next_message(TOPIC_VISION, timeout_ms=5000).payload == observation
+            back.join()
+    finally:
+        sender.close()
+        reader.close()
+
+
+@pytest.mark.parametrize("transport", ["local:", "tcp:"])
 def test_a_served_robot_drops_a_client_whose_line_does_not_decode(transport):
     world = load_world(world_doc())
     if transport == "local:":
@@ -759,14 +784,18 @@ class OneIntake(RuleBasedStateMachine):
         self.reader_open = False
         self._end("connection closed")
 
-    @rule(topic=st.sampled_from(TOPICS), untimed=st.booleans())
-    def read(self, topic, untimed):
+    @rule(topic=st.sampled_from(TOPICS), timing=st.sampled_from(("untimed", "timed", "no time")))
+    def read(self, topic, timing):
         for name, reader in (("local:", self.local_reader), ("tcp:", self.tcp_reader)):
             i = self.read_count[name][topic]
             ready = i < len(self.lines[topic])
             # a read that finds nothing times out: keep that short, as tcp: waits it out; and read
-            # untimed only where nothing is to be waited for, as an untimed tcp: read would wait for good
-            timeout_ms = (None if untimed else 2000) if ready or self.ended else 5
+            # untimed only where nothing is to be waited for, as an untimed tcp: read would wait for good;
+            # a read with no time must still take what was sent whole
+            if timing == "no time":
+                timeout_ms = 0
+            else:
+                timeout_ms = (None if timing == "untimed" else 2000) if ready or self.ended else 5
             try:
                 env = reader.next_message(topic, timeout_ms)
             except BridgeTimeout:

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from carobo import host
 from carobo.host import build_host_prompt, plan_with_raw, render_sensors
-from carobo.llm import BackendConfig, MalformedDecision, ScriptedConfig, TransportError, make_backend
+from carobo.llm import BackendConfig, MalformedDecision, ScriptedConfig, TransportError, assemble_prompt, make_backend
 from carobo.model import (
     MemoryLog,
     Observation,
@@ -44,14 +45,19 @@ def test_plan_via_scripted_policy():
 
 
 class FlakyBackend:
-    """Garbage for n calls, then a valid plan."""
+    """Garbage for n calls, then a valid plan; it reads the prompt at every
+    call, as a live model's backend does."""
 
     def __init__(self, garbage_count):
         self.remaining = garbage_count
-        self.calls = 0
+        self.prompts = []
+
+    @property
+    def calls(self):
+        return len(self.prompts)
 
     def complete(self, prompt):
-        self.calls += 1
+        self.prompts.append(prompt())
         if self.remaining > 0:
             self.remaining -= 1
             return "not a decision"
@@ -60,12 +66,18 @@ class FlakyBackend:
         )
 
 
-def test_plan_retries_through_garbage():
+def test_plan_retries_through_garbage(monkeypatch):
+    """A backend that reads the prompt at each of k + 1 attempts gets one
+    prompt, built once; the builder returned for the trace record gives it too."""
+    builds = []
+    monkeypatch.setattr(host, "assemble_prompt", lambda *args: builds.append(args) or assemble_prompt(*args))
     request, obs, sensors, memory = _inputs()
     backend = FlakyBackend(garbage_count=3)
-    decision, _raw, _prompt = plan_with_raw(request, obs, sensors, memory, backend, max_retries=3)
+    decision, _raw, prompt = plan_with_raw(request, obs, sensors, memory, backend, max_retries=3)
     assert decision.plan.steps == ("step",)
     assert backend.calls == 4
+    assert all(p is prompt() for p in backend.prompts)
+    assert len(builds) == 1
 
 
 def test_plan_gives_up_after_budget():

@@ -90,7 +90,7 @@ try:
     url = "http://127.0.0.1:%d/v1/chat/completions" % server.server_address[1]
     backend = make_backend(BackendConfig(kind=HttpChatConfig(endpoint=url, model_name="m", timeout_s=5.0)))
     prompt = Prompt(system="s", user_blocks=tuple(Block(k, k) for k in ("request", "observation", "sensors", "memory")))
-    print(backend.complete(prompt))
+    print(backend.complete(lambda: prompt))
     print("urllib.request" in sys.modules, "requests" in sys.modules)
 finally:
     server.shutdown()

@@ -430,6 +430,10 @@ def test_make_backend_dispatch():
     assert http.cfg.model_name == "m"
 
 
+def never_built():
+    raise AssertionError("the replay backend built its prompt")
+
+
 def test_replay_backend_line_formats(tmp_path):
     trace = tmp_path / "t.jsonl"
     decision = {"observation": "o", "comment": "c", "status": "FINISH"}
@@ -443,13 +447,13 @@ def test_replay_backend_line_formats(tmp_path):
     ]
     trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
     backend = ReplayBackend(ReplayConfig(trace_path=str(trace)))
-    assert backend.complete(None) == json.dumps(decision)
-    assert backend.complete(None) == json.dumps(decision)
-    assert backend.complete(None) == "verbatim not-json completion"
-    assert [backend.complete(None) for _ in range(4)] == ["42", "[1, 2]", "null", "true"]
-    assert backend.complete(None) == json.dumps(decision)
+    assert backend.complete(never_built) == json.dumps(decision)
+    assert backend.complete(never_built) == json.dumps(decision)
+    assert backend.complete(never_built) == "verbatim not-json completion"
+    assert [backend.complete(never_built) for _ in range(4)] == ["42", "[1, 2]", "null", "true"]
+    assert backend.complete(never_built) == json.dumps(decision)
     with pytest.raises(ReplayExhausted):
-        backend.complete(None)
+        backend.complete(never_built)
 
 
 def test_replay_backend_missing_file():
@@ -469,7 +473,7 @@ def test_scripted_backend_unknown_policy():
     prompt = Prompt(system="s", few_shot=(), user_blocks=blocks())
     for _ in range(2):  # at every call, not only the first
         with pytest.raises(PolicyUnknown):
-            backend.complete(prompt)
+            backend.complete(lambda: prompt)
 
 
 def test_scripted_backend_keeps_the_policy_it_found_first(monkeypatch):
@@ -479,10 +483,10 @@ def test_scripted_backend_keeps_the_policy_it_found_first(monkeypatch):
     monkeypatch.setitem(policies.POLICIES, "oracle", lambda prompt: "first")
     prompt = Prompt(system="s", few_shot=(), user_blocks=blocks())
     backend = make_backend(BackendConfig(kind=ScriptedConfig(policy_id="oracle")))
-    assert backend.complete(prompt) == "first"
+    assert backend.complete(lambda: prompt) == "first"
     monkeypatch.setitem(policies.POLICIES, "oracle", lambda prompt: "second")
-    assert backend.complete(prompt) == "first"
-    assert make_backend(BackendConfig(kind=ScriptedConfig(policy_id="oracle"))).complete(prompt) == "second"
+    assert backend.complete(lambda: prompt) == "first"
+    assert make_backend(BackendConfig(kind=ScriptedConfig(policy_id="oracle"))).complete(lambda: prompt) == "second"
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +508,7 @@ def test_http_backend_sends_text_messages_only(endpoint, monkeypatch):
     endpoint.reply(200, {"choices": [{"message": {"role": "assistant", "content": "the completion"}}]})
     prompt = app_prompt()
     assert prompt.few_shot
-    assert http_backend(endpoint.url).complete(prompt) == "the completion"
+    assert http_backend(endpoint.url).complete(lambda: prompt) == "the completion"
     [(headers, body)] = endpoint.requests
     assert headers["Authorization"] == "Bearer k1"
     assert (body["model"], body["temperature"]) == ("m", 0.0)
@@ -527,7 +531,7 @@ def test_http_backend_sends_text_messages_only(endpoint, monkeypatch):
 def test_http_backend_failures_are_transport_errors(endpoint, status, doc, message):
     endpoint.reply(status, doc)
     with pytest.raises(TransportError, match=message):
-        http_backend(endpoint.url).complete(app_prompt())
+        http_backend(endpoint.url).complete(app_prompt)
     assert len(endpoint.requests) == 1
 
 
@@ -536,7 +540,7 @@ def test_http_backend_unreachable_port(no_proxy):
         s.bind(("127.0.0.1", 0))
         port = s.getsockname()[1]
     with pytest.raises(TransportError, match="unreachable"):
-        http_backend(f"http://127.0.0.1:{port}/v1/chat/completions").complete(app_prompt())
+        http_backend(f"http://127.0.0.1:{port}/v1/chat/completions").complete(app_prompt)
 
 
 class SilentEndpoint:
@@ -584,7 +588,7 @@ def silent_cfg(url, max_retries=3):
 def test_http_backend_times_out_on_a_silent_endpoint(silent_endpoint, time_limit):
     start = time.monotonic()
     with time_limit(5.0), pytest.raises(TransportError, match="unreachable"):
-        make_backend(silent_cfg(silent_endpoint.url)).complete(app_prompt())
+        make_backend(silent_cfg(silent_endpoint.url)).complete(app_prompt)
     assert time.monotonic() - start < 2.0
     assert len(silent_endpoint.accepted) == 1
 
@@ -598,7 +602,7 @@ def test_timed_out_round_makes_one_request_per_attempt(silent_endpoint, time_lim
         endpoint = make_backend(cfg)
 
         def complete(self, prompt):
-            if prompt.block("plan") is not None:
+            if prompt().block("plan") is not None:
                 return self.endpoint.complete(prompt)
             return json.dumps({"observation": "o", "thoughts": "t", "plan": ["look"], "comment": "c"})
 
@@ -613,14 +617,32 @@ def test_timed_out_round_makes_one_request_per_attempt(silent_endpoint, time_lim
 def test_http_backend_posts_json_and_no_key_it_lacks(endpoint, monkeypatch):
     monkeypatch.delenv(llm.API_KEY_ENV, raising=False)
     endpoint.reply(200, {"choices": [{"message": {"content": "c"}}]})
-    assert http_backend(endpoint.url).complete(app_prompt()) == "c"
+    assert http_backend(endpoint.url).complete(app_prompt) == "c"
     [(headers, _body)] = endpoint.requests
     headers = {name.lower(): value for name, value in headers.items()}
     assert headers["content-type"] == "application/json" and "authorization" not in headers
+
+
+def test_the_backends_that_read_the_prompt_build_it_once(endpoint):
+    """`complete` takes a prompt builder: the scripted and http backends call
+    it once per completion. (The replay backend never calls it: see
+    test_replay_backend_line_formats.)"""
+    builds = []
+
+    def build():
+        builds.append(1)
+        return app_prompt()
+
+    scripted = make_backend(BackendConfig(kind=ScriptedConfig(policy_id="finish_now")))
+    assert parse_host_decision(scripted.complete(build)).plan.steps  # app_prompt has no plan: the host's
+    assert len(builds) == 1
+    endpoint.reply(200, {"choices": [{"message": {"content": "c"}}]})
+    assert http_backend(endpoint.url).complete(build) == "c"
+    assert len(builds) == 2
 
 
 @pytest.mark.parametrize("url", ["file:///dev/zero", "ftp://127.0.0.1/chat", "127.0.0.1:80/v1/chat/completions",
                                  "http://127.0.0.1:notaport/v1/chat/completions", "http://[::1/v1/chat/completions"])
 def test_http_backend_cannot_use_the_url(url):
     with pytest.raises(TransportError, match="unreachable"):
-        http_backend(url).complete(app_prompt())
+        http_backend(url).complete(app_prompt)
