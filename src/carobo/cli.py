@@ -123,8 +123,10 @@ def cmd_replay(args) -> int:
         trace_path=args.out,
     )
     print(result.summary())
+    reason = lambda r: r.failure_reason.value if r.failure_reason else None
     checks = (
         ("verdict", recorded.verdict.value, result.verdict.value),
+        ("failure reason", reason(recorded), reason(result)),
         ("steps", recorded.steps, result.steps),
         ("rounds", recorded.rounds, result.rounds),
         ("final world digest", recorded.final_world_digest, result.final_world_digest),

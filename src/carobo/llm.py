@@ -11,7 +11,6 @@ model is absorbed by bounded retries, never by loosening the schema.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import re
@@ -57,65 +56,40 @@ class PolicyUnknown(CaroboError):
 
 BLOCK_ORDER = ("request", "plan", "observation", "sensors", "memory")
 REQUIRED_BLOCKS = ("request", "observation", "sensors", "memory")
-# every legal sequence of block kinds: each required kind, and any of the
-# others, in BLOCK_ORDER: two, with and without the plan
-_LAYOUTS = frozenset(
-    tuple(k for k in BLOCK_ORDER if k in REQUIRED_BLOCKS or k in chosen)
-    for n in range(len(BLOCK_ORDER) + 1) for chosen in itertools.combinations(BLOCK_ORDER, n)
-)
-
-
-@dataclass(frozen=True)
-class Block:
-    kind: str
-    text: str
+_REQUIRED = frozenset(REQUIRED_BLOCKS)
+_KINDS = frozenset(BLOCK_ORDER)
 
 
 @dataclass(frozen=True)
 class Prompt:
-    """System text, few-shot pairs, and ordered user blocks.
+    """System text, few-shot pairs, and the user blocks by kind.
 
-    Exactly one request block, blocks in the fixed order
+    `blocks` holds each required kind and may hold the plan; the user text
+    and the digest read them in BLOCK_ORDER
     (request, plan?, observation, sensors, memory).
     """
 
     system: str
-    few_shot: Tuple[Tuple[str, str], ...] = ()
-    user_blocks: Tuple[Block, ...] = ()
+    few_shot: Tuple[Tuple[str, str], ...]
+    blocks: Mapping[str, str]
 
     def __post_init__(self):
-        kinds = tuple([b.kind for b in self.user_blocks])
-        if kinds not in _LAYOUTS:
-            raise _layout_error(list(kinds))
-
-    def block(self, kind: str) -> Optional[Block]:
-        for b in self.user_blocks:
-            if b.kind == kind:
-                return b
-        return None
+        if not _REQUIRED <= self.blocks.keys() <= _KINDS:
+            raise InvariantViolation(
+                f"prompt blocks must be {list(REQUIRED_BLOCKS)} and may add plan: got {sorted(self.blocks)}")
 
     def user_text(self) -> str:
-        return "\n\n".join(b.text for b in self.user_blocks)
+        return "\n\n".join([self.blocks[k] for k in BLOCK_ORDER if k in self.blocks])
 
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(self.system.encode("utf-8"))
         for a, b in self.few_shot:
             h.update(b"\x00" + a.encode("utf-8") + b"\x00" + b.encode("utf-8"))
-        for blk in self.user_blocks:
-            h.update(b"\x00" + blk.kind.encode("ascii") + b"\x1f" + blk.text.encode("utf-8"))
+        for kind in BLOCK_ORDER:
+            if kind in self.blocks:
+                h.update(b"\x00" + kind.encode("ascii") + b"\x1f" + self.blocks[kind].encode("utf-8"))
         return h.hexdigest()
-
-
-def _layout_error(kinds: list) -> InvariantViolation:
-    """The error for block kinds in none of the legal layouts: the first of
-    three checks that fails, one request, the order, the required kinds."""
-    if kinds.count("request") != 1:
-        return InvariantViolation("prompt must carry exactly one request block")
-    expected = [k for k in BLOCK_ORDER if k in kinds]
-    if kinds != expected or any(k not in BLOCK_ORDER for k in kinds):
-        return InvariantViolation(f"prompt blocks out of order: {kinds}")
-    return InvariantViolation(f"prompt blocks missing: {[k for k in REQUIRED_BLOCKS if k not in kinds]}")
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +164,15 @@ def load_agent_template(role: str) -> AgentTemplate:
 def assemble_prompt(template: AgentTemplate, pieces: dict) -> Prompt:
     """Fill the template's block formats with content, in canonical block order."""
     formats = template.block_formats
-    blocks = []
+    blocks = {}
     for kind in BLOCK_ORDER:
         if kind not in pieces:
             continue
         fmt = formats.get(kind)
         if fmt is None:
             fmt = kind.capitalize() + ":\n{" + kind + "}"
-        blocks.append(Block(kind=kind, text=fmt.format_map({kind: pieces[kind]})))
-    return Prompt(system=template.system, few_shot=template.examples, user_blocks=tuple(blocks))
+        blocks[kind] = fmt.format_map({kind: pieces[kind]})
+    return Prompt(system=template.system, few_shot=template.examples, blocks=blocks)
 
 
 # what a backend's `complete` takes: a zero-argument function that builds the prompt

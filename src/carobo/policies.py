@@ -26,15 +26,12 @@ _ROUND_MARK = re.compile(r"\[round (\d+)\]")
 
 
 def _is_host(prompt: Prompt) -> bool:
-    return prompt.block("plan") is None
+    return "plan" not in prompt.blocks
 
 
 def _rounds_so_far(prompt: Prompt) -> int:
     """Recover how many rounds have been decided from the memory block."""
-    block = prompt.block("memory")
-    if block is None:
-        return 0
-    marks = _ROUND_MARK.findall(block.text)
+    marks = _ROUND_MARK.findall(prompt.blocks["memory"])
     if not marks:
         return 0
     return int(marks[-1]) + 1
@@ -98,14 +95,12 @@ def oracle_table() -> Mapping[str, OracleScript]:
 
 
 def _lookup_script(prompt: Prompt) -> OracleScript:
-    block = prompt.block("request")
-    if block is None:
-        raise PolicyUnknown("prompt carries no request block")
-    haystack = normalize_request(block.text)
+    request = prompt.blocks["request"]
+    haystack = normalize_request(request)
     for key, script in oracle_table().items():
         if key in haystack:
             return script
-    raise PolicyUnknown(f"oracle policy has no script for: {block.text!r}")
+    raise PolicyUnknown(f"oracle policy has no script for: {request!r}")
 
 
 def oracle_policy(prompt: Prompt) -> str:

@@ -64,10 +64,10 @@ def test_app_prompt_carries_plan_and_window():
         SensorData(ultrasonic_clearance=1, ir_left=False, ir_right=False),
         MemoryLog(),
     )
-    assert [b.kind for b in prompt.user_blocks] == [
+    assert list(prompt.blocks) == [
         "request", "plan", "observation", "sensors", "memory",
     ]
-    assert "1. a" in prompt.block("plan").text
+    assert "1. a" in prompt.blocks["plan"]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from carobo.cli import main
 from carobo.llm import (
     RETRYABLE_ERRORS,
     BackendConfig,
-    Block,
     HttpChatConfig,
     Prompt,
     ReplayBackend,
@@ -495,7 +494,7 @@ _bodies = st.one_of(
     st.integers(1, 3000).map(lambda depth: (None, b"[" * depth)),
     st.integers(4301, 5000).map(lambda digits: (None, _chat("").replace(b'""', b"1" * digits))),
 )
-PROMPT = Prompt(system="s", user_blocks=tuple(Block(k, k) for k in ("request", "observation", "sensors", "memory")))
+PROMPT = Prompt(system="s", few_shot=(), blocks={k: k for k in ("request", "observation", "sensors", "memory")})
 
 
 @settings(max_examples=100, deadline=None)

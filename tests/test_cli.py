@@ -135,9 +135,27 @@ def test_run_then_replay_round_trip(tmp_path, capsys):
     code = main(["replay", "--trace", trace, "--out", out_trace])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.count("match") == 4 and "MISMATCH" not in out
+    assert out.count("match") == 5 and "MISMATCH" not in out
     # the regenerated trace is byte-identical to the recording
     assert (tmp_path / "again.jsonl").read_bytes() == (tmp_path / "episode.jsonl").read_bytes()
+
+
+def test_replay_compares_the_failure_reason(tmp_path, capsys):
+    trace = tmp_path / "episode.jsonl"
+    assert main([
+        "run", "--request", "Look around.", "--world", world_file("cmd_1"),
+        "--policy", "spin", "--max-steps", "2", "--trace", str(trace),
+    ]) == 1
+    lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert '"failure_reason":"StepLimit"' in lines[-1]
+    lines[-1] = lines[-1].replace('"StepLimit"', '"BackendError"')
+    trace.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+
+    assert main(["replay", "--trace", str(trace)]) == 1
+    out = capsys.readouterr().out
+    assert "failure reason: MISMATCH (recorded 'BackendError', replayed 'StepLimit')" in out
+    assert out.count(": match") == 4
 
 
 def test_replay_rejects_non_trace(tmp_path, capsys):

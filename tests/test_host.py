@@ -29,10 +29,9 @@ def test_render_sensors_format():
 def test_host_prompt_has_no_plan_block():
     request, obs, sensors, memory = _inputs()
     prompt = build_host_prompt(request, obs, sensors, memory)
-    assert prompt.block("plan") is None
-    assert [b.kind for b in prompt.user_blocks] == ["request", "observation", "sensors", "memory"]
-    assert "look around" in prompt.block("request").text
-    assert prompt.block("memory").text.endswith("(empty)")
+    assert list(prompt.blocks) == ["request", "observation", "sensors", "memory"]
+    assert "look around" in prompt.blocks["request"]
+    assert prompt.blocks["memory"].endswith("(empty)")
 
 
 def test_plan_via_scripted_policy():

@@ -67,7 +67,7 @@ def test_commands_that_make_no_http_call_never_load_requests(start):
 HTTP_PROBE = """
 import json, sys, threading
 import carobo.cli
-from carobo.llm import BackendConfig, HttpChatConfig, Block, Prompt, make_backend
+from carobo.llm import BackendConfig, HttpChatConfig, Prompt, make_backend
 print(*(m in sys.modules for m in ("urllib.request", "http.client")))
 from http.server import BaseHTTPRequestHandler, HTTPServer  # loads http.client itself
 
@@ -89,7 +89,7 @@ thread.start()
 try:
     url = "http://127.0.0.1:%d/v1/chat/completions" % server.server_address[1]
     backend = make_backend(BackendConfig(kind=HttpChatConfig(endpoint=url, model_name="m", timeout_s=5.0)))
-    prompt = Prompt(system="s", user_blocks=tuple(Block(k, k) for k in ("request", "observation", "sensors", "memory")))
+    prompt = Prompt(system="s", few_shot=(), blocks={k: k for k in ("request", "observation", "sensors", "memory")})
     print(backend.complete(lambda: prompt))
     print("urllib.request" in sys.modules, "requests" in sys.modules)
 finally:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carobo.bench import default_suite_path, load_benchmark
-from carobo.llm import Block, PolicyUnknown, Prompt, parse_app_decision, parse_host_decision
+from carobo.llm import PolicyUnknown, Prompt, parse_app_decision, parse_host_decision
 from carobo.model import Command, Status
 from carobo import policies
 from carobo.policies import (
@@ -21,15 +21,15 @@ from carobo.policies import (
 
 
 def prompt_for(request_text, plan=None, memory="(empty)"):
-    blocks = [Block(kind="request", text=f"Request:\n{request_text}")]
+    blocks = {"request": f"Request:\n{request_text}"}
     if plan is not None:
-        blocks.append(Block(kind="plan", text=f"Plan:\n{plan}"))
-    blocks.extend([
-        Block(kind="observation", text="Observation:\nnothing notable in view"),
-        Block(kind="sensors", text="Sensors:\nultrasonic clearance: 4.00 m | IR left: no | IR right: no"),
-        Block(kind="memory", text=f"Memory:\n{memory}"),
-    ])
-    return Prompt(system="test", user_blocks=tuple(blocks))
+        blocks["plan"] = f"Plan:\n{plan}"
+    blocks.update({
+        "observation": "Observation:\nnothing notable in view",
+        "sensors": "Sensors:\nultrasonic clearance: 4.00 m | IR left: no | IR right: no",
+        "memory": f"Memory:\n{memory}",
+    })
+    return Prompt(system="test", few_shot=(), blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
