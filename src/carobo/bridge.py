@@ -219,8 +219,11 @@ class LocalConnection(_ConnectionBase):
         raise BridgeTimeout(f"no message on {topic}: the local: peer has sent none")
 
     def _release(self):
+        """Ends the peer's receive side and lets go of it, so that a closed
+        pair holds no reference cycle."""
         if self.peer is not None:
             self.peer._end("connection closed")
+            self.peer = None
 
 
 def local_pair() -> Tuple[LocalConnection, LocalConnection]:

@@ -465,12 +465,15 @@ def complete_and_parse(backend, prompt: PromptBuilder, parse: Callable[[str], ob
 
 
 def with_retry(attempt: Callable[[], object], max_retries: int):
-    """Call `attempt` up to 1 + max_retries times; re-raise the last failure."""
-    last: Optional[Exception] = None
-    for _ in range(1 + max_retries):
+    """Call `attempt` up to 1 + max_retries times; the last failure propagates.
+
+    No failure is kept in a local: a caught exception references its
+    traceback, whose frames hold that local. The cycle would hold the episode's
+    frames, its robot and its world until the cyclic collector ran.
+    """
+    for _ in range(max_retries):
         try:
             return attempt()
-        except RETRYABLE_ERRORS as exc:
-            last = exc
-    assert last is not None
-    raise last
+        except RETRYABLE_ERRORS:
+            pass
+    return attempt()

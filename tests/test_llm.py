@@ -398,6 +398,20 @@ def test_with_retry_zero_retries_means_single_attempt():
     assert backend.calls == 1
 
 
+@pytest.mark.parametrize("max_retries", [0, 1, 3])
+def test_with_retry_raises_the_last_attempts_own_failure(max_retries):
+    raised = []
+
+    def attempt():
+        raised.append(MalformedDecision(f"attempt {len(raised)}"))
+        raise raised[-1]
+
+    with pytest.raises(MalformedDecision) as caught:
+        with_retry(attempt, max_retries)
+    assert len(raised) == 1 + max_retries
+    assert caught.value is raised[-1]
+
+
 def test_with_retry_does_not_swallow_other_errors():
     def boom():
         raise ValueError("not retryable")

@@ -1,10 +1,14 @@
 """Simulator semantics: driving, avoidance, sensors, the symbolic camera."""
+import dataclasses
 import math
 import random
+import struct
+import sys
+import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import fullscan_sim
@@ -609,6 +613,117 @@ def test_renders_that_reuse_their_verdicts_match_the_full_scan(time_limit, case)
             at = sim.WorldState(robot=sim.RobotPose(x, y, heading, pitch), objects=world.objects,
                                 params=world.params)
             assert render_camera(at).to_dict() == fullscan_sim.render_camera(at).to_dict()
+
+
+STILL_COMMANDS = st.one_of(
+    st.builds(Command, st.just("buzzer"), st.floats(0.0, 10.0, exclude_min=True)),
+    st.builds(Command, st.just("camera_move"), st.sampled_from([0.0, -0.0]) | st.floats(-30.0, 60.0)),
+    st.builds(Command, st.sampled_from(["car_left", "car_right"]),
+              st.sampled_from([90.0, 180.0, 360.0]) | st.floats(0.0, 360.0, exclude_min=True)),
+    # the disc behind the robot blocks a drive back, and once the robot has turned to face it, the
+    # sonar turns a drive forward away before it moves
+    st.builds(Command, st.sampled_from(["car_forward", "car_back"]), st.floats(0.0, 0.3, exclude_min=True)),
+)
+
+
+def world_with_a_disc_behind(seed, n_objects, half_extent, pose, params, gap):
+    """A seeded world with a disc of radius 0.2 whose edge lies `gap` behind the robot's footprint."""
+    back = geometry.unit(pose["heading"] + 180.0)
+    reach = params["footprint_radius"] + 0.2 + gap
+    behind = {"type": "circle", "center": [pose["x"] + back[0] * reach, pose["y"] + back[1] * reach], "radius": 0.2}
+    return seeded_world(seed, n_objects, half_extent, pose, params, extra=[behind])
+
+
+@st.composite
+def still_poses(draw):
+    """A world of at least GRID_MIN_OBJECTS seeded objects, with a disc just
+    behind the robot, and commands that often leave its pose, or its position
+    and heading, as they were: buzzers, camera moves, turns, blocked drives."""
+    pose = {"x": draw(st.floats(-5.0, 5.0)), "y": draw(st.floats(-5.0, 5.0)),
+            "heading": draw(st.floats(0.0, 360.0, exclude_max=True)), "camera_pitch": draw(st.floats(-30.0, 60.0))}
+    params = {"footprint_radius": 0.1, "hfov": draw(st.floats(1.0, 360.0)), "avoid_threshold": draw(st.floats(0.0, 0.8))}
+    world = world_with_a_disc_behind(draw(st.integers(0, 2**32 - 1)), draw(st.integers(sim.GRID_MIN_OBJECTS + 8, 160)),
+                                     draw(st.floats(2.0, 8.0)), pose, params, draw(st.floats(1e-9, 0.1)))
+    assume(len(world.objects) >= sim.GRID_MIN_OBJECTS)
+    return world, draw(st.lists(STILL_COMMANDS, min_size=1, max_size=8))
+
+
+# two drives back, the second blocked where it starts; a turn to face the disc, and a drive forward
+# that the sonar turns away before it moves
+STANDING_STILL = (world_with_a_disc_behind(11, 60, 4.0, {"x": 0.0, "y": 0.0, "heading": 0.0, "camera_pitch": 0.0},
+                                           {"footprint_radius": 0.1, "avoid_threshold": 0.3}, 1e-9),
+                  [Command("car_back", 0.3), Command("car_back", 0.3), Command("car_left", 180.0),
+                   Command("car_forward", 0.3), Command("buzzer", 1.0), Command("camera_move", 20.0)])
+
+
+def _pose_bits(pose, pitch=True):
+    return struct.pack("<dddd", pose.x, pose.y, pose.heading, pose.camera_pitch if pitch else 0.0)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(STANDING_STILL)
+@given(still_poses())
+def test_a_pose_the_robot_has_not_left_is_answered_from_memory(time_limit, case):
+    """After each command, the camera and the sensors give what a fresh copy
+    of the world's objects gives. A render at the exact pose of the last
+    render, or a read at the position and heading of the last read, returns
+    that result itself; an equal but distinct SimParams computes anew."""
+    world, commands = case
+    with time_limit(20.0):
+        sensors, view = read_sensors(world), render_camera(world)
+        for command in commands:
+            before = world.robot
+            world, result = apply_command(world, command)
+            pose = world.robot
+            fresh = sim.WorldState(robot=pose, objects=sim.ObjectSet(tuple(world.objects)), params=world.params)
+            observation = render_camera(world)
+            assert result.sensor_after == read_sensors(fresh)
+            assert observation == render_camera(fresh)
+            assert read_sensors(world) is result.sensor_after
+            assert (result.sensor_after is sensors) == (_pose_bits(pose, False) == _pose_bits(before, False))
+            assert (observation is view) == (_pose_bits(pose) == _pose_bits(before))
+            sensors, view = result.sensor_after, observation
+        twin = sim.WorldState(robot=world.robot, objects=world.objects, params=dataclasses.replace(world.params))
+        twin_view, twin_sensors = render_camera(twin), read_sensors(twin)
+        assert twin_view == view and twin_view is not view
+        assert twin_sensors == sensors and twin_sensors is not sensors
+
+
+def test_threads_querying_one_world_each_get_the_answer_of_their_own_pose(time_limit):
+    """Threads that render and read at poses of one world, each cycling
+    through them from its own start, with a short switch interval, get what
+    a fresh copy of the world gives at each pose. Four poses share a heading
+    and pitch at different positions, so a record of another position would
+    answer with the wrong objects."""
+    world = seeded_world(7, 60, 4.0, {"x": 0.0, "y": 0.0, "heading": 0.0, "camera_pitch": 0.0}, {})
+    poses = [sim.RobotPose(x, y, 30.0, 10.0) for x, y in ((0.0, 0.0), (1.5, -0.5), (-2.0, 1.0), (0.5, 2.5))]
+    poses += [sim.RobotPose(0.0, 0.0, 210.0, 10.0), sim.RobotPose(1.5, -0.5, 30.0, -20.0)]
+    worlds = [sim.WorldState(robot=pose, objects=world.objects, params=world.params) for pose in poses]
+    fresh = [sim.WorldState(robot=pose, objects=tuple(world.objects), params=world.params) for pose in poses]
+    expected = [(render_camera(w), read_sensors(w)) for w in fresh]
+    wrong = []
+    start = threading.Barrier(len(poses))
+
+    def query(i):
+        start.wait(timeout=10.0)
+        for k in range(i, i + 300):
+            j = k % len(poses)
+            if (render_camera(worlds[j]), read_sensors(worlds[j])) != expected[j]:
+                wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with time_limit(30.0):
+            threads = [threading.Thread(target=query, args=(i,)) for i in range(len(poses))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=25.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 # ---------------------------------------------------------------------------
