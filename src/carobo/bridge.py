@@ -3,7 +3,10 @@
 Four fixed topics carry typed payloads; envelopes are newline-delimited
 ``topic|seq|timestamp|payload`` lines so the same bytes flow through the
 in-process transport and a TCP socket. Sequence numbers increase by one per
-(connection, topic) and receivers audit the gaps.
+(connection, topic) and receivers audit the gaps. A payload is written by its
+codec's compiled `to_json`, and `encode_line` forms every line around that
+text; a read returns an `Envelope`, a NamedTuple, whose payload is decoded
+by the topic's `from_dict`.
 
 Both transports take each received line through one intake, `_take`: a line
 over MAX_LINE_BYTES (8 MiB of UTF-8), not UTF-8 or not an envelope ends the
@@ -13,7 +16,9 @@ fails the sender's write. A `tcp:` line cut off by the stream's end is dropped.
 The robot end serves a `sim.SimRobot`, the same handle the `direct`
 transport uses: on connect it publishes the robot's connect() state as one
 sensor and one vision envelope; for every command it publishes the robot's
-execute() result as exec, then sensor, then vision. No connection reads in
+execute() result as exec, then sensor, then vision. Each of these is one
+`publish_all`: its lines are numbered under one lock, and `tcp:` sends them
+in one write (`local:` still takes each line through `_take`). No connection reads in
 the background: a read takes a queued envelope or reads the socket itself.
 The in-process robot answers each command on the thread that publishes it,
 so only a TCP robot served in this process has a thread; it waits in calls
@@ -22,12 +27,12 @@ transport, including a robot that another process serves at `tcp:HOST:PORT`.
 """
 from __future__ import annotations
 
+import reprlib
 import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .model import CaroboError, Command, ExecResult, Observation, SensorData, canonical_json, read_json
 from . import sim
@@ -65,25 +70,25 @@ PAYLOAD_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     topic: str
     seq: int
     timestamp: int  # milliseconds; excluded from every determinism comparison
     payload: object
 
 
-def encode_line(topic: str, seq: int, timestamp: int, payload_doc: dict) -> str:
-    return f"{topic}|{seq}|{timestamp}|{canonical_json(payload_doc)}"
+def encode_line(topic: str, seq: int, timestamp: int, payload_json: str) -> str:
+    """The envelope line of a payload already written as canonical JSON."""
+    return f"{topic}|{seq}|{timestamp}|{payload_json}"
 
 
 def decode_line(line: str) -> Tuple[str, int, int, dict]:
     parts = line.split("|", 3)
     if len(parts) != 4:
-        raise ProtocolError(f"envelope line needs 4 fields: {line!r}")
+        raise ProtocolError(f"envelope line needs 4 fields: {reprlib.repr(line)}")
     topic, seq_s, ts_s, payload_s = parts
     if topic not in TOPICS:
-        raise ProtocolError(f"unknown topic: {topic!r}")
+        raise ProtocolError(f"unknown topic: {reprlib.repr(topic)}")
     # ASCII digits only: int() would also take "1_0", " 7 ", "+3" and non-ASCII digits,
     # and it still refuses digit strings past the interpreter's conversion limit
     try:
@@ -92,17 +97,11 @@ def decode_line(line: str) -> Tuple[str, int, int, dict]:
         seq = int(seq_s)
         timestamp = int(ts_s)
     except ValueError:
-        raise ProtocolError(f"bad seq/timestamp in envelope: {line!r}")
+        raise ProtocolError(f"bad seq/timestamp in envelope: {reprlib.repr(line)}")
     doc = read_json(payload_s, "envelope payload", ProtocolError)
     if not isinstance(doc, dict):
         raise ProtocolError("payload must be a JSON object")
     return topic, seq, timestamp, doc
-
-
-def _decode_payload(topic: str, doc: dict):
-    if "error" in doc and set(doc) == {"error"}:
-        raise ProtocolError(f"peer reported: {doc['error']}")
-    return PAYLOAD_TYPES[topic].from_dict(doc)
 
 
 def _now_ms() -> int:
@@ -111,7 +110,8 @@ def _now_ms() -> int:
 
 class _ConnectionBase:
     """Shared publish and receive bookkeeping: a FIFO per topic, fed by `_take`, with
-    sequence auditing. Subclasses provide _send_line, _receive and _release."""
+    sequence auditing. Subclasses provide _send_line, _receive and _release, and may
+    replace _send_lines, which sends the lines of one publish one at a time."""
 
     def __init__(self):
         self._queues = {t: deque() for t in TOPICS}
@@ -122,26 +122,43 @@ class _ConnectionBase:
         self._ended: Optional[str] = None  # why the receive side ended, once it has
 
     def publish(self, topic: str, payload):
-        if topic not in TOPICS:
-            raise TopicPayloadMismatch(f"unknown topic: {topic!r}")
-        if not isinstance(payload, PAYLOAD_TYPES[topic]):
-            raise TopicPayloadMismatch(
-                f"{topic} carries {PAYLOAD_TYPES[topic].__name__}, got {type(payload).__name__}"
-            )
-        self._publish_doc(topic, payload.to_dict())
+        self.publish_all(((topic, payload),))
+
+    def publish_all(self, messages):
+        """Send each (topic, payload) of `messages`, in order and together: no other
+        publish on this connection comes between them."""
+        written = []
+        for topic, payload in messages:
+            payload_type = PAYLOAD_TYPES.get(topic)
+            if payload_type is None:
+                raise TopicPayloadMismatch(f"unknown topic: {topic!r}")
+            if not isinstance(payload, payload_type):
+                raise TopicPayloadMismatch(f"{topic} carries {payload_type.__name__}, got {type(payload).__name__}")
+            written.append((topic, payload.to_json()))
+        self._publish_json(written)
 
     def publish_error(self, topic: str, message: str):
         """Defensive escape hatch: sends an error document on the topic. The
         message may quote a peer's text; what UTF-8 cannot encode goes as escapes."""
-        self._publish_doc(topic, {"error": message.encode("utf-8", "backslashreplace").decode("utf-8")})
+        error = message.encode("utf-8", "backslashreplace").decode("utf-8")
+        self._publish_json(((topic, canonical_json({"error": error})),))
 
-    def _publish_doc(self, topic: str, doc: dict):
+    def _publish_json(self, written):
+        """Number and send (topic, payload JSON) pairs, under the send lock."""
         with self._send_lock:
             if self._closed:
                 raise ConnectionClosed("publish on a closed connection")
-            seq = self._out_seq[topic]
-            self._out_seq[topic] = seq + 1
-            self._send_line(encode_line(topic, seq, _now_ms(), doc))
+            timestamp = _now_ms()
+            lines = []
+            for topic, payload_json in written:
+                seq = self._out_seq[topic]
+                self._out_seq[topic] = seq + 1
+                lines.append(encode_line(topic, seq, timestamp, payload_json))
+            self._send_lines(lines)
+
+    def _send_lines(self, lines):
+        for line in lines:
+            self._send_line(line)
 
     def next_message(self, topic: str, timeout_ms: Optional[float] = None) -> Envelope:
         """The next envelope on `topic`. Envelopes queued before the receive
@@ -156,7 +173,9 @@ class _ConnectionBase:
         if seq != expected:
             raise ProtocolError(f"sequence gap on {topic}: expected {expected}, got {seq}")
         self._expected[topic] = expected + 1
-        return Envelope(topic=topic, seq=seq, timestamp=timestamp, payload=_decode_payload(topic, doc))
+        if "error" in doc and len(doc) == 1:
+            raise ProtocolError(f"peer reported: {doc['error']}")
+        return Envelope(topic, seq, timestamp, PAYLOAD_TYPES[topic].from_dict(doc))
 
     def _take(self, line) -> Optional[str]:
         """Queue the envelope in one received line (str, or bytes off a socket) and return
@@ -283,10 +302,14 @@ class TcpConnection(_ConnectionBase):
                 self._partial.clear()
 
     def _send_line(self, line: str):
+        self._send_lines((line,))
+
+    def _send_lines(self, lines):
+        """All the lines of one publish in one write."""
         try:
             if self._sock.gettimeout() == 0:  # left non-blocking by a read past its deadline
                 self._sock.settimeout(None)
-            self._sock.sendall(line.encode("utf-8") + b"\n")
+            self._sock.sendall(("\n".join(lines) + "\n").encode("utf-8"))
         except OSError as exc:
             raise ConnectionClosed(f"socket send failed: {exc}") from exc
 
@@ -322,8 +345,7 @@ def parse_endpoint(endpoint: str) -> Tuple[str, int]:
 
 def _publish_connect(robot: sim.SimRobot, conn):
     sensors, obs = robot.connect()
-    conn.publish(TOPIC_SENSOR, sensors)
-    conn.publish(TOPIC_VISION, obs)
+    conn.publish_all(((TOPIC_SENSOR, sensors), (TOPIC_VISION, obs)))
 
 
 def answer(robot: sim.SimRobot, conn) -> bool:
@@ -346,9 +368,7 @@ def answer(robot: sim.SimRobot, conn) -> bool:
             pass
         return False
     result, sensors, obs = robot.execute(env.payload)
-    conn.publish(TOPIC_EXEC, result)
-    conn.publish(TOPIC_SENSOR, sensors)
-    conn.publish(TOPIC_VISION, obs)
+    conn.publish_all(((TOPIC_EXEC, result), (TOPIC_SENSOR, sensors), (TOPIC_VISION, obs)))
     return True
 
 

@@ -184,7 +184,8 @@ _ENV = {
     "SchemaError": SchemaError, "mismatch": _mismatch, "seq": _list, "isfinite": math.isfinite,
     "dumps": canonical_json, "write_str": json.encoder.encode_basestring,
     "to_float": _float, "to_int": _exactly(int, "an integer"), "to_str": _str,
-    "to_bool": _exactly(bool, "true or false"), "NULL": "null", "COMMA": ",", "LB": "[", "RB": "]",
+    "to_bool": _exactly(bool, "true or false"), "NULL": "null", "TRUE": "true", "FALSE": "false",
+    "COMMA": ",", "LB": "[", "RB": "]",
 }
 
 # scalar type -> (decode, write) source over the local {v}; the fast path
@@ -195,7 +196,8 @@ _SCALARS = {
     int: ("({v} if type({v}) is int else to_int({v}))", "(repr({v}) if type({v}) is int else dumps({v}))"),
     str: ("({v} if type({v}) is str and {v}.isascii() else to_str({v}))",
           "(write_str({v}) if type({v}) is str else dumps({v}))"),
-    bool: ("({v} if type({v}) is bool else to_bool({v}))", "dumps({v})"),
+    bool: ("({v} if type({v}) is bool else to_bool({v}))",
+           "(TRUE if {v} is True else FALSE if {v} is False else dumps({v}))"),
 }
 
 
@@ -267,7 +269,10 @@ def _sources(tp, v: str, env: dict, exact: bool = False) -> tuple:
             except (KeyError, ValueError, TypeError):
                 raise _mismatch(f"one of {list(members)}", value) from None
 
-        return operator.attrgetter("value"), f"{_bind(env, member, 'member')}({v})", f"dumps({v}.value)"
+        # a member is written from its text, made once here
+        texts = _bind(env, {m: canonical_json(m.value) for m in tp}, "texts")
+        return (operator.attrgetter("value"), f"{_bind(env, member, 'member')}({v})",
+                f"({texts}[{v}] if type({v}) is {_bind(env, tp, 'enum')} else dumps({v}.value))")
     if not hasattr(tp, "from_dict"):
         raise TypeError(f"the codec cannot code {tp!r}")
     # `from_dict` is looked up at call time, so that a method patched in later is the one called
@@ -364,9 +369,10 @@ def _json_writer(cls, tag: Optional[dict]):
     It returns the text canonical_json(encode_fields(self)), written without
     building a dict or list: keys in sorted order, a finite float or exact
     int as its repr, a str escaped as canonical_json escapes it, a coded
-    field by its own `to_json`, and anything else by canonical_json. Only the
-    world's classes are ever written this way, so `codec` compiles it apart
-    from `_field_plans`, on the first `to_json` call.
+    field by its own `to_json`, and anything else by canonical_json. The
+    world's classes and the bridge's payloads are written this way, trace
+    records are not, so `codec` compiles it apart from `_field_plans`, on the
+    first `to_json` call.
     """
     hints = typing.get_type_hints(cls)
     env = dict(_ENV)
@@ -439,7 +445,7 @@ class Status(Enum):
         cleaned = token.strip().upper() if type(token) is str else None
         if cleaned in cls.__members__:
             return cls[cleaned]
-        raise UnknownStatus(f"unknown status token: {token!r}")
+        raise UnknownStatus(f"unknown status token: {reprlib.repr(token)}")
 
 
 class ExecOutcome(Enum):
@@ -477,7 +483,7 @@ class Command:
 
     def __post_init__(self):
         if self.name not in COMMAND_SPECS:
-            raise UnknownCommand(f"unknown command: {self.name!r}")
+            raise UnknownCommand(f"unknown command: {reprlib.repr(self.name)}")
         if not isinstance(self.value, (int, float)) or isinstance(self.value, bool):
             raise InvalidCommand(f"{self.name}: argument must be a number")
         try:
@@ -502,17 +508,20 @@ class Command:
     def to_dict(self) -> dict:
         return {"name": self.name, "args": {self.arg_name: self.value}}
 
+    def to_json(self) -> str:
+        return canonical_json(self.to_dict())
+
     @classmethod
     def from_dict(cls, data: dict) -> "Command":
         if not isinstance(data, dict) or "name" not in data:
-            raise InvalidCommand(f"command document must be an object with a name: {data!r}")
+            raise InvalidCommand(f"command document must be an object with a name: {reprlib.repr(data)}")
         name = data["name"]
         if not isinstance(name, str) or name not in COMMAND_SPECS:
-            raise UnknownCommand(f"unknown command: {name!r}")
+            raise UnknownCommand(f"unknown command: {reprlib.repr(name)}")
         arg_name = COMMAND_SPECS[name][0]
         args = data.get("args")
-        if not isinstance(args, dict) or set(args.keys()) != {arg_name}:
-            raise InvalidCommand(f"{name} takes exactly one argument {arg_name!r}, got {args!r}")
+        if not isinstance(args, dict) or len(args) != 1 or arg_name not in args:
+            raise InvalidCommand(f"{name} takes exactly one argument {arg_name!r}, got {reprlib.repr(args)}")
         return cls(name, args[arg_name])
 
 

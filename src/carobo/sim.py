@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import reprlib
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -157,10 +158,10 @@ class Shape:
         `__post_init__`, so that a polygon's vertices are summed once, for the
         collinearity check and the centroid together."""
         if type(data) is not dict or "type" not in data:
-            raise SchemaError(f"shape document must be an object with a type: {data!r}")
+            raise SchemaError(f"shape document must be an object with a type: {reprlib.repr(data)}")
         kind = data["type"]
         if kind not in ("circle", "polygon"):
-            raise SchemaError(f"unknown shape type: {kind!r}")
+            raise SchemaError(f"unknown shape type: {reprlib.repr(kind)}")
         try:
             if kind == "circle":
                 radius = _number(data.get("radius"))

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from carobo.bench import DATA_DIR, bundled_trace_dir, default_suite_path, load_benchmark
 from carobo.bridge import (
     TOPIC_CMD,
+    TOPIC_EXEC,
     TOPIC_SENSOR,
     TOPICS,
     BridgeRobot,
@@ -27,6 +28,7 @@ from carobo.bridge import (
     TcpConnection,
     TcpRobotServer,
     decode_line,
+    local_pair,
     start_local_robot,
     tcp_connect,
 )
@@ -43,8 +45,8 @@ from carobo.llm import (
     parse_app_decision,
     parse_host_decision,
 )
-from carobo.model import COMMAND_SPECS, CaroboError, Command, canonical_json
-from carobo.sim import OBJECT_KINDS, SimParams, SimRobot, load_world
+from carobo.model import COMMAND_SPECS, CaroboError, Command, Status, canonical_json
+from carobo.sim import OBJECT_KINDS, Shape, SimParams, SimRobot, load_world
 
 DEEP = "[" * 100_000  # deeper than any recursion limit json.loads can reach
 
@@ -100,6 +102,75 @@ CASES = {
 def test_deeply_nested_json_is_a_typed_error(tmp_path, capsys, time_limit, boundary):
     with time_limit(20.0):
         CASES[boundary](tmp_path, capsys)
+
+
+# ---------------------------------------------------------------------------
+# An error message quotes a bounded part of its input: a line may be 8 MiB, and
+# the message becomes one `error:` line or a robot's error envelope
+
+HUGE = "x" * 1_000_000
+
+
+def _message_of(call) -> str:
+    with pytest.raises(CaroboError) as err:
+        call()
+    return str(err.value)
+
+
+def _reader_ends_on(line: str) -> str:
+    """The message a local: reader gets once `line` has ended its receive side."""
+    sender, reader = local_pair()
+    try:
+        sender._send_line(line)
+        return _message_of(lambda: reader.next_message(TOPIC_SENSOR, timeout_ms=0))
+    finally:
+        sender.close()
+
+
+def _robot_reports(command_json: str) -> str:
+    """The peer error a local: robot sends back for one bad command line."""
+    client, _robot, shutdown = start_local_robot(load_world(OBJ_1))
+    try:
+        client._send_line(f"{TOPIC_CMD}|0|0|{command_json}")
+        return _message_of(lambda: client.next_message(TOPIC_EXEC, timeout_ms=0))
+    finally:
+        shutdown()
+
+
+def _cli_error_line(tmp_path, capsys, world: dict) -> str:
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(world), encoding="utf-8")
+    assert main(["run", "--request", "look", "--world", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+LONG_INPUTS = {
+    "envelope line with no |": lambda tmp_path, capsys: _reader_ends_on(HUGE),
+    "envelope topic": lambda tmp_path, capsys: _reader_ends_on(f"/{HUGE}|0|0|{{}}"),
+    "envelope seq": lambda tmp_path, capsys: _reader_ends_on(f"{TOPIC_SENSOR}|1{HUGE}|0|{{}}"),
+    "command name": lambda tmp_path, capsys: _message_of(
+        lambda: Command.from_dict({"name": HUGE, "args": {"distance": 1}})),
+    "command built by name": lambda tmp_path, capsys: _message_of(lambda: Command(HUGE, 1.0)),
+    "command document": lambda tmp_path, capsys: _message_of(lambda: Command.from_dict({"args": HUGE})),
+    "extra argument": lambda tmp_path, capsys: _message_of(
+        lambda: Command.from_dict({"name": "car_forward", "args": {"distance": 1, "extra": HUGE}})),
+    "shape type": lambda tmp_path, capsys: _message_of(lambda: Shape.from_dict({"type": HUGE})),
+    "shape document": lambda tmp_path, capsys: _message_of(lambda: Shape.from_dict({"radius": HUGE})),
+    "status token": lambda tmp_path, capsys: _message_of(lambda: Status(HUGE)),
+    "robot's error envelope": lambda tmp_path, capsys: _robot_reports(
+        json.dumps({"name": HUGE, "args": {"distance": 1}})),
+    "CLI error line": lambda tmp_path, capsys: _cli_error_line(tmp_path, capsys, {"robot": {}, "objects": [
+        {"id": "a", "kind": "box", "shape": {"type": HUGE}}]}),
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(LONG_INPUTS))
+def test_error_messages_quote_a_bounded_part_of_their_input(tmp_path, capsys, time_limit, boundary):
+    with time_limit(20.0):
+        message = LONG_INPUTS[boundary](tmp_path, capsys)
+    assert len(message) < 200, message[:300]
 
 
 # ---------------------------------------------------------------------------

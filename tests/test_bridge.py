@@ -10,7 +10,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule, run_state_machine_as_test
 
-from carobo import bench, sim
+from carobo import bench, bridge, sim
 from carobo.bridge import (
     TOPIC_CMD,
     TOPIC_EXEC,
@@ -55,13 +55,13 @@ def a_box(cx=1.0, cy=0.0):
 # Wire format
 
 def test_wire_line_shape():
-    line = encode_line(TOPIC_SENSOR, 3, 1234, {"a": 1})
+    line = encode_line(TOPIC_SENSOR, 3, 1234, '{"a":1}')
     assert line == '/carobo/sensor|3|1234|{"a":1}'
 
 
 def test_wire_roundtrip():
     payload = SensorData(ultrasonic_clearance=1.5, ir_left=True, ir_right=False)
-    topic, seq, ts, doc = decode_line(encode_line(TOPIC_SENSOR, 3, 1234, payload.to_dict()))
+    topic, seq, ts, doc = decode_line(encode_line(TOPIC_SENSOR, 3, 1234, payload.to_json()))
     assert (topic, seq, ts) == (TOPIC_SENSOR, 3, 1234)
     assert SensorData.from_dict(doc) == payload
 
@@ -72,7 +72,7 @@ def test_wire_json_may_contain_pipes():
         VisibleObject(label="box", color="red", shape="polygon",
                       text_on_object="A|B|C", distance=1.0, bearing=0.0),
     ))
-    _t, _s, _ts, doc = decode_line(encode_line(TOPIC_VISION, 0, 0, obs.to_dict()))
+    _t, _s, _ts, doc = decode_line(encode_line(TOPIC_VISION, 0, 0, obs.to_json()))
     assert Observation.from_dict(doc).items[0].text_on_object == "A|B|C"
 
 
@@ -112,7 +112,7 @@ def test_error_envelope_surfaces_as_protocol_error():
 def test_empty_exec_payload_is_a_typed_error():
     client, robot_side = local_pair()
     try:
-        robot_side._send_line(encode_line(TOPIC_EXEC, 0, 0, {}))
+        robot_side._send_line(encode_line(TOPIC_EXEC, 0, 0, "{}"))
         with pytest.raises(CaroboError) as err:
             BridgeRobot(client, timeout_ms=500).execute(Command("car_forward", 1.0))
         assert "ExecResult" in str(err.value)
@@ -202,8 +202,8 @@ def test_seq_gap_detected():
     a, b = local_pair()
     try:
         # hand-crafted frames with a hole in the sequence
-        a._send_line(encode_line(TOPIC_CMD, 0, 0, Command("car_forward", 1.0).to_dict()))
-        a._send_line(encode_line(TOPIC_CMD, 2, 0, Command("car_forward", 1.0).to_dict()))
+        a._send_line(encode_line(TOPIC_CMD, 0, 0, Command("car_forward", 1.0).to_json()))
+        a._send_line(encode_line(TOPIC_CMD, 2, 0, Command("car_forward", 1.0).to_json()))
         b.next_message(TOPIC_CMD, timeout_ms=100)
         with pytest.raises(ProtocolError) as err:
             b.next_message(TOPIC_CMD, timeout_ms=100)
@@ -325,6 +325,40 @@ def test_tcp_server_roundtrip():
         server.stop()
 
 
+def test_a_tcp_robot_sends_each_reply_in_one_write(monkeypatch):
+    """The connect state, and each command's exec, sensor and vision, leave the
+    robot in one sendall each; the client still reads them in order, and the
+    sensor and vision of a reply are already there once its exec is read."""
+    server = TcpRobotServer(load_world(world_doc([a_box()]))).start()
+    writes = []
+    sendall = socket.socket.sendall
+
+    def counted(sock, data, *args):
+        writes.append((sock.getsockname()[1] == server.port, data))
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", counted)
+    commands = [Command("car_forward", 0.3), Command("car_left", 90), Command("buzzer", 0.5), Command("car_back", 0.2)]
+    direct = SimRobot(load_world(world_doc([a_box()])))
+    conn = tcp_connect(server.host, server.port)
+    try:
+        assert (conn.next_message(TOPIC_SENSOR, timeout_ms=2000).payload,
+                conn.next_message(TOPIC_VISION, timeout_ms=0).payload) == direct.connect()
+        for command in commands:
+            conn.publish(TOPIC_CMD, command)
+            result = conn.next_message(TOPIC_EXEC, timeout_ms=2000).payload
+            sensors = conn.next_message(TOPIC_SENSOR, timeout_ms=0).payload
+            vision = conn.next_message(TOPIC_VISION, timeout_ms=0).payload
+            assert (result, sensors, vision) == direct.execute(command)
+    finally:
+        conn.close()
+        server.stop()
+    robot_writes = [data for from_robot, data in writes if from_robot]
+    assert len(robot_writes) == 1 + len(commands)
+    assert [data.count(b"\n") for data in robot_writes] == [2] + [3] * len(commands)
+    assert sum(not from_robot for from_robot, _ in writes) == len(commands)
+
+
 def test_tcp_sequential_clients_share_the_world():
     server = TcpRobotServer(load_world(world_doc())).start()
     try:
@@ -422,8 +456,7 @@ def test_a_timed_tcp_read_waits_out_its_timeout():
                 conn.next_message(TOPIC_SENSOR, timeout_ms=timeout_ms)
             assert time.perf_counter() - began >= timeout_ms / 1000
         # the connection is still usable after a timeout
-        theirs.sendall(encode_line(TOPIC_SENSOR, 0, 0, {"ultrasonic_clearance": 1.0, "ir_left": False,
-                                                         "ir_right": True}).encode() + b"\n")
+        theirs.sendall(encode_line(TOPIC_SENSOR, 0, 0, '{"ir_left":false,"ir_right":true,"ultrasonic_clearance":1.0}').encode() + b"\n")
         assert conn.next_message(TOPIC_SENSOR, timeout_ms=2000).payload.ir_right is True
     finally:
         conn.close()
@@ -534,16 +567,15 @@ def test_topic_names():
 def test_local_and_tcp_send_the_same_wire_bytes(monkeypatch):
     """Every envelope line of one oracle episode, with the timestamp dropped."""
     sent = []
+    encode = bridge.encode_line
 
-    def capture(send_line):
-        def send(self, line):
-            topic, seq, _timestamp, payload = line.split("|", 3)
-            sent.append((topic, seq, payload))
-            return send_line(self, line)
-        return send
+    def capture(*args):
+        line = encode(*args)
+        topic, seq, _timestamp, payload = line.split("|", 3)
+        sent.append((topic, seq, payload))
+        return line
 
-    monkeypatch.setattr(LocalConnection, "_send_line", capture(LocalConnection._send_line))
-    monkeypatch.setattr(TcpConnection, "_send_line", capture(TcpConnection._send_line))
+    monkeypatch.setattr(bridge, "encode_line", capture)
     spec = {s.id: s for s in bench.load_benchmark(bench.default_suite_path())}["obj_1"]
     lines = {}
     for transport in ("local:", "tcp:"):
@@ -576,9 +608,9 @@ def test_a_line_that_does_not_decode_ends_the_readers_receive_side(transport):
     its reader timed out on every later read.)"""
     sender, reader = connected_pair(transport)
     try:
-        sender._send_line(encode_line(TOPIC_SENSOR, 0, 0, SENSORS.to_dict()))
+        sender._send_line(encode_line(TOPIC_SENSOR, 0, 0, SENSORS.to_json()))
         sender._send_line("/carobo/exec|x|0|{}")
-        sender._send_line(encode_line(TOPIC_SENSOR, 1, 0, SENSORS.to_dict()))
+        sender._send_line(encode_line(TOPIC_SENSOR, 1, 0, SENSORS.to_json()))
         assert reader.next_message(TOPIC_SENSOR, timeout_ms=2000).payload == SENSORS
         for topic in (TOPIC_EXEC, TOPIC_SENSOR):
             with pytest.raises(ConnectionClosed) as err:
@@ -638,7 +670,7 @@ def a_vision_line(size: int):
     nearly all of them in two-byte characters, so it has about half as many
     characters; and the observation it carries."""
     def line(text):
-        return encode_line(TOPIC_VISION, 0, 0, Observation(free_text=text).to_dict())
+        return encode_line(TOPIC_VISION, 0, 0, Observation(free_text=text).to_json())
 
     room = size - len(line("").encode("utf-8"))
     text = "é" * (room // 2) + "a" * (room % 2)
@@ -683,7 +715,7 @@ def test_a_last_line_without_a_newline_is_dropped_at_the_end_of_the_stream():
     reader = TcpConnection(ours)
     try:
         with theirs:
-            theirs.sendall("\n".join(encode_line(TOPIC_SENSOR, seq, 0, SENSORS.to_dict()) for seq in (0, 1)).encode())
+            theirs.sendall("\n".join(encode_line(TOPIC_SENSOR, seq, 0, SENSORS.to_json()) for seq in (0, 1)).encode())
         assert reader.next_message(TOPIC_SENSOR, timeout_ms=2000).seq == 0
         with pytest.raises(ConnectionClosed, match="^connection closed$"):
             reader.next_message(TOPIC_SENSOR, timeout_ms=2000)
@@ -737,7 +769,7 @@ class OneIntake(RuleBasedStateMachine):
     @rule(data=st.data(), topic=st.sampled_from(TOPICS))
     def publish(self, data, topic):
         payload = data.draw(st.sampled_from(PAYLOADS[topic]))
-        self.unsent += (encode_line(topic, self.seq[topic], 0, payload.to_dict()) + "\n").encode()
+        self.unsent += (encode_line(topic, self.seq[topic], 0, payload.to_json()) + "\n").encode()
         self.seq[topic] += 1
         self.written.append((topic, payload))
 

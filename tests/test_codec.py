@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from carobo import bridge, model, sim
 from carobo.app import EpisodeFooter, EpisodeHeader, EpisodeLimits, FailureReason, Verdict
 from carobo.bench import (
-    And, Near, Report, Row, default_suite_path, load_benchmark, parse_goal, run_scenario, scripted_pair,
+    And, Near, Report, Row, bundled_trace_dir, default_suite_path, load_benchmark, parse_goal, replay_pair,
+    run_scenario, scripted_pair,
 )
 from carobo.model import (
     CaroboError,
@@ -404,6 +405,46 @@ def test_to_json_is_canonical_json_of_to_dict(world_state):
     assert world_digest(world_state) == reference_digest(world_state)
 
 
+# the bridge writes every payload with its to_json, so each payload class is held to the same two rules
+_wire_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 0.1]),
+)
+_wire_texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8) | st.sampled_from(
+    ["冰箱", "café ☃ 🚗", '"|\\', "\x00\n "])
+_sensor_data = st.builds(SensorData, ultrasonic_clearance=_wire_floats.map(abs), ir_left=st.booleans(),
+                         ir_right=st.booleans())
+_visible = st.builds(VisibleObject, label=_wire_texts, color=_wire_texts, shape=_wire_texts,
+                     text_on_object=st.none() | _wire_texts, distance=_wire_floats, bearing=_wire_floats)
+_observations = st.builds(Observation, items=st.lists(_visible, max_size=3).map(tuple), free_text=_wire_texts)
+
+
+@st.composite
+def _commands(draw) -> Command:
+    name = draw(st.sampled_from(sorted(model.COMMAND_SPECS)))
+    _arg, low, high, low_inclusive = model.COMMAND_SPECS[name]
+    value = draw(st.floats(low, high, exclude_min=not low_inclusive)
+                 | st.integers(math.floor(low) + (not low_inclusive), math.floor(high))
+                 | st.sampled_from([high, float(high), 5e-324 if low == 0 else low]))
+    return Command(name, value)
+
+
+@st.composite
+def _exec_results(draw) -> ExecResult:
+    outcome = draw(st.sampled_from(ExecOutcome))
+    heading_change = -90.0 if outcome is ExecOutcome.AVOIDED else draw(_wire_floats)
+    return ExecResult(command_echo=draw(_commands()), outcome=outcome, distance_travelled=draw(_wire_floats),
+                      heading_change=heading_change, sensor_after=draw(_sensor_data))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_sensor_data, _visible, _observations, _exec_results(), _commands()))
+def test_payload_writers_write_canonical_json_that_reads_back(payload):
+    text = payload.to_json()
+    assert text == canonical_json(payload.to_dict())
+    assert type(payload).from_dict(model.read_json(text, "payload")) == payload
+
+
 # ---------------------------------------------------------------------------
 # The codec's bytes: canonical_json writes what json.dumps writes, read_json
 # returns what json.loads returns or raises what it raised around it, and the
@@ -535,3 +576,51 @@ def test_the_wire_carries_the_same_bytes(monkeypatch):
         masked.append(f"{topic}|{seq}||{payload}")
     assert len(masked) == 2 + 4 * 8  # the connect state, then each of 8 commands and its 3 replies
     assert hashlib.sha256("\n".join(masked).encode("utf-8")).hexdigest() == WIRE_SHA256
+
+
+# sha256 of the envelope lines of two more episodes, taken where every line is
+# formed (bridge.encode_line) with the timestamp field emptied; each is the
+# same on local: and tcp:. The clutter episode is scenario obs_1 of the suite
+# perfbench/clutter.py writes for generator seed 0 with 150 objects: its
+# drives are avoided and blocked.
+WIRE_PINS = {
+    "gpt-4o/obs_4": (2 + 4 * 15, "ebaee2822532fe696afb5021c4f14e773c5798594265d1de726b3c26899f8db3"),
+    "clutter-seed0/obs_1": (2 + 4 * 7, "26752985c286ba4fadc5fcba9f0a99d9f681a498b3e7921be8873ef9ebb7a188"),
+}
+
+
+def _wire_episode(name: str, workdir: Path):
+    """(spec, backend pair) of a pinned episode."""
+    if name.startswith("gpt-4o/"):
+        specs, pair = load_benchmark(default_suite_path()), replay_pair(bundled_trace_dir("gpt-4o"))
+    else:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+            import clutter
+        suite, streams, _ = clutter.write_suite(0, workdir, n_objects=150)
+        specs, pair = load_benchmark(suite), replay_pair(streams)
+    return {s.id: s for s in specs}[name.split("/")[1]], pair
+
+
+@pytest.mark.parametrize("transport", ["local:", "tcp:"])
+@pytest.mark.parametrize("name", sorted(WIRE_PINS))
+def test_more_episodes_carry_the_same_bytes_on_both_transports(monkeypatch, tmp_path, name, transport):
+    spec, pair = _wire_episode(name, tmp_path)
+    lines = []
+    encode = bridge.encode_line
+
+    def record(*args):
+        line = encode(*args)
+        lines.append(line)
+        return line
+
+    monkeypatch.setattr(bridge, "encode_line", record)
+    run_scenario(spec, pair, transport=transport)
+    masked = []
+    for line in lines:
+        topic, seq, timestamp, payload = line.split("|", 3)
+        assert timestamp.isascii() and timestamp.isdigit()
+        masked.append(f"{topic}|{seq}||{payload}")
+    count, digest = WIRE_PINS[name]
+    assert len(masked) == count
+    assert hashlib.sha256("\n".join(masked).encode("utf-8")).hexdigest() == digest
