@@ -15,7 +15,6 @@ from typing import Optional, Tuple
 from . import sim
 from .host import build_host_prompt, plan_with_raw, render_sensors
 from .llm import (
-    AgentTemplate,
     BackendConfig,
     AppDecision,
     Prompt,
@@ -127,13 +126,11 @@ def build_app_prompt(
     obs: Observation,
     sensors: SensorData,
     memory: MemoryLog,
-    template: Optional[AgentTemplate] = None,
 ) -> Prompt:
     """Blocks: request, plan, observation, sensors, memory (last APP_MEMORY_WINDOW rounds)."""
-    template = template or load_agent_template("app")
     memory_text = render_memory(memory, APP_MEMORY_WINDOW) or "(empty)"
     return assemble_prompt(
-        template,
+        load_agent_template("app"),
         {
             "request": request.text,
             "plan": global_plan.render(),
@@ -152,13 +149,12 @@ def decide_with_raw(
     memory: MemoryLog,
     backend,
     max_retries: int,
-    template: Optional[AgentTemplate] = None,
 ) -> Tuple[AppDecision, str, PromptBuilder]:
     """Decide with retries; returns the decision, the raw completion it was
     parsed from and the prompt's builder, which a trace record calls for the
     prompt's digest. The prompt is built at most once, on the first call of
     the builder: by a backend that reads it, or by that record."""
-    prompt = build_once(lambda: build_app_prompt(request, global_plan, obs, sensors, memory, template=template))
+    prompt = build_once(lambda: build_app_prompt(request, global_plan, obs, sensors, memory))
     decision, raw = with_retry(lambda: complete_and_parse(backend, prompt, parse_app_decision), max_retries)
     return decision, raw, prompt
 
@@ -206,17 +202,15 @@ def run_episode(
     REPLAN_AFTER_ERRORS times in a row the host is consulted one more time;
     a second streak aborts the episode as a backend failure.
 
-    The trace's records are built only when `trace_path` is given. The two
-    agent templates are loaded once per episode. An agent call's prompt is
-    built only if its backend reads it (http and scripted do, replay does
-    not) or a trace record digests it, and then once for all its retries.
+    The trace's records are built only when `trace_path` is given. An agent
+    call's prompt is built only if its backend reads it (http and scripted
+    do, replay does not) or a trace record digests it, and then once for all
+    its retries; each agent template is read once per process.
     """
     limits = limits or EpisodeLimits()
     if backend is None:
         backend = make_backend(backend_cfg)
     max_retries = backend_cfg.max_retries
-    host_template = load_agent_template("host")
-    app_template = load_agent_template("app")
 
     records = [] if trace_path is not None else None
 
@@ -249,9 +243,7 @@ def run_episode(
     def plan():
         """The host's decision on what the robot sees now, recorded; None if the host fails."""
         try:
-            decision, raw, prompt = plan_with_raw(
-                request, obs, sensors, memory, backend, max_retries, template=host_template,
-            )
+            decision, raw, prompt = plan_with_raw(request, obs, sensors, memory, backend, max_retries)
         except CaroboError:
             return None
         record(lambda: _host_record(decision, raw, prompt))
@@ -273,9 +265,7 @@ def run_episode(
     while rounds < limits.max_rounds:
         rounds += 1
         try:
-            decision, raw, prompt = decide_with_raw(
-                request, global_plan, obs, sensors, memory, backend, max_retries, template=app_template,
-            )
+            decision, raw, prompt = decide_with_raw(request, global_plan, obs, sensors, memory, backend, max_retries)
         except CaroboError as exc:
             consecutive_errors += 1
             record(lambda: {"type": "round_error", "round": rounds - 1,

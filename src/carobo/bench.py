@@ -8,10 +8,10 @@ into per-domain and overall success rates.
 from __future__ import annotations
 
 import math
-import os
 import re
+import reprlib
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
@@ -78,7 +78,7 @@ class GoalPredicate:
         """Decode a goal document with the predicate class its op names."""
         op = doc.get("op") if type(doc) is dict else None
         if type(op) is not str or op not in GOAL_OPS:
-            raise SchemaError(f"goal must be an object whose 'op' is one of {sorted(GOAL_OPS)}: {doc!r}")
+            raise SchemaError(f"goal must be an object whose 'op' is one of {sorted(GOAL_OPS)}: {reprlib.repr(doc)}")
         return GOAL_OPS[op].from_dict(doc)
 
 
@@ -128,7 +128,7 @@ class BuzzerCount(GoalPredicate):
 
     def __post_init__(self):
         if self.cmp not in _CMP:
-            raise SchemaError(f"unknown comparison: {self.cmp!r}")
+            raise SchemaError(f"unknown comparison: {reprlib.repr(self.cmp)}")
 
     def evaluate(self, ctx: JudgeContext) -> bool:
         return _CMP[self.cmp](len(ctx.world.buzzer_events), self.count)
@@ -175,7 +175,7 @@ class CommentMatches(GoalPredicate):
         try:
             re.compile(self.pattern)
         except re.error as exc:
-            raise SchemaError(f"bad comment pattern {self.pattern!r}: {exc}") from None
+            raise SchemaError(f"bad comment pattern {reprlib.repr(self.pattern)}: {exc}") from None
 
     def evaluate(self, ctx: JudgeContext) -> bool:
         rx = re.compile(self.pattern)
@@ -255,24 +255,11 @@ class OracleScript:
             raise SchemaError(f"{type(exc).__name__}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    id: str
-    domain: str
-    request_text: str
-    world_file: Path
-    goal: GoalPredicate
-    limits: EpisodeLimits
-    oracle: Optional[OracleScript] = None
-
-    def load_world(self) -> sim.WorldState:
-        return sim.load_world_file(self.world_file)
-
-
 @codec
 @dataclass(frozen=True)
-class ScenarioEntry:
-    """One entry of a suite's "scenarios" list; world_file is relative to the suite."""
+class ScenarioSpec:
+    """One entry of a suite's "scenarios" list; `load_benchmark` resolves
+    `world_file`, written relative to the suite, to an absolute path."""
 
     id: str
     domain: str
@@ -281,6 +268,9 @@ class ScenarioEntry:
     goal: GoalPredicate
     limits: EpisodeLimits = EpisodeLimits()
     oracle: Optional[OracleScript] = None
+
+    def load_world(self) -> sim.WorldState:
+        return sim.load_world_file(self.world_file)
 
 
 def default_suite_path() -> Path:
@@ -292,7 +282,10 @@ def bundled_trace_dir(model: str) -> Path:
 
 
 def load_benchmark(path) -> Tuple[ScenarioSpec, ...]:
-    """Load and validate a suite: exactly five scenarios in each domain."""
+    """Load and validate a suite: exactly five scenarios in each domain.
+
+    World files are read by `run_suite`, which names one that cannot be read.
+    """
     path = Path(path)
     doc = read_json(read_text(path, "suite"), f"suite {path}")
     if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):
@@ -301,45 +294,20 @@ def load_benchmark(path) -> Tuple[ScenarioSpec, ...]:
     seen = set()
     for i, raw in enumerate(doc["scenarios"]):
         try:
-            entry = ScenarioEntry.from_dict(raw)
+            spec = ScenarioSpec.from_dict(raw)
         except SchemaError as exc:
             sid = raw.get("id") if type(raw) is dict else None
-            raise SchemaError(f"scenario {i} ({sid!r}): {exc}") from None
-        if entry.domain not in DOMAINS:
-            raise SchemaError(f"unknown domain {entry.domain!r} in scenario {entry.id!r}")
-        if entry.id in seen:
-            raise SchemaError(f"duplicate scenario id {entry.id!r}")
-        seen.add(entry.id)
-        world_file = (path.parent / entry.world_file).resolve()
-        if not world_file.exists():
-            raise SchemaError(f"world file missing for {entry.id!r}: {world_file}")
-        specs.append(ScenarioSpec(entry.id, entry.domain, entry.request_text, world_file, entry.goal,
-                                  entry.limits, entry.oracle))
+            raise SchemaError(f"scenario {i} ({reprlib.repr(sid)}): {exc}") from None
+        if spec.domain not in DOMAINS:
+            raise SchemaError(f"unknown domain {reprlib.repr(spec.domain)} in scenario {reprlib.repr(spec.id)}")
+        if spec.id in seen:
+            raise SchemaError(f"duplicate scenario id {reprlib.repr(spec.id)}")
+        seen.add(spec.id)
+        specs.append(replace(spec, world_file=str((path.parent / spec.world_file).resolve())))
     counts = {d: sum(1 for s in specs if s.domain == d) for d in DOMAINS}
     if any(c != 5 for c in counts.values()) or len(specs) != 20:
         raise CountError(f"suite must hold 5 scenarios per domain, got {counts}")
     return tuple(specs)
-
-
-_last_suite = (None, ())  # (file stamp, specs) of the suite load_suite decoded last
-
-
-def load_suite(path) -> Tuple[ScenarioSpec, ...]:
-    """`load_benchmark(path)`, decoded again only when the path or the file changes.
-
-    `carobo bench --policy oracle` reads the bundled suite for its scenarios
-    and for the oracle's scripts; both are served by one decode. The file
-    is stat'ed on every call, and a new size, mtime or inode decodes it anew.
-    """
-    global _last_suite
-    try:
-        st = os.stat(path)
-    except OSError:
-        return load_benchmark(path)  # which names the unreadable file
-    stamp = (os.fspath(path), st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
-    if _last_suite[0] != stamp:
-        _last_suite = (stamp, load_benchmark(path))
-    return _last_suite[1]
 
 
 # ---------------------------------------------------------------------------

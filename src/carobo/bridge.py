@@ -61,6 +61,7 @@ TOPIC_EXEC = "/carobo/exec"
 TOPICS = (TOPIC_CMD, TOPIC_VISION, TOPIC_SENSOR, TOPIC_EXEC)
 
 MAX_LINE_BYTES = 8 << 20  # the longest envelope line taken, in UTF-8 bytes; a 10^4-object world is 1.9 MB
+PEER_ERROR_CHARS = 160  # the most characters of a peer's error text that a ProtocolError quotes
 
 PAYLOAD_TYPES = {
     TOPIC_CMD: Command,
@@ -174,7 +175,10 @@ class _ConnectionBase:
             raise ProtocolError(f"sequence gap on {topic}: expected {expected}, got {seq}")
         self._expected[topic] = expected + 1
         if "error" in doc and len(doc) == 1:
-            raise ProtocolError(f"peer reported: {doc['error']}")
+            text = str(doc["error"])
+            if len(text) > PEER_ERROR_CHARS:
+                text = text[:PEER_ERROR_CHARS] + "..."
+            raise ProtocolError(f"peer reported: {text}")
         return Envelope(topic, seq, timestamp, PAYLOAD_TYPES[topic].from_dict(doc))
 
     def _take(self, line) -> Optional[str]:

@@ -12,7 +12,7 @@ from .bench import (
     bundled_trace_dir,
     default_suite_path,
     fixed_pair,
-    load_suite,
+    load_benchmark,
     make_traces_dir,
     open_robot,
     replay_pair,
@@ -69,7 +69,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    specs = load_suite(args.suite)
+    specs = load_benchmark(args.suite)
     if args.backend == "replay":
         if not args.replay_dir:
             raise CaroboError("--backend replay needs --replay-dir DIR (or a bundled model name)")

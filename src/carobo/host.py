@@ -3,10 +3,9 @@ global plan. It runs once at episode start (and once more if the executor gets
 stuck), never in the inner loop."""
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .llm import (
-    AgentTemplate,
     HostDecision,
     Prompt,
     PromptBuilder,
@@ -33,13 +32,11 @@ def build_host_prompt(
     obs: Observation,
     sensors: SensorData,
     memory: MemoryLog,
-    template: Optional[AgentTemplate] = None,
 ) -> Prompt:
     """Blocks: request, observation, sensors, memory (full history; no plan yet)."""
-    template = template or load_agent_template("host")
     memory_text = render_memory(memory, len(memory)) or "(empty)"
     return assemble_prompt(
-        template,
+        load_agent_template("host"),
         {
             "request": request.text,
             "observation": obs.free_text,
@@ -56,12 +53,11 @@ def plan_with_raw(
     memory: MemoryLog,
     backend,
     max_retries: int,
-    template: Optional[AgentTemplate] = None,
 ) -> Tuple[HostDecision, str, PromptBuilder]:
     """Plan with retries; returns the decision, the raw completion it was
     parsed from and the prompt's builder, which a trace record calls for the
     prompt's digest. The prompt is built at most once, on the first call of
     the builder: by a backend that reads it, or by that record."""
-    prompt = build_once(lambda: build_host_prompt(request, obs, sensors, memory, template=template))
+    prompt = build_once(lambda: build_host_prompt(request, obs, sensors, memory))
     decision, raw = with_retry(lambda: complete_and_parse(backend, prompt, parse_host_decision), max_retries)
     return decision, raw, prompt

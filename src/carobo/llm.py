@@ -10,6 +10,7 @@ model is absorbed by bounded retries, never by loosening the schema.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Callable, Mapping, Optional, Tuple, Union
 
 from .model import (
     CaroboError,
@@ -139,26 +140,14 @@ def parse_template(text: str) -> AgentTemplate:
     return AgentTemplate(system=system, examples=tuple(examples), block_formats=MappingProxyType(block_formats))
 
 
-# path -> ((st_mtime_ns, st_size), parsed template)
-_TEMPLATE_CACHE: Dict[Path, Tuple[Tuple[int, int], AgentTemplate]] = {}
-
-
+@functools.cache
 def load_agent_template(role: str) -> AgentTemplate:
     """Load the bundled host_agent.tmpl / app_agent.tmpl.
 
-    Each file is read once per process and again only when its modification
-    time or size changes, so an edited template reloads. The result is shared,
-    so it is read-only.
+    Each file is read and parsed once per process, so an edit to it takes
+    effect in the next process. The result is shared, so it is read-only.
     """
-    path = _TEMPLATE_DIR / f"{role}_agent.tmpl"
-    st = path.stat()
-    stamp = (st.st_mtime_ns, st.st_size)
-    cached = _TEMPLATE_CACHE.get(path)
-    if cached is not None and cached[0] == stamp:
-        return cached[1]
-    template = parse_template(path.read_text(encoding="utf-8"))
-    _TEMPLATE_CACHE[path] = (stamp, template)
-    return template
+    return parse_template((_TEMPLATE_DIR / f"{role}_agent.tmpl").read_text(encoding="utf-8"))
 
 
 def assemble_prompt(template: AgentTemplate, pieces: dict) -> Prompt:

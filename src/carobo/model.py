@@ -112,13 +112,20 @@ def read_json(text, what: str, error=SchemaError):
         raise error(f"cannot read {what}: {exc}") from exc
 
 
+PATH_CHARS = 120  # the most characters of a path that `read_text`'s error quotes
+
+
 def read_text(path, what: str, error=SchemaError) -> str:
     """The text of the UTF-8 input file at `path`; a file that cannot be read, or is not UTF-8, raises `error`."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except (OSError, ValueError) as exc:  # ValueError: the file is not UTF-8
-        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: the file is not UTF-8, or the path holds a NUL
+        name, reason = str(path), exc
+        if len(name) > PATH_CHARS:  # its middle is cut, and an OSError's text, which quotes it whole, left out
+            half = PATH_CHARS // 2
+            name, reason = f"{name[:half]}...{name[-half:]}", getattr(exc, "strerror", None) or exc
+        raise error(f"cannot read {what} {name}: {reason}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +192,7 @@ _ENV = {
     "dumps": canonical_json, "write_str": json.encoder.encode_basestring,
     "to_float": _float, "to_int": _exactly(int, "an integer"), "to_str": _str,
     "to_bool": _exactly(bool, "true or false"), "NULL": "null", "TRUE": "true", "FALSE": "false",
-    "COMMA": ",", "LB": "[", "RB": "]",
+    "COMMA": ",", "LB": "[", "RB": "]", "short": reprlib.repr,
 }
 
 # scalar type -> (decode, write) source over the local {v}; the fast path
@@ -327,7 +334,7 @@ def _field_plans(cls, tag: Optional[dict], strict: bool = False) -> tuple:
               "        raise SchemaError(cls.__name__ + ': ' + str(mismatch('an object', data)))"]
     if strict:
         decode += ["    if not known.issuperset(data):",
-                   "        raise SchemaError(f'{cls.__name__}: unknown keys {sorted(set(data) - known)}')"]
+                   "        raise SchemaError(f'{cls.__name__}: unknown keys {short(sorted(set(data) - known))}')"]
     call = []
     for i, f in enumerate(fields):
         x = f"x{i}"

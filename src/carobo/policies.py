@@ -16,7 +16,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .bench import OracleScript, default_suite_path, load_suite
+from .bench import OracleScript, default_suite_path, load_benchmark
 from .llm import PolicyUnknown, Prompt
 from .model import make_dumps
 
@@ -81,12 +81,11 @@ def normalize_request(text: str) -> str:
 def oracle_table() -> Mapping[str, OracleScript]:
     """normalized request -> the oracle script of the bundled scenario.
 
-    Built once per process from the bundled suite as `load_suite` serves it,
-    so `carobo bench` on that suite decodes it once for both its scenarios
-    and this table. The mapping is shared, so it is read-only. Scenario
-    requests come first, then their aliases.
+    Built once per process from the bundled suite, which `carobo bench`
+    decodes once more for its scenarios. The mapping is shared, so it is
+    read-only. Scenario requests come first, then their aliases.
     """
-    specs = [s for s in load_suite(default_suite_path()) if s.oracle is not None]
+    specs = [s for s in load_benchmark(default_suite_path()) if s.oracle is not None]
     table = {normalize_request(s.request_text): s.oracle for s in specs}
     for s in specs:
         for alias in s.oracle.aliases:

@@ -1,6 +1,7 @@
 """App agent and the episode loop: rounds, steps, limits, replans, traces."""
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from test_trace_pins import BUNDLED, PINS, bench_digest
@@ -214,10 +215,7 @@ def test_episode_trace_has_no_wall_clock(tmp_path):
 
 def test_untraced_episode_builds_no_records_and_loads_each_template_once(tmp_path, monkeypatch):
     """Without a trace path no record is built: neither the header, with its
-    world document, nor the footer. Each agent template is loaded once per
-    episode, not once per prompt."""
-    loads = []
-    monkeypatch.setattr(app, "load_agent_template", lambda role: loads.append(role) or llm.load_agent_template(role))
+    world document, nor the footer."""
 
     def built(*_args):
         raise AssertionError("trace record built for an untraced episode")
@@ -227,7 +225,24 @@ def test_untraced_episode_builds_no_records_and_loads_each_template_once(tmp_pat
     cfg = replay_cfg(tmp_path, [HOST_LINE, forward_line(), forward_line(), FINISH_LINE])
     result = run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg)
     assert (result.verdict, result.rounds) == (Verdict.SUCCESS, 3)
-    assert sorted(loads) == ["app", "host"]
+
+
+def test_each_template_file_is_read_once_per_process(monkeypatch):
+    """Across three scripted episodes, whose agents build a prompt on every
+    call, each template file is read once and never looked at again."""
+    llm.load_agent_template.cache_clear()  # as in a new process
+    touched = []
+    for attr in ("read_text", "stat"):
+        def spy(self, *args, real=getattr(Path, attr), **kwargs):
+            touched.append(self.name)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, attr, spy)
+    spec = {s.id: s for s in bench.load_benchmark(bench.default_suite_path())}["obj_1"]
+    for _ in range(3):
+        row, _result = bench.run_scenario(spec, bench.scripted_pair("oracle"))
+        assert (row.verdict, row.rounds) == ("Success", 4)
+    assert sorted(name for name in touched if name.endswith(".tmpl")) == ["app_agent.tmpl", "host_agent.tmpl"]
 
 
 @pytest.fixture
@@ -291,18 +306,19 @@ def test_app_retries_share_one_prompt_build(prompt_builds):
     assert prompt_builds == [("app", "memory"), ("app", "assemble")]
 
 
-def test_a_prompt_that_cannot_be_built_fails_only_where_it_is_read(tmp_path):
+def test_a_prompt_that_cannot_be_built_fails_only_where_it_is_read(tmp_path, monkeypatch):
     """A template whose block format names an unknown field: the scripted
     backend reads the prompt and fails; an untraced replay never builds it."""
     template = llm.load_agent_template("app")
     broken = llm.AgentTemplate(template.system, template.examples, {**template.block_formats, "plan": "{nope}"})
+    monkeypatch.setattr(app, "load_agent_template", lambda role: broken)
     inputs = (UserRequest(text="r"), GlobalPlan(steps=("a",)), Observation.from_items(()),
               SensorData(ultrasonic_clearance=1, ir_left=False, ir_right=False), MemoryLog())
     replay = llm.make_backend(replay_cfg(tmp_path, [FINISH_LINE]))
-    decision, _raw, _prompt = app.decide_with_raw(*inputs, replay, 0, template=broken)
+    decision, _raw, _prompt = app.decide_with_raw(*inputs, replay, 0)
     assert decision.status is Status.FINISH
     with pytest.raises(KeyError, match="nope"):
-        app.decide_with_raw(*inputs, llm.make_backend(scripted("finish_now")), 0, template=broken)
+        app.decide_with_raw(*inputs, llm.make_backend(scripted("finish_now")), 0)
 
 
 def test_spin_policy_runs_to_step_limit():

@@ -1,11 +1,11 @@
 """Benchmark harness: goals, judging, suite loading, reports."""
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carobo import bench
 from carobo.app import EpisodeLimits, EpisodeResult, FailureReason, Verdict
 from carobo.bench import (
     DATA_DIR,
@@ -29,7 +29,6 @@ from carobo.bench import (
     fixed_pair,
     judge,
     load_benchmark,
-    load_suite,
     make_report,
     parse_goal,
     replay_pair,
@@ -37,6 +36,7 @@ from carobo.bench import (
     run_suite,
     scripted_pair,
 )
+from carobo.cli import main
 from carobo.llm import ReplayConfig, ScriptedConfig
 from carobo.model import (
     Command,
@@ -263,7 +263,7 @@ def test_bundled_suite_loads():
     assert len(specs) == 20
     for domain in DOMAINS:
         assert sum(1 for s in specs if s.domain == domain) == 5
-    assert all(s.world_file.exists() for s in specs)
+    assert all(Path(s.world_file).is_absolute() and Path(s.world_file).exists() for s in specs)
     assert all(s.limits == EpisodeLimits(max_steps=20, max_rounds=25) for s in specs)
     assert len({s.id for s in specs}) == 20
     assert all(s.oracle is not None for s in specs)
@@ -322,12 +322,18 @@ def test_unknown_domain_rejected(tmp_path):
         load_benchmark(synthetic_suite(tmp_path, mutate=bad))
 
 
-def test_missing_world_rejected(tmp_path):
-    def bad(d):
-        d["scenarios"][0]["world_file"] = "nope.json"
+def test_missing_world_rejected(tmp_path, capsys):
+    """A world file that cannot be opened, missing or with a name too long for
+    the file system, stops `carobo bench` before its first episode."""
+    traces = tmp_path / "traces"
+    for name in ("nope.json", "w" * 295 + ".json"):
+        def bad(d):
+            d["scenarios"][0]["world_file"] = name
 
-    with pytest.raises(SchemaError, match="world"):
-        load_benchmark(synthetic_suite(tmp_path, mutate=bad))
+        assert main(["bench", "--suite", str(synthetic_suite(tmp_path, mutate=bad)), "--traces-dir", str(traces)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read world ") and err.count("\n") == 1 and len(err) < 300, err[:400]
+        assert list(traces.iterdir()) == []
 
 
 def test_missing_field_rejected(tmp_path):
@@ -343,7 +349,7 @@ def test_scenario_text_fields_must_be_strings(tmp_path, key):
     def bad(d):
         d["scenarios"][0][key] = 7
 
-    with pytest.raises(SchemaError, match=f"ScenarioEntry.{key}: expected a string"):
+    with pytest.raises(SchemaError, match=f"ScenarioSpec.{key}: expected a string"):
         load_benchmark(synthetic_suite(tmp_path, mutate=bad))
 
 
@@ -362,7 +368,7 @@ def test_bad_oracle_commands_are_rejected_by_scenario(tmp_path, case):
     def bad(d):
         d["scenarios"][2]["oracle"] = {"plan": ["turn"], "commands": commands, "comment": "done"}
 
-    with pytest.raises(SchemaError, match=rf"scenario 2 \('object_detection_2'\): ScenarioEntry.oracle: .*{error}"):
+    with pytest.raises(SchemaError, match=rf"scenario 2 \('object_detection_2'\): ScenarioSpec.oracle: .*{error}"):
         load_benchmark(synthetic_suite(tmp_path, mutate=bad))
 
 
@@ -473,17 +479,3 @@ def test_run_suite_writes_traces(tmp_path):
     assert sorted(p.name for p in tmp_path.glob("*.jsonl")) == sorted(
         f"{s.id}.jsonl" for s in specs
     )
-
-
-def test_load_suite_decodes_again_only_when_the_file_changes(tmp_path, monkeypatch):
-    monkeypatch.setattr(bench, "_last_suite", bench._last_suite)  # restored after the test
-    path = synthetic_suite(tmp_path)
-    first = load_suite(path)
-    assert load_suite(path) is first and load_suite(str(path)) is first
-    doc = json.loads(path.read_text())
-    doc["scenarios"][0]["request_text"] = "spin twice"
-    path.write_text(json.dumps(doc))
-    again = load_suite(path)
-    assert again is not first and again[0].request_text == "spin twice"
-    with pytest.raises(SchemaError, match="cannot read suite"):
-        load_suite(tmp_path / "missing.json")

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carobo import bench, cli, policies
+from carobo import cli, policies
 from carobo.bench import DATA_DIR, default_suite_path, load_benchmark
 from carobo.bridge import TcpRobotServer
 from carobo.cli import main
@@ -489,17 +489,6 @@ def test_negative_max_retries_exits_two(capsys, argv):
 def test_bench_replay_needs_directory(capsys):
     assert main(["bench", "--backend", "replay"]) == 2
     assert main(["bench", "--backend", "replay", "--replay-dir", "no-such-model"]) == 2
-
-
-def test_bench_with_the_oracle_decodes_the_suite_once(monkeypatch, capsys):
-    decoded = []
-    decode = bench.load_benchmark
-    monkeypatch.setattr(bench, "load_benchmark", lambda path: decoded.append(path) or decode(path))
-    monkeypatch.setattr(bench, "_last_suite", (None, ()))  # nothing decoded yet, as in a new process
-    policies.oracle_table.cache_clear()
-    assert main(["bench", "--policy", "oracle"]) == 0
-    assert "100.0% (20/20)" in capsys.readouterr().out
-    assert len(decoded) == 1  # the scenarios and the oracle's scripts come from one decode
 
 
 def test_bench_custom_suite_path(capsys):
