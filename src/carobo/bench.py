@@ -2,7 +2,7 @@
 
 A suite file lists scenarios (request, world, goal, limits). Each scenario is
 run as a full episode, then judged against its goal predicate using the final
-simulator state, the executed path and every round comment. Judgments fold
+simulator state, the executed path and every round comment. Their rows fold
 into per-domain and overall success rates.
 """
 from __future__ import annotations
@@ -284,7 +284,8 @@ def bundled_trace_dir(model: str) -> Path:
 def load_benchmark(path) -> Tuple[ScenarioSpec, ...]:
     """Load and validate a suite: exactly five scenarios in each domain.
 
-    World files are read by `run_suite`, which names one that cannot be read.
+    World files are read by `run_suite`, which names one that cannot be read,
+    or a goal that names an object its world does not hold.
     """
     path = Path(path)
     doc = read_json(read_text(path, "suite"), f"suite {path}")
@@ -311,32 +312,7 @@ def load_benchmark(path) -> Tuple[ScenarioSpec, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Judging
-
-@dataclass(frozen=True)
-class Judgment:
-    verdict: Verdict
-    failure_reason: Optional[FailureReason]
-    goal_met: bool
-
-
-def judge(result: EpisodeResult, world: sim.WorldState, goal: GoalPredicate) -> Judgment:
-    """Fold an episode outcome and the goal check into a final judgment.
-
-    Finishing with the goal met is the only success; finishing without it is a
-    false completion. Episodes that never finish keep their own failure reason.
-    """
-    ctx = build_context(result, world)
-    met = goal.evaluate(ctx)
-    if result.verdict is Verdict.SUCCESS:
-        if met:
-            return Judgment(Verdict.SUCCESS, None, True)
-        return Judgment(Verdict.FAILURE, FailureReason.FALSE_COMPLETION, False)
-    return Judgment(Verdict.FAILURE, result.failure_reason, met)
-
-
-# ---------------------------------------------------------------------------
-# Suite runs and reports
+# Judging, suite runs and reports
 
 @codec
 @dataclass(frozen=True)
@@ -347,6 +323,20 @@ class Row:
     failure_reason: Optional[str]
     steps: int
     rounds: int
+
+
+def judge(spec: ScenarioSpec, result: EpisodeResult, world: sim.WorldState) -> Row:
+    """The report row of a scenario's episode, judged against its goal.
+
+    Finishing with the goal met is the only success; finishing without it is a
+    false completion. An episode that never finishes keeps its own failure
+    reason, and its goal is not evaluated.
+    """
+    verdict, reason = result.verdict, result.failure_reason
+    if verdict is Verdict.SUCCESS and not spec.goal.evaluate(build_context(result, world)):
+        verdict, reason = Verdict.FAILURE, FailureReason.FALSE_COMPLETION
+    return Row(scenario_id=spec.id, domain=spec.domain, verdict=verdict.value,
+               failure_reason=reason.value if reason else None, steps=result.steps, rounds=result.rounds)
 
 
 @codec
@@ -470,26 +460,18 @@ def run_scenario(
             limits=spec.limits,
             trace_path=trace_path,
         )
-        judgment = judge(result, handle.world, spec.goal)
-    row = Row(
-        scenario_id=spec.id,
-        domain=spec.domain,
-        verdict=judgment.verdict.value,
-        failure_reason=judgment.failure_reason.value if judgment.failure_reason else None,
-        steps=result.steps,
-        rounds=result.rounds,
-    )
-    return row, result
+        return judge(spec, result, handle.world), result
 
 
-def make_traces_dir(traces_dir) -> Path:
-    """The directory for per-scenario traces, made with its parents if need be."""
-    traces_dir = Path(traces_dir)
-    try:
-        traces_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CaroboError(f"cannot make traces directory {traces_dir}: {exc}") from exc
-    return traces_dir
+def near_objects(goal: GoalPredicate) -> list:
+    """The object ids that the `near` atoms of `goal` name, under any and/or/not."""
+    if isinstance(goal, Near):
+        return [goal.object_id]
+    if isinstance(goal, Not):
+        return near_objects(goal.clause)
+    if isinstance(goal, (And, Or)):
+        return [object_id for clause in goal.clauses for object_id in near_objects(clause)]
+    return []
 
 
 def run_suite(
@@ -498,10 +480,20 @@ def run_suite(
     transport: str = "direct",
     traces_dir=None,
 ) -> Report:
-    # a malformed world file stops the suite before any episode runs
+    # a malformed world file, or a goal naming an object its world lacks, stops the suite before any episode runs
     worlds = [spec.load_world() for spec in specs]
+    for spec, world in zip(specs, worlds):
+        held = {obj.id for obj in world.objects}
+        for object_id in near_objects(spec.goal):
+            if object_id not in held:
+                raise SchemaError(f"scenario {reprlib.repr(spec.id)}: its goal names object "
+                                  f"{reprlib.repr(object_id)}, which its world does not hold")
     if traces_dir is not None:
-        traces_dir = make_traces_dir(traces_dir)
+        traces_dir = Path(traces_dir)
+        try:
+            traces_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CaroboError(f"cannot make traces directory {traces_dir}: {exc}") from exc
     rows = []
     for spec, world in zip(specs, worlds):
         trace_path = None if traces_dir is None else traces_dir / f"{spec.id}.jsonl"

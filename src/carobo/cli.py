@@ -13,7 +13,6 @@ from .bench import (
     default_suite_path,
     fixed_pair,
     load_benchmark,
-    make_traces_dir,
     open_robot,
     replay_pair,
     run_suite,
@@ -40,9 +39,10 @@ def _backend_cfg(args) -> BackendConfig:
     raise CaroboError(f"unknown backend {args.backend!r}")
 
 
-def _check_output(path, what: str) -> None:
-    """Fail before any work when `path` cannot be written for want of its directory."""
-    if path is not None and not Path(path).parent.is_dir():
+def _check_output(path, what: str, made=()) -> None:
+    """Fail before any work when `path` cannot be written for want of its
+    directory, which is neither there nor one of the directories `made` by the work."""
+    if path is not None and not Path(path).parent.is_dir() and Path(path).parent.resolve() not in made:
         raise CaroboError(f"cannot write {what} {path}: no directory {Path(path).parent}")
 
 
@@ -83,9 +83,12 @@ def cmd_bench(args) -> int:
         pair = replay_pair(replay_dir, args.max_retries)
     else:
         pair = fixed_pair(_backend_cfg(args))
-    if args.traces_dir:
-        make_traces_dir(args.traces_dir)  # before --out's check, as the report may go inside it
-    _check_output(args.out, "report")
+    made = ()
+    if args.traces_dir:  # run_suite makes it, with its parents, once the worlds are read
+        made = (Path(args.traces_dir).resolve(), *Path(args.traces_dir).resolve().parents)
+        if not next(p for p in made if p.exists()).is_dir():
+            raise CaroboError(f"cannot make traces directory {args.traces_dir}: a file is in its way")
+    _check_output(args.out, "report", made)
     report = run_suite(specs, pair, transport=args.transport, traces_dir=args.traces_dir)
     print(report.to_text())
     if args.out:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import operator
 import reprlib
 import typing
 from dataclasses import dataclass
@@ -131,12 +130,13 @@ def read_text(path, what: str, error=SchemaError) -> str:
 # ---------------------------------------------------------------------------
 # The dict codec
 #
-# Each coded type becomes Python source: an expression that decodes the JSON
-# value held in a local name, and one that writes the value as canonical
-# JSON. `field_codec`, `_field_plans` and `_json_writer` compile that source
-# with `exec`, the way dataclasses compiles `__init__`, so decoding and
-# writing run as straight-line code rather than as loops over per-field
-# closures.
+# Each coded type becomes Python source: three expressions over a local name,
+# one that encodes the value it holds as plain JSON data, one that decodes the
+# JSON value it holds, and one that writes the value as canonical JSON.
+# `field_codec` and `_field_plans` compile that source with `exec`, the way
+# dataclasses compiles `__init__`, so encoding, decoding and writing run as
+# straight-line code rather than as loops over per-field closures. A coded
+# class gets all three of its functions from one walk of its fields.
 
 def _mismatch(expected: str, value) -> SchemaError:
     return SchemaError(f"expected {expected}, got {reprlib.repr(value)}")
@@ -191,8 +191,8 @@ _ENV = {
     "SchemaError": SchemaError, "mismatch": _mismatch, "seq": _list, "isfinite": math.isfinite,
     "dumps": canonical_json, "write_str": json.encoder.encode_basestring,
     "to_float": _float, "to_int": _exactly(int, "an integer"), "to_str": _str,
-    "to_bool": _exactly(bool, "true or false"), "NULL": "null", "TRUE": "true", "FALSE": "false",
-    "COMMA": ",", "LB": "[", "RB": "]", "short": reprlib.repr,
+    "to_bool": _exactly(bool, "true or false"), "as_object": _exactly(dict, "an object"),
+    "NULL": "null", "TRUE": "true", "FALSE": "false", "COMMA": ",", "LB": "[", "RB": "]", "short": reprlib.repr,
 }
 
 # scalar type -> (decode, write) source over the local {v}; the fast path
@@ -233,40 +233,34 @@ def _fixed_tuple(args, env: dict, exact: bool) -> str:
 def _sources(tp, v: str, env: dict, exact: bool = False) -> tuple:
     """(encode, decode, write) for values of type `tp` held in the local `v`.
 
-    `encode` turns a value into plain JSON data, or is None for a value that
-    already is. `decode` and `write` are Python expressions over `v`: the
-    first checks a JSON value and builds the `tp` value from it; the second
-    gives the text canonical_json(encode(v)) without building that data. The
-    helpers they call are bound in `env`. An enum decodes by calling it, so
-    that its `_missing_` hook can forgive a value, or, when `exact`, from
-    its members' values alone.
+    All three are Python expressions over `v`. `encode` turns the value into
+    plain JSON data, and is `v` itself for a value that already is. `decode`
+    checks a JSON value and builds the `tp` value from it. `write` gives the
+    text canonical_json(encode) without building that data. The helpers they
+    call are bound in `env`. An enum decodes by calling it, so that its
+    `_missing_` hook can forgive a value, or, when `exact`, from its members'
+    values alone.
     """
     if tp in _SCALARS:
         decode, write = _SCALARS[tp]
-        return None, decode.format(v=v), write.format(v=v)
+        return v, decode.format(v=v), write.format(v=v)
     inner = _optional_arg(tp)
     if inner is not None:
         encode, decode, write = _sources(inner, v, env, exact)
-        return (None if encode is None else lambda value: None if value is None else encode(value),
+        return (v if encode == v else f"(None if {v} is None else {encode})",
                 f"(None if {v} is None else {decode})", f"(NULL if {v} is None else {write})")
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    item = v + "_"
     if origin is tuple and args[-1] is Ellipsis:
-        item = v + "_"
         encode, decode, write = _sources(args[0], item, env, exact)
-        return ((list if encode is None else lambda value: [encode(x) for x in value]),
+        return (f"list({v})" if encode == item else f"[{encode} for {item} in {v}]",
                 f"tuple([{decode} for {item} in seq({v})])",
                 f"(LB + COMMA.join([{write} for {item} in {v}]) + RB)")
     if origin is tuple:  # no coded class has such a field, so nothing calls its writer; dumps gives the bytes
-        return list, f"{_fixed_tuple(args, env, exact)}({v})", f"dumps({v})"
+        return f"list({v})", f"{_fixed_tuple(args, env, exact)}({v})", f"dumps({v})"
     if tp is dict or origin is dict:
-        entry = field_codec(args[1])[1] if args else (lambda x: x)
-
-        def mapping(value):
-            if type(value) is not dict:
-                raise _mismatch("an object", value)
-            return {k: entry(x) for k, x in value.items()}
-
-        return dict, f"{_bind(env, mapping, 'mapping')}({v})", f"dumps(dict({v}))"
+        decode = _sources(args[1], item, env, exact)[1] if args else item
+        return f"dict({v})", f"{{k: {decode} for k, {item} in as_object({v}).items()}}", f"dumps(dict({v}))"
     if isinstance(tp, type) and issubclass(tp, Enum):
         members = {m.value: m for m in tp}
 
@@ -278,35 +272,35 @@ def _sources(tp, v: str, env: dict, exact: bool = False) -> tuple:
 
         # a member is written from its text, made once here
         texts = _bind(env, {m: canonical_json(m.value) for m in tp}, "texts")
-        return (operator.attrgetter("value"), f"{_bind(env, member, 'member')}({v})",
+        return (f"{v}.value", f"{_bind(env, member, 'member')}({v})",
                 f"({texts}[{v}] if type({v}) is {_bind(env, tp, 'enum')} else dumps({v}.value))")
     if not hasattr(tp, "from_dict"):
         raise TypeError(f"the codec cannot code {tp!r}")
     # `from_dict` is looked up at call time, so that a method patched in later is the one called
     name = _bind(env, tp, "cls")
     write = f"{v}.to_json()" if hasattr(tp, "to_json") else f"dumps({v}.to_dict())"
-    return operator.methodcaller("to_dict"), f"{name}.from_dict({v})", write
+    return f"{v}.to_dict()", f"{name}.from_dict({v})", write
 
 
 def field_codec(tp):
-    """(encode, decode, write) for values of type `tp`.
+    """(decode, write) for values of type `tp`.
 
     `tp` is float, int, str, bool, Optional[X], Tuple[X, ...], a fixed tuple
-    of scalars, dict or Dict[str, scalar], an Enum (coded by its value) or a
-    class with `to_dict`/`from_dict`. `encode` turns a value into plain JSON
-    data, or is None for a value that already is. `decode` checks one JSON
-    value: a wrong JSON type, a non-finite float, a string UTF-8 cannot
-    encode or an unknown enum value raises SchemaError. `write(value)` is
-    canonical_json(encode(value)), written without building the data.
+    of scalars, dict or Dict[str, X], an Enum (coded by its value) or a class
+    with `to_dict`/`from_dict`. `decode` checks one JSON value: a wrong JSON
+    type, a non-finite float, a string UTF-8 cannot encode or an unknown enum
+    value raises SchemaError. `write(value)` is canonical_json of the value's
+    plain JSON data, written without building that data.
     """
     env = dict(_ENV)
-    encode, decode, write = _sources(tp, "value", env)
+    _, decode, write = _sources(tp, "value", env)
     exec(f"def decode(value):\n    return {decode}\ndef write(value):\n    return {write}\n", env)
-    return encode, env["decode"], env["write"]
+    return env["decode"], env["write"]
 
 
 def _field_plans(cls, tag: Optional[dict], strict: bool = False) -> tuple:
-    """(encode_fields, decode) of a dataclass, each compiled with `exec`.
+    """(encode_fields, decode, to_json) of a dataclass, compiled with one `exec`
+    from one walk of its fields.
 
     - `encode_fields(self)` is `{**tag, name: encode(self.name), ...}`, one
       dict display: a display is about three times faster than filling a dict
@@ -320,15 +314,23 @@ def _field_plans(cls, tag: Optional[dict], strict: bool = False) -> tuple:
       `__dict__` in one call decodes faster, but leaves the instance with a
       dict of its own, whose attribute reads are slower than those of one
       built by `__init__`.)
+    - `to_json(self)` is canonical_json(encode_fields(self)), written without
+      building a dict or list: keys in sorted order, a finite float or exact
+      int as its repr, a str escaped as canonical_json escapes it, a coded
+      field by its own `to_json`, and anything else by canonical_json.
 
-    The third compiled function, `to_json`, which is exactly
-    `canonical_json(to_dict())` written directly, comes from `_json_writer`.
+    `encode_fields` and `to_json` both start by loading each field into a
+    local, which their expressions read.
     """
     hints = typing.get_type_hints(cls)
     fields = dataclasses.fields(cls)
     env = dict(_ENV, tag=tag, known=frozenset([*(tag or ()), *(f.name for f in fields)]), new=object.__new__,
                set_field=object.__setattr__)
+    loads = []
     items = ["**tag"] if tag else []
+    # key -> its `"key":value` piece of to_json's f-string; a tag's is a constant
+    pieces = {key: "{" + _bind(env, canonical_json({key: value})[1:-1], "tag") + "}"
+              for key, value in (tag or {}).items()}
     decode = ["def decode(cls, data):",
               "    if type(data) is not dict:",
               "        raise SchemaError(cls.__name__ + ': ' + str(mismatch('an object', data)))"]
@@ -338,11 +340,11 @@ def _field_plans(cls, tag: Optional[dict], strict: bool = False) -> tuple:
     call = []
     for i, f in enumerate(fields):
         x = f"x{i}"
-        encode, decode_x, _ = _sources(hints[f.name], x, env, strict)
-        if encode is None:
-            items.append(f"{f.name!r}: self.{f.name}")
-        else:
-            items.append(f"{f.name!r}: {_bind(env, encode, 'encode')}(self.{f.name})")
+        encode, decode_x, write = _sources(hints[f.name], x, env, strict)
+        loads.append(f"    {x} = self.{f.name}")
+        items.append(f"{f.name!r}: {encode}")
+        # a field name is an identifier, so its key holds no quote, brace or backslash
+        pieces[f.name] = canonical_json(f.name) + ":{" + write + "}"
         if f.default is not dataclasses.MISSING:
             missing = f"{x} = {_bind(env, f.default, 'default')}"
         elif f.default_factory is not dataclasses.MISSING:
@@ -366,35 +368,10 @@ def _field_plans(cls, tag: Optional[dict], strict: bool = False) -> tuple:
         call.append((f.name, x))
     decode += ["    self = new(cls)", *(f"    set_field(self, {name!r}, {x})" for name, x in call),
                *(["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []), "    return self"]
-    exec(f"def encode_fields(self):\n    return {{{', '.join(items)}}}\n" + "\n".join(decode) + "\n", env)
-    return env["encode_fields"], env["decode"]
-
-
-def _json_writer(cls, tag: Optional[dict]):
-    """`to_json(self)` of a dataclass, compiled with `exec`.
-
-    It returns the text canonical_json(encode_fields(self)), written without
-    building a dict or list: keys in sorted order, a finite float or exact
-    int as its repr, a str escaped as canonical_json escapes it, a coded
-    field by its own `to_json`, and anything else by canonical_json. The
-    world's classes and the bridge's payloads are written this way, trace
-    records are not, so `codec` compiles it apart from `_field_plans`, on the
-    first `to_json` call.
-    """
-    hints = typing.get_type_hints(cls)
-    env = dict(_ENV)
-    # key -> its `"key":value` piece of the f-string; a tag's is a constant
-    pieces = {key: "{" + _bind(env, canonical_json({key: value})[1:-1], "tag") + "}"
-              for key, value in (tag or {}).items()}
-    loads = []
-    for i, f in enumerate(dataclasses.fields(cls)):
-        x = f"x{i}"
-        loads.append(f"    {x} = self.{f.name}")
-        # a field name is an identifier, so its key holds no quote, brace or backslash
-        pieces[f.name] = canonical_json(f.name) + ":{" + _sources(hints[f.name], x, env)[2] + "}"
     text = ",".join(pieces[key] for key in sorted(pieces))
-    exec("\n".join(["def to_json(self):", *loads, f"    return f'{{{{{text}}}}}'"]) + "\n", env)
-    return env["to_json"]
+    exec("\n".join(["def encode_fields(self):", *loads, f"    return {{{', '.join(items)}}}", *decode,
+                    "def to_json(self):", *loads, f"    return f'{{{{{text}}}}}'"]) + "\n", env)
+    return env["encode_fields"], env["decode"], env["to_json"]
 
 
 def codec(cls=None, *, strict: bool = False, tag: Optional[dict] = None):
@@ -409,23 +386,18 @@ def codec(cls=None, *, strict: bool = False, tag: Optional[dict] = None):
     Unknown keys are ignored, and an enum field is decoded by calling the
     enum. When `strict`, unknown keys are rejected and an enum field takes
     only a member's exact value. `to_json()` is
-    always exactly `canonical_json(self.to_dict())`, written directly. The
-    first two are compiled by `_field_plans` once per class, on first use;
-    `to_json` is compiled by `_json_writer` on its own first call.
+    always exactly `canonical_json(self.to_dict())`, written directly. All
+    three are compiled by `_field_plans` once per class, on the first call of
+    any of them.
     """
     if cls is None:
         return lambda c: codec(c, strict=strict, tag=tag)
-    plan = writer = None
+    plan = None
 
     def resolve():
         nonlocal plan
         plan = _field_plans(cls, tag, strict)
         return plan
-
-    def resolve_writer():
-        nonlocal writer
-        writer = _json_writer(cls, tag)
-        return writer
 
     def to_dict(self) -> dict:
         return (plan or resolve())[0](self)
@@ -434,7 +406,7 @@ def codec(cls=None, *, strict: bool = False, tag: Optional[dict] = None):
         return (plan or resolve())[1](cls, data)
 
     def to_json(self) -> str:
-        return (writer or resolve_writer())(self)
+        return (plan or resolve())[2](self)
 
     cls.to_dict = to_dict
     cls.from_dict = classmethod(from_dict)
@@ -614,7 +586,7 @@ class ExecResult:
 # ---------------------------------------------------------------------------
 # Plans, rounds, memory
 
-_, _decode_steps, _ = field_codec(Tuple[str, ...])
+_decode_steps, _ = field_codec(Tuple[str, ...])
 
 
 @dataclass(frozen=True)

@@ -101,9 +101,9 @@ class RobotPose:
 # where ray_segment's own rounding of the hit distance can exceed the margin.
 BOUND_MARGIN = 1e-9
 
-_, _number, _write_number = field_codec(float)
-_, _point, _ = field_codec(Tuple[float, float])
-_, _points, _ = field_codec(Tuple[Tuple[float, float], ...])
+_number, _write_number = field_codec(float)
+_point, _ = field_codec(Tuple[float, float])
+_points, _ = field_codec(Tuple[Tuple[float, float], ...])
 
 
 def _bounding_disc(kind: str, radius: float, vertices, cx: float, cy: float) -> Tuple[float, float, float]:

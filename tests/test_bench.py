@@ -23,6 +23,7 @@ from carobo.bench import (
     PoseWithin,
     Report,
     Row,
+    ScenarioSpec,
     build_context,
     bundled_trace_dir,
     default_suite_path,
@@ -237,22 +238,34 @@ def test_build_context_collects_comments_and_path():
     assert c.world is world
 
 
+class CountedGoal(PoseWithin):
+    """A pose goal that counts its evaluations."""
+
+    calls = 0
+
+    def evaluate(self, ctx):
+        CountedGoal.calls += 1
+        return super().evaluate(ctx)
+
+
 def test_judge_success_requires_finish_and_goal():
     world = load_world(a_box_world())
-    met = PoseWithin(0, 0, tol=1.0)
-    unmet = PoseWithin(9, 9, tol=0.1)
+    met, unmet = CountedGoal(0, 0, tol=1.0), CountedGoal(9, 9, tol=0.1)
 
-    j = judge(episode(Verdict.SUCCESS), world, met)
-    assert (j.verdict, j.failure_reason, j.goal_met) == (Verdict.SUCCESS, None, True)
+    def row(goal, *outcome):
+        spec = ScenarioSpec(id="s", domain=DOMAINS[0], request_text="go", world_file="w.json", goal=goal)
+        r = judge(spec, episode(*outcome), world)
+        assert (r.scenario_id, r.domain, r.steps, r.rounds) == ("s", DOMAINS[0], 0, 0)
+        return r.verdict, r.failure_reason
 
-    j = judge(episode(Verdict.SUCCESS), world, unmet)
-    assert (j.verdict, j.failure_reason) == (Verdict.FAILURE, FailureReason.FALSE_COMPLETION)
-
-    j = judge(episode(Verdict.FAILURE, FailureReason.STEP_LIMIT), world, met)
-    assert (j.verdict, j.failure_reason, j.goal_met) == (Verdict.FAILURE, FailureReason.STEP_LIMIT, True)
-
-    j = judge(episode(Verdict.FAILURE, FailureReason.BACKEND_ERROR), world, unmet)
-    assert (j.verdict, j.failure_reason, j.goal_met) == (Verdict.FAILURE, FailureReason.BACKEND_ERROR, False)
+    CountedGoal.calls = 0
+    assert row(met, Verdict.SUCCESS) == ("Success", None)
+    assert row(unmet, Verdict.SUCCESS) == ("Failure", "FalseCompletion")
+    assert CountedGoal.calls == 2
+    # an episode that never finished keeps its own reason, and its goal is not evaluated
+    assert row(met, Verdict.FAILURE, FailureReason.STEP_LIMIT) == ("Failure", "StepLimit")
+    assert row(unmet, Verdict.FAILURE, FailureReason.BACKEND_ERROR) == ("Failure", "BackendError")
+    assert CountedGoal.calls == 2
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +346,31 @@ def test_missing_world_rejected(tmp_path, capsys):
         assert main(["bench", "--suite", str(synthetic_suite(tmp_path, mutate=bad)), "--traces-dir", str(traces)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read world ") and err.count("\n") == 1 and len(err) < 300, err[:400]
-        assert list(traces.iterdir()) == []
+        assert not traces.exists()
+
+
+MISSING = {"op": "near", "object_id": "no_such_object", "within": 1.0}
+
+
+@pytest.mark.parametrize("goal", [
+    MISSING,
+    # a dry run of this goal would never reach the atom: `or` stops at its first clause, which holds
+    {"op": "and", "clauses": [{"op": "path_length_at_least", "meters": 0.0},
+                              {"op": "or", "clauses": [{"op": "buzzer_count", "cmp": ">=", "count": 0},
+                                                       {"op": "not", "clause": MISSING}]}]},
+], ids=["top-level", "nested"])
+def test_a_goal_naming_an_object_its_world_lacks_is_rejected(tmp_path, capsys, goal):
+    """The last scenario's goal names an object its world does not hold: no
+    episode runs, no traces directory is made, and one error line names both."""
+    def bad(d):
+        d["scenarios"][-1]["goal"] = goal
+
+    traces = tmp_path / "traces"
+    assert main(["bench", "--suite", str(synthetic_suite(tmp_path, mutate=bad)), "--traces-dir", str(traces)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: scenario '{DOMAINS[-1]}_4': its goal names object 'no_such_object', which its world does not hold\n")
+    assert not traces.exists()
 
 
 def test_missing_field_rejected(tmp_path):

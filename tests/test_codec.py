@@ -17,11 +17,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from carobo import bridge, model, sim
-from carobo.app import EpisodeFooter, EpisodeHeader, EpisodeLimits, FailureReason, Verdict
+from carobo.app import EpisodeFooter, EpisodeHeader, EpisodeLimits, FailureReason, Verdict, read_trace
 from carobo.bench import (
     And, Near, Report, Row, bundled_trace_dir, default_suite_path, load_benchmark, parse_goal, replay_pair,
     run_scenario, scripted_pair,
 )
+from carobo.cli import main
+from carobo.llm import HostDecision
 from carobo.model import (
     CaroboError,
     Command,
@@ -125,20 +127,72 @@ def test_trace_records_round_trip():
 
 
 def test_field_plan_is_resolved_once(monkeypatch):
+    """All three functions come from one plan, resolved on the first call of any of them."""
     calls = []
     plans = model._field_plans
     monkeypatch.setattr(model, "_field_plans", lambda cls, *args: calls.append(cls) or plans(cls, *args))
 
-    @codec
-    @dataclass(frozen=True)
-    class Pair:
-        left: Tuple[float, ...]
-        right: Optional[Dict[str, int]] = None
+    for first in ("from_dict", "to_json"):
+        @codec
+        @dataclass(frozen=True)
+        class Pair:
+            left: Tuple[float, ...]
+            right: Optional[Dict[str, int]] = None
 
-    assert calls == []  # nothing is resolved at decoration time
-    for _ in range(3):
-        assert Pair.from_dict(Pair((1.0,), {"a": 1}).to_dict()) == Pair((1.0,), {"a": 1})
-    assert calls == [Pair]
+        calls.clear()
+        pair = Pair((1.0,), {"a": 1})
+        assert calls == []  # nothing is resolved at decoration time
+        if first == "to_json":
+            assert pair.to_json() == '{"left":[1.0],"right":{"a":1}}'
+        else:
+            assert Pair.from_dict({"left": [1]}) == Pair((1.0,))
+        assert calls == [Pair]
+        for _ in range(3):
+            assert Pair.from_dict(pair.to_dict()) == pair
+            assert pair.to_json() == canonical_json(pair.to_dict())
+        assert calls == [Pair]
+
+
+def test_real_documents_round_trip(tmp_path, capsys):
+    """Every record of the traces `carobo bench` writes for the oracle and the
+    gpt-4o replay set, every scenario and goal of the bundled suite, and the
+    oracle's report: to_json is to_dict's JSON, and from_dict undoes to_dict."""
+    specs = load_benchmark(default_suite_path())
+    goals = [spec.goal for spec in specs]
+    for goal in goals:  # and every clause under an and, or or not
+        goals.extend(getattr(goal, "clauses", ()))
+        if hasattr(goal, "clause"):
+            goals.append(goal.clause)
+    docs = [*specs, *goals]
+    for name, args in (("oracle", ["--policy", "oracle"]),
+                       ("gpt-4o", ["--backend", "replay", "--replay-dir", "gpt-4o"])):
+        out = tmp_path / f"{name}.json"
+        assert main(["bench", *args, "--traces-dir", str(tmp_path / name), "--out", str(out)]) == 0
+        if name == "oracle":
+            docs.append(Report.from_dict(json.loads(out.read_text(encoding="utf-8"))))
+        traces = sorted((tmp_path / name).glob("*.jsonl"))
+        assert len(traces) == 20
+        for trace in traces:
+            for record in read_trace(trace):
+                kind = record["type"]
+                if kind == "episode":
+                    docs += [EpisodeHeader.from_dict(record), WorldState.from_dict(record["world"])]
+                elif kind == "result":
+                    docs.append(EpisodeFooter.from_dict(record))
+                elif kind == "host":
+                    docs.append(HostDecision.from_dict(record["decision"]))
+                else:
+                    assert kind == "round"
+                    docs.append(Round.from_dict(record["round"]))
+    capsys.readouterr()
+    kinds = {type(doc).__name__ for doc in docs}
+    assert {"EpisodeHeader", "WorldState", "EpisodeFooter", "HostDecision", "Round", "ScenarioSpec", "Near",
+            "And", "Report"} <= kinds
+    for doc in docs:
+        assert json.loads(doc.to_json()) == doc.to_dict()
+        assert type(doc).from_dict(doc.to_dict()) == doc
+    # a round that acted holds an action and an exec result, so both optional fields were coded
+    assert any(isinstance(doc, Round) and doc.action is not None for doc in docs)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +221,9 @@ MALFORMED = {
     "id as number": lambda: load_world(world(objects=[disc(id=7)])),
     "bad comment pattern": lambda: parse_goal({"op": "comment_matches", "pattern": "("}),
     "goal op a list": lambda: parse_goal({"op": ["near"]}),
+    "header world a list": lambda: EpisodeHeader.from_dict({"type": "episode", "request_id": "a", "request_text": "b",
+                                                           "world": [], "limits": {}}),
+    "report rates a string": lambda: Report.from_dict({"rows": [], "domain_rates": "x"}),
     "header without limits": lambda: EpisodeHeader.from_dict({"type": "episode", "request_id": "a", "request_text": "b", "world": {}}),
     "world is a list": lambda: load_world([]),
     "id with a lone surrogate": lambda: load_world(world(objects=[disc(id="b\ud800")])),
@@ -340,6 +397,9 @@ def polygon(*vertices):
     (lambda: WorldState.from_dict({"robot": {}, "tick": 1.0}), "WorldState.tick: expected an integer, got 1.0"),
     (lambda: SimParams.from_dict({"zeta": 1, "hfov": 60, "warp": 9}), "SimParams: unknown keys ['warp', 'zeta']"),
     (lambda: EpisodeLimits.from_dict({"max_steps": 5, "max_step": 5}), "EpisodeLimits: unknown keys ['max_step']"),
+    (lambda: Report.from_dict({"rows": [], "domain_rates": [1]}), "Report.domain_rates: expected an object, got [1]"),
+    (lambda: Report.from_dict({"rows": [], "domain_rates": {"a": "b"}}),
+     "Report.domain_rates: expected a finite number, got 'b'"),
     # what a "\ud800" escape in any input file or bridge payload decodes to
     (lambda: Observation.from_dict({"free_text": "a\ud800"}),
      "Observation.free_text: a string UTF-8 cannot encode (lone surrogate at index 1): 'a\\ud800'"),
