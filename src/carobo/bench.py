@@ -451,8 +451,12 @@ def run_scenario(
     world: Optional[sim.WorldState] = None,
 ) -> Tuple[Row, EpisodeResult]:
     """Run and judge one scenario; `world` is its decoded world file, which
-    is read here when not given."""
-    with open_robot(transport, spec.load_world() if world is None else world) as handle:
+    is read here when not given. A goal naming an object the world lacks
+    raises SchemaError before the episode starts."""
+    if world is None:
+        world = spec.load_world()
+    check_goal(spec, world)
+    with open_robot(transport, world) as handle:
         result = run_episode(
             UserRequest(text=spec.request_text, id=spec.id),
             handle,
@@ -474,6 +478,16 @@ def near_objects(goal: GoalPredicate) -> list:
     return []
 
 
+def check_goal(spec: ScenarioSpec, world: sim.WorldState) -> None:
+    """Raise SchemaError when a `near` atom of the goal of `spec` names an object that `world` does not hold."""
+    wanted = near_objects(spec.goal)
+    held = {obj.id for obj in world.objects} if wanted else ()
+    for object_id in wanted:
+        if object_id not in held:
+            raise SchemaError(f"scenario {reprlib.repr(spec.id)}: its goal names object "
+                              f"{reprlib.repr(object_id)}, which its world does not hold")
+
+
 def run_suite(
     specs,
     backends: BackendPair,
@@ -483,11 +497,7 @@ def run_suite(
     # a malformed world file, or a goal naming an object its world lacks, stops the suite before any episode runs
     worlds = [spec.load_world() for spec in specs]
     for spec, world in zip(specs, worlds):
-        held = {obj.id for obj in world.objects}
-        for object_id in near_objects(spec.goal):
-            if object_id not in held:
-                raise SchemaError(f"scenario {reprlib.repr(spec.id)}: its goal names object "
-                                  f"{reprlib.repr(object_id)}, which its world does not hold")
+        check_goal(spec, world)
     if traces_dir is not None:
         traces_dir = Path(traces_dir)
         try:

@@ -5,19 +5,21 @@ disc footprint with a heading, a pitch-adjustable camera, an ultrasonic range
 finder and two IR proximity switches. Command execution is pure: it returns a
 new world plus an execution report, so episodes replay bit-for-bit.
 
-Every query culls objects by their padded bounding discs before an exact
-geometry test. A world of at least GRID_MIN_OBJECTS objects also buckets the
-discs into a uniform grid, built once on the first query: the sensor rays walk
-its cells nearest first, and a drive takes the objects of the cells around its
-path. Both give exactly what a scan of every disc gives. Smaller worlds, and
-queries from outside the grid, scan; so does the start-pose overlap check.
-The camera scans a table of the discs, built once per world, and judges each
-line of sight once per robot position: a render after a turn, a camera move
-or a drive that did not move reuses the verdicts of the one before. A render
-at the exact pose of the one before, and a sensor read at the position and
-heading of the one before, return its result: in one pass of the clutter
-benchmark, 88 of 640 renders and 163 of 640 reads (after a buzzer, a camera
-move, or a drive that did not move).
+A shape is decoded in one loop over its points, a circle's center or a
+polygon's vertices, which checks and sums them together. Each world gathers
+one row table of its objects' padded bounding discs, once, and every query
+culls objects by those discs before an exact geometry test. A world of at
+least GRID_MIN_OBJECTS objects also buckets the rows into a uniform grid,
+built once on the first query: the sensor rays walk its cells nearest first,
+and a drive takes the rows of the cells around its path. Both give exactly
+what a scan of every row gives. Smaller worlds, and queries from outside the
+grid, scan; so does the start-pose overlap check. The camera scans the row
+table and judges each line of sight once per robot position: a render after
+a turn, a camera move or a drive that did not move reuses the verdicts of the
+one before. A render at the exact pose of the one before, and a sensor read
+at the position and heading of the one before, return its result: in one
+pass of the clutter benchmark, 88 of 640 renders and 163 of 640 reads (after
+a buzzer, a camera move, or a drive that did not move).
 """
 from __future__ import annotations
 
@@ -27,6 +29,8 @@ import reprlib
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import hypot, isfinite
+from operator import add, sub
 from typing import Optional, Tuple
 
 from . import geometry as geo
@@ -40,6 +44,7 @@ from .model import (
     SchemaError,
     SensorData,
     VisibleObject,
+    _mismatch,
     canonical_json,
     codec,
     field_codec,
@@ -101,9 +106,7 @@ class RobotPose:
 # where ray_segment's own rounding of the hit distance can exceed the margin.
 BOUND_MARGIN = 1e-9
 
-_number, _write_number = field_codec(float)
-_point, _ = field_codec(Tuple[float, float])
-_points, _ = field_codec(Tuple[Tuple[float, float], ...])
+_number, _ = field_codec(float)
 
 
 def _bounding_disc(kind: str, radius: float, vertices, cx: float, cy: float) -> Tuple[float, float, float]:
@@ -147,16 +150,30 @@ class Shape:
         return {"type": "polygon", "vertices": [list(v) for v in self.vertices]}
 
     def to_json(self) -> str:
-        """canonical_json(self.to_dict()), written without building the dict."""
+        """canonical_json(self.to_dict()), written without building the dict.
+
+        A circle's three numbers are written by their repr when all are floats
+        and their sum is finite, so that each is; else by canonical_json. A
+        polygon's vertices take one call of the C encoder, which a Python loop
+        writing their coordinates by repr did not beat.
+        """
         if self.kind == "circle":
-            return f'{{"center":{canonical_json(self.center)},"radius":{_write_number(self.radius)},"type":"circle"}}'
+            (x, y), r = self.center, self.radius
+            if type(x) is float and type(y) is float and type(r) is float and isfinite(x + y + r):
+                return f'{{"center":[{x!r},{y!r}],"radius":{r!r},"type":"circle"}}'
+            return canonical_json(self.to_dict())
         return f'{{"type":"polygon","vertices":{canonical_json(self.vertices)}}}'
 
     @classmethod
     def from_dict(cls, data: dict) -> "Shape":
-        """The shape of a document. Its bounding disc is set here, not by
-        `__post_init__`, so that a polygon's vertices are summed once, for the
-        collinearity check and the centroid together."""
+        """The shape of a document, with its bounding disc.
+
+        One loop checks and decodes each point of the shape, a circle's center
+        or a polygon's vertices, and sums them with the float operations of
+        `geo.polygon_sums`, in its order; a polygon's disc is then found as
+        `_bounding_disc` finds it. So every bound has the bits that the
+        constructor gives the same shape.
+        """
         if type(data) is not dict or "type" not in data:
             raise SchemaError(f"shape document must be an object with a type: {reprlib.repr(data)}")
         kind = data["type"]
@@ -164,25 +181,51 @@ class Shape:
             raise SchemaError(f"unknown shape type: {reprlib.repr(kind)}")
         try:
             if kind == "circle":
-                radius = _number(data.get("radius"))
+                radius = r = _number(data.get("radius"))
                 if radius <= 0:
                     raise SchemaError("radius must be positive")
-                center, vertices = _point(data.get("center")), ()
+                points = (data.get("center"),)
+            else:
+                radius, points = 0.0, data.get("vertices")
+                if type(points) is not list and type(points) is not tuple:
+                    raise _mismatch("a list", points)
+            vertices = []
+            # The first point's shoelace term, 0.0 * y - x * 0.0, is a zero, and
+            # adding it leaves acc at 0.0: polygon_sums starts its sum at the
+            # second vertex.
+            sx = sy = acc = px = py = 0.0
+            for point in points:
+                if (type(point) is not list and type(point) is not tuple) or len(point) != 2:
+                    raise _mismatch("a list of 2", point)
+                x, y = point
+                if type(x) is not float or not isfinite(x):
+                    x = _number(x)
+                if type(y) is not float or not isfinite(y):
+                    y = _number(y)
+                acc += px * y - x * py
+                sx += x
+                sy += y
+                px, py = x, y
+                vertices.append((x, y))
+            if kind == "circle":
+                center, vertices = vertices[0], ()
                 cx, cy = center
             else:
-                radius, center, vertices = 0.0, None, _points(data.get("vertices"))
                 n = len(vertices)
                 if n < 3:
                     raise SchemaError("a polygon needs at least 3 vertices")
-                sx, sy, area = geo.polygon_sums(vertices)
-                if abs(area) < 1e-9:
+                x, y = vertices[0]
+                acc += px * y - x * py
+                if abs(0.5 * acc) < 1e-9:
                     raise SchemaError("polygon vertices are collinear")
                 cx, cy = sx / n, sy / n
+                r = max([hypot(x - cx, y - cy) for x, y in vertices])
+                center, vertices = None, tuple(vertices)
         except SchemaError as exc:
             raise SchemaError(f"bad {kind} shape: {exc}") from None
         shape = object.__new__(cls)
         shape.__dict__.update(kind=kind, center=center, radius=radius, vertices=vertices,
-                              bound=_bounding_disc(kind, radius, vertices, cx, cy))
+                              bound=(cx, cy, r + BOUND_MARGIN * (1.0 + r + abs(cx) + abs(cy))))
         return shape
 
 
@@ -241,7 +284,7 @@ class Spot:
 class ObjectSet(tuple):
     """A world's objects in world order, with what queries derive from them.
 
-    Objects never move, so the grid and the bound table are built once, on
+    Objects never move, so the row table and the grid are built once, on
     the first query that wants them, and kept with the tuple: every
     WorldState that shares the tuple shares them, and a new tuple can never
     carry a stale one. What the queries found at the last position queried
@@ -251,17 +294,19 @@ class ObjectSet(tuple):
     _spot = Spot(b"")  # never returned: no position packs to b""
 
     @cached_property
-    def grid(self) -> Optional["Grid"]:
-        """The grid over the objects' bounding discs; None keeps the plain scan."""
-        return Grid.build(self) if len(self) >= GRID_MIN_OBJECTS else None
+    def rows(self) -> Tuple[tuple, float]:
+        """(table, extent): in world order, the row (i, cx, cy, r, object) of
+        each object, its index and its `Shape.bound`; and the largest
+        1 + r + |cx| + |cy| of the rows (1.0 for none), which bounds every
+        disc's own padding. Every scan, the grid's cells and the camera's cull
+        read these rows."""
+        table = tuple([(i, *obj.shape.bound, obj) for i, obj in enumerate(self)])
+        return table, max([1.0 + r + abs(cx) + abs(cy) for _, cx, cy, r, _ in table], default=1.0)
 
     @cached_property
-    def bounds(self) -> Tuple[tuple, float]:
-        """(table, extent): a row (cx, cy, r, object) of each object's
-        `Shape.bound`, in world order; and the largest 1 + r + |cx| + |cy| of
-        the rows (1.0 for none), which bounds every disc's own padding."""
-        table = tuple([(*obj.shape.bound, obj) for obj in self])
-        return table, max([1.0 + r + abs(cx) + abs(cy) for cx, cy, r, _ in table], default=1.0)
+    def grid(self) -> Optional["Grid"]:
+        """The grid over the rows' bounding discs; None keeps the plain scan."""
+        return Grid.build(self.rows[0]) if len(self) >= GRID_MIN_OBJECTS else None
 
     def spot(self, x: float, y: float) -> Spot:
         """The record of position (x, y): the last one if it was queried at
@@ -277,8 +322,8 @@ class ObjectSet(tuple):
 class Grid:
     """A uniform grid of square cells over a world's padded bounding discs.
 
-    Each cell lists, in world order, the objects whose `Shape.bound`, grown by
-    `pad`, overlaps it (Ericson, Real-Time Collision Detection, 2004, ch. 7).
+    Each cell lists, in world order, the rows of the objects whose bound,
+    grown by `pad`, overlaps it (Ericson, Real-Time Collision Detection, 2004, ch. 7).
     `pad` covers the rounding of cell indices and of a ray's crossing
     distances, so the cells a query visits hold every object that can change
     its result. A query whose origin lies outside the grid returns None, and
@@ -288,18 +333,18 @@ class Grid:
     __slots__ = ("x0", "y0", "size", "nx", "ny", "pad", "cells", "n_objects")
 
     @classmethod
-    def build(cls, objects) -> Optional["Grid"]:
-        """The grid of `objects`, or None where it would be unbounded.
+    def build(cls, rows) -> Optional["Grid"]:
+        """The grid of a world's rows, `ObjectSet.rows`, or None where it would be unbounded.
 
         The cell side is the larger of the widest bound's diameter and the side
         that makes about one cell per object over the bounds' box, so a grid
         has at most about n cells and 4 n memberships. None when a bound is not
         finite, or when rounding would put a disc in more than 2 x 2 cells.
         """
-        entries = [(i, *obj.shape.bound, obj) for i, obj in enumerate(objects)]
-        n = len(entries)
-        lo_x, hi_x = min([cx - r for _, cx, _, r, _ in entries]), max([cx + r for _, cx, _, r, _ in entries])
-        lo_y, hi_y = min([cy - r for _, _, cy, r, _ in entries]), max([cy + r for _, _, cy, r, _ in entries])
+        n = len(rows)
+        _, xs, ys, rs, _ = zip(*rows)
+        lo_x, hi_x = min(map(sub, xs, rs)), max(map(add, xs, rs))
+        lo_y, hi_y = min(map(sub, ys, rs)), max(map(add, ys, rs))
         pad = BOUND_MARGIN * (1.0 + max(abs(lo_x), abs(hi_x), abs(lo_y), abs(hi_y)))
         x0, y0 = lo_x - pad, lo_y - pad
         # a disc's cells run from (c - r - (x0 + pad)) / size to (c + r + (pad - x0)) / size
@@ -307,14 +352,13 @@ class Grid:
         w, h = hi_x + high_x, hi_y + high_y
         # at least the widest disc, so that each spans at most 2 x 2 cells, and at least
         # the side s at which (w / s + 1) * (h / s + 1) = n, written without cancellation
-        size = max(2.0 * (max([r for _, _, _, r, _ in entries]) + pad),
+        size = max(2.0 * (max(rs) + pad),
                    (w + h + math.sqrt((w + h) * (w + h) + 4.0 * w * h * (n - 1))) / (2.0 * max(1, n - 1)))
         if not math.isfinite(w + h + size):
             return None
         nx, ny = int(w / size) + 1, int(h / size) + 1
         cells = [[] for _ in range(nx * ny)]
-        for entry in entries:
-            _, cx, cy, r, _ = entry
+        for row, cx, cy, r in zip(rows, xs, ys, rs):
             # int() truncates a low end within rounding below 0 to 0, and a high
             # end cannot pass w or h, the same sums over the largest disc. A
             # bound that is not finite, which the min and max can hide, makes
@@ -327,13 +371,13 @@ class Grid:
             if ix1 - ix > 1 or iy1 - iy > 1:
                 return None  # rounding at extreme coordinates; more than 4 n memberships in all
             k = ix * ny + iy
-            cells[k].append(entry)
+            cells[k].append(row)
             if iy1 > iy:
-                cells[k + 1].append(entry)
+                cells[k + 1].append(row)
             if ix1 > ix:
-                cells[k + ny].append(entry)
+                cells[k + ny].append(row)
                 if iy1 > iy:
-                    cells[k + ny + 1].append(entry)
+                    cells[k + ny + 1].append(row)
         grid = cls()
         grid.x0, grid.y0, grid.size, grid.nx, grid.ny, grid.pad = x0, y0, size, nx, ny, pad
         grid.cells, grid.n_objects = cells, n
@@ -388,7 +432,7 @@ class Grid:
                     return best
 
     def near_box(self, start, end, reach: float) -> Optional[list]:
-        """The objects, in world order, listed in the cells that the box of the
+        """The rows, in world order, listed in the cells that the box of the
         segment start-end, grown by `reach`, overlaps: a superset of those whose
         bounding disc comes within `reach` of the segment.
 
@@ -409,8 +453,8 @@ class Grid:
         found = {}
         for ix in range(ix0, ix1 + 1):
             for cell in self.cells[ix * ny + iy0:ix * ny + iy1 + 1]:
-                for entry in cell:
-                    found[entry[0]] = entry[4]
+                for row in cell:
+                    found[row[0]] = row
         return [found[i] for i in sorted(found)]
 
 
@@ -436,13 +480,27 @@ class WorldState:
         raise KeyError(object_id)
 
 
+# How far from the origin, in meters, a world may reach: then no difference of
+# two of its coordinates passes 1e150, and no sum of two squares of such
+# differences overflows (a float's square does past about 1.3e154).
+WORLD_LIMIT = 1e150
+
+
 def load_world(document: dict) -> WorldState:
-    """Build a world from a plain document, filling parameter defaults."""
+    """Build a world from a plain document, filling parameter defaults.
+
+    A world that reaches past WORLD_LIMIT, measured by its rows' extent plus
+    the robot's |x| + |y|, raises SchemaError.
+    """
     world = WorldState.from_dict(document)
     ids = [o.id for o in world.objects]
     if len(set(ids)) != len(ids):
         raise SchemaError("object ids must be unique")
-    blocker = _overlapping_object(world.objects, world.robot.position, world.params.footprint_radius)
+    table, extent = world.objects.rows
+    pose = world.robot
+    if extent + abs(pose.x) + abs(pose.y) > WORLD_LIMIT:
+        raise SchemaError(f"the world reaches past {WORLD_LIMIT:g} m from the origin")
+    blocker = _overlapping_object(table, pose.position, world.params.footprint_radius)
     if blocker is not None:
         raise OverlapError(f"robot footprint overlaps object {blocker.id!r}")
     return world
@@ -453,15 +511,14 @@ def load_world_file(path) -> WorldState:
     return load_world(read_json(read_text(path, "world"), f"world {path}"))
 
 
-def _overlapping_object(objects, position, radius: float) -> Optional[SimObject]:
-    """The first object nearer than `radius` to `position`, else None.
+def _overlapping_object(rows, position, radius: float) -> Optional[SimObject]:
+    """The first object of `rows` nearer than `radius` to `position`, else None.
 
     The exact test runs only for an object whose bounding disc comes within
     `radius` of the point; a farther disc holds no point of its shape that near.
     """
     px, py = position
-    for obj in objects:
-        cx, cy, r = obj.shape.bound
+    for _, cx, cy, r, obj in rows:
         mx, my = cx - px, cy - py
         if mx * mx + my * my > (r + radius) * (r + radius):
             continue
@@ -470,20 +527,15 @@ def _overlapping_object(objects, position, radius: float) -> Optional[SimObject]
     return None
 
 
-def _grid(objects) -> Optional[Grid]:
-    return objects.grid if type(objects) is ObjectSet else None
+def _nearest_hit(rows, grid: Optional[Grid], origin, direction, limit: float) -> float:
+    """Smallest ray hit below `limit` among the objects of `rows`, else `limit`.
 
-
-def _nearest_hit(objects, origin, direction, limit: float) -> float:
-    """Smallest ray hit below `limit` among `objects`, else `limit`.
-
-    A world's objects walk their grid; a plain list, a world too small for a
-    grid, or an origin outside it takes the scan. The exact test runs only
+    The ray walks `grid`, a world's grid over the same rows; with none, or
+    from an origin outside it, the rows are scanned. The exact test runs only
     for an object whose bounding disc holds the origin or lies ahead, across
     the ray's line and nearer than the best hit so far; an object skipped
     could not have lowered the result.
     """
-    grid = _grid(objects)
     if grid is not None:
         best = grid.nearest_hit(origin, direction, limit)
         if best is not None:
@@ -491,8 +543,7 @@ def _nearest_hit(objects, origin, direction, limit: float) -> float:
     ox, oy = origin
     dx, dy = direction
     best = limit
-    for obj in objects:
-        cx, cy, r = obj.shape.bound
+    for _, cx, cy, r, obj in rows:
         mx, my = cx - ox, cy - oy
         along = mx * dx + my * dy
         d2 = mx * mx + my * my
@@ -507,7 +558,8 @@ def _nearest_hit(objects, origin, direction, limit: float) -> float:
 
 def raycast(world: WorldState, origin, direction_deg: float, max_range: float) -> float:
     """Distance to the nearest object boundary along the ray, capped at max_range."""
-    return _nearest_hit(world.objects, origin, geo.unit(direction_deg), max_range)
+    objects = world.objects
+    return _nearest_hit(objects.rows[0], objects.grid, origin, geo.unit(direction_deg), max_range)
 
 
 def read_sensors(world: WorldState) -> SensorData:
@@ -518,12 +570,13 @@ def read_sensors(world: WorldState) -> SensorData:
     """
     p = world.params
     pose = world.robot
-    spot = world.objects.spot(pose.x, pose.y)
+    objects = world.objects
+    spot = objects.spot(pose.x, pose.y)
     key = _float_bits(pose.heading)
     bits, params, sensors = spot.sensors
     if bits == key and params is p:
         return sensors
-    clearance = _front_clearance(world.objects, p, pose.position, geo.unit(pose.heading))
+    clearance = _front_clearance(objects.rows[0], objects.grid, p, pose.position, geo.unit(pose.heading))
 
     def ir(side_deg: float) -> bool:
         d = raycast(world, pose.position, pose.heading + side_deg, p.ultrasonic_max)
@@ -538,52 +591,52 @@ def read_sensors(world: WorldState) -> SensorData:
     return sensors
 
 
-def _max_free_advance(objects, radius: float, start, direction, limit: float) -> float:
-    """Largest travel in [0, limit] that keeps the footprint off every object.
+def _max_free_advance(rows, radius: float, start, direction, limit: float) -> float:
+    """Largest travel in [0, limit] that keeps the footprint off every object of `rows`.
 
     Bisects the overlap predicate; 60 halvings put the answer well below 1e-12
     of the true contact point, so clamped stops never overlap.
     """
     end = (start[0] + direction[0] * limit, start[1] + direction[1] * limit)
-    if _overlapping_object(objects, end, radius) is None:
+    if _overlapping_object(rows, end, radius) is None:
         return limit
     lo, hi = 0.0, limit  # lo is known free (current pose is legal)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         p = (start[0] + direction[0] * mid, start[1] + direction[1] * mid)
-        if _overlapping_object(objects, p, radius) is None:
+        if _overlapping_object(rows, p, radius) is None:
             lo = mid
         else:
             hi = mid
     return lo
 
 
-def _front_clearance(objects, p: SimParams, position, front) -> float:
+def _front_clearance(rows, grid: Optional[Grid], p: SimParams, position, front) -> float:
     """The sonar's reading from the footprint's edge along the unit vector `front`."""
     edge = (position[0] + front[0] * p.footprint_radius, position[1] + front[1] * p.footprint_radius)
-    return _nearest_hit(objects, edge, front, p.ultrasonic_max)
+    return _nearest_hit(rows, grid, edge, front, p.ultrasonic_max)
 
 
-def _near_segment(objects, start, end, reach: float) -> list:
-    """The objects whose bounding disc comes within `reach` of the segment
-    start-end, in world order; those of a world's grid cells near the segment,
-    or all of them where the grid does not serve."""
-    grid = _grid(objects)
-    near = None if grid is None else grid.near_box(start, end, reach)
-    if near is not None:
-        objects = near
+def _near_segment(objects: ObjectSet, start, end, reach: float) -> list:
+    """The rows whose bounding disc comes within `reach` of the segment
+    start-end, in world order; from those of the world's grid cells near the
+    segment, or from all of them where the grid does not serve."""
+    grid = objects.grid
+    rows = None if grid is None else grid.near_box(start, end, reach)
+    if rows is None:
+        rows = objects.rows[0]
     sx, sy = start
     ex, ey = end[0] - sx, end[1] - sy
     length2 = ex * ex + ey * ey
     inv = 1.0 / length2 if length2 > 0.0 else 0.0
     near = []
-    for obj in objects:
-        cx, cy, r = obj.shape.bound
+    for row in rows:
+        _, cx, cy, r, _ = row
         px, py = cx - sx, cy - sy
         u = min(1.0, max(0.0, (px * ex + py * ey) * inv))
         qx, qy = px - u * ex, py - u * ey
         if qx * qx + qy * qy <= (r + reach) * (r + reach):  # ** raises OverflowError past 1e154
-            near.append(obj)
+            near.append(row)
     return near
 
 
@@ -619,7 +672,7 @@ def _drive(world: WorldState, requested: float, forward: bool) -> Tuple[RobotPos
         if near:
             here = (origin[0] + direction[0] * travelled, origin[1] + direction[1] * travelled)
             if forward:  # forward, the travel direction is the sonar's
-                clearance = _front_clearance(near, p, here, direction)
+                clearance = _front_clearance(near, None, p, here, direction)
         # obstacle-avoid check happens before every increment
         if forward and clearance < threshold:
             outcome = ExecOutcome.AVOIDED
@@ -780,12 +833,12 @@ def render_camera(world: WorldState) -> Observation:
     band = _vertical_window(world)
     fx, fy = geo.unit(pose.heading)
     cos_half, sin_half = math.cos(math.radians(half)), math.sin(math.radians(half))
-    table, extent = world.objects.bounds
+    table, extent = world.objects.rows
     # twice the largest of the discs' own paddings, BOUND_MARGIN * (1 + r + |dx| + |dy|),
     # as |dx| <= |cx| + |x|: a looser cull only adds objects that the exact tests turn away
     pad = 2.0 * BOUND_MARGIN * (extent + abs(x) + abs(y))
     in_view, occluders = [], []
-    for i, (cx, cy, r, obj) in enumerate(table):
+    for i, cx, cy, r, obj in table:
         dx, dy = cx - x, cy - y
         # `past`: how far the centre lies beyond the line of the field of
         # view's edge on its side. Below 180 degrees the view is a convex cone

@@ -1,11 +1,13 @@
 """Benchmark harness: goals, judging, suite loading, reports."""
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carobo import bench
 from carobo.app import EpisodeLimits, EpisodeResult, FailureReason, Verdict
 from carobo.bench import (
     DATA_DIR,
@@ -50,7 +52,7 @@ from carobo.model import (
     Status,
     append_round,
 )
-from carobo.sim import SchemaError, load_world
+from carobo.sim import RobotPose, SchemaError, WorldState, load_world
 from carobo.suite_data import DOMAINS
 
 
@@ -111,13 +113,18 @@ def test_pose_within():
     assert not PoseWithin(0, 0, tol=0.049).evaluate(c)
 
 
+def at(x: float, y: float) -> JudgeContext:
+    """A context whose robot stands at (x, y), built without load_world, which refuses a world this far out."""
+    return JudgeContext(world=WorldState(RobotPose(x, y)), comments=(), path_length=0.0)
+
+
 def test_pose_within_far_from_the_origin_does_not_overflow():
     # (1e200) ** 2 raises OverflowError; two squares near the float limit add up to inf
-    far = ctx({"robot": {"x": 1e200, "y": 0, "heading": 0, "camera_pitch": 0}, "objects": []})
+    far = at(1e200, 0.0)
     assert not PoseWithin(0, 0, tol=1).evaluate(far)
     assert PoseWithin(1e200, 0, tol=1).evaluate(far)
     assert PoseWithin(0, 0, tol=1e300).evaluate(far)
-    edge = ctx({"robot": {"x": 1.3e154, "y": 1.3e154, "heading": 0, "camera_pitch": 0}, "objects": []})
+    edge = at(1.3e154, 1.3e154)
     assert PoseWithin(0, 0, tol=1e300).evaluate(edge)
     assert not PoseWithin(0, 0, tol=1.8e154).evaluate(edge)
 
@@ -495,6 +502,18 @@ def test_run_scenario_oracle_direct():
     assert row.failure_reason is None
     assert row.steps == 3
     assert result.steps == 3
+
+
+def test_run_scenario_rejects_a_goal_naming_an_object_its_world_lacks(monkeypatch):
+    """Callers of run_scenario, such as the benchmark harness, get the suite's
+    SchemaError before any episode runs, not a KeyError from the judge after it."""
+    spec = replace({s.id: s for s in load_benchmark(default_suite_path())}["obj_1"], goal=Near("no_such_object", 1.0))
+    episodes = []
+    monkeypatch.setattr(bench, "run_episode", lambda *args, **kwargs: episodes.append(args))
+    with pytest.raises(SchemaError, match="^scenario 'obj_1': its goal names object 'no_such_object', "
+                                         "which its world does not hold$"):
+        run_scenario(spec, scripted_pair("oracle"))
+    assert episodes == []
 
 
 def test_run_scenario_rejects_external_transport():

@@ -70,6 +70,18 @@ def test_run_transport_self_hosted_tcp(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("transport", ["direct", "local:", "tcp:"])
+def test_run_refuses_a_world_past_the_limit_on_every_transport(tmp_path, capsys, transport):
+    """Differences of these coordinates overflow: the camera would report an
+    infinite distance, which only the bridged transports refuse to decode.
+    Every transport refuses the world before the episode, with one line."""
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"robot": {}, "objects": [{"id": "far", "kind": "box", "shape": {
+        "type": "polygon", "vertices": [[1e308, 1e307], [1.5e308, 1e307], [1.2e308, 1.5e308]]}}]}), encoding="utf-8")
+    code = main(["run", "--request", "x", "--policy", "finish_now", "--world", str(path), "--transport", transport])
+    assert (code, capsys.readouterr().err) == (2, "error: the world reaches past 1e+150 m from the origin\n")
+
+
 @pytest.mark.parametrize("transport", ["carrier-pigeon", "local", "tcp"])
 def test_run_unknown_transport(capsys, transport):
     code = main([

@@ -6,6 +6,7 @@ import math
 import os
 import random
 import re
+import struct
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from carobo import bridge, model, sim
+from carobo import bridge, geometry, model, sim
 from carobo.app import EpisodeFooter, EpisodeHeader, EpisodeLimits, FailureReason, Verdict, read_trace
 from carobo.bench import (
     And, Near, Report, Row, bundled_trace_dir, default_suite_path, load_benchmark, parse_goal, replay_pair,
@@ -151,6 +152,27 @@ def test_field_plan_is_resolved_once(monkeypatch):
             assert Pair.from_dict(pair.to_dict()) == pair
             assert pair.to_json() == canonical_json(pair.to_dict())
         assert calls == [Pair]
+
+
+def test_compiled_functions_replace_the_stand_ins_but_not_a_patched_method(monkeypatch):
+    """Once compiled, a class's functions are its own methods; one patched on
+    before the first call, as a tracer does, stays, and still decodes."""
+    @codec
+    @dataclass(frozen=True)
+    class Point:
+        x: float
+
+    stand_in = Point.__dict__["from_dict"]
+    calls = []
+    monkeypatch.setattr(Point, "from_dict",
+                        classmethod(lambda cls, data: calls.append(data) or stand_in.__func__(cls, data)))
+    assert Point.from_dict({"x": 1}) == Point(1.0)
+    assert Point(2.0).to_json() == '{"x":2.0}' and Point(2.0).to_dict() == {"x": 2.0}
+    assert Point.from_dict({"x": 3}) == Point(3.0)
+    assert calls == [{"x": 1}, {"x": 3}]
+    assert Point.to_json.__name__ == "to_json" and Point.to_json.__qualname__ == "to_json"  # the compiled one
+    monkeypatch.undo()
+    assert Point.__dict__["from_dict"] is stand_in and Point.from_dict({"x": 4}) == Point(4.0)
 
 
 def test_real_documents_round_trip(tmp_path, capsys):
@@ -463,6 +485,66 @@ def test_to_json_is_canonical_json_of_to_dict(world_state):
     for part in parts:
         assert part.to_json() == canonical_json(part.to_dict())
     assert world_digest(world_state) == reference_digest(world_state)
+
+
+# ---------------------------------------------------------------------------
+# The world decoder against the constructors: the same world, the same bound bits
+
+_doc_numbers = st.one_of(st.floats(-50.0, 50.0), st.integers(-50, 50), st.sampled_from([-0.0, 5e-324, -5e-324, 0.1]))
+_doc_texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5) | st.sampled_from(["café ☃", "\x00\""])
+_extra_keys = st.dictionaries(st.sampled_from(["note", "z", "ünknown"]), _doc_texts | _doc_numbers, max_size=2)
+_doc_shapes = st.one_of(
+    st.fixed_dictionaries({"type": st.just("circle"), "center": st.lists(_doc_numbers, min_size=2, max_size=2),
+                           "radius": st.floats(0.01, 5.0) | st.integers(1, 5)}),
+    st.fixed_dictionaries({"type": st.just("polygon"),
+                           "vertices": st.lists(st.lists(_doc_numbers, min_size=2, max_size=2), min_size=3, max_size=6)}),
+)
+_doc_objects = st.lists(
+    st.tuples(_doc_texts, st.sampled_from(OBJECT_KINDS), _doc_shapes, st.none() | st.just("absent") | _doc_texts,
+              _doc_texts, st.floats(0.01, 3.0) | st.integers(1, 3), st.none() | _doc_texts, _extra_keys, _extra_keys),
+    max_size=6, unique_by=lambda entry: entry[0])
+
+
+def _object_doc(oid, kind, shape, label, color, height, text, extra, shape_extra):
+    doc = {**extra, "id": oid, "kind": kind, "shape": {**shape_extra, **shape}, "color": color, "height": height,
+           "text_on_object": text}
+    if label != "absent":
+        doc["label"] = label
+    return doc
+
+
+def _constructed(oid, kind, shape, label, color, height, text, extra, shape_extra) -> SimObject:
+    """The object a document describes, built with the constructors from the document's values."""
+    if shape["type"] == "circle":
+        built = Shape(kind="circle", center=tuple(float(c) for c in shape["center"]), radius=float(shape["radius"]))
+    else:
+        built = Shape(kind="polygon", vertices=tuple((float(x), float(y)) for x, y in shape["vertices"]))
+    return SimObject(id=oid, kind=kind, shape=built, label=None if label == "absent" else label, color=color,
+                     height=float(height), text_on_object=text)
+
+
+@settings(max_examples=300, deadline=None)
+@example([("a", "box", {"type": "polygon", "vertices": [[-0.0, 5e-324], [1, 0], [0, 1]]}, "absent", "red", 1, None, {}, {})])
+@example([("ü", "wall", {"type": "circle", "center": [-0.0, -0.0], "radius": 1}, None, "", 0.5, "☃", {"x": 1}, {"z": 2})])
+@given(_doc_objects)
+def test_load_world_builds_what_the_constructors_build(entries):
+    """Far from the robot, so that no object overlaps it: a decoded world equals
+    the world built from the same values, writes the same JSON, and each of its
+    shapes has the bound bits the constructor computes."""
+    robot = {"x": 1000.0, "y": -1000.0, "heading": 90.0}
+    doc = {"robot": robot, "objects": [_object_doc(*entry) for entry in entries], "unknown": [1]}
+    expected = WorldState(robot=RobotPose(**robot), objects=tuple(_constructed(*entry) for entry in entries))
+    try:
+        world = load_world(doc)
+    except SchemaError as exc:  # the one check the constructors do not make
+        assert str(exc).endswith("polygon vertices are collinear")
+        assert any(abs(geometry.polygon_sums(obj.shape.vertices)[2]) < 1e-9
+                   for obj in expected.objects if obj.shape.kind == "polygon")
+        return
+    assert world == expected
+    assert world.to_json() == expected.to_json()
+    for got, want in zip(world.objects, expected.objects):
+        assert struct.pack("<3d", *got.shape.bound) == struct.pack("<3d", *want.shape.bound)
 
 
 # the bridge writes every payload with its to_json, so each payload class is held to the same two rules

@@ -5,6 +5,7 @@ import random
 import struct
 import sys
 import threading
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,39 @@ def test_load_world_rejects_nonpositive_height():
 def test_load_world_rejects_initial_overlap():
     with pytest.raises(OverlapError):
         make_world([box("b", 0.2, 0.0)])  # face at 0.05, footprint radius 0.10
+
+
+def polygon(oid, *vertices):
+    return {"id": oid, "kind": "box", "shape": {"type": "polygon", "vertices": [list(v) for v in vertices]}}
+
+
+# a triangle whose coordinates are finite but whose differences overflow: the
+# camera saw it at distance inf, which the bridge then refused to decode
+FAR_TRIANGLE = polygon("far", (1e308, 1e307), (1.5e308, 1e307), (1.2e308, 1.5e308))
+
+
+@pytest.mark.parametrize("doc", [
+    {"objects": [FAR_TRIANGLE]},
+    # the robot stands inside it, but its vertex sums overflow, and so did the overlap check
+    {"objects": [polygon("huge", (-1e308, -1e308), (1e308, -1e308), (0.0, 1e308))]},
+    {"robot": {"x": 1e200}},
+    {"robot": {"x": 6e149, "y": -6e149}},
+    {"robot": {"x": -6e149}, "objects": [disc("d", 6e149, 0.0, 0.5)]},
+], ids=["far triangle", "robot in a huge triangle", "far robot", "robot past the limit by |x| + |y|",
+        "disc and robot past the limit together"])
+def test_load_world_refuses_a_world_past_the_limit(doc):
+    doc = {"robot": {}, **doc}
+    with pytest.raises(SchemaError, match=r"^the world reaches past 1e\+150 m from the origin$"):
+        load_world(doc)
+
+
+def test_a_world_within_the_limit_loads_and_reads_finite():
+    reach = sim.WORLD_LIMIT / 5
+    world = make_world([disc("d", reach, -reach, 0.5)], robot={"x": -reach, "y": reach, "heading": 315.0})
+    observation = render_camera(world)
+    assert [item.label for item in observation.items] == ["box"]
+    assert math.isfinite(observation.items[0].distance)
+    assert math.isfinite(read_sensors(world).ultrasonic_clearance)
 
 
 def test_world_roundtrips_through_dict():
@@ -767,3 +801,47 @@ def test_an_episode_builds_its_grid_once(tmp_path, monkeypatch, transport):
                                                           builds.append(1) or fn(cls, objects)))
     _, result = bench.run_scenario(spec, bench.replay_pair(streams), transport=transport)
     assert result.steps >= 5 and len(builds) == 1
+
+
+def test_a_world_gathers_its_rows_once_for_the_grid_and_the_camera(monkeypatch):
+    """On a seeded 150-object world, loading it, one connect, a turn and a
+    drive gather its row table once; the grid is built from that table, and
+    each render's cull reads that same table."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import clutter
+
+    gathered, built, camera_reads, in_camera = [], [], [], []
+
+    class Table(tuple):
+        def __iter__(self):
+            if in_camera:
+                camera_reads.append(self)
+            return super().__iter__()
+
+    def rows(objects, gather=sim.ObjectSet.rows.func):
+        table, extent = gather(objects)
+        gathered.append(Table(table))
+        return gathered[-1], extent
+
+    counted = cached_property(rows)
+    counted.__set_name__(sim.ObjectSet, "rows")
+    monkeypatch.setattr(sim.ObjectSet, "rows", counted)
+    monkeypatch.setattr(sim.Grid, "build", classmethod(lambda cls, table, fn=sim.Grid.build.__func__:
+                                                          built.append(table) or fn(cls, table)))
+
+    def camera(world, render=sim.render_camera):
+        in_camera.append(world)
+        try:
+            return render(world)
+        finally:
+            in_camera.pop()
+
+    monkeypatch.setattr(sim, "render_camera", camera)
+    robot = SimRobot(load_world(clutter.make_world(random.Random(0), 150, 4.0)))
+    robot.connect()
+    robot.execute(Command("car_left", 30.0))
+    result, _, _ = robot.execute(Command("car_forward", 0.5))
+    assert result.distance_travelled > 0.0  # so the last render is at a new pose, not the last render's
+    assert len(gathered) == 1
+    assert len(built) == 1 and built[0] is gathered[0]
+    assert len(camera_reads) == 3 and all(table is gathered[0] for table in camera_reads)
