@@ -173,7 +173,7 @@ def write_trace(records: list, path) -> None:
 
 def read_trace(path) -> list:
     """The records of an episode trace; each line must hold a JSON object."""
-    records = [read_json(line, f"trace {path}") for line in read_text(path, "trace").splitlines() if line.strip()]
+    records = [read_json(line, f"trace {path}") for line in read_text(path, "trace").split("\n") if line.strip()]
     if not all(type(rec) is dict for rec in records):
         raise SchemaError(f"{path}: every trace record must be a JSON object")
     return records

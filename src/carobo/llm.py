@@ -318,7 +318,7 @@ class ReplayBackend:
     def __init__(self, cfg: ReplayConfig):
         self.trace_path = cfg.trace_path
         self.completions = []
-        for line in read_text(cfg.trace_path, "replay trace", TransportError).splitlines():
+        for line in read_text(cfg.trace_path, "replay trace", TransportError).split("\n"):
             if not line.strip():
                 continue
             try:

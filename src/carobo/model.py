@@ -133,10 +133,12 @@ def read_text(path, what: str, error=SchemaError) -> str:
 # Each coded type becomes Python source: three expressions over a local name,
 # one that encodes the value it holds as plain JSON data, one that decodes the
 # JSON value it holds, and one that writes the value as canonical JSON.
-# `field_codec` and `_field_plans` compile that source with `exec`, the way
+# `_field_plans` compiles that source with one `exec` per coded class, the way
 # dataclasses compiles `__init__`, so encoding, decoding and writing run as
 # straight-line code rather than as loops over per-field closures. A coded
-# class gets all three of its functions from one walk of its fields.
+# class gets all three of its functions from one walk of its fields. A type
+# decoded by hand (`Shape`, `GlobalPlan`) calls the checkers below, so its
+# messages are the codec's.
 
 def _mismatch(expected: str, value) -> SchemaError:
     return SchemaError(f"expected {expected}, got {reprlib.repr(value)}")
@@ -215,31 +217,18 @@ def _bind(env: dict, value, stem: str) -> str:
     return name
 
 
-def _fixed_tuple(args, env: dict, exact: bool) -> str:
-    """The name of a compiled decoder, bound in `env`, for Tuple[args]."""
-    n = len(args)
-    decoders = [_sources(a, f"value_{i}", env, exact)[1] for i, a in enumerate(args)]
-    decode = _bind(env, None, "decode_tuple")
-    exec("\n".join([
-        f"def {decode}(value):",
-        f"    if (type(value) is list or type(value) is tuple) and len(value) == {n}:",
-        f"        {''.join(f'value_{i}, ' for i in range(n))}= value",
-        f"        return ({''.join(d + ', ' for d in decoders)})",
-        f"    raise mismatch('a list of {n}', value)",
-    ]), env)
-    return decode
-
-
 def _sources(tp, v: str, env: dict, exact: bool = False) -> tuple:
     """(encode, decode, write) for values of type `tp` held in the local `v`.
 
-    All three are Python expressions over `v`. `encode` turns the value into
-    plain JSON data, and is `v` itself for a value that already is. `decode`
-    checks a JSON value and builds the `tp` value from it. `write` gives the
-    text canonical_json(encode) without building that data. The helpers they
-    call are bound in `env`. An enum decodes by calling it, so that its
-    `_missing_` hook can forgive a value, or, when `exact`, from its members'
-    values alone.
+    `tp` is float, int, str, bool, Optional[X], Tuple[X, ...], dict or
+    Dict[str, X], an Enum (coded by its value) or a class with `from_dict`;
+    any other type raises TypeError. All three are Python expressions over
+    `v`. `encode` turns the value into plain JSON data, and is `v` itself for
+    a value that already is. `decode` checks a JSON value and builds the `tp`
+    value from it. `write` gives the text canonical_json(encode) without
+    building that data. The helpers they call are bound in `env`. An enum
+    decodes by calling it, so that its `_missing_` hook can forgive a value,
+    or, when `exact`, from its members' values alone.
     """
     if tp in _SCALARS:
         decode, write = _SCALARS[tp]
@@ -256,8 +245,6 @@ def _sources(tp, v: str, env: dict, exact: bool = False) -> tuple:
         return (f"list({v})" if encode == item else f"[{encode} for {item} in {v}]",
                 f"tuple([{decode} for {item} in seq({v})])",
                 f"(LB + COMMA.join([{write} for {item} in {v}]) + RB)")
-    if origin is tuple:  # no coded class has such a field, so nothing calls its writer; dumps gives the bytes
-        return f"list({v})", f"{_fixed_tuple(args, env, exact)}({v})", f"dumps({v})"
     if tp is dict or origin is dict:
         decode = _sources(args[1], item, env, exact)[1] if args else item
         return f"dict({v})", f"{{k: {decode} for k, {item} in as_object({v}).items()}}", f"dumps(dict({v}))"
@@ -280,22 +267,6 @@ def _sources(tp, v: str, env: dict, exact: bool = False) -> tuple:
     name = _bind(env, tp, "cls")
     write = f"{v}.to_json()" if hasattr(tp, "to_json") else f"dumps({v}.to_dict())"
     return f"{v}.to_dict()", f"{name}.from_dict({v})", write
-
-
-def field_codec(tp):
-    """(decode, write) for values of type `tp`.
-
-    `tp` is float, int, str, bool, Optional[X], Tuple[X, ...], a fixed tuple
-    of scalars, dict or Dict[str, X], an Enum (coded by its value) or a class
-    with `to_dict`/`from_dict`. `decode` checks one JSON value: a wrong JSON
-    type, a non-finite float, a string UTF-8 cannot encode or an unknown enum
-    value raises SchemaError. `write(value)` is canonical_json of the value's
-    plain JSON data, written without building that data.
-    """
-    env = dict(_ENV)
-    _, decode, write = _sources(tp, "value", env)
-    exec(f"def decode(value):\n    return {decode}\ndef write(value):\n    return {write}\n", env)
-    return env["decode"], env["write"]
 
 
 def _field_plans(cls, tag: Optional[dict], strict: bool = False) -> tuple:
@@ -591,9 +562,6 @@ class ExecResult:
 # ---------------------------------------------------------------------------
 # Plans, rounds, memory
 
-_decode_steps, _ = field_codec(Tuple[str, ...])
-
-
 @dataclass(frozen=True)
 class GlobalPlan:
     """The host's plan; its document is the list of its steps."""
@@ -614,7 +582,7 @@ class GlobalPlan:
 
     @classmethod
     def from_dict(cls, data) -> "GlobalPlan":
-        return cls(_decode_steps(data))
+        return cls(tuple([_str(step) for step in _list(data)]))
 
 
 @codec(strict=True)  # only carobo writes rounds, so a status must be exactly as written

@@ -44,10 +44,11 @@ from .model import (
     SchemaError,
     SensorData,
     VisibleObject,
+    _float,
+    _list,
     _mismatch,
     canonical_json,
     codec,
-    field_codec,
     read_json,
     read_text,
 )
@@ -105,8 +106,6 @@ class RobotPose:
 # one exception: a ray within about 1e-7 rad of parallel to a polygon edge,
 # where ray_segment's own rounding of the hit distance can exceed the margin.
 BOUND_MARGIN = 1e-9
-
-_number, _ = field_codec(float)
 
 
 def _bounding_disc(kind: str, radius: float, vertices, cx: float, cy: float) -> Tuple[float, float, float]:
@@ -181,14 +180,12 @@ class Shape:
             raise SchemaError(f"unknown shape type: {reprlib.repr(kind)}")
         try:
             if kind == "circle":
-                radius = r = _number(data.get("radius"))
+                radius = r = _float(data.get("radius"))
                 if radius <= 0:
                     raise SchemaError("radius must be positive")
                 points = (data.get("center"),)
             else:
-                radius, points = 0.0, data.get("vertices")
-                if type(points) is not list and type(points) is not tuple:
-                    raise _mismatch("a list", points)
+                radius, points = 0.0, _list(data.get("vertices"))
             vertices = []
             # The first point's shoelace term, 0.0 * y - x * 0.0, is a zero, and
             # adding it leaves acc at 0.0: polygon_sums starts its sum at the
@@ -199,9 +196,9 @@ class Shape:
                     raise _mismatch("a list of 2", point)
                 x, y = point
                 if type(x) is not float or not isfinite(x):
-                    x = _number(x)
+                    x = _float(x)
                 if type(y) is not float or not isfinite(y):
-                    y = _number(y)
+                    y = _float(y)
                 acc += px * y - x * py
                 sx += x
                 sy += y
@@ -330,7 +327,7 @@ class Grid:
     the caller scans.
     """
 
-    __slots__ = ("x0", "y0", "size", "nx", "ny", "pad", "cells", "n_objects")
+    __slots__ = ("x0", "y0", "size", "nx", "ny", "pad", "cells")
 
     @classmethod
     def build(cls, rows) -> Optional["Grid"]:
@@ -338,7 +335,7 @@ class Grid:
 
         The cell side is the larger of the widest bound's diameter and the side
         that makes about one cell per object over the bounds' box, so a grid
-        has at most about n cells and 4 n memberships. None when a bound is not
+        has at most n cells and 4 n memberships. None when a bound is not
         finite, or when rounding would put a disc in more than 2 x 2 cells.
         """
         n = len(rows)
@@ -379,8 +376,7 @@ class Grid:
                 if iy1 > iy:
                     cells[k + ny + 1].append(row)
         grid = cls()
-        grid.x0, grid.y0, grid.size, grid.nx, grid.ny, grid.pad = x0, y0, size, nx, ny, pad
-        grid.cells, grid.n_objects = cells, n
+        grid.x0, grid.y0, grid.size, grid.nx, grid.ny, grid.pad, grid.cells = x0, y0, size, nx, ny, pad, cells
         return grid
 
     def nearest_hit(self, origin, direction, limit: float) -> Optional[float]:
@@ -436,8 +432,7 @@ class Grid:
         segment start-end, grown by `reach`, overlaps: a superset of those whose
         bounding disc comes within `reach` of the segment.
 
-        None when `start` lies outside the grid, or when the box covers more
-        cells than the world has objects, so that a scan costs less.
+        None when `start` lies outside the grid.
         """
         x0, y0, size, ny, pad = self.x0, self.y0, self.size, self.ny, self.pad
         sx, sy = start
@@ -448,8 +443,6 @@ class Grid:
         ix1 = min(self.nx - 1, math.floor((max(sx, end[0]) + grow - x0) / size))
         iy0 = max(0, math.floor((min(sy, end[1]) - grow - y0) / size))
         iy1 = min(ny - 1, math.floor((max(sy, end[1]) + grow - y0) / size))
-        if (ix1 - ix0 + 1) * (iy1 - iy0 + 1) > self.n_objects:
-            return None
         found = {}
         for ix in range(ix0, ix1 + 1):
             for cell in self.cells[ix * ny + iy0:ix * ny + iy1 + 1]:
@@ -676,7 +669,7 @@ def _drive(world: WorldState, requested: float, forward: bool) -> Tuple[RobotPos
         # obstacle-avoid check happens before every increment
         if forward and clearance < threshold:
             outcome = ExecOutcome.AVOIDED
-            heading = geo.norm_heading(heading - 90.0)
+            heading -= 90.0  # RobotPose normalizes it
             heading_change = -90.0
             break
         if near:
@@ -706,7 +699,7 @@ def apply_command(world: WorldState, command: Command) -> Tuple[WorldState, Exec
     elif command.name in ("car_left", "car_right"):
         sign = 1.0 if command.name == "car_left" else -1.0
         heading_change = sign * command.value
-        pose = RobotPose(pose.x, pose.y, geo.norm_heading(pose.heading + heading_change), pose.camera_pitch)
+        pose = RobotPose(pose.x, pose.y, pose.heading + heading_change, pose.camera_pitch)
     elif command.name == "camera_move":
         pose = RobotPose(pose.x, pose.y, pose.heading, command.value)
     elif command.name == "buzzer":

@@ -152,6 +152,24 @@ def test_run_then_replay_round_trip(tmp_path, capsys):
     assert (tmp_path / "again.jsonl").read_bytes() == (tmp_path / "episode.jsonl").read_bytes()
 
 
+def test_a_trace_whose_strings_hold_unicode_line_breaks_replays(tmp_path, capsys):
+    # a trace writes U+2028, U+2029 and U+0085 raw; only "\n" ends one of its records
+    host_line = json.dumps({"observation": "o", "thoughts": "t", "plan": ["look"], "comment": "c"})
+    finish_line = json.dumps({"observation": "o", "comment": "done\u2028here\u2029and\x85now", "status": "FINISH"})
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("\n".join(json.dumps(line) for line in (host_line, finish_line)) + "\n", encoding="utf-8")
+    trace = tmp_path / "episode.jsonl"
+    assert main(["run", "--request", "look", "--world", world_file("obj_1"), "--backend", "replay",
+                 "--replay-trace", str(stream), "--trace", str(trace)]) == 0
+    assert "\u2028" in trace.read_text(encoding="utf-8")
+    capsys.readouterr()
+
+    code = main(["replay", "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out.count(": match") == 5 and "MISMATCH" not in captured.out
+
+
 def test_replay_compares_the_failure_reason(tmp_path, capsys):
     trace = tmp_path / "episode.jsonl"
     assert main([

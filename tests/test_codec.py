@@ -405,6 +405,10 @@ def polygon(*vertices):
     return {"id": "p", "kind": "box", "shape": {"type": "polygon", "vertices": [list(v) for v in vertices]}}
 
 
+def host_decision(plan):
+    return {"observation": "o", "thoughts": "t", "plan": plan, "comment": "c"}
+
+
 @pytest.mark.parametrize("decode, message", [
     (lambda: WorldState.from_dict({"objects": []}), "WorldState: missing key 'robot'"),
     (lambda: WorldState.from_dict([]), "WorldState: expected an object, got []"),
@@ -429,6 +433,15 @@ def polygon(*vertices):
     (lambda: load_world({"robot": {"camera_pitch": 99}}), "WorldState.robot: RobotPose.camera_pitch=99.0 outside [-30, 60]"),
     (lambda: load_world({"robot": {}, "params": {"integration_step": 0}}),
      "WorldState.params: SimParams.integration_step=0.0 outside [0.001, 1]"),
+    # the hand-written decoders of Shape and GlobalPlan, through the codec's checkers
+    (lambda: SimObject.from_dict({"id": "c", "kind": "box", "shape": {"type": "circle", "center": [0, 0], "radius": 0}}),
+     "SimObject.shape: bad circle shape: radius must be positive"),
+    (lambda: SimObject.from_dict({"id": "p", "kind": "box", "shape": {"type": "polygon", "vertices": "abc"}}),
+     "SimObject.shape: bad polygon shape: expected a list, got 'abc'"),
+    (lambda: HostDecision.from_dict(host_decision("just walk")), "HostDecision.plan: expected a list, got 'just walk'"),
+    (lambda: HostDecision.from_dict(host_decision(["go", 1])), "HostDecision.plan: expected a string, got 1"),
+    (lambda: HostDecision.from_dict(host_decision(["go", "a\ud800"])),
+     "HostDecision.plan: a string UTF-8 cannot encode (lone surrogate at index 1): 'a\\ud800'"),
 ])
 def test_decoder_messages(decode, message):
     with pytest.raises(SchemaError) as err:

@@ -430,6 +430,7 @@ def test_replay_backend_line_formats(tmp_path):
         json.dumps(json.dumps(decision)),          # JSON-string quoted completion
         json.dumps(decision),                      # bare decision object
         "verbatim not-json completion",            # raw line
+        "one\u2028line\u2029only\x85newline ends",   # U+2028, U+2029 and U+0085 end no JSON Lines line
         "42", "[1, 2]", "null", "true",            # other JSON values: verbatim
         json.dumps({"type": "round", "raw": json.dumps(decision), "round": {}}),  # episode record
         json.dumps({"type": "result", "verdict": "Success"}),  # no raw: skipped
@@ -439,6 +440,7 @@ def test_replay_backend_line_formats(tmp_path):
     assert backend.complete(never_built) == json.dumps(decision)
     assert backend.complete(never_built) == json.dumps(decision)
     assert backend.complete(never_built) == "verbatim not-json completion"
+    assert backend.complete(never_built) == "one\u2028line\u2029only\x85newline ends"
     assert [backend.complete(never_built) for _ in range(4)] == ["42", "[1, 2]", "null", "true"]
     assert backend.complete(never_built) == json.dumps(decision)
     with pytest.raises(ReplayExhausted):

@@ -531,6 +531,9 @@ def graze_case(kind, seed):
 @given(fuzzed_cases())
 def test_broad_phase_matches_the_full_scan(time_limit, case):
     world, command = case
+    grid = world.objects.grid
+    # the cell side gives at most one cell per object, so no query box can cover more cells than that
+    assert grid is None or grid.nx * grid.ny <= len(world.objects)
     with time_limit(20.0):
         assert read_sensors(world) == fullscan_sim.read_sensors(world)
         assert render_camera(world).to_dict() == fullscan_sim.render_camera(world).to_dict()
