@@ -7,7 +7,6 @@ is taken at face value here and judged against ground truth by the harness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Tuple
@@ -43,6 +42,7 @@ from .model import (
     read_json,
     read_text,
     render_memory,
+    value_class,
 )
 
 APP_MEMORY_WINDOW = 10  # rounds shown to the executor; the host sees everything
@@ -61,7 +61,7 @@ class FailureReason(Enum):
 
 
 @codec(strict=True)
-@dataclass(frozen=True)
+@value_class
 class EpisodeLimits:
     max_steps: int = 20
     max_rounds: Optional[int] = None  # defaults to max_steps + 5
@@ -76,7 +76,7 @@ class EpisodeLimits:
 
 
 @codec(tag={"type": "episode"})
-@dataclass(frozen=True)
+@value_class
 class EpisodeHeader:
     """The first record of an episode trace: what `carobo replay` re-runs."""
 
@@ -87,7 +87,7 @@ class EpisodeHeader:
 
 
 @codec(tag={"type": "result"})
-@dataclass(frozen=True)
+@value_class
 class EpisodeFooter:
     """The last record of an episode trace: what `carobo replay` checks."""
 
@@ -98,7 +98,7 @@ class EpisodeFooter:
     final_world_digest: Optional[str]
 
 
-@dataclass(frozen=True)
+@value_class
 class EpisodeResult:
     request_id: str
     verdict: Verdict

@@ -11,7 +11,7 @@ import math
 import re
 import reprlib
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
@@ -36,6 +36,7 @@ from .model import (
     codec,
     read_json,
     read_text,
+    value_class,
 )
 from .suite_data import DOMAINS
 
@@ -49,7 +50,7 @@ class CountError(CaroboError):
 # ---------------------------------------------------------------------------
 # Goal predicates
 
-@dataclass(frozen=True)
+@value_class
 class JudgeContext:
     """Everything a goal atom may inspect after an episode."""
 
@@ -99,7 +100,7 @@ parse_goal = GoalPredicate.from_dict
 
 
 @goal_op("near")
-@dataclass(frozen=True)
+@value_class
 class Near(GoalPredicate):
     """Robot center within `within` meters of the object's boundary."""
 
@@ -121,7 +122,7 @@ _CMP = {
 
 
 @goal_op("buzzer_count")
-@dataclass(frozen=True)
+@value_class
 class BuzzerCount(GoalPredicate):
     cmp: str
     count: int
@@ -135,7 +136,7 @@ class BuzzerCount(GoalPredicate):
 
 
 @goal_op("pose_within")
-@dataclass(frozen=True)
+@value_class
 class PoseWithin(GoalPredicate):
     x: float
     y: float
@@ -154,7 +155,7 @@ class PoseWithin(GoalPredicate):
 
 
 @goal_op("heading_within")
-@dataclass(frozen=True)
+@value_class
 class HeadingWithin(GoalPredicate):
     deg: float
     tol: float
@@ -165,7 +166,7 @@ class HeadingWithin(GoalPredicate):
 
 
 @goal_op("comment_matches")
-@dataclass(frozen=True)
+@value_class
 class CommentMatches(GoalPredicate):
     """Some round comment matches the regular expression."""
 
@@ -183,7 +184,7 @@ class CommentMatches(GoalPredicate):
 
 
 @goal_op("path_length_at_least")
-@dataclass(frozen=True)
+@value_class
 class PathLengthAtLeast(GoalPredicate):
     meters: float
 
@@ -192,7 +193,7 @@ class PathLengthAtLeast(GoalPredicate):
 
 
 @goal_op("camera_pitch_at_least")
-@dataclass(frozen=True)
+@value_class
 class CameraPitchAtLeast(GoalPredicate):
     deg: float
 
@@ -201,7 +202,7 @@ class CameraPitchAtLeast(GoalPredicate):
 
 
 @goal_op("and")
-@dataclass(frozen=True)
+@value_class
 class And(GoalPredicate):
     clauses: Tuple[GoalPredicate, ...]
 
@@ -210,7 +211,7 @@ class And(GoalPredicate):
 
 
 @goal_op("or")
-@dataclass(frozen=True)
+@value_class
 class Or(GoalPredicate):
     clauses: Tuple[GoalPredicate, ...]
 
@@ -219,7 +220,7 @@ class Or(GoalPredicate):
 
 
 @goal_op("not")
-@dataclass(frozen=True)
+@value_class
 class Not(GoalPredicate):
     clause: GoalPredicate
 
@@ -231,7 +232,7 @@ class Not(GoalPredicate):
 # Suite loading
 
 @codec
-@dataclass(frozen=True)
+@value_class
 class OracleScript:
     """A known-good run of a scenario, played by the oracle policy.
 
@@ -256,7 +257,7 @@ class OracleScript:
 
 
 @codec
-@dataclass(frozen=True)
+@value_class
 class ScenarioSpec:
     """One entry of a suite's "scenarios" list; `load_benchmark` resolves
     `world_file`, written relative to the suite, to an absolute path."""
@@ -266,7 +267,7 @@ class ScenarioSpec:
     request_text: str
     world_file: str
     goal: GoalPredicate
-    limits: EpisodeLimits = EpisodeLimits()
+    limits: EpisodeLimits = field(default_factory=EpisodeLimits)  # not an instance, built at import
     oracle: Optional[OracleScript] = None
 
     def load_world(self) -> sim.WorldState:
@@ -315,7 +316,7 @@ def load_benchmark(path) -> Tuple[ScenarioSpec, ...]:
 # Judging, suite runs and reports
 
 @codec
-@dataclass(frozen=True)
+@value_class
 class Row:
     scenario_id: str
     domain: str
@@ -340,7 +341,7 @@ def judge(spec: ScenarioSpec, result: EpisodeResult, world: sim.WorldState) -> R
 
 
 @codec
-@dataclass(frozen=True)
+@value_class
 class Report:
     rows: Tuple[Row, ...]
     domain_rates: Dict[str, float] = field(default_factory=dict)

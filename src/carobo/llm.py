@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple, Union
@@ -33,6 +32,7 @@ from .model import (
     codec,
     read_json,
     read_text,
+    value_class,
 )
 
 
@@ -61,7 +61,7 @@ _REQUIRED = frozenset(REQUIRED_BLOCKS)
 _KINDS = frozenset(BLOCK_ORDER)
 
 
-@dataclass(frozen=True)
+@value_class
 class Prompt:
     """System text, few-shot pairs, and the user blocks by kind.
 
@@ -99,7 +99,7 @@ class Prompt:
 _TEMPLATE_DIR = Path(__file__).parent / "templates"
 
 
-@dataclass(frozen=True)
+@value_class
 class AgentTemplate:
     system: str
     examples: Tuple[Tuple[str, str], ...]
@@ -107,9 +107,13 @@ class AgentTemplate:
 
 
 def parse_template(text: str) -> AgentTemplate:
-    """Split a template file into sections marked by '== name ==' lines."""
+    """Split a template file into sections marked by '== name ==' lines.
+
+    A line ends at "\n" only, so a U+2028 or a form feed inside a line stays
+    in the prompt text; the file is read in text mode, so "\r\n" ends one too.
+    """
     sections: list[tuple[str, list[str]]] = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         stripped = line.strip()
         if stripped.startswith("==") and stripped.endswith("==") and len(stripped) > 4:
             sections.append((stripped.strip("= ").lower(), []))
@@ -187,24 +191,24 @@ def build_once(build: PromptBuilder) -> PromptBuilder:
 # ---------------------------------------------------------------------------
 # Backend configuration
 
-@dataclass(frozen=True)
+@value_class
 class HttpChatConfig:
     endpoint: str
     model_name: str
     timeout_s: float = 30.0
 
 
-@dataclass(frozen=True)
+@value_class
 class ScriptedConfig:
     policy_id: str
 
 
-@dataclass(frozen=True)
+@value_class
 class ReplayConfig:
     trace_path: str
 
 
-@dataclass(frozen=True)
+@value_class
 class BackendConfig:
     kind: Union[HttpChatConfig, ScriptedConfig, ReplayConfig]
     max_retries: int = 3
@@ -359,7 +363,7 @@ def make_backend(cfg: BackendConfig):
 # Decision parsing
 
 @codec
-@dataclass(frozen=True)
+@value_class
 class HostDecision:
     observation: str
     thoughts: str
@@ -368,7 +372,7 @@ class HostDecision:
 
 
 @codec
-@dataclass(frozen=True)
+@value_class
 class AppDecision:
     observation: str
     comment: str

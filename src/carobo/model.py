@@ -1,11 +1,15 @@
 """Core value types shared by the agents, the simulator, the bridge and the harness.
 
-Everything here is an immutable dataclass. The `codec` decorator gives a
+Everything here is an immutable dataclass, made, as every value class of the
+package is, by the `value_class` decorator: a frozen dataclass whose
+`__init__`, `__eq__`, `__hash__` and `__repr__` are compiled on their first
+call, not when the module is imported. The `codec` decorator gives a
 dataclass its dict round-trip (`to_dict` / `from_dict`), so the same objects
 travel over the wire, into trace, world and suite files and through prompts
 without a second serialization layer, and a `to_json` that writes exactly
-`canonical_json(to_dict())` without building the dicts. Angles are decimal
-degrees, distances decimal meters.
+`canonical_json(to_dict())` without building the dicts; these three too are
+compiled on the first call of any of them. Angles are decimal degrees,
+distances decimal meters.
 """
 from __future__ import annotations
 
@@ -128,17 +132,21 @@ def read_text(path, what: str, error=SchemaError) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The dict codec
+# Value classes and the dict codec
 #
-# Each coded type becomes Python source: three expressions over a local name,
-# one that encodes the value it holds as plain JSON data, one that decodes the
-# JSON value it holds, and one that writes the value as canonical JSON.
-# `_field_plans` compiles that source with one `exec` per coded class, the way
-# dataclasses compiles `__init__`, so encoding, decoding and writing run as
-# straight-line code rather than as loops over per-field closures. A coded
-# class gets all three of its functions from one walk of its fields. A type
-# decoded by hand (`Shape`, `GlobalPlan`) calls the checkers below, so its
-# messages are the codec's.
+# A value class is a dataclass made by `value_class` without the `__init__`,
+# `__eq__`, `__hash__` and `__repr__` that dataclasses would compile for it at
+# import, whether or not a run calls them; stand-ins take their places, as they
+# take the places of the codec's `to_dict`, `from_dict` and `to_json`. The
+# first call of a stand-in has `_field_plans` write its method as Python
+# source, from one walk of the class's fields, and compile it with one `exec`
+# (the codec's three together); the compiled method then replaces the
+# stand-in. For the codec, each coded type becomes three expressions over a
+# local name: one that encodes the value it holds as plain JSON data, one that
+# decodes the JSON value it holds, and one that writes the value as canonical
+# JSON. So encoding, decoding and writing run as straight-line code rather
+# than as loops over per-field closures. A type decoded by hand (`Shape`,
+# `GlobalPlan`) calls the checkers below, so its messages are the codec's.
 
 def _mismatch(expected: str, value) -> SchemaError:
     return SchemaError(f"expected {expected}, got {reprlib.repr(value)}")
@@ -186,6 +194,13 @@ def _optional_arg(tp):
     return None
 
 
+class _Factory:
+    """The default of an `__init__` parameter whose field has a default factory."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
 # The globals every compiled function starts from. A string is written the
 # way canonical_json writes it (ensure_ascii=False); the constants keep quotes
 # out of write expressions, which are spliced into f-strings.
@@ -195,6 +210,7 @@ _ENV = {
     "to_float": _float, "to_int": _exactly(int, "an integer"), "to_str": _str,
     "to_bool": _exactly(bool, "true or false"), "as_object": _exactly(dict, "an object"),
     "NULL": "null", "TRUE": "true", "FALSE": "false", "COMMA": ",", "LB": "[", "RB": "]", "short": reprlib.repr,
+    "FACTORY": _Factory(),
 }
 
 # scalar type -> (decode, write) source over the local {v}; the fast path
@@ -269,41 +285,96 @@ def _sources(tp, v: str, env: dict, exact: bool = False) -> tuple:
     return f"{v}.to_dict()", f"{name}.from_dict({v})", write
 
 
-def _field_plans(cls, tag: Optional[dict], strict: bool = False) -> tuple:
-    """(encode_fields, decode, to_json) of a dataclass, compiled with one `exec`
-    from one walk of its fields.
+CODEC_METHODS = ("to_dict", "from_dict", "to_json")
+# class -> {name: stand-in}, each method its decorators promised it
+_STAND_INS: dict = {}
+# codec class -> (tag, strict)
+_CODECS: dict = {}
+# class -> {name: compiled method}, filled as its methods are first used
+_COMPILED: dict = {}
 
-    - `encode_fields(self)` is `{**tag, name: encode(self.name), ...}`, one
-      dict display: a display is about three times faster than filling a dict
+
+def _fill(pairs: list, cls) -> list:
+    """Source lines that give the new instance `self` its fields, (name, value
+    source) pairs, in one `__dict__` update, and then run the class's
+    `__post_init__`: the tail of both `__init__` and `from_dict`.
+
+    On Python 3.11, one update of a five-field instance takes about 500 ns,
+    where one `object.__setattr__` per field takes 700 and a frozen
+    dataclass's `__init__` 820. It leaves the instance with a dict of its own,
+    whose attribute reads take about 1 ns more.
+    """
+    lines = [f"    self.__dict__.update({', '.join(f'{name}={x}' for name, x in pairs)})"] if pairs else []
+    return lines + (["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []) or ["    pass"]
+
+
+def _value_source(cls, name: str, fields, env: dict) -> list:
+    """`__init__`, `__eq__`, `__hash__` or `__repr__`, as dataclasses writes it
+    for a frozen class of these fields (none keyword-only, none an InitVar).
+
+    `__init__` takes the `init` fields, gives the others their defaults and
+    runs `__post_init__`. `__eq__` and `__hash__` read the `compare` fields
+    (`hash`, where set, decides for `__hash__`), and `__repr__` the `repr` ones.
+    """
+    if name == "__repr__":
+        shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fields if f.repr)
+        return ["def __repr__(self):", f"    return self.__class__.__qualname__ + f'({shown})'"]
+    if name == "__eq__":
+        names = [f.name for f in fields if f.compare]
+        return ["def __eq__(self, other):",
+                "    if other.__class__ is self.__class__:",
+                f"        return ({''.join(f'self.{n},' for n in names)}) == ({''.join(f'other.{n},' for n in names)})",
+                "    return NotImplemented"]
+    if name == "__hash__":
+        names = [f.name for f in fields if (f.compare if f.hash is None else f.hash)]
+        return ["def __hash__(self):", f"    return hash(({''.join(f'self.{n},' for n in names)}))"]
+    params, factories, pairs = ["self"], [], []
+    for f in fields:
+        if f.default is not dataclasses.MISSING:
+            value = _bind(env, f.default, "default")
+        elif f.default_factory is not dataclasses.MISSING:
+            value = _bind(env, f.default_factory, "factory") + "()"
+        else:
+            value = None
+        if not f.init:
+            if value is not None:
+                pairs.append((f.name, value))
+            continue
+        if f.default_factory is not dataclasses.MISSING:
+            params.append(f"{f.name}=FACTORY")
+            factories.append(f"    if {f.name} is FACTORY: {f.name} = {value}")
+        else:
+            params.append(f.name if value is None else f"{f.name}={value}")
+        pairs.append((f.name, f.name))
+    return [f"def __init__({', '.join(params)}):", *factories, *_fill(pairs, cls)]
+
+
+def _codec_source(cls, fields, env: dict, tag: Optional[dict], strict: bool) -> list:
+    """`to_dict`, `from_dict` and `to_json` of a coded class.
+
+    - `to_dict(self)` is `{**tag, name: encode(self.name), ...}`, one dict
+      display: a display is about three times faster than filling a dict
       field by field, and `to_dict` runs for every traced round.
-    - `decode(cls, data)` is `from_dict`: one straight-line block per field
-      checks and decodes it, and then its range, or fills a missing one with
-      its default, None (a missing Optional) or a "missing key" error. It
-      then does what the dataclass `__init__` of a frozen class does, less
-      its keyword call: fills a new instance's `__dict__` with every field in
-      one `update`, then runs `__post_init__`. (That leaves the instance with
-      a dict of its own, whose attribute reads take about 1 ns more than
-      those of one built by `__init__`; but on Python 3.11 one `update` of a
-      seven-field `SimObject` takes about 500 ns where seven
-      `object.__setattr__` calls take 900, and a clutter episode decodes 150
-      objects and reads their fields about 2,900 times.)
-    - `to_json(self)` is canonical_json(encode_fields(self)), written without
+    - `from_dict(cls, data)`: one straight-line block per field checks and
+      decodes it, and then its range, or fills a missing one with its
+      default, None (a missing Optional) or a "missing key" error. It then
+      does what `__init__` does, less its call: `_fill`'s lines.
+    - `to_json(self)` is canonical_json(to_dict(self)), written without
       building a dict or list: keys in sorted order, a finite float or exact
       int as its repr, a str escaped as canonical_json escapes it, a coded
       field by its own `to_json`, and anything else by canonical_json.
 
-    `encode_fields` and `to_json` both start by loading each field into a
-    local, which their expressions read.
+    `to_dict` and `to_json` both start by loading each field into a local,
+    which their expressions read.
     """
     hints = typing.get_type_hints(cls)
-    fields = dataclasses.fields(cls)
-    env = dict(_ENV, tag=tag, known=frozenset([*(tag or ()), *(f.name for f in fields)]), new=object.__new__)
+    env.update(tag=tag, known=frozenset([*(tag or ()), *(f.name for f in fields)]), new=object.__new__)
     loads = []
     items = ["**tag"] if tag else []
     # key -> its `"key":value` piece of to_json's f-string; a tag's is a constant
     pieces = {key: "{" + _bind(env, canonical_json({key: value})[1:-1], "tag") + "}"
               for key, value in (tag or {}).items()}
-    decode = ["def decode(cls, data):",
+    decode = ["def from_dict(cls, data):",
               "    if type(data) is not dict:",
               "        raise SchemaError(cls.__name__ + ': ' + str(mismatch('an object', data)))"]
     if strict:
@@ -338,12 +409,106 @@ def _field_plans(cls, tag: Optional[dict], strict: bool = False) -> tuple:
                        f"            raise SchemaError(cls.__name__ + {'.' + f.name + '='!r} + repr({x}) + {outside!r})"]
         decode += ["    else:", f"        {missing}"]
         call.append((f.name, x))
-    decode += ["    self = new(cls)", f"    self.__dict__.update({', '.join(f'{name}={x}' for name, x in call)})",
-               *(["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []), "    return self"]
     text = ",".join(pieces[key] for key in sorted(pieces))
-    exec("\n".join(["def encode_fields(self):", *loads, f"    return {{{', '.join(items)}}}", *decode,
-                    "def to_json(self):", *loads, f"    return f'{{{{{text}}}}}'"]) + "\n", env)
-    return env["encode_fields"], env["decode"], env["to_json"]
+    return ["def to_dict(self):", *loads, f"    return {{{', '.join(items)}}}",
+            *decode, "    self = new(cls)", *_fill(call, cls), "    return self",
+            "def to_json(self):", *loads, f"    return f'{{{{{text}}}}}'"]
+
+
+def _field_plans(cls, name: str) -> dict:
+    """The compiled method `name` of `cls`, by name, and with it the codec's
+    other two when it is one of them: written from one walk of the class's
+    fields and compiled with one `exec`, src/carobo's only one."""
+    fields = dataclasses.fields(cls)
+    env = dict(_ENV)
+    if name in CODEC_METHODS:
+        source, names = _codec_source(cls, fields, env, *_CODECS[cls]), CODEC_METHODS
+    else:
+        source, names = _value_source(cls, name, fields, env), (name,)
+    exec("\n".join(source) + "\n", env)
+    if name not in CODEC_METHODS:  # named, and an __init__ annotated, as dataclasses does
+        env[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        if name == "__init__":
+            env[name].__annotations__ = {**{f.name: f.type for f in fields if f.init}, "return": None}
+    return {each: env[each] for each in names}
+
+
+def _method(cls, name: str):
+    """The compiled method `name` of `cls`.
+
+    The first call compiles it, with the codec's other two when it is one of
+    them, and puts each compiled method in place of its stand-in, unless the
+    class was patched there in the meantime (as a tracer does); later calls
+    then skip the stand-in.
+    """
+    compiled = _COMPILED.setdefault(cls, {})
+    method = compiled.get(name)
+    if method is None:
+        methods = _field_plans(cls, name)
+        compiled.update(methods)
+        stand_ins = _STAND_INS[cls]
+        for each, fn in methods.items():
+            if cls.__dict__.get(each) is stand_ins[each]:
+                setattr(cls, each, classmethod(fn) if each == "from_dict" else fn)
+        method = methods[name]
+    return method
+
+
+def _install_stand_ins(cls, names) -> None:
+    stand_ins = _STAND_INS.setdefault(cls, {})
+    for name in names:
+        stand_ins[name] = _stand_in(cls, name)
+        setattr(cls, name, stand_ins[name])
+
+
+def _stand_in(cls, name: str):
+    """A method of `cls` that compiles its method `name` on its first call and runs it."""
+    def stand_in(*args, **kwargs):
+        return _method(cls, name)(*args, **kwargs)
+
+    return classmethod(stand_in) if name == "from_dict" else stand_in
+
+
+class _Signature:
+    """A value class's `__signature__`: reading it compiles the class's
+    `__init__` and gives None, so that `inspect.signature(cls)` goes on to
+    read that `__init__`."""
+
+    def __init__(self, cls):
+        self.cls = cls
+
+    def __get__(self, obj, owner=None):
+        _method(self.cls, "__init__")
+        return None
+
+
+def _refuse_setattr(self, name, value):
+    raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name):
+    raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def value_class(cls):
+    """Make `cls` a frozen dataclass whose methods compile on first use.
+
+    The class is a dataclass, made with `init`, `repr` and `eq` off, so
+    `dataclasses.fields`, `replace` and `is_dataclass` work on it. Its
+    `__init__`, `__eq__`, `__hash__` and `__repr__` are stand-ins: the first
+    call of each compiles it, as `_value_source` writes it, to behave as a
+    frozen dataclass's. So does the first look-up of `__signature__`, which
+    `inspect.signature` makes, for `__init__`. One shared `__setattr__` and
+    `__delattr__` raise `FrozenInstanceError`. A class without a docstring
+    gets one that names its fields, where dataclass would write one with
+    `inspect.signature`.
+    """
+    if cls.__doc__ is None:
+        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__dict__.get('__annotations__', ()))})"
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    cls.__setattr__, cls.__delattr__, cls.__signature__ = _refuse_setattr, _refuse_delattr, _Signature(cls)
+    _install_stand_ins(cls, ("__init__", "__eq__", "__hash__", "__repr__"))
+    return cls
 
 
 def codec(cls=None, *, strict: bool = False, tag: Optional[dict] = None):
@@ -366,27 +531,8 @@ def codec(cls=None, *, strict: bool = False, tag: Optional[dict] = None):
     """
     if cls is None:
         return lambda c: codec(c, strict=strict, tag=tag)
-    plan = None
-
-    def resolve():
-        nonlocal plan
-        plan = _field_plans(cls, tag, strict)
-        for name, stand_in, compiled in zip(("to_dict", "from_dict", "to_json"), stand_ins, plan):
-            if cls.__dict__.get(name) is stand_in:
-                setattr(cls, name, classmethod(compiled) if name == "from_dict" else compiled)
-        return plan
-
-    def to_dict(self) -> dict:
-        return (plan or resolve())[0](self)
-
-    def from_dict(cls, data):
-        return (plan or resolve())[1](cls, data)
-
-    def to_json(self) -> str:
-        return (plan or resolve())[2](self)
-
-    stand_ins = (to_dict, classmethod(from_dict), to_json)
-    cls.to_dict, cls.from_dict, cls.to_json = stand_ins
+    _CODECS[cls] = (tag, strict)
+    _install_stand_ins(cls, CODEC_METHODS)
     return cls
 
 
@@ -425,7 +571,7 @@ COMMAND_SPECS = {
 }
 
 
-@dataclass(frozen=True)
+@value_class
 class Command:
     """One actuator command. Each variant takes a single numeric argument.
 
@@ -483,7 +629,7 @@ class Command:
 # ---------------------------------------------------------------------------
 # Requests, sensors, observations
 
-@dataclass(frozen=True)
+@value_class
 class UserRequest:
     text: str
     id: str = "adhoc"
@@ -494,7 +640,7 @@ class UserRequest:
 
 
 @codec
-@dataclass(frozen=True)
+@value_class
 class SensorData:
     ultrasonic_clearance: float
     ir_left: bool
@@ -506,7 +652,7 @@ class SensorData:
 
 
 @codec
-@dataclass(frozen=True)
+@value_class
 class VisibleObject:
     label: str
     color: str
@@ -534,7 +680,7 @@ def render_items(items: tuple) -> str:
 
 
 @codec
-@dataclass(frozen=True)
+@value_class
 class Observation:
     items: Tuple[VisibleObject, ...] = ()
     free_text: str = ""
@@ -546,7 +692,7 @@ class Observation:
 
 
 @codec
-@dataclass(frozen=True)
+@value_class
 class ExecResult:
     command_echo: Command
     outcome: ExecOutcome
@@ -562,7 +708,7 @@ class ExecResult:
 # ---------------------------------------------------------------------------
 # Plans, rounds, memory
 
-@dataclass(frozen=True)
+@value_class
 class GlobalPlan:
     """The host's plan; its document is the list of its steps."""
 
@@ -586,7 +732,7 @@ class GlobalPlan:
 
 
 @codec(strict=True)  # only carobo writes rounds, so a status must be exactly as written
-@dataclass(frozen=True)
+@value_class
 class Round:
     """One decided round of the execution loop.
 
@@ -609,7 +755,7 @@ class Round:
             raise InvariantViolation("action and exec_result must be present together")
 
 
-@dataclass(frozen=True)
+@value_class
 class MemoryLog:
     """Append-only log of decided rounds; round indices are log positions."""
 

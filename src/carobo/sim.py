@@ -27,7 +27,7 @@ import hashlib
 import math
 import reprlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 from math import hypot, isfinite
 from operator import add, sub
@@ -51,6 +51,7 @@ from .model import (
     codec,
     read_json,
     read_text,
+    value_class,
 )
 
 OBJECT_KINDS = ("box", "wall", "person", "paper", "refrigerator", "marker")
@@ -66,7 +67,7 @@ def _within(low: float, high: float, default: float):
 
 
 @codec(strict=True)
-@dataclass(frozen=True)
+@value_class
 class SimParams:
     """The simulator's parameters, each decoded within its closed range. The
     lower bounds keep every drive finite: a step of 1 mm takes 10^4
@@ -84,7 +85,7 @@ class SimParams:
 
 
 @codec
-@dataclass(frozen=True)
+@value_class
 class RobotPose:
     x: float = 0.0
     y: float = 0.0
@@ -114,7 +115,7 @@ def _bounding_disc(kind: str, radius: float, vertices, cx: float, cy: float) -> 
     return (cx, cy, r + BOUND_MARGIN * (1.0 + r + abs(cx) + abs(cy)))
 
 
-@dataclass(frozen=True)
+@value_class
 class Shape:
     kind: str  # "circle" | "polygon"
     center: Optional[Tuple[float, float]] = None
@@ -227,7 +228,7 @@ class Shape:
 
 
 @codec
-@dataclass(frozen=True)
+@value_class
 class SimObject:
     id: str
     kind: str
@@ -336,7 +337,9 @@ class Grid:
         The cell side is the larger of the widest bound's diameter and the side
         that makes about one cell per object over the bounds' box, so a grid
         has at most n cells and 4 n memberships. None when a bound is not
-        finite, or when rounding would put a disc in more than 2 x 2 cells.
+        finite, when the bounds' box is wider and higher than a float holds, or
+        when rounding would put a disc in more than 2 x 2 cells, as it can at
+        ordinary coordinates where the widest disc spans one cell side exactly.
         """
         n = len(rows)
         _, xs, ys, rs, _ = zip(*rows)
@@ -366,7 +369,7 @@ class Grid:
             except (ValueError, OverflowError):
                 return None
             if ix1 - ix > 1 or iy1 - iy > 1:
-                return None  # rounding at extreme coordinates; more than 4 n memberships in all
+                return None  # rounding at a cell edge puts a disc as wide as a cell in three
             k = ix * ny + iy
             cells[k].append(row)
             if iy1 > iy:
@@ -452,7 +455,7 @@ class Grid:
 
 
 @codec
-@dataclass(frozen=True)
+@value_class
 class WorldState:
     robot: RobotPose
     objects: Tuple[SimObject, ...] = ()  # an ObjectSet: __post_init__ wraps any other sequence

@@ -184,6 +184,15 @@ def test_parse_template_sections():
     assert tpl.block_formats["request"] == "User request:\n{request}"
 
 
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_parse_template_ends_a_line_at_newline_only(char):
+    """str.splitlines() would end a line at each of these characters too, and
+    every prompt built from the template would then hold a "\n" in its place."""
+    assert parse_template(f"== system ==\nkeep{char}this\n").system == f"keep{char}this"
+    tpl = parse_template(f"== system ==\nsys\n== block memory ==\nSo{char}far:\n{{memory}}\n")
+    assert tpl.block_formats["memory"] == f"So{char}far:\n{{memory}}"
+
+
 # ---------------------------------------------------------------------------
 # Decision parsing
 

@@ -545,6 +545,45 @@ def test_broad_phase_matches_the_full_scan(time_limit, case):
         assert render_camera(after).to_dict() == fullscan_sim.render_camera(after).to_dict()
 
 
+def _circles(centers, radius: float) -> tuple:
+    return tuple(sim.SimObject(f"o{i}", "box", sim.Shape("circle", c, radius)) for i, c in enumerate(centers))
+
+
+_N = sim.GRID_MIN_OBJECTS
+# Worlds built with the constructors, which load_world's WORLD_LIMIT does not
+# guard, one for each of Grid.build's refusals.
+GRIDLESS_WORLDS = {
+    # the bounds' box is finite, but its width plus its height is not
+    "overflow": sim.WorldState(sim.RobotPose(0.0, 0.0), _circles(
+        [(1e308 * (-1) ** i, 1e308 * (-1) ** (i // 2)) for i in range(_N)], 0.5)),
+    # the last bound is NaN, which min and max skip, so only the cell index meets it
+    "NaN": sim.WorldState(sim.RobotPose(0.0, 1.0), _circles(
+        [(1.0 + i % 4, 1.0 + i // 4) for i in range(_N - 1)] + [(math.nan, 2.0)], 0.2)),
+    # the widest disc spans exactly one cell side, and rounding puts its ends
+    # in cells 0 and 2: that disc would need three columns
+    "rounding": sim.WorldState(sim.RobotPose(-1.0, 0.1), _circles(
+        [(0.0, 0.0)] * (_N - 1) + [(0.5000000075000001, 0.0)], 0.25)),
+}
+
+
+@pytest.mark.parametrize("name", GRIDLESS_WORLDS)
+def test_a_world_the_grid_refuses_scans_as_the_full_scan_does(name):
+    """Each of these worlds, of GRID_MIN_OBJECTS objects, gets no grid, and its
+    readings, drives and renders are those of the full scan. They are compared
+    by their text, since NaN equals nothing."""
+    world = GRIDLESS_WORLDS[name]
+    assert world.objects.grid is None
+    for command in (Command("car_forward", 1.0), Command("car_left", 90.0), Command("camera_move", 20.0),
+                    Command("car_back", 0.5)):
+        assert repr(read_sensors(world)) == repr(fullscan_sim.read_sensors(world))
+        assert render_camera(world).to_json() == fullscan_sim.render_camera(world).to_json()
+        after, result = apply_command(world, command)
+        ref_after, ref_result = fullscan_sim.apply_command(world, command)
+        assert repr(result) == repr(ref_result)
+        assert world_digest(after) == world_digest(ref_after)
+        world = after
+
+
 def test_a_sonar_shorter_than_the_avoid_threshold_turns_before_moving():
     """With nothing near the path the sonar reads ultrasonic_max; below the
     avoid threshold, the drive turns away at once, as in the full scan."""
