@@ -12,16 +12,16 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from . import sim
-from .host import build_host_prompt, plan_with_raw, render_sensors
+from .host import build_prompt, plan_with_raw
 from .llm import (
     BackendConfig,
     AppDecision,
-    Prompt,
+    HostDecision,
     PromptBuilder,
-    assemble_prompt,
+    assemble_prompt,  # not called here, but perfbench/tracer.py wraps app.assemble_prompt
     build_once,
     complete_and_parse,
-    load_agent_template,
+    load_agent_template,  # not called here, but perfbench/tracer.py wraps app.load_agent_template
     make_backend,
     parse_app_decision,
     with_retry,
@@ -37,15 +37,14 @@ from .model import (
     Status,
     UserRequest,
     append_round,
-    canonical_json,
+    canonical_json,  # not called here, but perfbench/tracer.py wraps app.canonical_json
     codec,
     read_json,
     read_text,
-    render_memory,
+    render_memory,  # not called here, but perfbench/tracer.py wraps app.render_memory
     value_class,
 )
 
-APP_MEMORY_WINDOW = 10  # rounds shown to the executor; the host sees everything
 REPLAN_AFTER_ERRORS = 3  # failed rounds in a row before the host plans once more
 
 
@@ -98,6 +97,37 @@ class EpisodeFooter:
     final_world_digest: Optional[str]
 
 
+# The records between a trace's header and footer: each agent decision, with the
+# completion it was parsed from and its prompt's digest, and each failed round.
+@codec(strict=True, tag={"type": "host"})
+@value_class
+class HostRecord:
+    prompt_digest: str
+    raw: str
+    decision: HostDecision
+
+
+@codec(strict=True, tag={"type": "round"})
+@value_class
+class RoundRecord:
+    index: int
+    prompt_digest: str
+    raw: str
+    round: Round
+
+
+@codec(strict=True, tag={"type": "round_error"})
+@value_class
+class RoundError:
+    round: int  # the round's index among all rounds, failed ones included
+    error: str
+
+
+# a trace record's "type" -> the class that decodes it
+TRACE_RECORDS = {"episode": EpisodeHeader, "host": HostRecord, "round": RoundRecord,
+                 "round_error": RoundError, "result": EpisodeFooter}
+
+
 @value_class
 class EpisodeResult:
     request_id: str
@@ -120,27 +150,6 @@ class EpisodeResult:
         )
 
 
-def build_app_prompt(
-    request: UserRequest,
-    global_plan: GlobalPlan,
-    obs: Observation,
-    sensors: SensorData,
-    memory: MemoryLog,
-) -> Prompt:
-    """Blocks: request, plan, observation, sensors, memory (last APP_MEMORY_WINDOW rounds)."""
-    memory_text = render_memory(memory, APP_MEMORY_WINDOW) or "(empty)"
-    return assemble_prompt(
-        load_agent_template("app"),
-        {
-            "request": request.text,
-            "plan": global_plan.render(),
-            "observation": obs.free_text,
-            "sensors": render_sensors(sensors),
-            "memory": memory_text,
-        },
-    )
-
-
 def decide_with_raw(
     request: UserRequest,
     global_plan: GlobalPlan,
@@ -154,28 +163,38 @@ def decide_with_raw(
     parsed from and the prompt's builder, which a trace record calls for the
     prompt's digest. The prompt is built at most once, on the first call of
     the builder: by a backend that reads it, or by that record."""
-    prompt = build_once(lambda: build_app_prompt(request, global_plan, obs, sensors, memory))
+    prompt = build_once(lambda: build_prompt(request, obs, sensors, memory, global_plan))
     decision, raw = with_retry(lambda: complete_and_parse(backend, prompt, parse_app_decision), max_retries)
     return decision, raw, prompt
 
 
-def render_trace(records: list) -> str:
-    """One JSON record per line; no wall-clock anywhere, so traces are comparable."""
-    return "\n".join(canonical_json(rec) for rec in records) + "\n"
-
-
 def write_trace(records: list, path) -> None:
+    """Each record's `to_json()` on a line of its own; no wall-clock anywhere,
+    so traces are comparable."""
     try:
-        Path(path).write_text(render_trace(records), encoding="utf-8")
+        Path(path).write_text("".join(rec.to_json() + "\n" for rec in records), encoding="utf-8")
     except OSError as exc:
         raise CaroboError(f"cannot write trace {path}: {exc}") from exc
 
 
 def read_trace(path) -> list:
-    """The records of an episode trace; each line must hold a JSON object."""
-    records = [read_json(line, f"trace {path}") for line in read_text(path, "trace").split("\n") if line.strip()]
-    if not all(type(rec) is dict for rec in records):
-        raise SchemaError(f"{path}: every trace record must be a JSON object")
+    """The records of an episode trace, one JSON object per line, each decoded
+    by the class in TRACE_RECORDS that its "type" names. A line that is not
+    such a record raises SchemaError naming the file and the line."""
+    records = []
+    for number, line in enumerate(read_text(path, "trace").split("\n"), 1):
+        if not line.strip():
+            continue
+        where = f"trace {path}, line {number}"
+        doc = read_json(line, where)
+        kind = doc.get("type") if type(doc) is dict else None
+        cls = TRACE_RECORDS.get(kind) if type(kind) is str else None
+        if cls is None:
+            raise SchemaError(f"{where}: expected an object whose type is one of {list(TRACE_RECORDS)}")
+        try:
+            records.append(cls.from_dict(doc))
+        except CaroboError as exc:  # a SchemaError, or a value's own check (an empty plan, say)
+            raise SchemaError(f"{where}: {exc}") from None
     return records
 
 
@@ -220,7 +239,7 @@ def run_episode(
 
     def header():
         world = world_handle.world
-        return EpisodeHeader(request.id, request.text, None if world is None else world.to_dict(), limits).to_dict()
+        return EpisodeHeader(request.id, request.text, None if world is None else world.to_dict(), limits)
 
     record(header)
 
@@ -236,7 +255,7 @@ def run_episode(
             final_world_digest=None if world is None else sim.world_digest(world),
         )
         if records is not None:
-            records.append(EpisodeFooter(verdict, reason, steps, rounds, result.final_world_digest).to_dict())
+            records.append(EpisodeFooter(verdict, reason, steps, rounds, result.final_world_digest))
             write_trace(records, trace_path)
         return result
 
@@ -246,7 +265,7 @@ def run_episode(
             decision, raw, prompt = plan_with_raw(request, obs, sensors, memory, backend, max_retries)
         except CaroboError:
             return None
-        record(lambda: _host_record(decision, raw, prompt))
+        record(lambda: HostRecord(prompt().digest(), raw, decision))
         return decision
 
     sensors, obs = world_handle.connect()
@@ -268,8 +287,7 @@ def run_episode(
             decision, raw, prompt = decide_with_raw(request, global_plan, obs, sensors, memory, backend, max_retries)
         except CaroboError as exc:
             consecutive_errors += 1
-            record(lambda: {"type": "round_error", "round": rounds - 1,
-                            "error": f"{type(exc).__name__}: {exc}"})
+            record(lambda: RoundError(rounds - 1, f"{type(exc).__name__}: {exc}"))
             if consecutive_errors >= REPLAN_AFTER_ERRORS:
                 host_decision = None if replanned else plan()
                 if host_decision is None:
@@ -294,7 +312,7 @@ def run_episode(
             status=decision.status,
         )
         memory = append_round(memory, rnd)
-        record(lambda: _round_record(rnd, raw, prompt))
+        record(lambda: RoundRecord(rnd.index, prompt().digest(), raw, rnd))
         if action is None:
             return finish(Verdict.SUCCESS, None, steps, rounds, memory)
         steps += 1
@@ -304,21 +322,3 @@ def run_episode(
 
     return finish(Verdict.FAILURE, FailureReason.STEP_LIMIT, steps, rounds, memory)
 
-
-def _host_record(decision, raw: str, prompt: PromptBuilder) -> dict:
-    return {
-        "type": "host",
-        "prompt_digest": prompt().digest(),
-        "raw": raw,
-        "decision": decision.to_dict(),
-    }
-
-
-def _round_record(rnd: Round, raw: str, prompt: PromptBuilder) -> dict:
-    return {
-        "type": "round",
-        "index": rnd.index,
-        "prompt_digest": prompt().digest(),
-        "raw": raw,
-        "round": rnd.to_dict(),
-    }

@@ -105,26 +105,21 @@ def cmd_bench(args) -> int:
 def cmd_replay(args) -> int:
     """Re-run a recorded episode from its own trace and check it reproduces."""
     records = read_trace(args.trace)
-    if not records or records[0].get("type") != "episode":
+    if not records or type(records[0]) is not EpisodeHeader:
         raise CaroboError(f"{args.trace} is not an episode trace")
-    if records[-1].get("type") != "result":
+    if type(records[-1]) is not EpisodeFooter:
         raise CaroboError(f"{args.trace} has no result record; episode was cut short")
-    header = EpisodeHeader.from_dict(records[0])
+    header, recorded = records[0], records[-1]
     if header.world is None:
         raise CaroboError(
             f"{args.trace} was recorded against a remote robot (tcp:HOST:PORT) and carries "
             "no world, so it cannot be replayed"
         )
-    recorded = EpisodeFooter.from_dict(records[-1])
     _check_output(args.out, "trace")
     cfg = BackendConfig(kind=ReplayConfig(trace_path=args.trace))
-    result = run_episode(
-        UserRequest(text=header.request_text, id=header.request_id),
-        sim.SimRobot(sim.load_world(header.world)),
-        cfg,
-        limits=header.limits,
-        trace_path=args.out,
-    )
+    with open_robot("direct", sim.load_world(header.world)) as handle:
+        result = run_episode(UserRequest(text=header.request_text, id=header.request_id), handle, cfg,
+                             limits=header.limits, trace_path=args.out)
     print(result.summary())
     reason = lambda r: r.failure_reason.value if r.failure_reason else None
     checks = (

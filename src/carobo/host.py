@@ -3,7 +3,7 @@ global plan. It runs once at episode start (and once more if the executor gets
 stuck), never in the inner loop."""
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .llm import (
     HostDecision,
@@ -16,7 +16,9 @@ from .llm import (
     parse_host_decision,
     with_retry,
 )
-from .model import MemoryLog, Observation, SensorData, UserRequest, render_memory
+from .model import GlobalPlan, MemoryLog, Observation, SensorData, UserRequest, render_memory
+
+APP_MEMORY_WINDOW = 10  # rounds shown to the executor; the host sees everything
 
 
 def render_sensors(sensors: SensorData) -> str:
@@ -27,23 +29,20 @@ def render_sensors(sensors: SensorData) -> str:
     )
 
 
-def build_host_prompt(
-    request: UserRequest,
-    obs: Observation,
-    sensors: SensorData,
-    memory: MemoryLog,
-) -> Prompt:
-    """Blocks: request, observation, sensors, memory (full history; no plan yet)."""
-    memory_text = render_memory(memory, len(memory)) or "(empty)"
-    return assemble_prompt(
-        load_agent_template("host"),
-        {
-            "request": request.text,
-            "observation": obs.free_text,
-            "sensors": render_sensors(sensors),
-            "memory": memory_text,
-        },
-    )
+def build_prompt(request: UserRequest, obs: Observation, sensors: SensorData, memory: MemoryLog,
+                 plan: Optional[GlobalPlan] = None) -> Prompt:
+    """The host's prompt, or with a plan the app agent's. Blocks: request, plan (app
+    only), observation, sensors, memory (every round; the app's last APP_MEMORY_WINDOW)."""
+    template = load_agent_template("host" if plan is None else "app")
+    pieces = {
+        "request": request.text,
+        "observation": obs.free_text,
+        "sensors": render_sensors(sensors),
+        "memory": render_memory(memory, len(memory) if plan is None else APP_MEMORY_WINDOW) or "(empty)",
+    }
+    if plan is not None:
+        pieces["plan"] = plan.render()
+    return assemble_prompt(template, pieces)
 
 
 def plan_with_raw(
@@ -58,6 +57,6 @@ def plan_with_raw(
     parsed from and the prompt's builder, which a trace record calls for the
     prompt's digest. The prompt is built at most once, on the first call of
     the builder: by a backend that reads it, or by that record."""
-    prompt = build_once(lambda: build_host_prompt(request, obs, sensors, memory))
+    prompt = build_once(lambda: build_prompt(request, obs, sensors, memory))
     decision, raw = with_retry(lambda: complete_and_parse(backend, prompt, parse_host_decision), max_retries)
     return decision, raw, prompt

@@ -336,10 +336,10 @@ class Grid:
 
         The cell side is the larger of the widest bound's diameter and the side
         that makes about one cell per object over the bounds' box, so a grid
-        has at most n cells and 4 n memberships. None when a bound is not
-        finite, when the bounds' box is wider and higher than a float holds, or
-        when rounding would put a disc in more than 2 x 2 cells, as it can at
-        ordinary coordinates where the widest disc spans one cell side exactly.
+        has at most n cells and 4 n memberships, but for a disc as wide as a
+        cell that rounding at a cell edge spreads over three (at most 3 x 3).
+        None when a bound is not finite, or when the bounds' box is wider and
+        higher than a float holds.
         """
         n = len(rows)
         _, xs, ys, rs, _ = zip(*rows)
@@ -368,9 +368,12 @@ class Grid:
                 iy, iy1 = int((cy - r - low_y) / size), int((cy + r + high_y) / size)
             except (ValueError, OverflowError):
                 return None
-            if ix1 - ix > 1 or iy1 - iy > 1:
-                return None  # rounding at a cell edge puts a disc as wide as a cell in three
             k = ix * ny + iy
+            if ix1 - ix > 1 or iy1 - iy > 1:  # rounding at a cell edge puts a disc as wide as a cell in three
+                for col in range(k, ix1 * ny + iy + 1, ny):
+                    for cell in cells[col:col + iy1 - iy + 1]:
+                        cell.append(row)
+                continue
             cells[k].append(row)
             if iy1 > iy:
                 cells[k + 1].append(row)

@@ -10,11 +10,13 @@ from carobo import app, bench, host, llm
 from carobo.app import (
     EpisodeLimits,
     FailureReason,
+    HostRecord,
+    RoundRecord,
     Verdict,
-    build_app_prompt,
     read_trace,
     run_episode,
 )
+from carobo.host import build_prompt
 from carobo.llm import BackendConfig, ReplayConfig, ScriptedConfig
 from carobo.model import (
     CaroboError,
@@ -58,12 +60,12 @@ def replay_cfg(tmp_path, lines, name="trace.jsonl", max_retries=3):
 
 def test_app_prompt_carries_plan_and_window():
     request = UserRequest(text="r")
-    prompt = build_app_prompt(
+    prompt = build_prompt(
         request,
-        GlobalPlan(steps=("a", "b")),
         Observation.from_items(()),
         SensorData(ultrasonic_clearance=1, ir_left=False, ir_right=False),
         MemoryLog(),
+        GlobalPlan(steps=("a", "b")),
     )
     assert list(prompt.blocks) == [
         "request", "plan", "observation", "sensors", "memory",
@@ -129,7 +131,7 @@ def test_round_errors_are_rounds_but_not_steps(tmp_path):
     assert (result.steps, result.rounds) == (1, 3)
     assert len(result.trace) == 2  # the memory log holds only decided rounds
     records = read_trace(trace_path)
-    kinds = [r["type"] for r in records]
+    kinds = [r.to_dict()["type"] for r in records]
     assert kinds == ["episode", "host", "round_error", "round", "round", "result"]
 
 
@@ -143,7 +145,7 @@ def test_three_consecutive_errors_trigger_one_replan(tmp_path):
     assert result.verdict is Verdict.SUCCESS
     assert result.rounds == 4  # three failed decides plus the finish
     records = read_trace(trace_path)
-    assert [r["type"] for r in records] == [
+    assert [r.to_dict()["type"] for r in records] == [
         "episode", "host", "round_error", "round_error", "round_error",
         "host", "round", "result",
     ]
@@ -168,7 +170,7 @@ def test_errors_interleaved_with_progress_do_not_replan(tmp_path):
     assert result.verdict is Verdict.SUCCESS
     assert result.steps == 2
     records = read_trace(trace_path)
-    assert sum(1 for r in records if r["type"] == "host") == 1
+    assert sum(1 for r in records if type(r) is HostRecord) == 1
 
 
 def test_host_failure_is_backend_error(tmp_path):
@@ -248,15 +250,21 @@ def test_each_template_file_is_read_once_per_process(monkeypatch):
 @pytest.fixture
 def prompt_builds(monkeypatch):
     """The role of each prompt that the agents assemble, and of each memory
-    render, in call order: ("app" | "host", "assemble" | "memory")."""
-    built = []
-    for module, role in ((app, "app"), (host, "host")):
-        for attr, what in (("assemble_prompt", "assemble"), ("render_memory", "memory")):
-            def counted(*args, fn=getattr(module, attr), key=(role, what)):
-                built.append(key)
-                return fn(*args)
+    render, in call order: ("app" | "host", "assemble" | "memory"). The one
+    builder, host.build_prompt, loads its role's template before either."""
+    built, role = [], []
 
-            monkeypatch.setattr(module, attr, counted)
+    def template(name, fn=host.load_agent_template):
+        role[:] = [name]
+        return fn(name)
+
+    monkeypatch.setattr(host, "load_agent_template", template)
+    for attr, what in (("assemble_prompt", "assemble"), ("render_memory", "memory")):
+        def counted(*args, fn=getattr(host, attr), what=what):
+            built.append((role[0], what))
+            return fn(*args)
+
+        monkeypatch.setattr(host, attr, counted)
     return built
 
 
@@ -280,8 +288,8 @@ def test_a_traced_replay_run_builds_each_recorded_prompt_once(prompt_builds, tmp
     digested = Counter()
     for path in (tmp_path / "traces").glob("*.jsonl"):
         for rec in read_trace(path):
-            if "prompt_digest" in rec:
-                role = {"host": "host", "round": "app"}[rec["type"]]
+            if hasattr(rec, "prompt_digest"):
+                role = {HostRecord: "host", RoundRecord: "app"}[type(rec)]
                 digested[role, "assemble"] += 1
                 digested[role, "memory"] += 1
     assert digested[("app", "assemble")] > 0
@@ -311,7 +319,7 @@ def test_a_prompt_that_cannot_be_built_fails_only_where_it_is_read(tmp_path, mon
     backend reads the prompt and fails; an untraced replay never builds it."""
     template = llm.load_agent_template("app")
     broken = llm.AgentTemplate(template.system, template.examples, {**template.block_formats, "plan": "{nope}"})
-    monkeypatch.setattr(app, "load_agent_template", lambda role: broken)
+    monkeypatch.setattr(host, "load_agent_template", lambda role: broken)
     inputs = (UserRequest(text="r"), GlobalPlan(steps=("a",)), Observation.from_items(()),
               SensorData(ultrasonic_clearance=1, ir_left=False, ir_right=False), MemoryLog())
     replay = llm.make_backend(replay_cfg(tmp_path, [FINISH_LINE]))

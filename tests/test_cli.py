@@ -210,6 +210,46 @@ def test_replay_of_a_remote_run_says_it_has_no_world(tmp_path, capsys):
     assert err.startswith("error: ") and "remote robot" in err and "cannot be replayed" in err
 
 
+def _unknown_type_in_the_middle(records):
+    records[len(records) // 2]["type"] = "nope"
+    return len(records) // 2
+
+
+def _round_without_its_round(records):
+    index = next(i for i, rec in enumerate(records) if rec["type"] == "round")
+    del records[index]["round"]
+    return index
+
+
+def _host_plan_that_is_empty(records):
+    index = next(i for i, rec in enumerate(records) if rec["type"] == "host")
+    records[index]["decision"]["plan"] = []
+    return index
+
+
+BROKEN_RECORDS = {"unknown type in the middle": _unknown_type_in_the_middle,
+                  "round record without its round": _round_without_its_round,
+                  "host plan that is empty": _host_plan_that_is_empty}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_RECORDS))
+def test_a_trace_record_that_does_not_decode_exits_two_naming_its_line(tmp_path, capsys, case):
+    """Every record is decoded by its type's class before anything is replayed."""
+    trace = tmp_path / "episode.jsonl"
+    assert main(["run", "--request", request_of("obj_1"), "--world", world_file("obj_1"),
+                 "--trace", str(trace)]) == 0
+    records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+    index = BROKEN_RECORDS[case](records)
+    assert 0 < index < len(records) - 1
+    trace.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+    out = tmp_path / "again.jsonl"
+    capsys.readouterr()
+    assert main(["replay", "--trace", str(trace), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: trace {trace}, line {index + 1}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def _recorded_trace(tmp_path):
     trace = tmp_path / "episode.jsonl"
     assert main(["run", "--request", request_of("cmd_1"), "--world", world_file("cmd_1"),

@@ -18,7 +18,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from carobo import bridge, geometry, model, sim
-from carobo.app import EpisodeFooter, EpisodeHeader, EpisodeLimits, FailureReason, Verdict, read_trace
+from carobo.app import (
+    EpisodeFooter, EpisodeHeader, EpisodeLimits, FailureReason, HostRecord, RoundError, RoundRecord, Verdict,
+    read_trace,
+)
 from carobo.bench import (
     And, Near, Report, Row, bundled_trace_dir, default_suite_path, load_benchmark, parse_goal, replay_pair,
     run_scenario, scripted_pair,
@@ -30,10 +33,12 @@ from carobo.model import (
     Command,
     ExecOutcome,
     ExecResult,
+    GlobalPlan,
     Observation,
     Round,
     SchemaError,
     SensorData,
+    Status,
     VisibleObject,
     canonical_json,
     codec,
@@ -125,6 +130,20 @@ def test_trace_records_round_trip():
     assert footer.to_dict() == {"type": "result", "verdict": "Failure", "failure_reason": "StepLimit",
                                 "steps": 5, "rounds": 7, "final_world_digest": None}
     assert EpisodeFooter.from_dict(footer.to_dict()) == footer
+    decision = HostDecision("o", "t", GlobalPlan(("look", "go")), "c")
+    rnd = Round(2, Observation.from_items(()), "turn", Status.CONTINUE, action=Command("car_left", 90.0),
+                exec_result=ExecResult.from_dict(exec_doc()))
+    for record, doc in (
+        (HostRecord("d1", "raw host", decision),
+         {"type": "host", "prompt_digest": "d1", "raw": "raw host", "decision": decision.to_dict()}),
+        (RoundRecord(2, "d2", "raw round", rnd),
+         {"type": "round", "index": 2, "prompt_digest": "d2", "raw": "raw round", "round": rnd.to_dict()}),
+        (RoundError(3, "MalformedDecision: no JSON object"),
+         {"type": "round_error", "round": 3, "error": "MalformedDecision: no JSON object"}),
+    ):
+        assert record.to_dict() == doc
+        assert type(record).from_dict(doc) == record
+        assert record.to_json() == canonical_json(doc)
 
 
 def test_field_plan_is_resolved_once(monkeypatch):
@@ -196,20 +215,19 @@ def test_real_documents_round_trip(tmp_path, capsys):
         assert len(traces) == 20
         for trace in traces:
             for record in read_trace(trace):
-                kind = record["type"]
-                if kind == "episode":
-                    docs += [EpisodeHeader.from_dict(record), WorldState.from_dict(record["world"])]
-                elif kind == "result":
-                    docs.append(EpisodeFooter.from_dict(record))
-                elif kind == "host":
-                    docs.append(HostDecision.from_dict(record["decision"]))
+                docs.append(record)
+                if type(record) is EpisodeHeader:
+                    docs.append(WorldState.from_dict(record.world))
+                elif type(record) is HostRecord:
+                    docs.append(record.decision)
+                elif type(record) is RoundRecord:
+                    docs.append(record.round)
                 else:
-                    assert kind == "round"
-                    docs.append(Round.from_dict(record["round"]))
+                    assert type(record) is EpisodeFooter
     capsys.readouterr()
     kinds = {type(doc).__name__ for doc in docs}
-    assert {"EpisodeHeader", "WorldState", "EpisodeFooter", "HostDecision", "Round", "ScenarioSpec", "Near",
-            "And", "Report"} <= kinds
+    assert {"EpisodeHeader", "WorldState", "EpisodeFooter", "HostRecord", "HostDecision", "RoundRecord", "Round",
+            "ScenarioSpec", "Near", "And", "Report"} <= kinds
     for doc in docs:
         assert json.loads(doc.to_json()) == doc.to_dict()
         assert type(doc).from_dict(doc.to_dict()) == doc

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from carobo import host
-from carobo.host import build_host_prompt, plan_with_raw, render_sensors
+from carobo.host import build_prompt, plan_with_raw, render_sensors
 from carobo.llm import BackendConfig, MalformedDecision, ScriptedConfig, TransportError, assemble_prompt, make_backend
 from carobo.model import (
     MemoryLog,
@@ -28,7 +28,7 @@ def test_render_sensors_format():
 
 def test_host_prompt_has_no_plan_block():
     request, obs, sensors, memory = _inputs()
-    prompt = build_host_prompt(request, obs, sensors, memory)
+    prompt = build_prompt(request, obs, sensors, memory)
     assert list(prompt.blocks) == ["request", "observation", "sensors", "memory"]
     assert "look around" in prompt.blocks["request"]
     assert prompt.blocks["memory"].endswith("(empty)")

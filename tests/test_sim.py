@@ -559,20 +559,12 @@ GRIDLESS_WORLDS = {
     # the last bound is NaN, which min and max skip, so only the cell index meets it
     "NaN": sim.WorldState(sim.RobotPose(0.0, 1.0), _circles(
         [(1.0 + i % 4, 1.0 + i // 4) for i in range(_N - 1)] + [(math.nan, 2.0)], 0.2)),
-    # the widest disc spans exactly one cell side, and rounding puts its ends
-    # in cells 0 and 2: that disc would need three columns
-    "rounding": sim.WorldState(sim.RobotPose(-1.0, 0.1), _circles(
-        [(0.0, 0.0)] * (_N - 1) + [(0.5000000075000001, 0.0)], 0.25)),
 }
 
 
-@pytest.mark.parametrize("name", GRIDLESS_WORLDS)
-def test_a_world_the_grid_refuses_scans_as_the_full_scan_does(name):
-    """Each of these worlds, of GRID_MIN_OBJECTS objects, gets no grid, and its
-    readings, drives and renders are those of the full scan. They are compared
-    by their text, since NaN equals nothing."""
-    world = GRIDLESS_WORLDS[name]
-    assert world.objects.grid is None
+def _scans_as_the_full_scan_does(world):
+    """The world's readings, drives and renders are those of the full scan.
+    They are compared by their text, since NaN equals nothing."""
     for command in (Command("car_forward", 1.0), Command("car_left", 90.0), Command("camera_move", 20.0),
                     Command("car_back", 0.5)):
         assert repr(read_sensors(world)) == repr(fullscan_sim.read_sensors(world))
@@ -582,6 +574,27 @@ def test_a_world_the_grid_refuses_scans_as_the_full_scan_does(name):
         assert repr(result) == repr(ref_result)
         assert world_digest(after) == world_digest(ref_after)
         world = after
+
+
+@pytest.mark.parametrize("name", GRIDLESS_WORLDS)
+def test_a_world_the_grid_refuses_scans_as_the_full_scan_does(name):
+    """Each of these worlds, of GRID_MIN_OBJECTS objects, gets no grid."""
+    world = GRIDLESS_WORLDS[name]
+    assert world.objects.grid is None
+    _scans_as_the_full_scan_does(world)
+
+
+def test_a_disc_that_rounding_puts_in_three_columns_gets_a_grid():
+    """The widest disc spans exactly one cell side, and rounding puts its ends
+    in cells 0 and 2: it is listed in all three columns, and the grid's
+    queries are those of the full scan."""
+    world = sim.WorldState(sim.RobotPose(-1.0, 0.1), _circles(
+        [(0.0, 0.0)] * (_N - 1) + [(0.5000000075000001, 0.0)], 0.25))
+    grid = world.objects.grid
+    assert grid is not None
+    last = world.objects.rows[0][-1]
+    assert {k // grid.ny for k, cell in enumerate(grid.cells) if last in cell} == {0, 1, 2}
+    _scans_as_the_full_scan_does(world)
 
 
 def test_a_sonar_shorter_than_the_avoid_threshold_turns_before_moving():

@@ -82,6 +82,11 @@ EXAMPLES = {
     app.EpisodeFooter: (dict(verdict=Verdict.SUCCESS, failure_reason=None, steps=1, rounds=2, final_world_digest=None),
                         dict(verdict=Verdict.FAILURE, failure_reason=FailureReason.STEP_LIMIT, steps=20, rounds=25,
                              final_world_digest="ab")),
+    app.HostRecord: (dict(prompt_digest="d1", raw="r", decision=llm.HostDecision("o", "t", GlobalPlan(("a",)), "c")),
+                     dict(prompt_digest="d2", raw="r", decision=llm.HostDecision("o", "t", GlobalPlan(("b",)), "c"))),
+    app.RoundRecord: (dict(index=0, prompt_digest="d", raw="r", round=_round),
+                      dict(index=1, prompt_digest="d", raw="s", round=_round)),
+    app.RoundError: (dict(round=0, error="MalformedDecision: no JSON"), dict(round=2, error="TransportError: down")),
     app.EpisodeResult: (dict(request_id="r", verdict=Verdict.SUCCESS, failure_reason=None, steps=0, rounds=0,
                              trace=model.MemoryLog(), final_world_digest=None),
                         dict(request_id="r", verdict=Verdict.FAILURE, failure_reason=FailureReason.FALSE_COMPLETION,
@@ -169,7 +174,7 @@ def every_field(obj) -> dict:
 def test_every_dataclass_of_carobo_has_examples():
     found = {obj for module in (model, sim, llm, app, bench) for obj in vars(module).values()
              if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__.startswith("carobo.")}
-    assert found == set(EXAMPLES) and len(found) == 41
+    assert found == set(EXAMPLES) and len(found) == 44
 
 
 def test_import_compiles_no_method_and_makes_no_signature():
@@ -198,7 +203,7 @@ print(json.dumps({
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
                           env={"PYTHONPATH": str(SRC)}, check=True)
     report = json.loads(done.stdout)
-    assert report["classes"] == 41 and len(report["value_classes"]) == 41
+    assert report["classes"] == 44 and len(report["value_classes"]) == 44
     assert report["moved"] == [] and report["compiled"] == [] and report["signatures"] == []
 
 
