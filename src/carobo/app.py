@@ -29,6 +29,7 @@ from .llm import (
 from .model import (
     CaroboError,
     GlobalPlan,
+    InvariantViolation,
     MemoryLog,
     Observation,
     Round,
@@ -115,6 +116,10 @@ class RoundRecord:
     raw: str
     round: Round
 
+    def __post_init__(self):
+        if self.index != self.round.index:
+            raise InvariantViolation(f"record index {self.index} is not its round's index {self.round.index}")
+
 
 @codec(strict=True, tag={"type": "round_error"})
 @value_class
@@ -148,6 +153,10 @@ class EpisodeResult:
             f"{self.request_id}: {self.verdict.value}{tail}"
             f" after {self.steps} steps / {self.rounds} rounds"
         )
+
+    def footer(self) -> EpisodeFooter:
+        """The record that ends this episode's trace."""
+        return EpisodeFooter(self.verdict, self.failure_reason, self.steps, self.rounds, self.final_world_digest)
 
 
 def decide_with_raw(
@@ -255,7 +264,7 @@ def run_episode(
             final_world_digest=None if world is None else sim.world_digest(world),
         )
         if records is not None:
-            records.append(EpisodeFooter(verdict, reason, steps, rounds, result.final_world_digest))
+            records.append(result.footer())
             write_trace(records, trace_path)
         return result
 

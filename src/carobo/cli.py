@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
 
 from . import sim
-from .app import EpisodeFooter, EpisodeHeader, EpisodeLimits, read_trace, run_episode
+from .app import EpisodeFooter, EpisodeHeader, EpisodeLimits, RoundRecord, read_trace, run_episode
 from .bench import (
     bundled_trace_dir,
     default_suite_path,
@@ -103,7 +104,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    """Re-run a recorded episode from its own trace and check it reproduces."""
+    """Re-run a recorded episode from its own trace and check that its rounds and its result reproduce."""
     records = read_trace(args.trace)
     if not records or type(records[0]) is not EpisodeHeader:
         raise CaroboError(f"{args.trace} is not an episode trace")
@@ -121,19 +122,18 @@ def cmd_replay(args) -> int:
         result = run_episode(UserRequest(text=header.request_text, id=header.request_id), handle, cfg,
                              limits=header.limits, trace_path=args.out)
     print(result.summary())
-    reason = lambda r: r.failure_reason.value if r.failure_reason else None
-    checks = (
-        ("verdict", recorded.verdict.value, result.verdict.value),
-        ("failure reason", reason(recorded), reason(result)),
-        ("steps", recorded.steps, result.steps),
-        ("rounds", recorded.rounds, result.rounds),
-        ("final world digest", recorded.final_world_digest, result.final_world_digest),
-    )
-    ok = True
-    for name, want, got in checks:
-        match = want == got
-        ok = ok and match
-        print(f"{name}: {'match' if match else f'MISMATCH (recorded {want!r}, replayed {got!r})'}")
+    recorded_rounds = [rec.round for rec in records if type(rec) is RoundRecord]
+    pairs = itertools.zip_longest(recorded_rounds, result.trace.rounds)
+    first = next((k for k, (want, got) in enumerate(pairs) if want != got), None)
+    if first is not None:
+        print(f"round {first}: MISMATCH")
+    ok = first is None
+    replayed = result.footer().to_dict()
+    for key, want in recorded.to_dict().items():
+        if key != "type":
+            got = replayed[key]
+            ok = ok and want == got
+            print(f"{key.replace('_', ' ')}: {'match' if want == got else f'MISMATCH (recorded {want!r}, replayed {got!r})'}")
     return 0 if ok else 1
 
 

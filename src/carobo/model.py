@@ -7,9 +7,9 @@ call, not when the module is imported. The `codec` decorator gives a
 dataclass its dict round-trip (`to_dict` / `from_dict`), so the same objects
 travel over the wire, into trace, world and suite files and through prompts
 without a second serialization layer, and a `to_json` that writes exactly
-`canonical_json(to_dict())` without building the dicts; these three too are
-compiled on the first call of any of them. Angles are decimal degrees,
-distances decimal meters.
+`canonical_json(to_dict())` without building the dicts; each of these too is
+compiled alone, on its own first call. Angles are decimal degrees, distances
+decimal meters.
 """
 from __future__ import annotations
 
@@ -138,14 +138,14 @@ def read_text(path, what: str, error=SchemaError) -> str:
 # `__eq__`, `__hash__` and `__repr__` that dataclasses would compile for it at
 # import, whether or not a run calls them; stand-ins take their places, as they
 # take the places of the codec's `to_dict`, `from_dict` and `to_json`. The
-# first call of a stand-in has `_field_plans` write its method as Python
-# source, from one walk of the class's fields, and compile it with one `exec`
-# (the codec's three together); the compiled method then replaces the
-# stand-in. For the codec, each coded type becomes three expressions over a
-# local name: one that encodes the value it holds as plain JSON data, one that
-# decodes the JSON value it holds, and one that writes the value as canonical
-# JSON. So encoding, decoding and writing run as straight-line code rather
-# than as loops over per-field closures. A type decoded by hand (`Shape`,
+# first call of a stand-in has `_source` write that one method as Python
+# source, from one walk of the class's fields, and `_method` compile it with
+# one `exec`; the compiled method then replaces the stand-in, so a run
+# compiles only the methods it calls. For the codec, each coded type becomes
+# three expressions over a local name: one that encodes the value it holds as
+# plain JSON data, one that decodes the JSON value it holds, and one that
+# writes the value as canonical JSON. So encoding, decoding and writing run as
+# straight-line code rather than as loops over per-field closures. A type decoded by hand (`Shape`,
 # `GlobalPlan`) calls the checkers below, so its messages are the codec's.
 
 def _mismatch(expected: str, value) -> SchemaError:
@@ -308,13 +308,40 @@ def _fill(pairs: list, cls) -> list:
     return lines + (["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []) or ["    pass"]
 
 
-def _value_source(cls, name: str, fields, env: dict) -> list:
-    """`__init__`, `__eq__`, `__hash__` or `__repr__`, as dataclasses writes it
-    for a frozen class of these fields (none keyword-only, none an InitVar).
+def _default(f, env: dict) -> Optional[str]:
+    """The source of field `f`'s default value, its factory called, or None if it has neither."""
+    if f.default is not dataclasses.MISSING:
+        return _bind(env, f.default, "default")
+    if f.default_factory is not dataclasses.MISSING:
+        return _bind(env, f.default_factory, "factory") + "()"
+    return None
 
-    `__init__` takes the `init` fields, gives the others their defaults and
-    runs `__post_init__`. `__eq__` and `__hash__` read the `compare` fields
-    (`hash`, where set, decides for `__hash__`), and `__repr__` the `repr` ones.
+
+def _source(cls, name: str, fields, env: dict) -> list:
+    """The source lines of the method `name` of `cls`, whose fields are
+    `fields`; the helpers it calls are bound in `env`.
+
+    `__init__`, `__eq__`, `__hash__` and `__repr__` are written as
+    dataclasses writes them for a frozen class of these fields (none
+    keyword-only, none an InitVar). `__init__` takes the `init` fields, gives
+    the others their defaults and runs `__post_init__`. `__eq__` and
+    `__hash__` read the `compare` fields (`hash`, where set, decides for
+    `__hash__`), and `__repr__` the `repr` ones. The codec's three:
+
+    - `to_dict(self)` is `{**tag, name: encode(self.name), ...}`, one dict
+      display: a display is about three times faster than filling a dict
+      field by field.
+    - `from_dict(cls, data)`: one straight-line block per field checks and
+      decodes it, and then its range, or fills a missing one with its
+      default, None (a missing Optional) or a "missing key" error. It then
+      does what `__init__` does, less its call: `_fill`'s lines.
+    - `to_json(self)` is canonical_json(to_dict(self)), written without
+      building a dict or list: keys in sorted order, a finite float or exact
+      int as its repr, a str escaped as canonical_json escapes it, a coded
+      field by its own `to_json`, and anything else by canonical_json.
+
+    `to_dict` and `to_json` both start by loading each field into a local,
+    which their expressions read.
     """
     if name == "__repr__":
         shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fields if f.repr)
@@ -328,129 +355,84 @@ def _value_source(cls, name: str, fields, env: dict) -> list:
     if name == "__hash__":
         names = [f.name for f in fields if (f.compare if f.hash is None else f.hash)]
         return ["def __hash__(self):", f"    return hash(({''.join(f'self.{n},' for n in names)}))"]
-    params, factories, pairs = ["self"], [], []
-    for f in fields:
-        if f.default is not dataclasses.MISSING:
-            value = _bind(env, f.default, "default")
-        elif f.default_factory is not dataclasses.MISSING:
-            value = _bind(env, f.default_factory, "factory") + "()"
-        else:
-            value = None
-        if not f.init:
-            if value is not None:
-                pairs.append((f.name, value))
-            continue
-        if f.default_factory is not dataclasses.MISSING:
-            params.append(f"{f.name}=FACTORY")
-            factories.append(f"    if {f.name} is FACTORY: {f.name} = {value}")
-        else:
-            params.append(f.name if value is None else f"{f.name}={value}")
-        pairs.append((f.name, f.name))
-    return [f"def __init__({', '.join(params)}):", *factories, *_fill(pairs, cls)]
-
-
-def _codec_source(cls, fields, env: dict, tag: Optional[dict], strict: bool) -> list:
-    """`to_dict`, `from_dict` and `to_json` of a coded class.
-
-    - `to_dict(self)` is `{**tag, name: encode(self.name), ...}`, one dict
-      display: a display is about three times faster than filling a dict
-      field by field, and `to_dict` runs for every traced round.
-    - `from_dict(cls, data)`: one straight-line block per field checks and
-      decodes it, and then its range, or fills a missing one with its
-      default, None (a missing Optional) or a "missing key" error. It then
-      does what `__init__` does, less its call: `_fill`'s lines.
-    - `to_json(self)` is canonical_json(to_dict(self)), written without
-      building a dict or list: keys in sorted order, a finite float or exact
-      int as its repr, a str escaped as canonical_json escapes it, a coded
-      field by its own `to_json`, and anything else by canonical_json.
-
-    `to_dict` and `to_json` both start by loading each field into a local,
-    which their expressions read.
-    """
+    if name == "__init__":
+        params, factories, pairs = ["self"], [], []
+        for f in fields:
+            value = _default(f, env)
+            if not f.init:
+                if value is not None:
+                    pairs.append((f.name, value))
+                continue
+            if f.default_factory is not dataclasses.MISSING:
+                params.append(f"{f.name}=FACTORY")
+                factories.append(f"    if {f.name} is FACTORY: {f.name} = {value}")
+            else:
+                params.append(f.name if value is None else f"{f.name}={value}")
+            pairs.append((f.name, f.name))
+        return [f"def __init__({', '.join(params)}):", *factories, *_fill(pairs, cls)]
+    tag, strict = _CODECS[cls]
     hints = typing.get_type_hints(cls)
-    env.update(tag=tag, known=frozenset([*(tag or ()), *(f.name for f in fields)]), new=object.__new__)
-    loads = []
-    items = ["**tag"] if tag else []
-    # key -> its `"key":value` piece of to_json's f-string; a tag's is a constant
-    pieces = {key: "{" + _bind(env, canonical_json({key: value})[1:-1], "tag") + "}"
-              for key, value in (tag or {}).items()}
-    decode = ["def from_dict(cls, data):",
-              "    if type(data) is not dict:",
-              "        raise SchemaError(cls.__name__ + ': ' + str(mismatch('an object', data)))"]
+    codes = [_sources(hints[f.name], f"x{i}", env, strict) for i, f in enumerate(fields)]
+    loads = [f"    x{i} = self.{f.name}" for i, f in enumerate(fields)]
+    if name == "to_dict":
+        env["tag"] = tag
+        items = [*(["**tag"] if tag else []), *(f"{f.name!r}: {encode}" for f, (encode, _, _) in zip(fields, codes))]
+        return ["def to_dict(self):", *loads, f"    return {{{', '.join(items)}}}"]
+    if name == "to_json":
+        # key -> its `"key":value` piece of the f-string; a tag's is a constant, and a
+        # field name is an identifier, so its key holds no quote, brace or backslash
+        pieces = {key: "{" + _bind(env, canonical_json({key: value})[1:-1], "tag") + "}"
+                  for key, value in (tag or {}).items()}
+        pieces.update((f.name, canonical_json(f.name) + ":{" + write + "}") for f, (_, _, write) in zip(fields, codes))
+        return ["def to_json(self):", *loads, f"    return f'{{{{{','.join(pieces[key] for key in sorted(pieces))}}}}}'"]
+    env.update(known=frozenset([*(tag or ()), *(f.name for f in fields)]), new=object.__new__)
+    lines = ["def from_dict(cls, data):",
+             "    if type(data) is not dict:",
+             "        raise SchemaError(cls.__name__ + ': ' + str(mismatch('an object', data)))"]
     if strict:
-        decode += ["    if not known.issuperset(data):",
-                   "        raise SchemaError(f'{cls.__name__}: unknown keys {short(sorted(set(data) - known))}')"]
-    call = []
-    for i, f in enumerate(fields):
+        lines += ["    if not known.issuperset(data):",
+                  "        raise SchemaError(f'{cls.__name__}: unknown keys {short(sorted(set(data) - known))}')"]
+    for i, (f, (_, decode, _)) in enumerate(zip(fields, codes)):
         x = f"x{i}"
-        encode, decode_x, write = _sources(hints[f.name], x, env, strict)
-        loads.append(f"    {x} = self.{f.name}")
-        items.append(f"{f.name!r}: {encode}")
-        # a field name is an identifier, so its key holds no quote, brace or backslash
-        pieces[f.name] = canonical_json(f.name) + ":{" + write + "}"
-        if f.default is not dataclasses.MISSING:
-            missing = f"{x} = {_bind(env, f.default, 'default')}"
-        elif f.default_factory is not dataclasses.MISSING:
-            missing = f"{x} = {_bind(env, f.default_factory, 'factory')}()"
-        elif _optional_arg(hints[f.name]) is not None:
-            missing = f"{x} = None"
-        else:
-            missing = f"raise SchemaError(cls.__name__ + {': missing key ' + repr(f.name)!r})"
-        decode += [f"    if {f.name!r} in data:",
-                   f"        {x} = data[{f.name!r}]",
-                   "        try:",
-                   f"            {x} = {decode_x}",
-                   "        except SchemaError as exc:",
-                   f"            raise SchemaError(cls.__name__ + {'.' + f.name + ': '!r} + str(exc)) from None"]
+        value = _default(f, env) or ("None" if _optional_arg(hints[f.name]) is not None else None)
+        lines += [f"    if {f.name!r} in data:",
+                  f"        {x} = data[{f.name!r}]",
+                  "        try:",
+                  f"            {x} = {decode}",
+                  "        except SchemaError as exc:",
+                  f"            raise SchemaError(cls.__name__ + {'.' + f.name + ': '!r} + str(exc)) from None"]
         if "range" in f.metadata:
             low, high = f.metadata["range"]
             outside = f" outside [{low:g}, {high:g}]" if type(low) is float else f" outside [{low}, {high}]"
-            decode += [f"        if not {low!r} <= {x} <= {high!r}:",
-                       f"            raise SchemaError(cls.__name__ + {'.' + f.name + '='!r} + repr({x}) + {outside!r})"]
-        decode += ["    else:", f"        {missing}"]
-        call.append((f.name, x))
-    text = ",".join(pieces[key] for key in sorted(pieces))
-    return ["def to_dict(self):", *loads, f"    return {{{', '.join(items)}}}",
-            *decode, "    self = new(cls)", *_fill(call, cls), "    return self",
-            "def to_json(self):", *loads, f"    return f'{{{{{text}}}}}'"]
-
-
-def _field_plans(cls, name: str) -> dict:
-    """The compiled method `name` of `cls`, by name, and with it the codec's
-    other two when it is one of them: written from one walk of the class's
-    fields and compiled with one `exec`, src/carobo's only one."""
-    fields = dataclasses.fields(cls)
-    env = dict(_ENV)
-    if name in CODEC_METHODS:
-        source, names = _codec_source(cls, fields, env, *_CODECS[cls]), CODEC_METHODS
-    else:
-        source, names = _value_source(cls, name, fields, env), (name,)
-    exec("\n".join(source) + "\n", env)
-    if name not in CODEC_METHODS:  # named, and an __init__ annotated, as dataclasses does
-        env[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        if name == "__init__":
-            env[name].__annotations__ = {**{f.name: f.type for f in fields if f.init}, "return": None}
-    return {each: env[each] for each in names}
+            lines += [f"        if not {low!r} <= {x} <= {high!r}:",
+                      f"            raise SchemaError(cls.__name__ + {'.' + f.name + '='!r} + repr({x}) + {outside!r})"]
+        lines += ["    else:", f"        {x} = {value}" if value else
+                  f"        raise SchemaError(cls.__name__ + {': missing key ' + repr(f.name)!r})"]
+    return [*lines, "    self = new(cls)", *_fill([(f.name, f"x{i}") for i, f in enumerate(fields)], cls),
+            "    return self"]
 
 
 def _method(cls, name: str):
     """The compiled method `name` of `cls`.
 
-    The first call compiles it, with the codec's other two when it is one of
-    them, and puts each compiled method in place of its stand-in, unless the
-    class was patched there in the meantime (as a tracer does); later calls
-    then skip the stand-in.
+    The first call writes that method alone, with `_source`, and compiles it
+    with one `exec`, src/carobo's only one; the compiled method then takes the
+    place of its stand-in, unless the class was patched there in the
+    meantime (as a tracer does), so later calls skip the stand-in.
     """
     compiled = _COMPILED.setdefault(cls, {})
     method = compiled.get(name)
     if method is None:
-        methods = _field_plans(cls, name)
-        compiled.update(methods)
-        stand_ins = _STAND_INS[cls]
-        for each, fn in methods.items():
-            if cls.__dict__.get(each) is stand_ins[each]:
-                setattr(cls, each, classmethod(fn) if each == "from_dict" else fn)
-        method = methods[name]
+        fields = dataclasses.fields(cls)
+        env = dict(_ENV)
+        exec("\n".join(_source(cls, name, fields, env)) + "\n", env)
+        method = compiled[name] = env[name]
+        if name not in CODEC_METHODS:  # named, and an __init__ annotated, as dataclasses does
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            if name == "__init__":
+                method.__annotations__ = {**{f.name: f.type for f in fields if f.init}, "return": None}
+        if cls.__dict__.get(name) is _STAND_INS[cls][name]:
+            setattr(cls, name, classmethod(method) if name == "from_dict" else method)
     return method
 
 
@@ -496,7 +478,7 @@ def value_class(cls):
     The class is a dataclass, made with `init`, `repr` and `eq` off, so
     `dataclasses.fields`, `replace` and `is_dataclass` work on it. Its
     `__init__`, `__eq__`, `__hash__` and `__repr__` are stand-ins: the first
-    call of each compiles it, as `_value_source` writes it, to behave as a
+    call of each compiles it, as `_source` writes it, to behave as a
     frozen dataclass's. So does the first look-up of `__signature__`, which
     `inspect.signature` makes, for `__init__`. One shared `__setattr__` and
     `__delattr__` raise `FrozenInstanceError`. A class without a docstring
@@ -523,11 +505,11 @@ def codec(cls=None, *, strict: bool = False, tag: Optional[dict] = None):
     Unknown keys are ignored, and an enum field is decoded by calling the
     enum. When `strict`, unknown keys are rejected and an enum field takes
     only a member's exact value. `to_json()` is
-    always exactly `canonical_json(self.to_dict())`, written directly. All
-    three are compiled by `_field_plans` once per class, on the first call of
-    any of them, and then replace the stand-ins that compiled them, so later
-    calls run the compiled functions directly. A method patched onto the
-    class in the meantime is left in place.
+    always exactly `canonical_json(self.to_dict())`, written directly. Each
+    of the three is compiled alone by `_method`, on its own first call, and
+    then replaces the stand-in that compiled it, so later calls run the
+    compiled function directly. A method patched onto the class in the
+    meantime is left in place.
     """
     if cls is None:
         return lambda c: codec(c, strict=strict, tag=tag)

@@ -227,9 +227,23 @@ def _host_plan_that_is_empty(records):
     return index
 
 
+def _round_record_index_not_its_round(records):
+    index = next(i for i, rec in enumerate(records) if rec["type"] == "round")
+    records[index]["index"] = 99
+    return index
+
+
+def _round_index_not_its_record(records):
+    index = next(i for i, rec in enumerate(records) if rec["type"] == "round")
+    records[index]["round"]["index"] = 7
+    return index
+
+
 BROKEN_RECORDS = {"unknown type in the middle": _unknown_type_in_the_middle,
                   "round record without its round": _round_without_its_round,
-                  "host plan that is empty": _host_plan_that_is_empty}
+                  "host plan that is empty": _host_plan_that_is_empty,
+                  "round record index not its round's": _round_record_index_not_its_round,
+                  "round index not its record's": _round_index_not_its_record}
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_RECORDS))
@@ -248,6 +262,26 @@ def test_a_trace_record_that_does_not_decode_exits_two_naming_its_line(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"error: trace {trace}, line {index + 1}: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_replay_compares_every_round(tmp_path, capsys):
+    """The first two round records swapped replay to the same result, since
+    their commands (two quarter turns left) commute; the rounds differ."""
+    trace = tmp_path / "episode.jsonl"
+    assert main(["run", "--request", request_of("obj_1"), "--world", world_file("obj_1"),
+                 "--trace", str(trace)]) == 0
+    lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    first, second = [i for i, line in enumerate(lines) if line.startswith('{"index":')][:2]
+    names = [json.loads(lines[i])["round"]["action"]["name"] for i in (first, second)]
+    assert names == ["car_left", "car_left"]
+    lines[first], lines[second] = lines[second], lines[first]
+    trace.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+
+    assert main(["replay", "--trace", str(trace)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("MISMATCH") == 1 and "round 0: MISMATCH\n" in out
+    assert out.count(": match") == 5
 
 
 def _recorded_trace(tmp_path):

@@ -146,31 +146,36 @@ def test_trace_records_round_trip():
         assert record.to_json() == canonical_json(doc)
 
 
-def test_field_plan_is_resolved_once(monkeypatch):
-    """All three functions come from one plan, resolved on the first call of any of them."""
-    calls = []
-    plans = model._field_plans
-    monkeypatch.setattr(model, "_field_plans", lambda cls, *args: calls.append(cls) or plans(cls, *args))
+def test_each_codec_method_compiles_alone_on_its_first_call(monkeypatch):
+    """The first call of `to_json`, `from_dict` or `to_dict` writes and compiles
+    that method alone, and later calls compile nothing; a method patched in
+    before its first call, as a tracer does, stays in place."""
+    written = []
+    source = model._source
+    monkeypatch.setattr(model, "_source", lambda cls, name, *args: written.append(name) or source(cls, name, *args))
 
-    for first in ("from_dict", "to_json"):
-        @codec
-        @dataclass(frozen=True)
-        class Pair:
-            left: Tuple[float, ...]
-            right: Optional[Dict[str, int]] = None
+    @codec
+    @dataclass(frozen=True)
+    class Pair:
+        left: Tuple[float, ...]
+        right: Optional[Dict[str, int]] = None
 
-        calls.clear()
-        pair = Pair((1.0,), {"a": 1})
-        assert calls == []  # nothing is resolved at decoration time
-        if first == "to_json":
-            assert pair.to_json() == '{"left":[1.0],"right":{"a":1}}'
-        else:
-            assert Pair.from_dict({"left": [1]}) == Pair((1.0,))
-        assert calls == [Pair]
-        for _ in range(3):
-            assert Pair.from_dict(pair.to_dict()) == pair
-            assert pair.to_json() == canonical_json(pair.to_dict())
-        assert calls == [Pair]
+    stand_ins = dict(model._STAND_INS[Pair])
+    seen = []
+    Pair.to_dict = lambda self: seen.append(self) or stand_ins["to_dict"](self)
+    pair = Pair((1.0,), {"a": 1})
+    assert written == []  # nothing is written at decoration time
+    assert pair.to_json() == '{"left":[1.0],"right":{"a":1}}'
+    assert written == ["to_json"] and set(model._COMPILED[Pair]) == {"to_json"}
+    assert Pair.__dict__["to_json"] is model._COMPILED[Pair]["to_json"]
+    assert Pair.__dict__["from_dict"] is stand_ins["from_dict"]
+    assert Pair.from_dict(pair.to_dict()) == pair and seen == [pair]
+    assert written == ["to_json", "to_dict", "from_dict"]
+    assert Pair.__dict__["to_dict"] is not model._COMPILED[Pair]["to_dict"]  # the patch stays
+    for _ in range(3):
+        assert Pair.from_dict(pair.to_dict()) == pair
+        assert pair.to_json() == canonical_json(pair.to_dict())
+    assert written == ["to_json", "to_dict", "from_dict"] and len(seen) == 7
 
 
 def test_compiled_functions_replace_the_stand_ins_but_not_a_patched_method(monkeypatch):

@@ -85,7 +85,7 @@ EXAMPLES = {
     app.HostRecord: (dict(prompt_digest="d1", raw="r", decision=llm.HostDecision("o", "t", GlobalPlan(("a",)), "c")),
                      dict(prompt_digest="d2", raw="r", decision=llm.HostDecision("o", "t", GlobalPlan(("b",)), "c"))),
     app.RoundRecord: (dict(index=0, prompt_digest="d", raw="r", round=_round),
-                      dict(index=1, prompt_digest="d", raw="s", round=_round)),
+                      dict(index=1, prompt_digest="d", raw="s", round=dataclasses.replace(_round, index=1))),
     app.RoundError: (dict(round=0, error="MalformedDecision: no JSON"), dict(round=2, error="TransportError: down")),
     app.EpisodeResult: (dict(request_id="r", verdict=Verdict.SUCCESS, failure_reason=None, steps=0, rounds=0,
                              trace=model.MemoryLog(), final_world_digest=None),
@@ -126,6 +126,7 @@ REFUSED = {
     model.GlobalPlan: [dict(steps=()), dict(steps=("",))],
     model.Round: [dict(index=-1, observation=Observation(), comment="c", status=Status.FINISH),
                   dict(index=0, observation=Observation(), comment="c", status=Status.CONTINUE, action=_cmd)],
+    app.RoundRecord: [dict(index=1, prompt_digest="d", raw="r", round=_round)],
     sim.SimObject: [dict(id="c1", kind="car", shape=_circle), dict(id="b1", kind="box", shape=_circle, height=0.0)],
     sim.Shape: [dict(kind="circle", center=None, radius=1.0)],
     llm.Prompt: [dict(system="s", few_shot=(), blocks={"request": "r"})],
@@ -260,13 +261,48 @@ def test_a_stand_in_compiles_only_its_method_and_leaves_a_patched_one():
     assert Pair.__repr__(Pair(1.0)) == "patched"
 
 
-def test_a_value_class_with_a_codec_compiles_the_codec_apart():
+def test_a_value_class_with_a_codec_compiles_each_method_alone():
     @model.codec
     @value_class
     class Point:
         x: float
         y: float = 0.0
 
-    assert Point.from_dict({"x": 1}) == Point(1.0) and set(model._COMPILED[Point]) == {
-        "to_dict", "from_dict", "to_json", "__init__", "__eq__"}
-    assert Point(2.0).to_json() == '{"x":2.0,"y":0.0}' and "__repr__" not in model._COMPILED[Point]
+    Point.to_dict = lambda self: "patched"
+    assert Point.from_dict({"x": 1}) == Point(1.0)
+    assert set(model._COMPILED[Point]) == {"from_dict", "__init__", "__eq__"}
+    assert Point(2.0).to_json() == '{"x":2.0,"y":0.0}'
+    assert set(model._COMPILED[Point]) == {"from_dict", "__init__", "__eq__", "to_json"}
+    assert model._method(Point, "to_dict")(Point(2.0)) == {"x": 2.0, "y": 0.0}
+    assert Point(2.0).to_dict() == "patched" and "__repr__" not in model._COMPILED[Point]
+
+
+def test_every_generated_method_compiles():
+    """Each stand-in of every carobo class compiles to its method; no run
+    calls them all, so this is where each generated source is compiled."""
+    compiled = []
+    for cls in CLASSES:
+        for name in model._STAND_INS[cls]:
+            method = model._method(cls, name)
+            assert method.__name__ == name and model._COMPILED[cls][name] is method
+            compiled.append(method)
+    assert len(compiled) == 44 * 4 + 31 * 3
+
+
+def test_an_untraced_oracle_run_compiles_no_to_dict():
+    """In a fresh interpreter, the oracle's run of the bundled suite decodes
+    its scenarios and worlds but encodes no value with a compiled `to_dict`."""
+    probe = """
+import contextlib, io, json
+from carobo import model
+from carobo.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["bench", "--policy", "oracle"])
+print(json.dumps({"code": code,
+                  "compiled": {c.__name__: sorted(names) for c, names in model._COMPILED.items()}}))
+"""
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": str(SRC)}, check=True)
+    report = json.loads(done.stdout)
+    assert report["code"] == 0 and "from_dict" in report["compiled"]["ScenarioSpec"]
+    assert [cls for cls, names in report["compiled"].items() if "to_dict" in names] == []
