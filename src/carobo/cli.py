@@ -30,20 +30,23 @@ def _backend_cfg(args) -> BackendConfig:
         if not args.replay_trace:
             raise CaroboError("--backend replay needs --replay-trace FILE")
         return BackendConfig(kind=ReplayConfig(trace_path=args.replay_trace), max_retries=args.max_retries)
-    if args.backend == "http":
-        if not args.endpoint or not args.model:
-            raise CaroboError("--backend http needs --endpoint and --model")
-        return BackendConfig(
-            kind=HttpChatConfig(endpoint=args.endpoint, model_name=args.model),
-            max_retries=args.max_retries,
-        )
-    raise CaroboError(f"unknown backend {args.backend!r}")
+    # "http", the last of the parser's choices
+    if not args.endpoint or not args.model:
+        raise CaroboError("--backend http needs --endpoint and --model")
+    return BackendConfig(
+        kind=HttpChatConfig(endpoint=args.endpoint, model_name=args.model),
+        max_retries=args.max_retries,
+    )
 
 
 def _check_output(path, what: str, made=()) -> None:
-    """Fail before any work when `path` cannot be written for want of its
-    directory, which is neither there nor one of the directories `made` by the work."""
-    if path is not None and not Path(path).parent.is_dir() and Path(path).parent.resolve() not in made:
+    """Fail before any work when `path` cannot be written: it is a directory,
+    or its directory is neither there nor one of the directories `made` by the work."""
+    if path is None:
+        return
+    if Path(path).is_dir():
+        raise CaroboError(f"cannot write {what} {path}: it is a directory")
+    if not Path(path).parent.is_dir() and Path(path).parent.resolve() not in made:
         raise CaroboError(f"cannot write {what} {path}: no directory {Path(path).parent}")
 
 

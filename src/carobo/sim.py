@@ -13,7 +13,9 @@ least GRID_MIN_OBJECTS objects also buckets the rows into a uniform grid,
 built once on the first query: the sensor rays walk its cells nearest first,
 and a drive takes the rows of the cells around its path. Both give exactly
 what a scan of every row gives. Smaller worlds, and queries from outside the
-grid, scan; so does the start-pose overlap check. The camera scans the row
+grid, scan; so does the start-pose overlap check. An IR ray stops at its
+switch's reach, and a drive skips the checks over the travel that its near
+discs prove free (`_clear_spans`). The camera scans the row
 table and judges each line of sight once per robot position: a render after
 a turn, a camera move or a drive that did not move reuses the verdicts of the
 one before. A render at the exact pose of the one before, and a sensor read
@@ -29,7 +31,7 @@ import reprlib
 import struct
 from dataclasses import field
 from functools import cached_property
-from math import hypot, isfinite
+from math import hypot, inf, isfinite, nextafter
 from operator import add, sub
 from typing import Optional, Tuple
 
@@ -561,9 +563,38 @@ def raycast(world: WorldState, origin, direction_deg: float, max_range: float) -
     return _nearest_hit(objects.rows[0], objects.grid, origin, geo.unit(direction_deg), max_range)
 
 
+def _ir_reach(p: SimParams) -> float:
+    """The least distance L with L - footprint_radius > ir_range, capped at
+    ultrasonic_max. Float subtraction is monotone, so every reading at or past
+    L reads "nothing" as L does, and an IR ray cast to L answers as one cast to
+    ultrasonic_max.
+
+    For parameters within their ranges, L is the rounded sum S =
+    footprint_radius + ir_range or the float below it when S qualifies, and
+    one of the two floats above S when it does not. Parameters that no
+    document can hold, for which none of these qualifies, keep the ray's
+    reach at ultrasonic_max.
+    """
+    radius, ir_range = p.footprint_radius, p.ir_range
+    reach = radius + ir_range
+    if reach - radius > ir_range:
+        below = nextafter(reach, -inf)
+        if below - radius > ir_range:
+            reach = below
+    else:
+        reach = nextafter(reach, inf)
+        if not reach - radius > ir_range:
+            reach = nextafter(reach, inf)
+    cap = p.ultrasonic_max
+    # a NaN cap stays NaN, as the cast to it would
+    return reach if reach < cap and reach - radius > ir_range else cap
+
+
 def read_sensors(world: WorldState) -> SensorData:
     """Ultrasonic from the footprint's front edge; IR switches at +/-ir_angle.
 
+    The sonar casts to ultrasonic_max. An IR switch only tells whether a hit
+    lies within footprint_radius + ir_range, so its ray stops at `_ir_reach`.
     A read at the position and heading of the last read there, with the same
     params object, returns that read's result.
     """
@@ -575,10 +606,12 @@ def read_sensors(world: WorldState) -> SensorData:
     bits, params, sensors = spot.sensors
     if bits == key and params is p:
         return sensors
-    clearance = _front_clearance(objects.rows[0], objects.grid, p, pose.position, geo.unit(pose.heading))
+    clearance = _front_clearance(objects.rows[0], objects.grid, p.footprint_radius, pose.position,
+                                 geo.unit(pose.heading), p.ultrasonic_max)
+    reach = _ir_reach(p)
 
     def ir(side_deg: float) -> bool:
-        d = raycast(world, pose.position, pose.heading + side_deg, p.ultrasonic_max)
+        d = raycast(world, pose.position, pose.heading + side_deg, reach)
         return d - p.footprint_radius <= p.ir_range
 
     sensors = SensorData(
@@ -590,11 +623,14 @@ def read_sensors(world: WorldState) -> SensorData:
     return sensors
 
 
-def _max_free_advance(rows, radius: float, start, direction, limit: float) -> float:
+def _max_free_advance(rows, radius: float, start, direction, limit: float, clear: float) -> float:
     """Largest travel in [0, limit] that keeps the footprint off every object of `rows`.
 
     Bisects the overlap predicate; 60 halvings put the answer well below 1e-12
-    of the true contact point, so clamped stops never overlap.
+    of the true contact point, so clamped stops never overlap. A travel of at
+    most `clear` is known free, so a midpoint there is taken as free untested:
+    the test would find it free. The halvings, and so the answer's bits, are
+    those of testing every midpoint.
     """
     end = (start[0] + direction[0] * limit, start[1] + direction[1] * limit)
     if _overlapping_object(rows, end, radius) is None:
@@ -602,18 +638,61 @@ def _max_free_advance(rows, radius: float, start, direction, limit: float) -> fl
     lo, hi = 0.0, limit  # lo is known free (current pose is legal)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        p = (start[0] + direction[0] * mid, start[1] + direction[1] * mid)
-        if _overlapping_object(rows, p, radius) is None:
+        if mid <= clear or _overlapping_object(rows, (start[0] + direction[0] * mid,
+                                                      start[1] + direction[1] * mid), radius) is None:
             lo = mid
         else:
             hi = mid
     return lo
 
 
-def _front_clearance(rows, grid: Optional[Grid], p: SimParams, position, front) -> float:
-    """The sonar's reading from the footprint's edge along the unit vector `front`."""
-    edge = (position[0] + front[0] * p.footprint_radius, position[1] + front[1] * p.footprint_radius)
-    return _nearest_hit(rows, grid, edge, front, p.ultrasonic_max)
+def _front_clearance(rows, grid: Optional[Grid], radius: float, position, front, limit: float) -> float:
+    """The sonar's reading, capped at `limit`, from the edge of a footprint of
+    `radius` along the unit vector `front`."""
+    edge = (position[0] + front[0] * radius, position[1] + front[1] * radius)
+    return _nearest_hit(rows, grid, edge, front, limit)
+
+
+def _clear_spans(rows, origin, direction, p: SimParams, forward: bool, pad: float) -> Tuple[float, float]:
+    """(free, sonar): how far a drive from `origin` along the unit vector
+    `direction` can travel, by the bounding discs of `rows` alone, with its
+    footprint surely touching none of them, and, for a forward drive, with its
+    sonar surely reading at least avoid_threshold from each travel up to there.
+
+    The footprint's centre enters a disc (c, r) grown by footprint_radius at the
+    travel along - chord, where `along` and `cross` are the offsets of c along
+    and across the path; the sonar meets the disc first at along - chord -
+    footprint_radius from its cast. `pad`, which must exceed the rounding of
+    the points the drive tests, of these offsets and of the discs' own culls,
+    grows each disc and shortens each span, and (g - cross) * (g + cross) keeps
+    the chord well conditioned where the path grazes a disc. So over each span
+    the exact tests that the drive skips would find nothing. A span is -inf
+    where a pad that is not finite proves nothing; a disc that the path misses,
+    or that lies wholly behind the footprint or the sonar's cast, bounds neither.
+    A drive backward checks no sonar: its sonar span is inf.
+    """
+    if not pad < inf:
+        return -inf, (-inf if forward else inf)
+    radius, threshold = p.footprint_radius, p.avoid_threshold
+    # with no hit at all, the sonar reads ultrasonic_max
+    free, sonar = inf, (inf if not forward or p.ultrasonic_max >= threshold else -inf)
+    ox, oy = origin
+    dx, dy = direction
+    for _, cx, cy, r, _ in rows:
+        mx, my = cx - ox, cy - oy
+        along = mx * dx + my * dy
+        cross = abs(mx * dy - my * dx)
+        g = r + radius + pad
+        if cross < g:
+            chord = math.sqrt((g - cross) * (g + cross))
+            if along + chord > 0.0 and along - chord - pad < free:
+                free = along - chord - pad
+        g = r + pad
+        if forward and cross < g:
+            chord = math.sqrt((g - cross) * (g + cross))
+            if along + chord >= radius and along - chord - radius - threshold - pad < sonar:
+                sonar = along - chord - radius - threshold - pad
+    return free, sonar
 
 
 def _near_segment(objects: ObjectSet, start, end, reach: float) -> list:
@@ -647,8 +726,14 @@ def _drive(world: WorldState, requested: float, forward: bool) -> Tuple[RobotPos
 
     Only objects near the path can stop it: the footprint sweeps within
     footprint_radius of the segment, and the avoid check looks avoid_threshold
-    further along it. With nothing near, each increment is free and the sonar
-    reads ultrasonic_max, so the loop sums the increments without the checks.
+    further along it. Once per drive, `_clear_spans` bounds from their discs
+    the travel over which the footprint surely touches nothing, and the one
+    from which the sonar surely reads at least avoid_threshold. An increment
+    that ends within the first makes no overlap test; one that starts within
+    the second makes no avoid check. Both are unbounded with nothing near, but
+    for a sonar shorter than the threshold, which turns the drive at once. An
+    avoid check that remains casts only to avoid_threshold, the one reading it
+    compares.
     """
     p = world.params
     pose = world.robot
@@ -657,29 +742,32 @@ def _drive(world: WorldState, requested: float, forward: bool) -> Tuple[RobotPos
     origin = pose.position
     reach = p.footprint_radius + (p.avoid_threshold if forward else 0.0)
     end = (origin[0] + direction[0] * requested, origin[1] + direction[1] * requested)
-    near = _near_segment(world.objects, origin, end, reach)
+    objects = world.objects
+    near = _near_segment(objects, origin, end, reach)
+    # the scale of every coordinate the drive computes, as in render_camera's cull
+    pad = 2.0 * BOUND_MARGIN * (objects.rows[1] + abs(origin[0]) + abs(origin[1]) + requested + reach)
+    free_to, sonar_to = _clear_spans(near, origin, direction, p, forward, pad)
     travelled = 0.0
     outcome = ExecOutcome.OK
     heading = pose.heading
     heading_change = 0.0
     step, radius, threshold = p.integration_step, p.footprint_radius, p.avoid_threshold
-    clearance = p.ultrasonic_max  # the sonar's reading with nothing near the path
+    sonar_limit = min(p.ultrasonic_max, threshold)  # as in _ir_reach, a NaN ultrasonic_max stays NaN
     while travelled < requested - 1e-12:
         remaining = requested - travelled
         inc = remaining if remaining < step else step  # min(step, remaining), bit for bit
-        free = inc  # with nothing near the path, every increment is free
-        if near:
+        free = inc
+        if travelled > sonar_to or inc > free_to - travelled:
             here = (origin[0] + direction[0] * travelled, origin[1] + direction[1] * travelled)
-            if forward:  # forward, the travel direction is the sonar's
-                clearance = _front_clearance(near, None, p, here, direction)
-        # obstacle-avoid check happens before every increment
-        if forward and clearance < threshold:
-            outcome = ExecOutcome.AVOIDED
-            heading -= 90.0  # RobotPose normalizes it
-            heading_change = -90.0
-            break
-        if near:
-            free = _max_free_advance(near, radius, here, direction, inc)
+            # obstacle-avoid check happens before every increment; forward, the travel direction is the sonar's
+            if travelled > sonar_to and _front_clearance(near, None, radius, here, direction, sonar_limit) < threshold:
+                outcome = ExecOutcome.AVOIDED
+                heading -= 90.0  # RobotPose normalizes it
+                heading_change = -90.0
+                break
+            clear = free_to - travelled  # the travel from here that surely touches nothing
+            if inc > clear:
+                free = _max_free_advance(near, radius, here, direction, inc, clear)
         travelled += free
         if free < inc - 1e-12:
             outcome = ExecOutcome.BLOCKED
@@ -755,11 +843,12 @@ def visible_height_band(world: WorldState, obj: SimObject) -> Tuple[float, float
     return _vertical_window(world)(obj.height, math.hypot(cx - world.robot.x, cy - world.robot.y))
 
 
-def _hidden(occluders, origin, target: SimObject, dx: float, dy: float, distance: float, edge: float) -> bool:
+def _hidden(occluders, origin, target: SimObject, angle: float, distance: float, edge: float) -> bool:
     """Whether an object other than `target` hides it from `origin`.
 
-    The line of sight runs to the target's centroid, at offset (dx, dy) and
-    `distance`; `edge` is the near edge of the target's bounding disc. It is
+    The line of sight runs to the target's centroid, at `distance` and at the
+    absolute angle `angle` in degrees, the one `render_camera` found for its
+    bearing; `edge` is the near edge of the target's bounding disc. It is
     hidden when another object has an exact ray hit below t_self - 1e-9,
     where t_self is the target's own hit, or `distance` if the ray misses it.
 
@@ -770,7 +859,7 @@ def _hidden(occluders, origin, target: SimObject, dx: float, dy: float, distance
     t_self is found only once the walk meets a later hit or near edge. The
     walk answers "visible" at the first near edge at or beyond t_self - 1e-9.
     """
-    direction = geo.unit(math.degrees(math.atan2(dy, dx)))
+    direction = geo.unit(angle)
     ox, oy = origin
     ux, uy = direction
     below = edge - 1e-9  # at most t_self - 1e-9
@@ -848,23 +937,26 @@ def render_camera(world: WorldState) -> Observation:
         if past > r + pad:
             continue
         distance = math.hypot(dx, dy)
-        bearing = geo.rel_bearing(math.degrees(math.atan2(dy, dx)) - pose.heading)
+        angle = math.degrees(math.atan2(dy, dx))
+        bearing = geo.rel_bearing(angle - pose.heading)
+        off = abs(bearing)
         # every line of sight below lies in the field of view; a disc that
-        # stays outside it cannot occlude
-        if distance <= r or abs(bearing) <= half + math.degrees(math.asin(r / distance)):
+        # stays outside it cannot occlude. A bearing within half passes
+        # without the asin, as half plus a nonnegative angle is at least half.
+        if distance <= r or off <= half or off <= half + math.degrees(math.asin(r / distance)):
             occluders.append((distance - r, cx, cy, r, obj))
-        if distance < 1e-9 or abs(bearing) > half:
+        if distance < 1e-9 or off > half:
             continue
         lo, hi = band(obj.height, distance)
         if hi > lo:
-            in_view.append((i, obj, dx, dy, distance, bearing, distance - r))
+            in_view.append((i, obj, angle, distance, bearing, distance - r))
     occluders.sort(key=lambda occluder: occluder[0])
     hidden = spot.hidden
     candidates = []
-    for i, obj, dx, dy, distance, bearing, edge in in_view:
+    for i, obj, angle, distance, bearing, edge in in_view:
         verdict = hidden.get(i)
         if verdict is None:
-            verdict = hidden[i] = _hidden(occluders, (x, y), obj, dx, dy, distance, edge)
+            verdict = hidden[i] = _hidden(occluders, (x, y), obj, angle, distance, edge)
         if verdict:
             continue
         candidates.append(

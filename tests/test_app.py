@@ -215,6 +215,12 @@ def test_episode_trace_has_no_wall_clock(tmp_path):
     assert "world" in header and "limits" in header
 
 
+def test_a_trace_path_that_is_a_directory_raises_a_carobo_error(tmp_path):
+    cfg = replay_cfg(tmp_path, [HOST_LINE, FINISH_LINE])
+    with pytest.raises(CaroboError, match="cannot write trace"):
+        run_episode(UserRequest(text="r"), SimRobot(empty_world()), cfg, trace_path=tmp_path)
+
+
 def test_untraced_episode_builds_no_records_and_loads_each_template_once(tmp_path, monkeypatch):
     """Without a trace path no record is built: neither the header, with its
     world document, nor the footer."""

@@ -42,6 +42,7 @@ from carobo.bench import (
 from carobo.cli import main
 from carobo.llm import ReplayConfig, ScriptedConfig
 from carobo.model import (
+    CaroboError,
     Command,
     ExecOutcome,
     ExecResult,
@@ -526,6 +527,17 @@ def test_run_scenario_replay_matches_table_cell():
     specs = {s.id: s for s in load_benchmark(default_suite_path())}
     row, _ = run_scenario(specs["obj_1"], replay_pair(bundled_trace_dir("gpt-4o")))
     assert (row.verdict, row.steps) == ("Success", 9)
+
+
+def test_run_suite_refuses_a_traces_dir_it_cannot_make(tmp_path, monkeypatch):
+    """A file where a parent of the traces directory should be stops the suite
+    before its first episode."""
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    ran = []
+    monkeypatch.setattr(bench, "run_scenario", lambda *args, **kwargs: ran.append(args))
+    with pytest.raises(CaroboError, match="cannot make traces directory"):
+        run_suite(load_benchmark(default_suite_path()), scripted_pair("oracle"), traces_dir=tmp_path / "file" / "t")
+    assert ran == []
 
 
 def test_run_suite_writes_traces(tmp_path):

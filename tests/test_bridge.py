@@ -131,6 +131,15 @@ def test_publish_type_checked_per_topic():
         a.close()
 
 
+def test_next_message_on_an_unknown_topic_is_refused():
+    a, _b = local_pair()
+    try:
+        with pytest.raises(TopicPayloadMismatch, match="unknown topic"):
+            a.next_message("/carobo/nope", timeout_ms=50)
+    finally:
+        a.close()
+
+
 # ---------------------------------------------------------------------------
 # Local transport
 

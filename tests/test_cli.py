@@ -337,6 +337,10 @@ def _replay_out_in_a_missing_directory(tmp_path):
     return ["replay", "--trace", str(_recorded_trace(tmp_path)), "--out", str(tmp_path / "nope" / "t.jsonl")]
 
 
+def _replay_out_that_is_a_directory(tmp_path):
+    return ["replay", "--trace", str(_recorded_trace(tmp_path)), "--out", str(tmp_path)]
+
+
 def _bench_traces_dir_that_is_a_file(tmp_path):
     (tmp_path / "traces").write_text("", encoding="utf-8")
     return ["bench", "--traces-dir", str(tmp_path / "traces")]
@@ -359,6 +363,10 @@ BAD_FILES = {
     "replay --out in a missing directory": _replay_out_in_a_missing_directory,
     "bench --out in a missing directory": lambda tmp: ["bench", "--out", str(tmp / "nope" / "report.json")],
     "bench --traces-dir that is a file": _bench_traces_dir_that_is_a_file,
+    "run --trace that is a directory": lambda tmp: ["run", "--request", "x", "--world", world_file("obj_1"),
+                                                    "--trace", str(tmp)],
+    "replay --out that is a directory": _replay_out_that_is_a_directory,
+    "bench --out that is a directory": lambda tmp: ["bench", "--policy", "oracle", "--out", str(tmp)],
 }
 
 
@@ -373,7 +381,9 @@ def test_bad_input_files_exit_two(tmp_path, capsys, case):
 
 
 OUTPUT_PATHS = ("run --trace in a missing directory", "replay --out in a missing directory",
-                "bench --out in a missing directory", "bench --traces-dir that is a file")
+                "bench --out in a missing directory", "bench --traces-dir that is a file",
+                "run --trace that is a directory", "replay --out that is a directory",
+                "bench --out that is a directory")
 
 
 @pytest.mark.parametrize("case", OUTPUT_PATHS)

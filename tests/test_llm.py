@@ -34,7 +34,7 @@ from carobo.llm import (
     with_retry,
 )
 from carobo.app import EpisodeLimits, run_episode
-from carobo.model import Command, InvariantViolation, Status, UnknownStatus, UserRequest
+from carobo.model import CaroboError, Command, InvariantViolation, Status, UnknownStatus, UserRequest
 from carobo.sim import SimRobot, load_world
 
 
@@ -169,6 +169,11 @@ def test_parse_template_rejects_orphan_output():
     text = "== system ==\nsys\n== example output ==\nno input\n"
     with pytest.raises(Exception):
         parse_template(text)
+
+
+def test_parse_template_rejects_an_unknown_block_kind():
+    with pytest.raises(CaroboError, match="unknown block kind 'weather'"):
+        parse_template("== system ==\nsys\n== block weather ==\nsunny\n")
 
 
 def test_parse_template_sections():
@@ -426,6 +431,8 @@ def test_make_backend_dispatch():
     assert make_backend(BackendConfig(kind=ScriptedConfig(policy_id="oracle"))).policy_id == "oracle"
     http = make_backend(BackendConfig(kind=HttpChatConfig(endpoint="http://x", model_name="m")))
     assert http.cfg.model_name == "m"
+    with pytest.raises(CaroboError, match="unknown backend kind"):
+        make_backend(BackendConfig(kind="mock"))
 
 
 def never_built():

@@ -413,15 +413,16 @@ def _shape_doc(rng, cx, cy):
     ]}
 
 
-GRAZES = ("corridor", "avoid band", "sonar ray", "fov edge")
+GRAZES = ("corridor", "avoid band", "sonar ray", "fov edge", "ir reach")
 
 
 def _graze_doc(rng, kind, pose, params, travel_heading, length):
     """A shape on an edge that culling must respect: the swept corridor, the
     avoid band past the end of the drive, the ultrasonic ray, where the
-    farthest vertex of a triangle lies within EPS of the ray's line, or the
+    farthest vertex of a triangle lies within EPS of the ray's line, the
     edge of the camera's field of view, which a circle touches from just
-    inside or just outside."""
+    inside or just outside, or the reach of an IR switch, where a circle's
+    hit on its ray lies at footprint_radius + ir_range or a tiny either side."""
     R = params["footprint_radius"]
     x, y = pose["x"], pose["y"]
     tiny = rng.choice((0.0, 1e-13, -1e-13, 1e-10, 1e-9, 2e-9, 1e-6))
@@ -429,6 +430,10 @@ def _graze_doc(rng, kind, pose, params, travel_heading, length):
     r = rng.uniform(0.03, 0.3)
     d = geometry.unit(travel_heading)
     n = (-d[1], d[0])
+    if kind == "ir reach":
+        ray = geometry.unit(pose["heading"] + side * params.get("ir_angle", SimParams.ir_angle))
+        dist = R + params.get("ir_range", SimParams.ir_range) + tiny + r
+        return {"type": "circle", "radius": r, "center": [x + ray[0] * dist, y + ray[1] * dist]}
     if kind == "corridor":
         s = rng.uniform(0.0, length)
         off = side * (R + r + tiny)
@@ -512,20 +517,42 @@ def fuzzed_cases(draw):
     return world, Command(name=name, value=value)
 
 
-def graze_case(kind, seed):
-    """One shape on a culling edge in front of the robot at the origin; with a
-    bounding disc that is not padded, or a drive corridor without the avoid
-    band, the culled simulator differs from the full scan here."""
+def graze_case(kind, seed, **params):
+    """One shape on a culling edge in front of the robot at the origin, with
+    the given params over the defaults; with a bounding disc that is not
+    padded, or a drive corridor without the avoid band, the culled simulator
+    differs from the full scan here."""
     pose = {"x": 0.0, "y": 0.0, "heading": 0.0, "camera_pitch": 0.0}
-    params = {"footprint_radius": 0.1, "avoid_threshold": 0.3}
+    params = {"footprint_radius": 0.1, "avoid_threshold": 0.3, **params}
     doc = _graze_doc(random.Random(seed), kind, pose, params, 0.0, 1.0)
     return seeded_world(seed, 0, 1.0, pose, params, [doc]), Command("car_forward", 1.0)
+
+
+def contact_case(increments, tiny, lateral=0.1):
+    """A forward drive whose footprint first touches a circle `tiny` past the
+    end of its increment number `increments`. The circle's centre lies
+    `lateral` off the sonar's line, so it stops the drive instead of turning it."""
+    pose = {"x": 0.0, "y": 0.0, "heading": 0.0, "camera_pitch": 0.0}
+    params = {"footprint_radius": 0.1, "avoid_threshold": 0.3, "integration_step": 0.05}
+    end = 0.0
+    for _ in range(increments):
+        end += 0.05  # as the drive sums its increments
+    r = 0.05
+    along = end + tiny + math.sqrt((0.1 + r) ** 2 - lateral ** 2)
+    doc = {"type": "circle", "radius": r, "center": [along, lateral]}
+    return seeded_world(0, 0, 1.0, pose, params, [doc]), Command("car_forward", 1.0)
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @example(graze_case("sonar ray", 1))
 @example(graze_case("avoid band", 2))
 @example(graze_case("fov edge", 3))
+@example(graze_case("ir reach", 28, ir_range=0.0))  # its hit lies at footprint_radius
+# a sonar shorter than an IR switch's reach: with nothing within it, both switches read "near"
+@example(graze_case("ir reach", 5, ultrasonic_max=0.25, avoid_threshold=0.2))
+@example(contact_case(4, 1e-10))
+# the footprint's path crosses the circle over 5 cm only, from 2 cm after its start
+@example(contact_case(0, 0.02, lateral=0.148))
 @example((seeded_world(0, 0, 1.0, {"x": 0.0, "y": 0.0, "heading": 0.0, "camera_pitch": 0.0},
                        SONAR_SHORTER_THAN_AVOID), Command("car_forward", 1.0)))
 @given(fuzzed_cases())
@@ -574,6 +601,17 @@ def _scans_as_the_full_scan_does(world):
         assert repr(result) == repr(ref_result)
         assert world_digest(after) == world_digest(ref_after)
         world = after
+
+
+def test_a_polygon_with_a_repeated_vertex_scans_as_the_full_scan_does(monkeypatch):
+    """A repeated vertex makes an edge of zero length, whose distance is the
+    distance to its one point; the drive past the polygon tests that edge."""
+    zero_edges = []
+    monkeypatch.setattr(geometry, "point_segment_distance", lambda p, a, b, fn=geometry.point_segment_distance:
+                        zero_edges.append(a == b) or fn(p, a, b))
+    world = make_world([polygon("twice", (0.4, 0.12), (0.6, 0.12), (0.6, 0.12), (0.6, 0.32), (0.4, 0.32))])
+    _scans_as_the_full_scan_does(world)
+    assert any(zero_edges)
 
 
 @pytest.mark.parametrize("name", GRIDLESS_WORLDS)
@@ -840,6 +878,65 @@ def test_sensor_rays_walk_a_bounded_number_of_cells(monkeypatch):
         assert sensors == fullscan_sim.read_sensors(world)
         assert sensors.ultrasonic_clearance == pytest.approx(0.2 - 1e-4)
     assert counts[0] == counts[1] <= 4, counts
+
+
+def test_an_ir_ray_stops_at_the_switch_reach(monkeypatch):
+    """Circles on both IR lines, listed far to near between a switch's reach,
+    footprint_radius + ir_range, and ultrasonic_max: a read makes no exact ray
+    test on any of them, whether its rays scan the rows or walk the grid. A
+    circle within reach on the left line still sets that switch."""
+    tested = []
+    monkeypatch.setattr(geometry, "ray_circle", lambda origin, d, center, radius, fn=geometry.ray_circle:
+                        tested.append(center) or fn(origin, d, center, radius))
+    p = SimParams()
+    reach = p.footprint_radius + p.ir_range
+    left = geometry.unit(p.ir_angle)
+    for n in (10, 500):
+        beyond = []
+        for side in (1.0, -1.0):
+            ux, uy = geometry.unit(side * p.ir_angle)
+            for i in range(n):
+                d = p.ultrasonic_max - 0.1 - (p.ultrasonic_max - 0.11 - reach) * i / (n - 1)
+                beyond.append(disc(f"{side}:{i}", ux * d, uy * d, 1e-3))
+        world = make_world(beyond + [disc("within", left[0] * 0.25, left[1] * 0.25, 1e-3)])
+        assert (world.objects.grid is None) == (n == 10)
+        tested.clear()
+        sensors = read_sensors(world)
+        assert not {tuple(o["shape"]["center"]) for o in beyond} & set(tested)
+        assert sensors == fullscan_sim.read_sensors(world)
+        assert (sensors.ir_left, sensors.ir_right) == (True, False)
+
+
+def test_a_drive_makes_no_check_over_its_proven_free_span(monkeypatch):
+    """A forward drive of 2 m between two rows of circles that line its
+    corridor 2 cm outside the footprint, toward a disc on its line whose edge
+    lies at 1.37 m. Every circle is near the path, yet their discs prove each
+    increment free, and the sonar clear until the footprint is within about
+    avoid_threshold of the disc: the drive makes no overlap test, and casts the
+    sonar once, where it turns away, with one exact test. Its result is the
+    full scan's."""
+    counts, casts = {}, []
+    for name in EXACT_TESTS:
+        def counted(*args, fn=getattr(geometry, name), name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(geometry, name, counted)
+    monkeypatch.setattr(sim, "_front_clearance", lambda rows, grid, radius, position, *rest, fn=sim._front_clearance:
+                        casts.append(position[0]) or fn(rows, grid, radius, position, *rest))
+    monkeypatch.setattr(sim, "_overlapping_object", lambda *args, fn=sim._overlapping_object:
+                        casts.append("overlap") or fn(*args))
+    lining = [disc(f"{side}{i}", 0.1 * i, side * 0.17, 0.05) for side in (-1, 1) for i in range(21)]
+    world = make_world(lining + [disc("ahead", 1.42, 0.0, 0.05)])
+    assert world.objects.grid is not None
+    casts.clear()
+    counts.clear()
+    pose, outcome, travelled, _ = sim._drive(world, 2.0, True)
+    assert outcome is ExecOutcome.AVOIDED and travelled == pytest.approx(1.0)
+    assert len(casts) == 1 and casts[0] == pytest.approx(1.0)
+    assert counts == {"ray_circle": 1}
+    after, result = apply_command(world, Command("car_forward", 2.0))
+    ref_after, ref_result = fullscan_sim.apply_command(world, Command("car_forward", 2.0))
+    assert result == ref_result and after.robot == ref_after.robot == pose
 
 
 @pytest.mark.parametrize("transport", ["direct", "local:"])
