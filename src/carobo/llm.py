@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import re
+import reprlib
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple, Union
@@ -106,11 +107,28 @@ class AgentTemplate:
     block_formats: Mapping[str, str]  # kind -> format string with a single {kind} placeholder
 
 
+def _check_block_format(kind: str, body: str) -> None:
+    """Refuse a block format that fills any field but `{kind}`, or that
+    `assemble_prompt`'s `format_map` could not fill with a string; a
+    conversion or a format spec is allowed."""
+    import string  # only a template parse needs it, once per template file
+
+    try:
+        others = [name for _, name, _, _ in string.Formatter().parse(body) if name is not None and name != kind]
+        if not others:
+            body.format_map({kind: ""})  # a field nested in a format spec, a bad spec or conversion
+    except (ValueError, LookupError, AttributeError) as exc:
+        raise CaroboError(f"template block {kind!r} cannot be filled: {type(exc).__name__}: {exc}") from None
+    if others:
+        raise CaroboError(f"template block {kind!r} may fill only {{{kind}}}, not the field {reprlib.repr(others[0])}")
+
+
 def parse_template(text: str) -> AgentTemplate:
     """Split a template file into sections marked by '== name ==' lines.
 
     A line ends at "\n" only, so a U+2028 or a form feed inside a line stays
     in the prompt text; the file is read in text mode, so "\r\n" ends one too.
+    A block's format may fill only its own `{kind}` field.
     """
     sections: list[tuple[str, list[str]]] = []
     for line in text.split("\n"):
@@ -138,6 +156,7 @@ def parse_template(text: str) -> AgentTemplate:
             kind = name.split(None, 1)[1]
             if kind not in BLOCK_ORDER:
                 raise CaroboError(f"template declares unknown block kind {kind!r}")
+            _check_block_format(kind, body)
             block_formats[kind] = body
     if not system:
         raise CaroboError("template has no system section")

@@ -8,6 +8,12 @@ The bundled ones:
   out of the memory block.
 - ``finish_now``: declares the request complete on the very first round.
 - ``spin``: turns left forever, never finishing (useful for limit handling).
+
+Every completion is written once per process. The oracle writes all the
+replies to a request block on the first call that names it and keeps them
+in a bounded `lru_cache`; a later call only picks one by its agent and the
+rounds in its memory. The replies of ``finish_now`` and ``spin`` depend on the
+agent alone and are written at import.
 """
 from __future__ import annotations
 
@@ -93,36 +99,49 @@ def oracle_table() -> Mapping[str, OracleScript]:
     return MappingProxyType(table)
 
 
-def _lookup_script(prompt: Prompt) -> OracleScript:
-    request = prompt.blocks["request"]
+@lru_cache(maxsize=256)
+def _oracle_replies(request: str) -> tuple[str, ...]:
+    """Every completion the oracle gives for one request block, written once:
+    the host plan, one CONTINUE per scripted command, then FINISH.
+
+    The script is the first table key contained in the normalized request.
+    An unknown request raises PolicyUnknown, which the cache does not keep,
+    so it raises again at every call.
+    """
     haystack = normalize_request(request)
     for key, script in oracle_table().items():
         if key in haystack:
-            return script
-    raise PolicyUnknown(f"oracle policy has no script for: {request!r}")
+            break
+    else:
+        raise PolicyUnknown(f"oracle policy has no script for: {request!r}")
+    steps = [_continue_doc(c, f"Step {i}: {c['name']}.") for i, c in enumerate(script.commands, 1)]
+    return (_host_doc(script.plan, "Plan ready; handing over to the executor."), *steps,
+            _finish_doc(script.comment))
 
 
 def oracle_policy(prompt: Prompt) -> str:
-    script = _lookup_script(prompt)
+    replies = _oracle_replies(prompt.blocks["request"])
     if _is_host(prompt):
-        return _host_doc(script.plan, "Plan ready; handing over to the executor.")
-    idx = _rounds_so_far(prompt)
-    if idx < len(script.commands):
-        command = script.commands[idx]
-        return _continue_doc(command, f"Step {idx + 1}: {command['name']}.")
-    return _finish_doc(script.comment)
+        return replies[0]
+    # round k takes the k-th command's reply; every round past the script finishes
+    return replies[min(_rounds_so_far(prompt) + 1, len(replies) - 1)]
+
+
+# the replies of finish_now and spin depend on nothing but the agent, so each is written once
+_FINISH_NOW = (_host_doc(["Declare the request complete"], "Nothing left to do."),
+               _finish_doc("Request complete."))
+_SPIN = (_host_doc(["Keep turning left"], "Spinning indefinitely."),
+         _continue_doc({"name": "car_left", "args": {"angle": 30.0}}, "Turning left again."))
 
 
 def finish_now_policy(prompt: Prompt) -> str:
-    if _is_host(prompt):
-        return _host_doc(["Declare the request complete"], "Nothing left to do.")
-    return _finish_doc("Request complete.")
+    host, app = _FINISH_NOW
+    return host if _is_host(prompt) else app
 
 
 def spin_policy(prompt: Prompt) -> str:
-    if _is_host(prompt):
-        return _host_doc(["Keep turning left"], "Spinning indefinitely.")
-    return _continue_doc({"name": "car_left", "args": {"angle": 30.0}}, "Turning left again.")
+    host, app = _SPIN
+    return host if _is_host(prompt) else app
 
 
 POLICIES: dict[str, Policy] = {

@@ -71,9 +71,9 @@ def _within(low: float, high: float, default: float):
 @codec(strict=True)
 @value_class
 class SimParams:
-    """The simulator's parameters, each decoded within its closed range. The
-    lower bounds keep every drive finite: a step of 1 mm takes 10^4
-    increments for the longest legal drive."""
+    """The simulator's parameters, each checked within its closed range when
+    built or decoded. The lower bounds keep every drive finite: a step of
+    1 mm takes 10^4 increments for the longest legal drive."""
 
     footprint_radius: float = _within(0.001, 10.0, 0.10)
     ultrasonic_max: float = _within(0.001, 100.0, 4.0)
@@ -569,11 +569,10 @@ def _ir_reach(p: SimParams) -> float:
     L reads "nothing" as L does, and an IR ray cast to L answers as one cast to
     ultrasonic_max.
 
-    For parameters within their ranges, L is the rounded sum S =
-    footprint_radius + ir_range or the float below it when S qualifies, and
-    one of the two floats above S when it does not. Parameters that no
-    document can hold, for which none of these qualifies, keep the ray's
-    reach at ultrasonic_max.
+    L is the rounded sum S = footprint_radius + ir_range or the float below
+    it when S qualifies, and one of the two floats above S when it does not;
+    that holds for all parameters within their ranges, the only ones a
+    SimParams can hold.
     """
     radius, ir_range = p.footprint_radius, p.ir_range
     reach = radius + ir_range
@@ -586,8 +585,7 @@ def _ir_reach(p: SimParams) -> float:
         if not reach - radius > ir_range:
             reach = nextafter(reach, inf)
     cap = p.ultrasonic_max
-    # a NaN cap stays NaN, as the cast to it would
-    return reach if reach < cap and reach - radius > ir_range else cap
+    return reach if reach < cap else cap
 
 
 def read_sensors(world: WorldState) -> SensorData:
@@ -752,7 +750,7 @@ def _drive(world: WorldState, requested: float, forward: bool) -> Tuple[RobotPos
     heading = pose.heading
     heading_change = 0.0
     step, radius, threshold = p.integration_step, p.footprint_radius, p.avoid_threshold
-    sonar_limit = min(p.ultrasonic_max, threshold)  # as in _ir_reach, a NaN ultrasonic_max stays NaN
+    sonar_limit = min(p.ultrasonic_max, threshold)
     while travelled < requested - 1e-12:
         remaining = requested - travelled
         inc = remaining if remaining < step else step  # min(step, remaining), bit for bit

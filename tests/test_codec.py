@@ -35,6 +35,7 @@ from carobo.model import (
     ExecResult,
     GlobalPlan,
     Observation,
+    PITCH_RANGE,
     Round,
     SchemaError,
     SensorData,
@@ -421,6 +422,42 @@ def test_a_world_holds_each_range_end_and_nothing_past_it(key, name, bounds):
             load_world(world_with(key, name, value))
 
 
+def instance_with(cls, name, value):
+    """`cls` built with the constructor, `name` set to `value`."""
+    return cls(RobotPose(), **{name: value}) if cls is WorldState else cls(**{name: value})
+
+
+@pytest.mark.parametrize("key, name, bounds", RANGES, ids=[name for _, name, _ in RANGES])
+def test_a_constructor_refuses_what_a_document_may_not_hold(key, name, bounds):
+    """One range check, shared by `__init__` and `from_dict`, with one message."""
+    cls = dict(RANGED)[key]
+    low, high = bounds
+    for end in bounds:
+        assert getattr(instance_with(cls, name, end), name) == end
+    for value in (past(low, -1), past(high, 1)):
+        with pytest.raises(SchemaError) as built:
+            instance_with(cls, name, value)
+        with pytest.raises(SchemaError) as decoded:
+            cls.from_dict({"robot": {}, name: value} if cls is WorldState else {name: value})
+        assert str(built.value) == str(decoded.value)
+
+
+@pytest.mark.parametrize("make, message", [
+    # a drive at a step of 0 never ends: apply_command would add 0.0 per increment forever
+    (lambda: SimParams(integration_step=0.0), "SimParams.integration_step=0.0 outside [0.001, 1]"),
+    (lambda: SimParams(integration_step=math.nan), "SimParams.integration_step=nan outside [0.001, 1]"),
+    (lambda: SimParams(footprint_radius=-0.1), "SimParams.footprint_radius=-0.1 outside [0.001, 10]"),
+    (lambda: SimParams(ultrasonic_max=math.inf), "SimParams.ultrasonic_max=inf outside [0.001, 100]"),
+    (lambda: WorldState(RobotPose(), tick=-1), "WorldState.tick=-1 outside [0, 9007199254740991]"),
+    (lambda: RobotPose(camera_pitch=math.nan), "RobotPose.camera_pitch=nan outside [-30, 60]"),
+    (lambda: dataclasses.replace(SimParams(), hfov=0.5), "SimParams.hfov=0.5 outside [1, 360]"),
+])
+def test_bad_constructor_values_are_refused(make, message):
+    with pytest.raises(SchemaError) as err:
+        make()
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Exact messages of the compiled decoder
 
@@ -504,7 +541,9 @@ _objects = st.builds(
     label=st.none() | _texts, color=_texts, height=st.floats(0.01, 3.0) | st.just(2),
     text_on_object=st.none() | _texts,
 )
-_poses = st.builds(RobotPose, x=_any_float, y=_any_float, heading=_any_float, camera_pitch=_any_float)
+# RobotPose refuses a camera_pitch outside PITCH_RANGE, NaN included
+_pitches = st.floats(*PITCH_RANGE) | st.integers(-30, 60) | st.sampled_from([-0.0, *PITCH_RANGE])
+_poses = st.builds(RobotPose, x=_any_float, y=_any_float, heading=_any_float, camera_pitch=_pitches)
 _params = st.just(SimParams()) | st.builds(SimParams, hfov=st.integers(1, 360), footprint_radius=st.just(0.25))
 _worlds = st.builds(
     WorldState, robot=_poses, objects=st.lists(_objects, max_size=4).map(tuple), params=_params,

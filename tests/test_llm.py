@@ -176,6 +176,28 @@ def test_parse_template_rejects_an_unknown_block_kind():
         parse_template("== system ==\nsys\n== block weather ==\nsunny\n")
 
 
+@pytest.mark.parametrize("body, message", [
+    ("Ask: {plan}", "template block 'request' may fill only {request}, not the field 'plan'"),
+    ("Ask: {}", "template block 'request' may fill only {request}, not the field ''"),
+    ("Ask: {request", "template block 'request' cannot be filled: ValueError: expected '}' before end of string"),
+    ("Ask: {request:{plan}}", "template block 'request' cannot be filled: KeyError: 'plan'"),
+    ("Ask: {request:d}",
+     "template block 'request' cannot be filled: ValueError: Unknown format code 'd' for object of type 'str'"),
+])
+def test_parse_template_refuses_a_block_format_it_cannot_fill(body, message):
+    """assemble_prompt would raise KeyError or ValueError at the first prompt
+    built from each of these, and `carobo run` would end in a traceback."""
+    with pytest.raises(CaroboError) as err:
+        parse_template(f"== system ==\nsys\n== block request ==\n{body}\n")
+    assert str(err.value) == message
+
+
+def test_parse_template_keeps_a_conversion_a_format_spec_and_escaped_braces():
+    tpl = parse_template("== system ==\nsys\n== block request ==\n{{Ask}}: {request!r:>6}\n")
+    prompt = assemble_prompt(tpl, {"request": "go", "observation": "o", "sensors": "s", "memory": "m"})
+    assert prompt.blocks["request"] == "{Ask}:   'go'"
+
+
 def test_parse_template_sections():
     text = (
         "== system ==\nsys text\n"

@@ -138,6 +138,33 @@ def test_oracle_case_study_aliases_map_to_scenario_scripts():
     assert bosch.command == via_id.command
 
 
+def test_a_request_block_seen_before_is_answered_without_a_lookup_or_a_write(monkeypatch):
+    s = scenario("cmd_1")
+    memory = "\n".join(f"[round {i}] comment: c | action: a | result: ok | status: CONTINUE" for i in range(8))
+    prompts = [prompt_for(s.request_text), prompt_for(s.request_text, plan="steps"),
+               prompt_for(s.request_text, plan="steps", memory=memory)]
+    first = [oracle_policy(prompt) for prompt in prompts]
+    calls = []
+    table, dumps = policies.oracle_table, policies._dumps
+    monkeypatch.setattr(policies, "oracle_table", lambda: calls.append("oracle_table") or table())
+    monkeypatch.setattr(policies, "_dumps", lambda doc: calls.append("_dumps") or dumps(doc))
+    assert [oracle_policy(prompt) for prompt in prompts] == first
+    assert calls == []
+
+
+def test_an_unknown_request_fails_at_every_call_and_leaves_the_known_ones(monkeypatch):
+    lookups = []
+    table = policies.oracle_table
+    monkeypatch.setattr(policies, "oracle_table", lambda: lookups.append(1) or table())
+    for calls in (1, 2, 3):
+        with pytest.raises(PolicyUnknown) as err:
+            oracle_policy(prompt_for("Paint the fence."))
+        assert str(err.value) == "oracle policy has no script for: 'Request:\\nPaint the fence.'"
+        assert len(lookups) == calls  # a failure is not kept
+    s = scenario("obj_1")
+    assert list(parse_host_decision(oracle_policy(prompt_for(s.request_text))).plan.steps) == list(s.oracle.plan)
+
+
 # ---------------------------------------------------------------------------
 # finish_now and spin
 
@@ -146,6 +173,31 @@ def test_finish_now_policy():
     assert host.plan.steps
     app = parse_app_decision(finish_now_policy(prompt_for("Anything at all.", plan="p")))
     assert app.status is Status.FINISH and app.command is None
+
+
+SURVEY = {"observation": "Scripted survey of the scene.", "thoughts": "Following the rehearsed route for this request."}
+CHECK = {"observation": "Scripted check of the scene."}
+FIXED_REPLIES = {
+    "finish_now": (
+        {**SURVEY, "plan": ["Declare the request complete"], "comment": "Nothing left to do."},
+        {**CHECK, "comment": "Request complete.", "status": "FINISH"},
+    ),
+    "spin": (
+        {**SURVEY, "plan": ["Keep turning left"], "comment": "Spinning indefinitely."},
+        {**CHECK, "comment": "Turning left again.", "command": {"name": "car_left", "args": {"angle": 30.0}},
+         "status": "CONTINUE"},
+    ),
+}
+
+
+@pytest.mark.parametrize("policy_id", sorted(FIXED_REPLIES))
+def test_finish_now_and_spin_give_one_host_reply_and_one_app_reply(policy_id):
+    host_doc, app_doc = FIXED_REPLIES[policy_id]
+    policy = get_policy(policy_id)
+    for request in ("Anything at all.", "Find the box that says Bosch."):
+        assert policy(prompt_for(request)) == json.dumps(host_doc, ensure_ascii=False)
+        for memory in ("(empty)", "[round 4] comment: c | action: a | result: ok | status: CONTINUE"):
+            assert policy(prompt_for(request, plan="p", memory=memory)) == json.dumps(app_doc, ensure_ascii=False)
 
 
 def test_spin_policy_never_finishes():

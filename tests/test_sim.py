@@ -572,6 +572,60 @@ def test_broad_phase_matches_the_full_scan(time_limit, case):
         assert render_camera(after).to_dict() == fullscan_sim.render_camera(after).to_dict()
 
 
+@st.composite
+def drive_cases(draw):
+    """A drive at an integration step down to 1 mm, forward or back, from a
+    pose up to 200 m out, among up to 60 circles near its path. The
+    footprint first touches about 40% of them between 0.1 mm and 15 cm from
+    its start, and its path crosses them over a chord of 0.1% to 44% of their
+    grown radius; the sonar's line crosses another 20%, which it meets within
+    15 cm of avoid_threshold. The drive takes at most about 400 increments."""
+    radius = draw(st.floats(0.02, 0.3))
+    threshold = draw(st.floats(0.0, 0.8))
+    step = draw(st.floats(0.001, 0.25))
+    params = {"footprint_radius": radius, "avoid_threshold": threshold, "integration_step": step,
+              "ultrasonic_max": draw(st.floats(0.001, 1.0) | st.floats(0.5, 6.0))}
+    pose = {"x": draw(st.floats(-200.0, 200.0)), "y": draw(st.floats(-200.0, 200.0)),
+            "heading": draw(st.floats(0.0, 360.0, exclude_max=True)), "camera_pitch": 0.0}
+    name = draw(st.sampled_from(("car_forward", "car_back")))
+    length = draw(st.floats(0.05, 1.0)) * min(10.0, 400 * step)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    d = geometry.unit(pose["heading"] + (180.0 if name == "car_back" else 0.0))
+    circles = []
+    for _ in range(draw(st.integers(1, 60))):
+        r = rng.uniform(0.005, 0.3)
+        g = radius + r  # the footprint touches the circle where its centre is g from the circle's
+        near = 10.0 ** rng.uniform(-4.0, math.log10(0.15))  # log-uniform, from 0.1 mm
+        kind = rng.random()
+        if kind < 0.4:  # a chord down to 0.1% of g, the footprint first touching it `near` from the start
+            cross = g * (1.0 - 10.0 ** rng.uniform(-6.0, -1.0))
+            along = math.sqrt((g - cross) * (g + cross)) + near
+        elif kind < 0.6:  # on the sonar's line, which meets it `near` past avoid_threshold or before
+            cross = rng.uniform(0.0, 1.0) * r
+            along = radius + math.sqrt((r - cross) * (r + cross)) + max(0.0, threshold + rng.choice((-1, 1)) * near)
+        else:
+            cross = rng.uniform(0.0, 1.0) * (g + 0.05)
+            along = rng.uniform(-0.3, length + threshold + 0.3)
+        cross *= rng.choice((-1.0, 1.0))
+        circles.append({"type": "circle", "radius": r, "center": [pose["x"] + d[0] * along - d[1] * cross,
+                                                                  pose["y"] + d[1] * along + d[0] * cross]})
+    return seeded_world(seed, 0, 1.0, pose, params, circles), Command(name=name, value=length)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(drive_cases())
+def test_drives_among_discs_near_their_start_match_the_full_scan(time_limit, case):
+    """The drives that `_clear_spans` bounds most tightly: the broad phase's
+    fuzzed cases take steps of 2 cm or more among a few shapes near the path."""
+    world, command = case
+    with time_limit(20.0):
+        after, result = apply_command(world, command)
+        ref_after, ref_result = fullscan_sim.apply_command(world, command)
+        assert result == ref_result
+        assert after.robot == ref_after.robot
+
+
 def _circles(centers, radius: float) -> tuple:
     return tuple(sim.SimObject(f"o{i}", "box", sim.Shape("circle", c, radius)) for i, c in enumerate(centers))
 
