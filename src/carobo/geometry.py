@@ -98,27 +98,6 @@ def point_in_polygon(p: Point, vertices: Sequence[Point]) -> bool:
     return inside
 
 
-def polygon_sums(vertices: Sequence[Point]) -> Tuple[float, float, float]:
-    """(sum of the x, sum of the y, signed area) of a polygon of at least one
-    vertex, in one pass.
-
-    The sums add left to right from 0.0, as sum() added floats before Python
-    3.12; its compensated sum since then would change the bits of every
-    centroid. The area adds the shoelace terms x1 * y2 - x2 * y1 from the
-    first edge to the closing one.
-    """
-    points = iter(vertices)
-    x0, y0 = px, py = next(points)
-    sx, sy, acc = 0.0 + x0, 0.0 + y0, 0.0
-    for x, y in points:
-        acc += px * y - x * py
-        sx += x
-        sy += y
-        px, py = x, y
-    acc += px * y0 - x0 * py
-    return sx, sy, 0.5 * acc
-
-
 def circle_distance(p: Point, center: Point, radius: float) -> float:
     """Distance from p to the circle boundary; negative when p is inside."""
     return math.hypot(p[0] - center[0], p[1] - center[1]) - radius

@@ -5,23 +5,23 @@ disc footprint with a heading, a pitch-adjustable camera, an ultrasonic range
 finder and two IR proximity switches. Command execution is pure: it returns a
 new world plus an execution report, so episodes replay bit-for-bit.
 
-A shape is decoded in one loop over its points, a circle's center or a
-polygon's vertices, which checks and sums them together. Each world gathers
-one row table of its objects' padded bounding discs, once, and every query
-culls objects by those discs before an exact geometry test. A world of at
-least GRID_MIN_OBJECTS objects also buckets the rows into a uniform grid,
-built once on the first query: the sensor rays walk its cells nearest first,
-and a drive takes the rows of the cells around its path. Both give exactly
-what a scan of every row gives. Smaller worlds, and queries from outside the
-grid, scan; so does the start-pose overlap check. An IR ray stops at its
-switch's reach, and a drive skips the checks over the travel that its near
-discs prove free (`_clear_spans`). The camera scans the row
-table and judges each line of sight once per robot position: a render after
-a turn, a camera move or a drive that did not move reuses the verdicts of the
-one before. A render at the exact pose of the one before, and a sensor read
-at the position and heading of the one before, return its result: in one
-pass of the clutter benchmark, 88 of 640 renders and 163 of 640 reads (after
-a buzzer, a camera move, or a drive that did not move).
+A shape, built or decoded, is checked and measured by one loop over its points
+(`_measure`); a world, by `WorldState` itself, and `load_world` adds the
+start-overlap rule. Each world gathers one row table of its objects' padded
+bounding discs, once, and every query culls objects by those discs before an
+exact geometry test. A world of at least GRID_MIN_OBJECTS objects also buckets
+the rows into a uniform grid, built once on the first query: the sensor rays
+walk its cells nearest first, and a drive takes the rows of the cells around
+its path. Both give exactly what a scan of every row gives. Smaller worlds,
+and queries from outside the grid, scan; so does the start-pose overlap check.
+An IR ray stops at its switch's reach, and a drive skips the checks over the
+travel that its near discs prove free (`_clear_spans`). The camera scans the
+row table and judges each line of sight once per robot position: a render
+after a turn, a camera move or a drive that did not move reuses the verdicts
+of the one before. A render at the exact pose of the one before, and a sensor
+read at the position and heading of the one before, return its result: in one
+pass of the clutter benchmark, 88 of 640 renders and 163 of 640 reads (after a
+buzzer, a camera move, or a drive that did not move).
 """
 from __future__ import annotations
 
@@ -111,14 +111,63 @@ class RobotPose:
 BOUND_MARGIN = 1e-9
 
 
-def _bounding_disc(kind: str, radius: float, vertices, cx: float, cy: float) -> Tuple[float, float, float]:
-    """A shape's padded bounding disc about its centroid (cx, cy)."""
-    r = radius if kind == "circle" else max([math.hypot(x - cx, y - cy) for x, y in vertices])
-    return (cx, cy, r + BOUND_MARGIN * (1.0 + r + abs(cx) + abs(cy)))
+def _measure(kind: str, center, radius, vertices) -> dict:
+    """The fields of a `Shape`, its numbers as finite floats, with its padded
+    bounding disc (cx, cy, r) about its centroid; a bad shape raises SchemaError.
+
+    One loop checks each point and sums the x, the y and the shoelace terms
+    x1 * y2 - x2 * y1 left to right from 0.0, as sum() added floats before
+    Python 3.12; its compensated sum since would change every centroid's bits.
+    """
+    if kind not in ("circle", "polygon"):
+        raise SchemaError(f"unknown shape type: {reprlib.repr(kind)}")
+    try:
+        if kind == "circle":
+            radius = r = _float(radius)
+            if radius <= 0:
+                raise SchemaError("radius must be positive")
+            points = (center,)
+        else:
+            radius, points = 0.0, _list(vertices)
+        vertices = []
+        # the first point's shoelace term, 0.0 * y - x * 0.0, is a zero: acc stays 0.0
+        sx = sy = acc = px = py = 0.0
+        for point in points:
+            if (type(point) is not list and type(point) is not tuple) or len(point) != 2:
+                raise _mismatch("a list of 2", point)
+            x, y = point
+            if type(x) is not float or not isfinite(x):
+                x = _float(x)
+            if type(y) is not float or not isfinite(y):
+                y = _float(y)
+            acc += px * y - x * py
+            sx += x
+            sy += y
+            px, py = x, y
+            vertices.append((x, y))
+        if kind == "circle":
+            center, vertices, (cx, cy) = vertices[0], (), vertices[0]
+        else:
+            n = len(vertices)
+            if n < 3:
+                raise SchemaError("a polygon needs at least 3 vertices")
+            x, y = vertices[0]
+            acc += px * y - x * py
+            if abs(0.5 * acc) < 1e-9:
+                raise SchemaError("polygon vertices are collinear")
+            cx, cy = sx / n, sy / n
+            r = max([hypot(x - cx, y - cy) for x, y in vertices])
+            center, vertices = None, tuple(vertices)
+    except SchemaError as exc:
+        raise SchemaError(f"bad {kind} shape: {exc}") from None
+    return {"kind": kind, "center": center, "radius": radius, "vertices": vertices,
+            "bound": (cx, cy, r + BOUND_MARGIN * (1.0 + r + abs(cx) + abs(cy)))}
 
 
 @value_class
 class Shape:
+    """A circle or a simple polygon, checked and measured by `_measure`, built or decoded."""
+
     kind: str  # "circle" | "polygon"
     center: Optional[Tuple[float, float]] = None
     radius: float = 0.0
@@ -127,14 +176,10 @@ class Shape:
     bound: Tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "bound", _bounding_disc(self.kind, self.radius, self.vertices, *self.centroid()))
+        self.__dict__.update(_measure(self.kind, self.center, self.radius, self.vertices))
 
     def centroid(self) -> Tuple[float, float]:
-        if self.kind == "circle":
-            return self.center
-        sx, sy, _ = geo.polygon_sums(self.vertices)
-        n = len(self.vertices)
-        return (sx / n, sy / n)
+        return self.bound[:2]
 
     def distance_from(self, point) -> float:
         if self.kind == "circle":
@@ -154,78 +199,22 @@ class Shape:
     def to_json(self) -> str:
         """canonical_json(self.to_dict()), written without building the dict.
 
-        A circle's three numbers are written by their repr when all are floats
-        and their sum is finite, so that each is; else by canonical_json. A
-        polygon's vertices take one call of the C encoder, which a Python loop
-        writing their coordinates by repr did not beat.
+        A circle's three finite floats are written by their repr. A polygon's
+        vertices take one call of the C encoder, which a Python loop writing
+        their coordinates by repr did not beat.
         """
         if self.kind == "circle":
             (x, y), r = self.center, self.radius
-            if type(x) is float and type(y) is float and type(r) is float and isfinite(x + y + r):
-                return f'{{"center":[{x!r},{y!r}],"radius":{r!r},"type":"circle"}}'
-            return canonical_json(self.to_dict())
+            return f'{{"center":[{x!r},{y!r}],"radius":{r!r},"type":"circle"}}'
         return f'{{"type":"polygon","vertices":{canonical_json(self.vertices)}}}'
 
     @classmethod
     def from_dict(cls, data: dict) -> "Shape":
-        """The shape of a document, with its bounding disc.
-
-        One loop checks and decodes each point of the shape, a circle's center
-        or a polygon's vertices, and sums them with the float operations of
-        `geo.polygon_sums`, in its order; a polygon's disc is then found as
-        `_bounding_disc` finds it. So every bound has the bits that the
-        constructor gives the same shape.
-        """
+        """The shape of a document, checked and measured as the constructor does."""
         if type(data) is not dict or "type" not in data:
             raise SchemaError(f"shape document must be an object with a type: {reprlib.repr(data)}")
-        kind = data["type"]
-        if kind not in ("circle", "polygon"):
-            raise SchemaError(f"unknown shape type: {reprlib.repr(kind)}")
-        try:
-            if kind == "circle":
-                radius = r = _float(data.get("radius"))
-                if radius <= 0:
-                    raise SchemaError("radius must be positive")
-                points = (data.get("center"),)
-            else:
-                radius, points = 0.0, _list(data.get("vertices"))
-            vertices = []
-            # The first point's shoelace term, 0.0 * y - x * 0.0, is a zero, and
-            # adding it leaves acc at 0.0: polygon_sums starts its sum at the
-            # second vertex.
-            sx = sy = acc = px = py = 0.0
-            for point in points:
-                if (type(point) is not list and type(point) is not tuple) or len(point) != 2:
-                    raise _mismatch("a list of 2", point)
-                x, y = point
-                if type(x) is not float or not isfinite(x):
-                    x = _float(x)
-                if type(y) is not float or not isfinite(y):
-                    y = _float(y)
-                acc += px * y - x * py
-                sx += x
-                sy += y
-                px, py = x, y
-                vertices.append((x, y))
-            if kind == "circle":
-                center, vertices = vertices[0], ()
-                cx, cy = center
-            else:
-                n = len(vertices)
-                if n < 3:
-                    raise SchemaError("a polygon needs at least 3 vertices")
-                x, y = vertices[0]
-                acc += px * y - x * py
-                if abs(0.5 * acc) < 1e-9:
-                    raise SchemaError("polygon vertices are collinear")
-                cx, cy = sx / n, sy / n
-                r = max([hypot(x - cx, y - cy) for x, y in vertices])
-                center, vertices = None, tuple(vertices)
-        except SchemaError as exc:
-            raise SchemaError(f"bad {kind} shape: {exc}") from None
         shape = object.__new__(cls)
-        shape.__dict__.update(kind=kind, center=center, radius=radius, vertices=vertices,
-                              bound=(cx, cy, r + BOUND_MARGIN * (1.0 + r + abs(cx) + abs(cy))))
+        shape.__dict__.update(_measure(data["type"], data.get("center"), data.get("radius"), data.get("vertices")))
         return shape
 
 
@@ -243,7 +232,7 @@ class SimObject:
     def __post_init__(self):
         if self.kind not in OBJECT_KINDS:
             raise SchemaError(f"unknown object kind: {self.kind!r}")
-        if self.height <= 0:
+        if not self.height > 0:  # NaN included
             raise SchemaError(f"object {self.id!r}: height must be positive")
         if self.label is None:
             object.__setattr__(self, "label", self.kind)
@@ -340,8 +329,8 @@ class Grid:
         that makes about one cell per object over the bounds' box, so a grid
         has at most n cells and 4 n memberships, but for a disc as wide as a
         cell that rounding at a cell edge spreads over three (at most 3 x 3).
-        None when a bound is not finite, or when the bounds' box is wider and
-        higher than a float holds.
+        Every bound lies within WORLD_LIMIT (see `WorldState`); None when the
+        cell side still overflows, as for about 10^7 discs spread that far.
         """
         n = len(rows)
         _, xs, ys, rs, _ = zip(*rows)
@@ -362,14 +351,9 @@ class Grid:
         cells = [[] for _ in range(nx * ny)]
         for row, cx, cy, r in zip(rows, xs, ys, rs):
             # int() truncates a low end within rounding below 0 to 0, and a high
-            # end cannot pass w or h, the same sums over the largest disc. A
-            # bound that is not finite, which the min and max can hide, makes
-            # int() raise.
-            try:
-                ix, ix1 = int((cx - r - low_x) / size), int((cx + r + high_x) / size)
-                iy, iy1 = int((cy - r - low_y) / size), int((cy + r + high_y) / size)
-            except (ValueError, OverflowError):
-                return None
+            # end cannot pass w or h, the same sums over the largest disc
+            ix, ix1 = int((cx - r - low_x) / size), int((cx + r + high_x) / size)
+            iy, iy1 = int((cy - r - low_y) / size), int((cy + r + high_y) / size)
             k = ix * ny + iy
             if ix1 - ix > 1 or iy1 - iy > 1:  # rounding at a cell edge puts a disc as wide as a cell in three
                 for col in range(k, ix1 * ny + iy + 1, ny):
@@ -459,9 +443,23 @@ class Grid:
         return [found[i] for i in sorted(found)]
 
 
+# How far from the origin, in meters, a world may reach: then no difference of
+# two of its coordinates passes 1e150, and no sum of two squares of such
+# differences overflows (a float's square does past about 1.3e154).
+WORLD_LIMIT = 1e150
+
+
 @codec
 @value_class
 class WorldState:
+    """The robot, the objects and the parameters of one world.
+
+    A world on a new sequence of objects, built or decoded, is checked: its
+    robot's x, y and heading are finite, its object ids unique, and it reaches
+    no farther than WORLD_LIMIT from the origin, as its rows' extent plus the
+    robot's |x| + |y|. A world on another's `ObjectSet`, as a command's, is not.
+    """
+
     robot: RobotPose
     objects: Tuple[SimObject, ...] = ()  # an ObjectSet: __post_init__ wraps any other sequence
     params: SimParams = field(default_factory=SimParams)
@@ -471,8 +469,19 @@ class WorldState:
     tick: int = _within(0, 2**53 - 1, 0)
 
     def __post_init__(self):
-        if type(self.objects) is not ObjectSet:
-            object.__setattr__(self, "objects", ObjectSet(self.objects))
+        if type(self.objects) is ObjectSet:
+            return
+        for name in ("x", "y", "heading"):
+            try:
+                _float(getattr(self.robot, name))
+            except SchemaError as exc:
+                raise SchemaError(f"WorldState.robot: RobotPose.{name}: {exc}") from None
+        objects = ObjectSet(self.objects)
+        if len({obj.id for obj in objects}) != len(objects):
+            raise SchemaError("object ids must be unique")
+        if not objects.rows[1] + abs(self.robot.x) + abs(self.robot.y) <= WORLD_LIMIT:
+            raise SchemaError(f"the world reaches past {WORLD_LIMIT:g} m from the origin")
+        object.__setattr__(self, "objects", objects)
 
     def object_by_id(self, object_id: str) -> SimObject:
         for obj in self.objects:
@@ -481,27 +490,11 @@ class WorldState:
         raise KeyError(object_id)
 
 
-# How far from the origin, in meters, a world may reach: then no difference of
-# two of its coordinates passes 1e150, and no sum of two squares of such
-# differences overflows (a float's square does past about 1.3e154).
-WORLD_LIMIT = 1e150
-
-
 def load_world(document: dict) -> WorldState:
-    """Build a world from a plain document, filling parameter defaults.
-
-    A world that reaches past WORLD_LIMIT, measured by its rows' extent plus
-    the robot's |x| + |y|, raises SchemaError.
-    """
+    """Build a world from a plain document, filling parameter defaults; a
+    robot whose footprint starts on an object raises OverlapError."""
     world = WorldState.from_dict(document)
-    ids = [o.id for o in world.objects]
-    if len(set(ids)) != len(ids):
-        raise SchemaError("object ids must be unique")
-    table, extent = world.objects.rows
-    pose = world.robot
-    if extent + abs(pose.x) + abs(pose.y) > WORLD_LIMIT:
-        raise SchemaError(f"the world reaches past {WORLD_LIMIT:g} m from the origin")
-    blocker = _overlapping_object(table, pose.position, world.params.footprint_radius)
+    blocker = _overlapping_object(world.objects.rows[0], world.robot.position, world.params.footprint_radius)
     if blocker is not None:
         raise OverlapError(f"robot footprint overlaps object {blocker.id!r}")
     return world
@@ -664,13 +657,10 @@ def _clear_spans(rows, origin, direction, p: SimParams, forward: bool, pad: floa
     the points the drive tests, of these offsets and of the discs' own culls,
     grows each disc and shortens each span, and (g - cross) * (g + cross) keeps
     the chord well conditioned where the path grazes a disc. So over each span
-    the exact tests that the drive skips would find nothing. A span is -inf
-    where a pad that is not finite proves nothing; a disc that the path misses,
-    or that lies wholly behind the footprint or the sonar's cast, bounds neither.
-    A drive backward checks no sonar: its sonar span is inf.
+    the exact tests that the drive skips would find nothing. A disc that the
+    path misses, or that lies wholly behind the footprint or the sonar's cast,
+    bounds neither. A drive backward checks no sonar: its sonar span is inf.
     """
-    if not pad < inf:
-        return -inf, (-inf if forward else inf)
     radius, threshold = p.footprint_radius, p.avoid_threshold
     # with no hit at all, the sonar reads ultrasonic_max
     free, sonar = inf, (inf if not forward or p.ultrasonic_max >= threshold else -inf)

@@ -53,7 +53,7 @@ from carobo.model import (
     Status,
     append_round,
 )
-from carobo.sim import RobotPose, SchemaError, WorldState, load_world
+from carobo.sim import SchemaError, load_world
 from carobo.suite_data import DOMAINS
 
 
@@ -114,20 +114,15 @@ def test_pose_within():
     assert not PoseWithin(0, 0, tol=0.049).evaluate(c)
 
 
-def at(x: float, y: float) -> JudgeContext:
-    """A context whose robot stands at (x, y), built without load_world, which refuses a world this far out."""
-    return JudgeContext(world=WorldState(RobotPose(x, y)), comments=(), path_length=0.0)
-
-
 def test_pose_within_far_from_the_origin_does_not_overflow():
+    # no world reaches past WORLD_LIMIT, but a suite may put a goal anywhere:
     # (1e200) ** 2 raises OverflowError; two squares near the float limit add up to inf
-    far = at(1e200, 0.0)
-    assert not PoseWithin(0, 0, tol=1).evaluate(far)
-    assert PoseWithin(1e200, 0, tol=1).evaluate(far)
-    assert PoseWithin(0, 0, tol=1e300).evaluate(far)
-    edge = at(1.3e154, 1.3e154)
-    assert PoseWithin(0, 0, tol=1e300).evaluate(edge)
-    assert not PoseWithin(0, 0, tol=1.8e154).evaluate(edge)
+    home = ctx()
+    assert not PoseWithin(1e200, 0, tol=1).evaluate(home)
+    assert PoseWithin(-1e200, 1e200, tol=1.5e200).evaluate(home)
+    assert PoseWithin(1e200, 0, tol=1e300).evaluate(home)
+    assert PoseWithin(1.3e154, 1.3e154, tol=1e300).evaluate(home)
+    assert not PoseWithin(1.3e154, 1.3e154, tol=1.8e154).evaluate(home)
 
 
 def test_heading_within_is_circular():

@@ -10,6 +10,8 @@ import struct
 import subprocess
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from carobo import bridge, geometry, model, sim
+from carobo import bridge, model, sim
 from carobo.app import (
     EpisodeFooter, EpisodeHeader, EpisodeLimits, FailureReason, HostRecord, RoundError, RoundRecord, Verdict,
     read_trace,
@@ -451,11 +453,20 @@ def test_a_constructor_refuses_what_a_document_may_not_hold(key, name, bounds):
     (lambda: WorldState(RobotPose(), tick=-1), "WorldState.tick=-1 outside [0, 9007199254740991]"),
     (lambda: RobotPose(camera_pitch=math.nan), "RobotPose.camera_pitch=nan outside [-30, 60]"),
     (lambda: dataclasses.replace(SimParams(), hfov=0.5), "SimParams.hfov=0.5 outside [1, 360]"),
+    # a value that does not compare with numbers is outside every range, not a TypeError
+    (lambda: SimParams(integration_step="x"), "SimParams.integration_step='x' outside [0.001, 1]"),
+    (lambda: RobotPose(camera_pitch="a"), "RobotPose.camera_pitch='a' outside [-30, 60]"),
+    (lambda: WorldState(RobotPose(), tick=None), "WorldState.tick=None outside [0, 9007199254740991]"),
 ])
 def test_bad_constructor_values_are_refused(make, message):
     with pytest.raises(SchemaError) as err:
         make()
     assert str(err.value) == message
+
+
+def test_a_ranged_field_takes_any_real_number():
+    params = SimParams(integration_step=Fraction(1, 20), hfov=90, vfov=Decimal("40.5"))
+    assert (params.integration_step, params.hfov, params.vfov) == (Fraction(1, 20), 90, Decimal("40.5"))
 
 
 # ---------------------------------------------------------------------------
@@ -529,33 +540,49 @@ _texts = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
     st.sampled_from(['"', "\\", "'", "\x00\t\n\x1f\x7f", "café ☃", "  ", "{}[],:"]),
 )
-_finite = st.one_of(st.floats(-1e6, 1e6), st.integers(-5, 5), st.sampled_from([-0.0, 1e300, -1e-300, 0.1]))
-_any_float = st.one_of(_finite, st.sampled_from([math.nan, math.inf, -math.inf]))
-_points = st.tuples(_finite, _finite)
-_shapes = st.one_of(
-    st.builds(Shape, kind=st.just("circle"), center=_points, radius=st.floats(0.01, 10.0) | st.just(1)),
-    st.builds(Shape, kind=st.just("polygon"), vertices=st.lists(_points, min_size=3, max_size=5).map(tuple)),
-)
-_objects = st.builds(
-    SimObject, id=_texts, kind=st.sampled_from(OBJECT_KINDS), shape=_shapes,
-    label=st.none() | _texts, color=_texts, height=st.floats(0.01, 3.0) | st.just(2),
-    text_on_object=st.none() | _texts,
-)
+_finite = st.one_of(st.floats(-1e6, 1e6), st.integers(-5, 5), st.sampled_from([-0.0, -1e-300, 0.1]))
+# past WORLD_LIMIT: a shape or a pose may hold these, a world may not
+_far = _finite | st.sampled_from([1e300, -1e300])
+_any_float = st.one_of(_far, st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def _polygon_or_none(vertices):
+    try:
+        return Shape(kind="polygon", vertices=vertices)
+    except SchemaError:  # collinear
+        return None
+
+
+def _objects(numbers):
+    points = st.tuples(numbers, numbers)
+    shapes = st.one_of(
+        st.builds(Shape, kind=st.just("circle"), center=points, radius=st.floats(0.01, 10.0) | st.just(1)),
+        st.builds(_polygon_or_none, st.lists(points, min_size=3, max_size=5).map(tuple)).filter(bool),
+    )
+    return st.builds(
+        SimObject, id=_texts, kind=st.sampled_from(OBJECT_KINDS), shape=shapes,
+        label=st.none() | _texts, color=_texts, height=st.floats(0.01, 3.0) | st.just(2),
+        text_on_object=st.none() | _texts,
+    )
+
+
 # RobotPose refuses a camera_pitch outside PITCH_RANGE, NaN included
 _pitches = st.floats(*PITCH_RANGE) | st.integers(-30, 60) | st.sampled_from([-0.0, *PITCH_RANGE])
 _poses = st.builds(RobotPose, x=_any_float, y=_any_float, heading=_any_float, camera_pitch=_pitches)
 _params = st.just(SimParams()) | st.builds(SimParams, hfov=st.integers(1, 360), footprint_radius=st.just(0.25))
+# a world holds unique ids, a robot at a finite x, y and heading, and nothing past WORLD_LIMIT
 _worlds = st.builds(
-    WorldState, robot=_poses, objects=st.lists(_objects, max_size=4).map(tuple), params=_params,
-    buzzer_events=st.lists(_finite, max_size=3).map(tuple), tick=st.integers(0, 10**6),
+    WorldState, robot=st.builds(RobotPose, x=_finite, y=_finite, heading=_far, camera_pitch=_pitches),
+    objects=st.lists(_objects(_finite), max_size=4, unique_by=lambda obj: obj.id).map(tuple), params=_params,
+    buzzer_events=st.lists(_far, max_size=3).map(tuple), tick=st.integers(0, 10**6),
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(_worlds)
-def test_to_json_is_canonical_json_of_to_dict(world_state):
-    parts = [world_state, world_state.robot, world_state.params]
-    for obj in world_state.objects:
+@given(_worlds, _poses, st.lists(_objects(_far), max_size=2))
+def test_to_json_is_canonical_json_of_to_dict(world_state, pose, loose):
+    parts = [world_state, world_state.robot, world_state.params, pose]
+    for obj in world_state.objects + tuple(loose):
         parts += [obj, obj.shape]
     for part in parts:
         assert part.to_json() == canonical_json(part.to_dict())
@@ -605,20 +632,136 @@ def _constructed(oid, kind, shape, label, color, height, text, extra, shape_extr
 def test_load_world_builds_what_the_constructors_build(entries):
     """Far from the robot, so that no object overlaps it: a decoded world equals
     the world built from the same values, writes the same JSON, and each of its
-    shapes has the bound bits the constructor computes."""
+    shapes has the bound bits the constructor computes. A collinear polygon is
+    refused by both, with the same text."""
     robot = {"x": 1000.0, "y": -1000.0, "heading": 90.0}
     doc = {"robot": robot, "objects": [_object_doc(*entry) for entry in entries], "unknown": [1]}
-    expected = WorldState(robot=RobotPose(**robot), objects=tuple(_constructed(*entry) for entry in entries))
     try:
-        world = load_world(doc)
-    except SchemaError as exc:  # the one check the constructors do not make
-        assert str(exc).endswith("polygon vertices are collinear")
-        assert any(abs(geometry.polygon_sums(obj.shape.vertices)[2]) < 1e-9
-                   for obj in expected.objects if obj.shape.kind == "polygon")
+        expected = WorldState(robot=RobotPose(**robot), objects=tuple(_constructed(*entry) for entry in entries))
+    except SchemaError as exc:
+        assert str(exc) == "bad polygon shape: polygon vertices are collinear"
+        with pytest.raises(SchemaError, match=r"^WorldState\.objects: SimObject\.shape: bad polygon shape: "
+                                              r"polygon vertices are collinear$"):
+            load_world(doc)
         return
+    world = load_world(doc)
     assert world == expected
     assert world.to_json() == expected.to_json()
     for got, want in zip(world.objects, expected.objects):
+        assert struct.pack("<3d", *got.shape.bound) == struct.pack("<3d", *want.shape.bound)
+
+
+# (kind, center, radius, vertices): shapes that the constructor and the decoder refuse alike
+BAD_SHAPES = {
+    "NaN center": ("circle", (math.nan, 0.0), 0.5, ()),
+    "infinite center": ("circle", (0.0, -math.inf), 0.5, ()),
+    "string coordinate": ("circle", ("a", 0.0), 0.5, ()),
+    "center of three": ("circle", [1.0, 2.0, 3.0], 0.5, ()),
+    "no center": ("circle", None, 0.5, ()),
+    "zero radius": ("circle", (0.0, 0.0), 0.0, ()),
+    "NaN radius": ("circle", (0.0, 0.0), math.nan, ()),
+    "two vertices": ("polygon", None, 0.0, ((0.0, 0.0), (1.0, 0.0))),
+    "collinear vertices": ("polygon", None, 0.0, ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0))),
+    "NaN vertex": ("polygon", None, 0.0, ((0.0, 0.0), (1.0, math.nan), (0.0, 1.0))),
+    "boolean vertex": ("polygon", None, 0.0, ((0.0, 0.0), (True, 0.0), (0.0, 1.0))),
+    "unknown kind": ("square", (0.0, 0.0), 0.5, ()),
+}
+
+
+def _shape_doc(kind, center, radius, vertices) -> dict:
+    if kind == "polygon":
+        return {"type": kind, "vertices": [list(v) for v in vertices]}
+    return {"type": kind, "center": None if center is None else list(center), "radius": radius}
+
+
+def _refusal(build) -> str:
+    with pytest.raises(SchemaError) as refused:
+        build()
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("name", BAD_SHAPES)
+def test_a_bad_shape_is_refused_alike_built_and_decoded(name):
+    """The constructor refuses what the decoder refuses, with its text; a
+    world that holds the shape's document adds the path to it."""
+    values = BAD_SHAPES[name]
+    doc = _shape_doc(*values)
+    text = _refusal(lambda: Shape(*values))
+    assert _refusal(lambda: Shape.from_dict(doc)) == text
+    world = {"robot": {"x": 0.0, "y": 0.0}, "objects": [{"id": "a", "kind": "box", "shape": doc}]}
+    assert _refusal(lambda: load_world(world)) == "WorldState.objects: SimObject.shape: " + text
+
+
+def _box(oid="a", center=(5.0, 0.0), height=0.5) -> SimObject:
+    return SimObject(oid, "box", Shape("circle", center, 0.5), height=height)
+
+
+def _box_doc(oid="a", center=(5.0, 0.0), height=0.5) -> dict:
+    return {"id": oid, "kind": "box", "shape": {"type": "circle", "center": list(center), "radius": 0.5}, "height": height}
+
+
+# (robot's x, y and heading, objects) as built and as a document: worlds that WorldState and load_world refuse alike
+BAD_WORLDS = {
+    "duplicate ids": ((0.0, 0.0, 0.0), [("a", (5.0, 0.0)), ("b", (0.0, 5.0)), ("a", (-5.0, 0.0))]),
+    "NaN robot": ((math.nan, 0.0, 0.0), []),
+    "infinite robot": ((0.0, math.inf, 0.0), []),
+    "string robot": (("a", 0.0, 0.0), [("a", (5.0, 0.0))]),
+    "NaN heading": ((0.0, 0.0, math.nan), []),
+    "NaN robot and duplicate ids": ((math.nan, 0.0, 0.0), [("a", (5.0, 0.0)), ("a", (-5.0, 0.0))]),
+    "robot past the limit": ((-2e150, 0.0, 0.0), []),
+    "object past the limit": ((0.0, 0.0, 0.0), [("a", (0.0, 2e150))]),
+    "robot and object past the limit together": ((6e149, 0.0, 0.0), [("a", (-6e149, 0.0))]),
+}
+
+
+@pytest.mark.parametrize("name", BAD_WORLDS)
+def test_a_bad_world_is_refused_alike_built_and_decoded(name):
+    robot, boxes = BAD_WORLDS[name]
+    text = _refusal(lambda: WorldState(RobotPose(*robot), tuple(_box(oid, center) for oid, center in boxes)))
+    doc = {"robot": dict(zip(("x", "y", "heading"), robot)), "objects": [_box_doc(oid, center) for oid, center in boxes]}
+    assert _refusal(lambda: load_world(doc)) == text
+
+
+@pytest.mark.parametrize("height", [0.0, -1.0, math.nan])
+def test_an_object_is_refused_a_height_not_above_zero(height):
+    """The decoder refuses NaN as a number before the height check sees it."""
+    built = _refusal(lambda: _box(height=height))
+    decoded = _refusal(lambda: load_world({"robot": {"x": 0.0, "y": 0.0}, "objects": [_box_doc(height=height)]}))
+    assert built == "object 'a': height must be positive"
+    if math.isnan(height):
+        assert decoded == "WorldState.objects: SimObject.height: expected a finite number, got nan"
+    else:
+        assert decoded == "WorldState.objects: " + built
+
+
+def _built_twin(doc: dict) -> WorldState:
+    """The world a document describes, built with the constructors from its values."""
+    objects = []
+    for obj in doc["objects"]:
+        shape = obj["shape"]
+        if shape["type"] == "circle":
+            built = Shape("circle", tuple(shape["center"]), shape["radius"])
+        else:
+            built = Shape("polygon", vertices=tuple(tuple(v) for v in shape["vertices"]))
+        objects.append(SimObject(obj["id"], obj["kind"], built, obj.get("label"), obj.get("color", "gray"),
+                                 obj.get("height", 0.5), obj.get("text_on_object")))
+    return WorldState(RobotPose(**doc["robot"]), tuple(objects), SimParams(**doc.get("params", {})))
+
+
+_WORLD_FILES = sorted((Path(sim.__file__).parent / "data" / "worlds").glob("*.json"))
+
+
+def test_every_bundled_world_is_listed():
+    assert {"case_avoid.json", "case_bosch.json", "obs_1.json"} <= {path.name for path in _WORLD_FILES}
+
+
+@pytest.mark.parametrize("path", _WORLD_FILES, ids=lambda path: path.stem)
+def test_a_bundled_world_loads_as_its_constructors_build_it(path):
+    world = sim.load_world_file(path)
+    twin = _built_twin(json.loads(path.read_text()))
+    assert world == twin
+    assert world.to_json() == twin.to_json()
+    for got, want in zip(world.objects, twin.objects):
         assert struct.pack("<3d", *got.shape.bound) == struct.pack("<3d", *want.shape.bound)
 
 

@@ -3,10 +3,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from carobo import geometry as geo
+from carobo.sim import SchemaError, Shape
 
 
 def test_unit_vectors_at_cardinal_angles():
@@ -116,10 +117,6 @@ def test_point_in_polygon_basics():
     assert not geo.point_in_polygon((4, 0), SQUARE)
 
 
-def test_polygon_area_shoelace():
-    assert geo.polygon_sums(SQUARE) == (8.0, 0.0, 4.0)
-
-
 def _separate_sums(vertices):
     """The centroid sums and the shoelace area as three loops over the vertices."""
     sx = sy = acc = 0.0
@@ -135,11 +132,22 @@ def _separate_sums(vertices):
 
 
 @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
-                          st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=7))
-def test_polygon_sums_add_as_separate_loops_do(vertices):
-    """Bit for bit, signed zeros, overflow to inf and nan included: the sums
-    decide each shape's bounding disc and whether a polygon is collinear."""
-    assert [repr(v) for v in geo.polygon_sums(vertices)] == [repr(v) for v in _separate_sums(vertices)]
+                          st.floats(allow_nan=False, allow_infinity=False)), min_size=3, max_size=7))
+@example(SQUARE)
+@example([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+def test_shape_bounds_add_as_separate_loops_do(vertices):
+    """Bit for bit, signed zeros and overflow to inf included: the sums decide
+    each polygon's bounding disc and whether it is collinear."""
+    sx, sy, area = _separate_sums(vertices)
+    try:
+        shape = Shape("polygon", vertices=tuple(vertices))
+    except SchemaError as exc:
+        assert str(exc) == "bad polygon shape: polygon vertices are collinear"
+        assert abs(area) < 1e-9
+        return
+    assert not abs(area) < 1e-9
+    n = len(vertices)
+    assert [repr(v) for v in shape.bound[:2]] == [repr(sx / n), repr(sy / n)]
 
 
 # ---------------------------------------------------------------------------

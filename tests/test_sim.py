@@ -613,7 +613,21 @@ def drive_cases(draw):
     return seeded_world(seed, 0, 1.0, pose, params, circles), Command(name=name, value=length)
 
 
+def after_a_blocked_stop(r):
+    """A forward drive from where the last one stopped BLOCKED, an increment
+    of 0.5 m having carried it from clearance 0.4 m onto a disc of radius `r`
+    dead ahead. The disc now reaches no farther than 2 r past the footprint's
+    front edge, and the drive turns (AVOIDED) before it moves."""
+    pose = {"x": 0.0, "y": 0.0, "heading": 0.0, "camera_pitch": 0.0}
+    params = {"footprint_radius": 0.1, "avoid_threshold": 0.3, "integration_step": 0.5}
+    world = seeded_world(0, 0, 1.0, pose, params, [{"type": "circle", "radius": r, "center": [0.5 + r, 0.0]}])
+    world, result = apply_command(world, Command("car_forward", 1.0))
+    assert result.outcome is ExecOutcome.BLOCKED
+    return world, Command("car_forward", 1.0)
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(after_a_blocked_stop(0.002))
 @given(drive_cases())
 def test_drives_among_discs_near_their_start_match_the_full_scan(time_limit, case):
     """The drives that `_clear_spans` bounds most tightly: the broad phase's
@@ -631,28 +645,17 @@ def _circles(centers, radius: float) -> tuple:
 
 
 _N = sim.GRID_MIN_OBJECTS
-# Worlds built with the constructors, which load_world's WORLD_LIMIT does not
-# guard, one for each of Grid.build's refusals.
-GRIDLESS_WORLDS = {
-    # the bounds' box is finite, but its width plus its height is not
-    "overflow": sim.WorldState(sim.RobotPose(0.0, 0.0), _circles(
-        [(1e308 * (-1) ** i, 1e308 * (-1) ** (i // 2)) for i in range(_N)], 0.5)),
-    # the last bound is NaN, which min and max skip, so only the cell index meets it
-    "NaN": sim.WorldState(sim.RobotPose(0.0, 1.0), _circles(
-        [(1.0 + i % 4, 1.0 + i // 4) for i in range(_N - 1)] + [(math.nan, 2.0)], 0.2)),
-}
 
 
 def _scans_as_the_full_scan_does(world):
-    """The world's readings, drives and renders are those of the full scan.
-    They are compared by their text, since NaN equals nothing."""
+    """The world's readings, drives and renders are those of the full scan."""
     for command in (Command("car_forward", 1.0), Command("car_left", 90.0), Command("camera_move", 20.0),
                     Command("car_back", 0.5)):
-        assert repr(read_sensors(world)) == repr(fullscan_sim.read_sensors(world))
+        assert read_sensors(world) == fullscan_sim.read_sensors(world)
         assert render_camera(world).to_json() == fullscan_sim.render_camera(world).to_json()
         after, result = apply_command(world, command)
         ref_after, ref_result = fullscan_sim.apply_command(world, command)
-        assert repr(result) == repr(ref_result)
+        assert result == ref_result
         assert world_digest(after) == world_digest(ref_after)
         world = after
 
@@ -668,12 +671,14 @@ def test_a_polygon_with_a_repeated_vertex_scans_as_the_full_scan_does(monkeypatc
     assert any(zero_edges)
 
 
-@pytest.mark.parametrize("name", GRIDLESS_WORLDS)
-def test_a_world_the_grid_refuses_scans_as_the_full_scan_does(name):
-    """Each of these worlds, of GRID_MIN_OBJECTS objects, gets no grid."""
-    world = GRIDLESS_WORLDS[name]
-    assert world.objects.grid is None
-    _scans_as_the_full_scan_does(world)
+def test_grid_build_refuses_bounds_whose_cell_arithmetic_overflows():
+    """No world holds these rows, which reach past WORLD_LIMIT: the bounds'
+    box is finite, but its width plus its height is not. About 10^7 discs
+    spread out to the limit overflow the cell side instead. Scaled into the
+    limit, the same rows get a grid."""
+    rows = tuple((i, 1e308 * (-1) ** i, 1e308 * (-1) ** (i // 2), 0.5, None) for i in range(_N))
+    assert sim.Grid.build(rows) is None
+    assert sim.Grid.build(tuple((i, cx * 1e-158, cy * 1e-158, r, obj) for i, cx, cy, r, obj in rows)) is not None
 
 
 def test_a_disc_that_rounding_puts_in_three_columns_gets_a_grid():
