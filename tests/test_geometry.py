@@ -117,6 +117,15 @@ def test_point_in_polygon_basics():
     assert not geo.point_in_polygon((4, 0), SQUARE)
 
 
+def test_polygon_area_shoelace():
+    """The square's centroid is its vertex mean; a sliver whose shoelace area
+    is 1e-9 is a polygon, one of half that area is collinear."""
+    assert Shape("polygon", vertices=tuple(SQUARE)).bound[:2] == (2.0, 0.0)
+    Shape("polygon", vertices=((0.0, 0.0), (1.0, 0.0), (0.0, 2e-9)))
+    with pytest.raises(SchemaError, match="collinear"):
+        Shape("polygon", vertices=((0.0, 0.0), (1.0, 0.0), (0.0, 1e-9)))
+
+
 def _separate_sums(vertices):
     """The centroid sums and the shoelace area as three loops over the vertices."""
     sx = sy = acc = 0.0
@@ -135,7 +144,7 @@ def _separate_sums(vertices):
                           st.floats(allow_nan=False, allow_infinity=False)), min_size=3, max_size=7))
 @example(SQUARE)
 @example([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
-def test_shape_bounds_add_as_separate_loops_do(vertices):
+def test_polygon_sums_add_as_separate_loops_do(vertices):
     """Bit for bit, signed zeros and overflow to inf included: the sums decide
     each polygon's bounding disc and whether it is collinear."""
     sx, sy, area = _separate_sums(vertices)
