@@ -6,22 +6,25 @@ finder and two IR proximity switches. Command execution is pure: it returns a
 new world plus an execution report, so episodes replay bit-for-bit.
 
 A shape, built or decoded, is checked and measured by one loop over its points
-(`_measure`); a world, by `WorldState` itself, and `load_world` adds the
-start-overlap rule. Each world gathers one row table of its objects' padded
-bounding discs, once, and every query culls objects by those discs before an
-exact geometry test. A world of at least GRID_MIN_OBJECTS objects also buckets
-the rows into a uniform grid, built once on the first query: the sensor rays
-walk its cells nearest first, and a drive takes the rows of the cells around
-its path. Both give exactly what a scan of every row gives. Smaller worlds,
-and queries from outside the grid, scan; so does the start-pose overlap check.
-An IR ray stops at its switch's reach, and a drive skips the checks over the
-travel that its near discs prove free (`_clear_spans`). The camera scans the
-row table and judges each line of sight once per robot position: a render
-after a turn, a camera move or a drive that did not move reuses the verdicts
-of the one before. A render at the exact pose of the one before, and a sensor
-read at the position and heading of the one before, return its result: in one
-pass of the clutter benchmark, 88 of 640 renders and 163 of 640 reads (after a
-buzzer, a camera move, or a drive that did not move).
+(`_measure`); a robot pose and a world check themselves, and `load_world` adds
+the start-overlap rule. Each world gathers one row table of its objects'
+padded bounding discs, once, and every query culls objects by those discs
+before an exact geometry test. A world of at least GRID_MIN_OBJECTS objects
+also buckets the rows into a uniform grid, built once on the first query: the
+sensor rays walk its cells nearest first, and a drive takes the rows of the
+cells around its path. Both give exactly what a scan of every row gives.
+Smaller worlds, and queries from outside the grid, scan; so does the
+start-pose overlap check. An IR ray stops at its switch's reach, and a drive
+skips the checks over the travel that its near discs prove free
+(`_clear_spans`). The camera scans the row table. It works out its frame's
+constants (the field of view's cosine and sine, the heading's unit vector, the
+vertical window's tangents) and each occluder's offset from the robot once per
+frame, and judges each line of sight once per robot position: a render after a
+turn, a camera move or a drive that did not move reuses the verdicts of the
+one before. A render at the exact pose of the one before, and a sensor read at
+the position and heading of the one before, return its result: in one pass of
+the clutter benchmark, 88 of 640 renders and 163 of 640 reads (after a buzzer,
+a camera move, or a drive that did not move).
 """
 from __future__ import annotations
 
@@ -31,8 +34,8 @@ import reprlib
 import struct
 from dataclasses import field
 from functools import cached_property
-from math import hypot, inf, isfinite, nextafter
-from operator import add, sub
+from math import asin, atan2, cos, degrees, hypot, inf, isfinite, nextafter, radians, sin, tan
+from operator import add, itemgetter, sub
 from typing import Optional, Tuple
 
 from . import geometry as geo
@@ -95,6 +98,14 @@ class RobotPose:
     camera_pitch: float = _within(*PITCH_RANGE, 0.0)  # a pitch no camera_move could reach is refused
 
     def __post_init__(self):
+        # x, y and heading as the decoder reads them: finite floats, an int converted
+        for name in ("x", "y", "heading"):
+            value = getattr(self, name)
+            if type(value) is not float or not isfinite(value):
+                try:
+                    object.__setattr__(self, name, _float(value))
+                except SchemaError as exc:
+                    raise SchemaError(f"RobotPose.{name}: {exc}") from None
         object.__setattr__(self, "heading", geo.norm_heading(self.heading))
 
     @property
@@ -454,10 +465,12 @@ WORLD_LIMIT = 1e150
 class WorldState:
     """The robot, the objects and the parameters of one world.
 
-    A world on a new sequence of objects, built or decoded, is checked: its
-    robot's x, y and heading are finite, its object ids unique, and it reaches
-    no farther than WORLD_LIMIT from the origin, as its rows' extent plus the
-    robot's |x| + |y|. A world on another's `ObjectSet`, as a command's, is not.
+    Its robot's x, y and heading are finite floats (`RobotPose` checks them),
+    and so is every buzzer event, whatever the objects. A world on a new
+    sequence of objects, built or decoded, is checked further: its object ids
+    are unique, and it reaches no farther than WORLD_LIMIT from the origin, as
+    its rows' extent plus the robot's |x| + |y|. A world on another's
+    `ObjectSet`, as a command's, is not.
     """
 
     robot: RobotPose
@@ -469,13 +482,17 @@ class WorldState:
     tick: int = _within(0, 2**53 - 1, 0)
 
     def __post_init__(self):
+        events = self.buzzer_events
+        for event in events:
+            if type(event) is not float or not isfinite(event):
+                try:
+                    events = tuple([_float(value) for value in events])
+                except SchemaError as exc:
+                    raise SchemaError(f"WorldState.buzzer_events: {exc}") from None
+                object.__setattr__(self, "buzzer_events", events)
+                break
         if type(self.objects) is ObjectSet:
             return
-        for name in ("x", "y", "heading"):
-            try:
-                _float(getattr(self.robot, name))
-            except SchemaError as exc:
-                raise SchemaError(f"WorldState.robot: RobotPose.{name}: {exc}") from None
         objects = ObjectSet(self.objects)
         if len({obj.id for obj in objects}) != len(objects):
             raise SchemaError("object ids must be unique")
@@ -798,37 +815,21 @@ def apply_command(world: WorldState, command: Command) -> Tuple[WorldState, Exec
     return world, result
 
 
-def _vertical_window(world: WorldState):
-    """The camera's vertical window, as (height, distance) -> (lo, hi).
-
-    The portion [lo, hi] of an object of that height, at that ground distance
-    from the camera, that the window sees; (0, 0) when it sees none. The
-    tangents of the window's two edges are taken once per call of this
-    function, not once per object.
-    """
-    p = world.params
-    half = p.vfov / 2.0
-    tan_lo = math.tan(math.radians(world.robot.camera_pitch - half))
-    tan_hi = math.tan(math.radians(world.robot.camera_pitch + half))
-
-    def band(height: float, distance: float) -> Tuple[float, float]:
-        d = max(distance, 1e-9)
-        lo = max(0.0, p.camera_height + d * tan_lo)
-        hi = min(height, p.camera_height + d * tan_hi)
-        if hi <= lo:
-            return (0.0, 0.0)
-        return (lo, hi)
-
-    return band
-
-
 def visible_height_band(world: WorldState, obj: SimObject) -> Tuple[float, float]:
     """Portion of the object's height [lo, hi] inside the camera's vertical window.
 
-    Returns (0, 0) when the window misses the object entirely.
+    Returns (0, 0) when the window misses the object entirely. `render_camera`
+    makes the same test inline, with the window's tangents taken once per frame.
     """
+    p, pose = world.params, world.robot
+    half = p.vfov / 2.0
     cx, cy = obj.shape.centroid()
-    return _vertical_window(world)(obj.height, math.hypot(cx - world.robot.x, cy - world.robot.y))
+    d = max(hypot(cx - pose.x, cy - pose.y), 1e-9)
+    lo = max(0.0, p.camera_height + d * tan(radians(pose.camera_pitch - half)))
+    hi = min(obj.height, p.camera_height + d * tan(radians(pose.camera_pitch + half)))
+    if hi <= lo:
+        return (0.0, 0.0)
+    return (lo, hi)
 
 
 def _hidden(occluders, origin, target: SimObject, angle: float, distance: float, edge: float) -> bool:
@@ -840,29 +841,27 @@ def _hidden(occluders, origin, target: SimObject, angle: float, distance: float,
     hidden when another object has an exact ray hit below t_self - 1e-9,
     where t_self is the target's own hit, or `distance` if the ray misses it.
 
-    `occluders` holds (near edge, cx, cy, r, object) sorted by the near edge,
-    the distance from the origin to the object's bounding disc (cx, cy, r).
-    No hit on an object lies nearer than its near edge, the target's own
-    included. So a hit below the target's near edge less 1e-9 hides it, and
-    t_self is found only once the walk meets a later hit or near edge. The
-    walk answers "visible" at the first near edge at or beyond t_self - 1e-9.
+    `occluders` holds (near edge, dx, dy, dx * dx + dy * dy, r * r, object)
+    sorted by the near edge, the distance from the origin to the object's
+    bounding disc (cx, cy, r), with (dx, dy) = (cx, cy) - origin: the frame
+    works each out once, not once per target. No hit on an object lies nearer
+    than its near edge, the target's own included. So a hit below the
+    target's near edge less 1e-9 hides it, and t_self is found only once the
+    walk meets a later hit or near edge. The walk answers "visible" at the
+    first near edge at or beyond t_self - 1e-9.
     """
     direction = geo.unit(angle)
-    ox, oy = origin
     ux, uy = direction
     below = edge - 1e-9  # at most t_self - 1e-9
     limit = None  # t_self - 1e-9, once the walk needs it
     target_id = target.id
-    for near, cx, cy, r, obj in occluders:
+    for near, mx, my, d2, rr, obj in occluders:
         if near >= below:
             if limit is None:
                 limit = _sight_limit(target, origin, direction, distance)
             if near >= limit:
                 return False
-        mx, my = cx - ox, cy - oy
         along = mx * ux + my * uy
-        d2 = mx * mx + my * my
-        rr = r * r
         if d2 > rr and (along < 0.0 or d2 - along * along > rr):
             continue
         if obj.id == target_id:
@@ -885,30 +884,40 @@ def _sight_limit(target: SimObject, origin, direction, distance: float) -> float
     return (distance if t_self is None else t_self) - 1e-9
 
 
+_near_edge = itemgetter(0)  # an occluder's sort key
+_distance_and_id = itemgetter(0, 1)  # a candidate's sort key
+
+
 def render_camera(world: WorldState) -> Observation:
     """Symbolic camera: items for every unoccluded object inside both FOV axes.
 
-    A bounding disc that lies wholly outside the field of view can neither be
-    seen nor hide anything seen. A dot/cross test, padded like the discs,
-    rejects it before any trigonometry. Each object in view then needs its
-    verdict: whether a nearer object hides it along its line of sight. That
-    depends on the robot's position alone, not on where the robot looks, so
-    the verdicts at this position are kept in the world's `ObjectSet.spot`,
-    and `_hidden` finds only those not yet judged there. A render at the pose
-    of the last render there, with the same params object, returns its result.
+    The frame's constants (the half-angle's cosine and sine, the heading's
+    unit vector, the tangents of the vertical window's edges) are worked out
+    once per render. A bounding disc that lies wholly outside the field of
+    view can neither be seen nor hide anything seen. A dot/cross test, padded
+    like the discs, rejects it before any trigonometry. Each object in view
+    then needs its verdict: whether a nearer object hides it along its line of
+    sight. That depends on the robot's position alone, not on where the robot
+    looks, so the verdicts at this position are kept in the world's
+    `ObjectSet.spot`, and `_hidden` finds only those not yet judged there,
+    over occluders whose offsets from the robot the cull worked out once. A
+    render at the pose of the last render there, with the same params object,
+    returns its result.
     """
     p = world.params
     pose = world.robot
-    x, y = pose.x, pose.y
+    x, y, heading, pitch = pose.x, pose.y, pose.heading, pose.camera_pitch
     spot = world.objects.spot(x, y)
-    key = _pair_bits(pose.heading, pose.camera_pitch)
+    key = _pair_bits(heading, pitch)
     bits, params, observation = spot.render
     if bits == key and params is p:
         return observation
     half = p.hfov / 2.0
-    band = _vertical_window(world)
-    fx, fy = geo.unit(pose.heading)
-    cos_half, sin_half = math.cos(math.radians(half)), math.sin(math.radians(half))
+    cos_half, sin_half = cos(radians(half)), sin(radians(half))
+    fx, fy = cos(radians(heading)), sin(radians(heading))  # geo.unit(heading)
+    # the vertical window of visible_height_band
+    camera_height, half_v = p.camera_height, p.vfov / 2.0
+    tan_lo, tan_hi = tan(radians(pitch - half_v)), tan(radians(pitch + half_v))
     table, extent = world.objects.rows
     # twice the largest of the discs' own paddings, BOUND_MARGIN * (1 + r + |dx| + |dy|),
     # as |dx| <= |cx| + |x|: a looser cull only adds objects that the exact tests turn away
@@ -924,21 +933,26 @@ def render_camera(world: WorldState) -> Observation:
         past = abs(dx * fy - dy * fx) * cos_half - (dx * fx + dy * fy) * sin_half
         if past > r + pad:
             continue
-        distance = math.hypot(dx, dy)
-        angle = math.degrees(math.atan2(dy, dx))
-        bearing = geo.rel_bearing(angle - pose.heading)
+        distance = hypot(dx, dy)
+        angle = degrees(atan2(dy, dx))
+        bearing = (angle - heading) % 360.0  # geo.rel_bearing, into (-180, 180]
+        if bearing > 180.0:
+            bearing -= 360.0
         off = abs(bearing)
         # every line of sight below lies in the field of view; a disc that
         # stays outside it cannot occlude. A bearing within half passes
         # without the asin, as half plus a nonnegative angle is at least half.
-        if distance <= r or off <= half or off <= half + math.degrees(math.asin(r / distance)):
-            occluders.append((distance - r, cx, cy, r, obj))
+        if distance <= r or off <= half or off <= half + degrees(asin(r / distance)):
+            occluders.append((distance - r, dx, dy, dx * dx + dy * dy, r * r, obj))
         if distance < 1e-9 or off > half:
             continue
-        lo, hi = band(obj.height, distance)
-        if hi > lo:
+        # visible_height_band's test, min(height, hi) > max(0.0, lo), for distance >= 1e-9
+        lo = camera_height + distance * tan_lo
+        hi = camera_height + distance * tan_hi
+        height = obj.height
+        if (hi if hi < height else height) > (lo if lo > 0.0 else 0.0):
             in_view.append((i, obj, angle, distance, bearing, distance - r))
-    occluders.sort(key=lambda occluder: occluder[0])
+    occluders.sort(key=_near_edge)
     hidden = spot.hidden
     candidates = []
     for i, obj, angle, distance, bearing, edge in in_view:
@@ -961,7 +975,7 @@ def render_camera(world: WorldState) -> Observation:
                 ),
             )
         )
-    candidates.sort(key=lambda c: (c[0], c[1]))
+    candidates.sort(key=_distance_and_id)
     observation = Observation.from_items(tuple(c[2] for c in candidates))
     spot.render = (key, p, observation)
     return observation

@@ -543,7 +543,6 @@ _texts = st.one_of(
 _finite = st.one_of(st.floats(-1e6, 1e6), st.integers(-5, 5), st.sampled_from([-0.0, -1e-300, 0.1]))
 # past WORLD_LIMIT: a shape or a pose may hold these, a world may not
 _far = _finite | st.sampled_from([1e300, -1e300])
-_any_float = st.one_of(_far, st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
 def _polygon_or_none(vertices):
@@ -566,9 +565,9 @@ def _objects(numbers):
     )
 
 
-# RobotPose refuses a camera_pitch outside PITCH_RANGE, NaN included
+# RobotPose refuses a non-finite x, y or heading, and a camera_pitch outside PITCH_RANGE, NaN included
 _pitches = st.floats(*PITCH_RANGE) | st.integers(-30, 60) | st.sampled_from([-0.0, *PITCH_RANGE])
-_poses = st.builds(RobotPose, x=_any_float, y=_any_float, heading=_any_float, camera_pitch=_pitches)
+_poses = st.builds(RobotPose, x=_far, y=_far, heading=_far, camera_pitch=_pitches)
 _params = st.just(SimParams()) | st.builds(SimParams, hfov=st.integers(1, 360), footprint_radius=st.just(0.25))
 # a world holds unique ids, a robot at a finite x, y and heading, and nothing past WORLD_LIMIT
 _worlds = st.builds(
@@ -703,11 +702,6 @@ def _box_doc(oid="a", center=(5.0, 0.0), height=0.5) -> dict:
 # (robot's x, y and heading, objects) as built and as a document: worlds that WorldState and load_world refuse alike
 BAD_WORLDS = {
     "duplicate ids": ((0.0, 0.0, 0.0), [("a", (5.0, 0.0)), ("b", (0.0, 5.0)), ("a", (-5.0, 0.0))]),
-    "NaN robot": ((math.nan, 0.0, 0.0), []),
-    "infinite robot": ((0.0, math.inf, 0.0), []),
-    "string robot": (("a", 0.0, 0.0), [("a", (5.0, 0.0))]),
-    "NaN heading": ((0.0, 0.0, math.nan), []),
-    "NaN robot and duplicate ids": ((math.nan, 0.0, 0.0), [("a", (5.0, 0.0)), ("a", (-5.0, 0.0))]),
     "robot past the limit": ((-2e150, 0.0, 0.0), []),
     "object past the limit": ((0.0, 0.0, 0.0), [("a", (0.0, 2e150))]),
     "robot and object past the limit together": ((6e149, 0.0, 0.0), [("a", (-6e149, 0.0))]),
@@ -720,6 +714,51 @@ def test_a_bad_world_is_refused_alike_built_and_decoded(name):
     text = _refusal(lambda: WorldState(RobotPose(*robot), tuple(_box(oid, center) for oid, center in boxes)))
     doc = {"robot": dict(zip(("x", "y", "heading"), robot)), "objects": [_box_doc(oid, center) for oid, center in boxes]}
     assert _refusal(lambda: load_world(doc)) == text
+
+
+# (x, y and heading, objects, text): poses that RobotPose refuses built or decoded, and a world with its objects
+BAD_POSES = {
+    "NaN robot": ((math.nan, 0.0, 0.0), [], "RobotPose.x: expected a finite number, got nan"),
+    "infinite robot": ((0.0, math.inf, 0.0), [], "RobotPose.y: expected a finite number, got inf"),
+    "string robot": (("a", 0.0, 0.0), [("a", (5.0, 0.0))], "RobotPose.x: expected a finite number, got 'a'"),
+    "NaN heading": ((0.0, 0.0, math.nan), [], "RobotPose.heading: expected a finite number, got nan"),
+    "string heading": ((0.0, 0.0, "a"), [], "RobotPose.heading: expected a finite number, got 'a'"),
+    "boolean heading": ((0.0, 0.0, True), [], "RobotPose.heading: expected a finite number, got True"),
+    "NaN robot and duplicate ids": ((math.nan, 0.0, 0.0), [("a", (5.0, 0.0)), ("a", (-5.0, 0.0))],
+                                    "RobotPose.x: expected a finite number, got nan"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_POSES)
+def test_a_bad_pose_is_refused_alike_built_and_decoded(name):
+    """A pose refuses what the decoder refuses, with its text, before any
+    world is built on it; a world's document adds the path to it, and its
+    robot is refused before its objects are checked."""
+    pose, boxes, text = BAD_POSES[name]
+    doc = dict(zip(("x", "y", "heading"), pose))
+    assert _refusal(lambda: RobotPose(*pose)) == text
+    assert _refusal(lambda: RobotPose.from_dict(doc)) == text
+    world = {"robot": doc, "objects": [_box_doc(oid, center) for oid, center in boxes]}
+    assert _refusal(lambda: load_world(world)) == "WorldState.robot: " + text
+
+
+def test_a_pose_and_a_world_take_integers_as_floats_as_the_decoder_does():
+    assert RobotPose(1, -2, 370) == RobotPose.from_dict({"x": 1, "y": -2, "heading": 370}) == RobotPose(1.0, -2.0, 10.0)
+    assert type(RobotPose(1).x) is float
+    world = WorldState(RobotPose(), buzzer_events=(0, 3))
+    assert world.buzzer_events == (0.0, 3.0) and world.to_json() == WorldState.from_dict(world.to_dict()).to_json()
+    assert '"buzzer_events":[0.0,3.0]' in world.to_json()
+
+
+@pytest.mark.parametrize("event", [math.nan, -math.inf, "a", None, True])
+def test_a_bad_buzzer_event_is_refused_alike_built_and_decoded(event):
+    """A world refuses a buzzer event that its JSON could not hold, on a new
+    sequence of objects or on another world's, as a command's world is built."""
+    text = _refusal(lambda: WorldState(RobotPose(), buzzer_events=(event,)))
+    assert text == "WorldState.buzzer_events: expected a finite number, got " + repr(event)
+    world = load_world({"robot": {}, "objects": [_box_doc()]})
+    assert _refusal(lambda: dataclasses.replace(world, buzzer_events=(0.0, event))) == text
+    assert _refusal(lambda: WorldState.from_dict({"robot": {}, "buzzer_events": [0.0, event]})) == text
 
 
 @pytest.mark.parametrize("height", [0.0, -1.0, math.nan])

@@ -352,6 +352,15 @@ def test_camera_occlusion_hides_the_far_object():
     assert len(ids) == 1 and ids[0] == pytest.approx(1.0)
 
 
+def test_a_hidden_object_still_hides_what_lies_behind_it():
+    """G hides H, and H hides T: the camera shows G alone, and removing H,
+    which it does not show, shows T."""
+    t, h, g = (disc(oid, cx, cy, r, label=oid) for oid, cx, cy, r in
+               (("T", 5.0, 0.0, 0.2), ("H", 2.0, 0.25, 0.3), ("G", 0.992, 0.124, 0.05)))
+    assert [item.label for item in render_camera(make_world([t, h, g])).items] == ["G"]
+    assert [item.label for item in render_camera(make_world([t, g])).items] == ["G", "T"]
+
+
 def test_camera_sorts_by_distance_then_id():
     a = box("zeta", 1.0, 0.3)
     b = box("alpha", 1.0, -0.3)
@@ -799,6 +808,35 @@ def test_renders_that_reuse_their_verdicts_match_the_full_scan(time_limit, case)
             at = sim.WorldState(robot=sim.RobotPose(x, y, heading, pitch), objects=world.objects,
                                 params=world.params)
             assert render_camera(at).to_dict() == fullscan_sim.render_camera(at).to_dict()
+
+
+@st.composite
+def worlds_and_one_more(draw):
+    """(robot, objects, one more object, params): a world drawn as
+    `fuzzed_cases` draws it, each object labelled by its id, and one more
+    seeded shape, in the horizontal field of view up to 8 m away."""
+    world, _ = draw(fuzzed_cases())
+    pose, half = world.robot, world.params.hfov / 2.0
+    ux, uy = geometry.unit(pose.heading + draw(st.floats(-half, half)))
+    distance = draw(st.floats(0.2, 8.0))
+    doc = _shape_doc(random.Random(draw(st.integers(0, 2**32 - 1))), pose.x + ux * distance, pose.y + uy * distance)
+    extra = sim.SimObject("extra", "box", sim.Shape.from_dict(doc), "extra", height=draw(st.floats(0.05, 1.8)))
+    objects = tuple(dataclasses.replace(obj, label=obj.id) for obj in world.objects)
+    return pose, objects, extra, world.params
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(worlds_and_one_more())
+def test_one_more_object_never_shows_what_was_hidden(time_limit, case):
+    """Occlusion is monotone: with one more object in the world, the camera
+    shows no item, by label, distance and bearing, that it did not show
+    without it. So removing an object never hides one the camera showed."""
+    robot, objects, extra, params = case
+    with time_limit(20.0):
+        without = render_camera(sim.WorldState(robot, objects, params)).items
+        with_extra = render_camera(sim.WorldState(robot, objects + (extra,), params)).items
+    shown = {(item.label, item.distance, item.bearing) for item in without}
+    assert {(item.label, item.distance, item.bearing) for item in with_extra if item.label != "extra"} <= shown
 
 
 STILL_COMMANDS = st.one_of(
