@@ -340,18 +340,21 @@ def judge(spec: ScenarioSpec, result: EpisodeResult, world: sim.WorldState) -> R
                failure_reason=reason.value if reason else None, steps=result.steps, rounds=result.rounds)
 
 
+def _wins(rows) -> Tuple[Dict[str, Tuple[int, int]], int]:
+    """(domain -> (wins, rows), wins): each domain of DOMAINS that `rows`
+    hold, in that order, with its successes and its row count; and the
+    successes of all rows."""
+    won = [(r.domain, r.verdict == Verdict.SUCCESS.value) for r in rows]
+    groups = {domain: [w for d, w in won if d == domain] for domain in DOMAINS}
+    return {domain: (sum(g), len(g)) for domain, g in groups.items() if g}, sum(w for _, w in won)
+
+
 @codec
 @value_class
 class Report:
     rows: Tuple[Row, ...]
     domain_rates: Dict[str, float] = field(default_factory=dict)
     overall_rate: float = 0.0
-
-    def row(self, scenario_id: str) -> Row:
-        for r in self.rows:
-            if r.scenario_id == scenario_id:
-                return r
-        raise KeyError(scenario_id)
 
     def to_text(self) -> str:
         lines = [f"{'scenario':<10} {'domain':<22} {'verdict':<8} {'reason':<16} {'steps':>5} {'rounds':>6}"]
@@ -361,31 +364,20 @@ class Report:
                 f" {r.failure_reason or '-':<16} {r.steps:>5} {r.rounds:>6}"
             )
         lines.append("")
+        per_domain, wins = _wins(self.rows)
         for domain in DOMAINS:
             if domain in self.domain_rates:
-                n = sum(1 for r in self.rows if r.domain == domain)
-                k = sum(1 for r in self.rows if r.domain == domain and r.verdict == Verdict.SUCCESS.value)
+                k, n = per_domain.get(domain, (0, 0))
                 lines.append(f"{domain:<22} {self.domain_rates[domain]:5.1f}% ({k}/{n})")
-        total = len(self.rows)
-        wins = sum(1 for r in self.rows if r.verdict == Verdict.SUCCESS.value)
-        lines.append(f"{'overall':<22} {self.overall_rate:5.1f}% ({wins}/{total})")
+        lines.append(f"{'overall':<22} {self.overall_rate:5.1f}% ({wins}/{len(self.rows)})")
         return "\n".join(lines)
 
 
 def make_report(rows) -> Report:
     rows = tuple(rows)
-    rates = {}
-    for domain in DOMAINS:
-        group = [r for r in rows if r.domain == domain]
-        if group:
-            wins = sum(1 for r in group if r.verdict == Verdict.SUCCESS.value)
-            rates[domain] = wins * 100.0 / len(group)
-    overall = (
-        sum(1 for r in rows if r.verdict == Verdict.SUCCESS.value) * 100.0 / len(rows)
-        if rows
-        else 0.0
-    )
-    return Report(rows=rows, domain_rates=rates, overall_rate=overall)
+    per_domain, wins = _wins(rows)
+    rates = {domain: k * 100.0 / n for domain, (k, n) in per_domain.items()}
+    return Report(rows=rows, domain_rates=rates, overall_rate=wins * 100.0 / len(rows) if rows else 0.0)
 
 
 # the one backend both agents of a scenario's episode call

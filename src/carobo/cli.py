@@ -152,16 +152,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one episode for a natural language request")
+    # the backend options, which run and bench share
+    backend = argparse.ArgumentParser(add_help=False)
+    backend.add_argument("--backend", choices=("mock", "replay", "http"), default="mock")
+    backend.add_argument("--policy", default="oracle", help="scripted policy for the mock backend")
+    backend.add_argument("--endpoint", help="chat completions URL for the http backend")
+    backend.add_argument("--model", help="model name for the http backend")
+    backend.add_argument("--max-retries", type=int, default=3)
+
+    run = sub.add_parser("run", parents=[backend], help="run one episode for a natural language request")
     run.add_argument("--request", required=True, help="natural language request text")
     run.add_argument("--request-id", default="adhoc")
     run.add_argument("--world", help="world JSON file (not taken by a remote tcp:HOST:PORT server)")
-    run.add_argument("--backend", choices=("mock", "replay", "http"), default="mock")
-    run.add_argument("--policy", default="oracle", help="scripted policy for the mock backend")
     run.add_argument("--replay-trace", help="completion JSONL for the replay backend")
-    run.add_argument("--endpoint", help="chat completions URL for the http backend")
-    run.add_argument("--model", help="model name for the http backend")
-    run.add_argument("--max-retries", type=int, default=3)
     run.add_argument(
         "--transport",
         default="direct",
@@ -172,17 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", help="write the episode trace JSONL here")
     run.set_defaults(func=cmd_run)
 
-    bench = sub.add_parser("bench", help="run a benchmark suite and report success rates")
+    bench = sub.add_parser("bench", parents=[backend], help="run a benchmark suite and report success rates")
     bench.add_argument("--suite", default=str(default_suite_path()))
-    bench.add_argument("--backend", choices=("mock", "replay", "http"), default="mock")
-    bench.add_argument("--policy", default="oracle")
     bench.add_argument(
         "--replay-dir",
         help="directory of per-scenario completion traces, or a bundled model name",
     )
-    bench.add_argument("--endpoint")
-    bench.add_argument("--model")
-    bench.add_argument("--max-retries", type=int, default=3)
     bench.add_argument("--transport", default="direct", help="direct | local: | tcp:")
     bench.add_argument("--traces-dir", help="write per-scenario episode traces here")
     bench.add_argument("--out", help="write the report as JSON here")

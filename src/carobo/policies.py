@@ -9,16 +9,17 @@ The bundled ones:
 - ``finish_now``: declares the request complete on the very first round.
 - ``spin``: turns left forever, never finishing (useful for limit handling).
 
-Every completion is written once per process. The oracle writes all the
-replies to a request block on the first call that names it and keeps them
-in a bounded `lru_cache`; a later call only picks one by its agent and the
-rounds in its memory. The replies of ``finish_now`` and ``spin`` depend on the
-agent alone and are written at import.
+Each policy gives a tuple of replies, every one written once per process,
+to one picker, `_reply`: the host agent gets the first, and the app agent at
+round k the (k + 1)-th, or the last once the replies run out. The oracle
+writes all the replies to a request block on the first call that names it
+and keeps them in a bounded `lru_cache`. ``finish_now`` and ``spin`` have two
+replies each, written at import, so their app agent always gets the second.
 """
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -33,14 +34,6 @@ _ROUND_MARK = re.compile(r"\[round (\d+)\]")
 
 def _is_host(prompt: Prompt) -> bool:
     return "plan" not in prompt.blocks
-
-
-def _rounds_so_far(prompt: Prompt) -> int:
-    """Recover how many rounds have been decided from the memory block."""
-    marks = _ROUND_MARK.findall(prompt.blocks["memory"])
-    if not marks:
-        return 0
-    return int(marks[-1]) + 1
 
 
 # the completion text: json.dumps(doc, ensure_ascii=False), by one encoder made here
@@ -119,29 +112,25 @@ def _oracle_replies(request: str) -> tuple[str, ...]:
             _finish_doc(script.comment))
 
 
-def oracle_policy(prompt: Prompt) -> str:
-    replies = _oracle_replies(prompt.blocks["request"])
+def _reply(replies: tuple[str, ...], prompt: Prompt) -> str:
+    """The host's reply, the first; at round k, the app agent's, the (k + 1)-th or the last."""
     if _is_host(prompt):
         return replies[0]
-    # round k takes the k-th command's reply; every round past the script finishes
-    return replies[min(_rounds_so_far(prompt) + 1, len(replies) - 1)]
+    marks = _ROUND_MARK.findall(prompt.blocks["memory"])
+    k = int(marks[-1]) + 1 if marks else 0  # the rounds decided so far, from the memory block
+    return replies[min(k + 1, len(replies) - 1)]
 
 
-# the replies of finish_now and spin depend on nothing but the agent, so each is written once
+def oracle_policy(prompt: Prompt) -> str:
+    return _reply(_oracle_replies(prompt.blocks["request"]), prompt)
+
+
 _FINISH_NOW = (_host_doc(["Declare the request complete"], "Nothing left to do."),
                _finish_doc("Request complete."))
 _SPIN = (_host_doc(["Keep turning left"], "Spinning indefinitely."),
          _continue_doc({"name": "car_left", "args": {"angle": 30.0}}, "Turning left again."))
-
-
-def finish_now_policy(prompt: Prompt) -> str:
-    host, app = _FINISH_NOW
-    return host if _is_host(prompt) else app
-
-
-def spin_policy(prompt: Prompt) -> str:
-    host, app = _SPIN
-    return host if _is_host(prompt) else app
+finish_now_policy = partial(_reply, _FINISH_NOW)
+spin_policy = partial(_reply, _SPIN)
 
 
 POLICIES: dict[str, Policy] = {

@@ -465,16 +465,17 @@ WORLD_LIMIT = 1e150
 class WorldState:
     """The robot, the objects and the parameters of one world.
 
-    Its robot's x, y and heading are finite floats (`RobotPose` checks them),
-    and so is every buzzer event, whatever the objects. A world on a new
-    sequence of objects, built or decoded, is checked further: its object ids
-    are unique, and it reaches no farther than WORLD_LIMIT from the origin, as
-    its rows' extent plus the robot's |x| + |y|. A world on another's
-    `ObjectSet`, as a command's, is not.
+    Whatever the objects, its robot is a `RobotPose`, and its buzzer events
+    a tuple of finite floats (a list, or an int, converted). A world on a new
+    list or tuple of objects, built or decoded, is checked further: its params
+    are a `SimParams`, its objects `SimObject`s with unique ids, and it reaches
+    no farther than WORLD_LIMIT from the origin, as its rows' extent plus the
+    robot's |x| + |y|. A world on another's `ObjectSet`, as a command's, is
+    not. Each refusal is a SchemaError that names the field, as the decoder's.
     """
 
     robot: RobotPose
-    objects: Tuple[SimObject, ...] = ()  # an ObjectSet: __post_init__ wraps any other sequence
+    objects: Tuple[SimObject, ...] = ()  # an ObjectSet: __post_init__ wraps a list or tuple
     params: SimParams = field(default_factory=SimParams)
     buzzer_events: Tuple[float, ...] = ()
     # commands executed so far; doubles as the sim clock. A buzzer event
@@ -482,21 +483,30 @@ class WorldState:
     tick: int = _within(0, 2**53 - 1, 0)
 
     def __post_init__(self):
-        events = self.buzzer_events
-        for event in events:
+        robot, events = self.robot, self.buzzer_events
+        if type(robot) is not RobotPose:
+            raise SchemaError(f"WorldState.robot: {_mismatch('a RobotPose', robot)}")
+        for event in events if type(events) is tuple else (None,):  # anything else is converted or refused
             if type(event) is not float or not isfinite(event):
                 try:
-                    events = tuple([_float(value) for value in events])
+                    events = tuple([_float(value) for value in _list(events)])
                 except SchemaError as exc:
                     raise SchemaError(f"WorldState.buzzer_events: {exc}") from None
                 object.__setattr__(self, "buzzer_events", events)
                 break
         if type(self.objects) is ObjectSet:
             return
+        if type(self.params) is not SimParams:
+            raise SchemaError(f"WorldState.params: {_mismatch('a SimParams', self.params)}")
+        if type(self.objects) is not list and type(self.objects) is not tuple:
+            raise SchemaError(f"WorldState.objects: {_mismatch('a list', self.objects)}")
         objects = ObjectSet(self.objects)
+        for obj in objects:
+            if type(obj) is not SimObject:
+                raise SchemaError(f"WorldState.objects: {_mismatch('a SimObject', obj)}")
         if len({obj.id for obj in objects}) != len(objects):
             raise SchemaError("object ids must be unique")
-        if not objects.rows[1] + abs(self.robot.x) + abs(self.robot.y) <= WORLD_LIMIT:
+        if not objects.rows[1] + abs(robot.x) + abs(robot.y) <= WORLD_LIMIT:
             raise SchemaError(f"the world reaches past {WORLD_LIMIT:g} m from the origin")
         object.__setattr__(self, "objects", objects)
 
@@ -574,26 +584,20 @@ def raycast(world: WorldState, origin, direction_deg: float, max_range: float) -
 
 
 def _ir_reach(p: SimParams) -> float:
-    """The least distance L with L - footprint_radius > ir_range, capped at
+    """The least float L with L - footprint_radius > ir_range, capped at
     ultrasonic_max. Float subtraction is monotone, so every reading at or past
     L reads "nothing" as L does, and an IR ray cast to L answers as one cast to
     ultrasonic_max.
 
-    L is the rounded sum S = footprint_radius + ir_range or the float below
-    it when S qualifies, and one of the two floats above S when it does not;
-    that holds for all parameters within their ranges, the only ones a
-    SimParams can hold.
+    No float below S = fl(r + i), with r = footprint_radius and i = ir_range,
+    qualifies, so the search steps up from S: S is a nearest float to r + i,
+    so pred(S) - r < i exactly, and as rounding is monotone and i is a float,
+    fl(pred(S) - r) <= i.
     """
     radius, ir_range = p.footprint_radius, p.ir_range
     reach = radius + ir_range
-    if reach - radius > ir_range:
-        below = nextafter(reach, -inf)
-        if below - radius > ir_range:
-            reach = below
-    else:
+    while not reach - radius > ir_range:
         reach = nextafter(reach, inf)
-        if not reach - radius > ir_range:
-            reach = nextafter(reach, inf)
     cap = p.ultrasonic_max
     return reach if reach < cap else cap
 

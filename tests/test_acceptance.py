@@ -118,9 +118,9 @@ PUBLISHED_FAILURE_KINDS = {("gpt-4-turbo", "obj_3"): "StepLimit"}
 def test_criterion_2_published_step_counts(specs):
     mismatches = []
     for model, cells in PUBLISHED_CELLS.items():
-        report = run_suite(specs, replay_pair(bundled_trace_dir(model)))
+        rows = {row.scenario_id: row for row in run_suite(specs, replay_pair(bundled_trace_dir(model))).rows}
         for sid, (verdict, steps) in cells.items():
-            row = report.row(sid)
+            row = rows[sid]
             if (row.verdict, row.steps) != (verdict, steps):
                 mismatches.append((model, sid, (row.verdict, row.steps), (verdict, steps)))
             if row.verdict == "Failure":

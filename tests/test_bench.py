@@ -462,15 +462,28 @@ def test_make_report_empty():
 
 def test_report_row_lookup_and_dict():
     report = make_report(rows_fixture())
-    assert report.row("s2").failure_reason == "StepLimit"
-    with pytest.raises(KeyError):
-        report.row("nope")
+    assert {r.scenario_id: r for r in report.rows}["s2"].failure_reason == "StepLimit"
     doc = report.to_dict()
     assert doc["overall_rate"] == 75.0
     assert doc["rows"][0]["scenario_id"] == "s1"
     text = report.to_text()
     assert "overall" in text and "75.0% (3/4)" in text
     assert text.count("\n") >= 7
+
+
+def test_a_report_lists_the_domains_its_rates_name_with_the_wins_its_rows_hold():
+    """`to_text` takes each domain line's rate from `domain_rates`, in DOMAINS
+    order, and its wins from the rows: a decoded report may name a domain no
+    row holds, and a row may hold a domain that is not one of DOMAINS, which
+    only the overall line counts."""
+    rows = (*rows_fixture(), Row("s5", "elsewhere", "Success", None, 1, 1))
+    report = Report.from_dict({"rows": [r.to_dict() for r in rows], "overall_rate": 60.0,
+                               "domain_rates": {DOMAINS[3]: 12.5, DOMAINS[0]: 50.0, "elsewhere": 100.0}})
+    assert report.to_text().split("\n")[-3:] == [
+        f"{DOMAINS[0]:<22}  50.0% (1/2)",
+        f"{DOMAINS[3]:<22}  12.5% (0/0)",
+        f"{'overall':<22}  60.0% (4/5)",
+    ]
 
 
 # ---------------------------------------------------------------------------

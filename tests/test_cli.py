@@ -430,6 +430,18 @@ def test_bench_oracle_reports_perfect_run(capsys):
     assert "overall                100.0% (20/20)" in out
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full, whose every write fails")
+def test_a_report_the_disk_cannot_hold_exits_two_after_the_suite(capsys):
+    """/dev/full passes the check before the work; writing the report there
+    fails with ENOSPC, after the suite has run and its report is printed."""
+    capsys.readouterr()
+    assert main(["bench", "--policy", "oracle", "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert "overall                100.0% (20/20)" in captured.out and "report written" not in captured.out
+    assert captured.err.startswith("error: cannot write report /dev/full: [Errno 28] ")
+    assert captured.err.count("\n") == 1
+
+
 def test_bench_replay_bundles_by_model_name(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = main([

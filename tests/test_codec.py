@@ -761,6 +761,50 @@ def test_a_bad_buzzer_event_is_refused_alike_built_and_decoded(event):
     assert _refusal(lambda: WorldState.from_dict({"robot": {}, "buzzer_events": [0.0, event]})) == text
 
 
+# field -> (constructor keywords, document): each holds a value of the wrong type in that field
+WRONG_TYPES = {
+    "robot": (dict(robot=None), {"robot": None}),
+    "robot as a document": (dict(robot={"x": 1.0}), {"robot": 1.0}),
+    "params": (dict(params=None), {"params": None}),
+    "params as a document": (dict(params={}), {"params": []}),
+    "objects": (dict(objects=None), {"objects": None}),
+    "objects as a mapping": (dict(objects={}), {"objects": {}}),
+    "an object": (dict(objects=(None,)), {"objects": [None]}),
+    "an object as a shape": (dict(objects=[Shape("circle", (0.0, 0.0), 1.0)]), {"objects": [1.0]}),
+    "buzzer_events": (dict(buzzer_events=None), {"buzzer_events": None}),
+    "buzzer_events as a string": (dict(buzzer_events="1"), {"buzzer_events": "1"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_a_world_field_of_the_wrong_type_is_refused_alike_built_and_decoded(case):
+    """Built or decoded, a world refuses a field that does not hold its type
+    with a SchemaError that names the field."""
+    built, document = WRONG_TYPES[case]
+    name = next(iter(built))
+    prefix = f"WorldState.{name}: expected "
+    assert _refusal(lambda: WorldState(**{"robot": RobotPose(), **built})).startswith(prefix)
+    assert _refusal(lambda: WorldState.from_dict({"robot": {}, **document})).startswith(f"WorldState.{name}: ")
+
+
+def test_a_world_on_another_world_s_objects_still_checks_its_robot_and_buzzer_events():
+    world = load_world({"robot": {}, "objects": [_box_doc()]})
+    assert (_refusal(lambda: dataclasses.replace(world, robot=(0.0, 0.0)))
+            == "WorldState.robot: expected a RobotPose, got (0.0, 0.0)")
+    assert (_refusal(lambda: dataclasses.replace(world, buzzer_events=None))
+            == "WorldState.buzzer_events: expected a list, got None")
+
+
+def test_a_list_of_buzzer_events_becomes_a_tuple_of_floats():
+    world = load_world({"robot": {}, "objects": [_box_doc()]})
+    for objects in ((), [_box()], world.objects):
+        built = WorldState(RobotPose(), objects, buzzer_events=[0, 2.0])
+        assert type(built.buzzer_events) is tuple and built.buzzer_events == (0.0, 2.0)
+        assert all(type(event) is float for event in built.buzzer_events)
+        assert hash(built) == hash(WorldState(RobotPose(), objects, buzzer_events=(0.0, 2.0)))
+    assert WorldState(RobotPose(), [_box()]).to_json() == load_world({"robot": {}, "objects": [_box_doc()]}).to_json()
+
+
 @pytest.mark.parametrize("height", [0.0, -1.0, math.nan])
 def test_an_object_is_refused_a_height_not_above_zero(height):
     """The decoder refuses NaN as a number before the height check sees it."""

@@ -977,6 +977,32 @@ def test_sensor_rays_walk_a_bounded_number_of_cells(monkeypatch):
     assert counts[0] == counts[1] <= 4, counts
 
 
+def _range(name: str):
+    low, high = next(f for f in dataclasses.fields(SimParams) if f.name == name).metadata["range"]
+    return st.one_of(st.sampled_from([low, math.nextafter(low, math.inf), math.nextafter(high, -math.inf), high]),
+                     st.floats(low, high))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_range("footprint_radius"), _range("ir_range"), _range("ultrasonic_max"))
+@example(3.68, 4.129, 100.0)  # the rounded sum and the float above it both read within reach: two steps up
+@example(3.68, 4.129, 7.809)  # the same, capped
+@example(0.001, 0.0, 0.001)
+@example(10.0, 10.0, 100.0)
+@example(0.1, 0.2, 4.0)  # the defaults
+def test_the_ir_reach_is_the_least_float_past_the_switch_range(radius, ir_range, cap):
+    """`_ir_reach` is the least float L with L - footprint_radius > ir_range,
+    or ultrasonic_max when that is smaller. Float subtraction is monotone in
+    L, so L is that least float exactly when it qualifies and the float below
+    it does not."""
+    p = SimParams(footprint_radius=radius, ir_range=ir_range, ultrasonic_max=cap)
+    reach = sim._ir_reach(p)
+    below = math.nextafter(reach, -math.inf)
+    assert not below - radius > ir_range
+    if reach != cap:
+        assert reach < cap and reach - radius > ir_range
+
+
 def test_an_ir_ray_stops_at_the_switch_reach(monkeypatch):
     """Circles on both IR lines, listed far to near between a switch's reach,
     footprint_radius + ir_range, and ultrasonic_max: a read makes no exact ray
